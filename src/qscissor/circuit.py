@@ -16,13 +16,19 @@ Conventions used throughout the package:
 * Loss channels take the *intensity* transmission: a single photon
   survives with probability ``tau``.
 
-Multi-photon transition amplitudes go through the matrix permanent
-(Ryser's formula with Gray-code subset ordering, O(2^n n)); at the mode
-counts used here this is instantaneous and easy to audit.
+Evolution uses the multiphoton map of ``U``, its symmetric tensor power
+(Scheel 2004, "Permanents in linear optical networks").
+:func:`fock_transfer_matrix` builds it one total-photon sector at a time:
+each sector follows from the one below by applying the transformed creation
+operator once, with basis-only index maps cached per (modes, cutoff).  No
+permanent is evaluated on that path.  :func:`permanent` (Ryser's formula
+with Gray-code subset ordering, O(2^n n)) and :func:`fock_amplitude` stay
+as the single-amplitude API and as the test oracle for the transfer matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,6 +38,7 @@ import numpy as np
 from .fock import (
     MixedState,
     PureState,
+    basis_dimension,
     basis_enumerate,
 )
 
@@ -246,29 +253,76 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
     return permanent(sub) / math.sqrt(norm)
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
+    """Index maps that build each total-photon sector N >= 1 from N - 1.
+
+    They depend on the basis only, not on the unitary.  Sector-local
+    indices follow the order of :func:`basis_enumerate`.  Each step is
+    ``(place, gather, sqrt_occ, first, inv_sqrt_first)``:
+
+    * ``place`` is the ``np.ix_`` of the sector's basis indices;
+    * ``sqrt_occ[o, j]`` is ``sqrt(o_j)``;
+    * ``first[c]`` is the first occupied mode ``i`` of input ``c`` and
+      ``inv_sqrt_first[c]`` is ``1 / sqrt(c_i)``;
+    * ``gather`` indexes the sector-(N-1) block at row ``o - e_j`` (row 0
+      where ``o_j = 0``, which ``sqrt_occ`` masks) and column ``c - e_i``.
+    """
+    basis = basis_enumerate(modes, max_total)
+    flat: list[list[int]] = [[] for _ in range(max_total + 1)]
+    local: dict[tuple, int] = {}
+    for i, occ in enumerate(basis):
+        sector = flat[sum(occ)]
+        local[occ] = len(sector)
+        sector.append(i)
+    steps = []
+    for total in range(1, max_total + 1):
+        occs = [basis[i] for i in flat[total]]
+        lower = np.zeros((len(occs), modes), dtype=np.intp)
+        sqrt_occ = np.zeros((len(occs), modes))
+        for o, occ in enumerate(occs):
+            for j, n in enumerate(occ):
+                if n:
+                    lower[o, j] = local[occ[:j] + (n - 1,) + occ[j + 1 :]]
+                    sqrt_occ[o, j] = math.sqrt(n)
+        first = np.argmax(sqrt_occ > 0, axis=1)
+        cols = np.arange(len(occs))
+        pred, inv_sqrt_first = lower[cols, first], 1.0 / sqrt_occ[cols, first]
+        gather = (lower[:, :, None], pred)
+        for a in (*gather, sqrt_occ, first, inv_sqrt_first):
+            a.setflags(write=False)
+        place = np.ix_(flat[total], flat[total])
+        steps.append((place, gather, sqrt_occ, first, inv_sqrt_first))
+    return tuple(steps)
+
+
 _TRANSFER_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:
     """Dense Fock-space matrix of ``u`` on the canonical truncated basis.
 
-    Block diagonal in total photon number.  Cached on (matrix bytes,
-    max_total) because sweeps reuse the same interferometer many times.
+    Block diagonal in total photon number.  Sector 0 is ``[[1]]``; each
+    higher sector is built from the one below by the creation-operator
+    recursion ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with
+    ``i`` the first occupied mode of ``n``, so no permanent is evaluated.
+    Entries equal :func:`fock_amplitude` up to rounding.  Cached on (matrix
+    bytes, max_total) because sweeps reuse the same interferometer many
+    times.
     """
     key = (u.matrix.tobytes(), u.dim, max_total)
     cached = _TRANSFER_CACHE.get(key)
     if cached is not None:
         return cached
-    basis = basis_enumerate(u.dim, max_total)
-    by_total: dict[int, list[int]] = {}
-    for i, occ in enumerate(basis):
-        by_total.setdefault(sum(occ), []).append(i)
-    dim = len(basis)
+    steps = _sector_steps(u.dim, max_total)
+    dim = basis_dimension(u.dim, max_total)
     transfer = np.zeros((dim, dim), dtype=complex)
-    for indices in by_total.values():
-        for j in indices:
-            for i in indices:
-                transfer[i, j] = fock_amplitude(u, basis[j], basis[i])
+    transfer[0, 0] = 1.0  # the vacuum leads the basis order
+    block = transfer[:1, :1]
+    for place, gather, sqrt_occ, first, inv_sqrt_first in steps:
+        coeff = u.matrix[:, first] * inv_sqrt_first
+        block = np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, block[gather])
+        transfer[place] = block
     _TRANSFER_CACHE[key] = transfer
     return transfer
 

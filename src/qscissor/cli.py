@@ -36,6 +36,8 @@ from .sensitivity import default_loss_layout, sensitivity_sweep
 
 SCHEMA_VERSION = 1
 
+_MAX_SEED = 2**64 - 1
+
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
 #: experiments whose outputs involve random sampling and need a seed
@@ -87,9 +89,12 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"{raw!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
 def _parse_int(raw: str) -> int:
@@ -97,6 +102,13 @@ def _parse_int(raw: str) -> int:
         return int(raw, 0)
     except ValueError:
         raise ValueError(f"{raw!r} is not an integer")
+
+
+def _parse_seed(raw: str) -> int:
+    seed = _parse_int(raw)
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"{seed} outside the u64 range [0, {_MAX_SEED}]")
+    return seed
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -112,7 +124,7 @@ def _parse_grid(raw: str) -> list[float]:
             raise ValueError(f"grid stop {stop} below start {start}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
-    return [_parse_float(p) for p in raw.split(",") if p.strip()]
+    return [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
 
 
 def _parse_pattern(raw: str):
@@ -183,7 +195,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "g": Field(_parse_grid, "1, 2, 3", "gain values, >= 0"),
         "tau": Field(_parse_float, "0.05", "channel transmission in (0, 1]"),
         "n_base": Field(_parse_int, "3840", "base sample count, >= 2"),
-        "seed": Field(_parse_int, None, "RNG seed (required; may come from --seed)"),
+        "seed": Field(_parse_seed, None, "RNG seed (required; may come from --seed)"),
         "loss_min": Field(_parse_float, "0", "lower loss-sampling bound"),
         "loss_max": Field(_parse_float, "0.5", "upper loss-sampling bound"),
         "pattern": Field(_parse_pattern, "110", "herald pattern"),
@@ -223,23 +235,22 @@ def resolve_config(
             )
 
     for key, field in schema.items():
+        given = []
         if key in entries:
             raw, lineno = entries[key]
-            where = f"line {lineno}: {key}"
-        elif key == "seed" and seed is not None:
-            raw, where = str(seed), "--seed"
-        elif field.default is not None:
-            raw, where = field.default, f"default for {key}"
-        else:
-            problems.append(f"missing required key {key!r} ({field.doc})")
-            continue
-        try:
-            resolved[key] = field.parse(raw)
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-
-    if seed is not None and "seed" in schema and "seed" in entries:
-        resolved["seed"] = seed  # command line wins over the file
+            given.append((raw, f"line {lineno}: {key}"))
+        if key == "seed" and seed is not None:
+            given.append((str(seed), "--seed"))  # command line wins over the file
+        if not given:
+            if field.default is None:
+                problems.append(f"missing required key {key!r} ({field.doc})")
+                continue
+            given.append((field.default, f"default for {key}"))
+        for raw, where in given:
+            try:
+                resolved[key] = field.parse(raw)
+            except ValueError as exc:
+                problems.append(f"{where}: {exc}")
 
     # semantic checks run on whatever parsed, so one bad key does not hide
     # range violations elsewhere

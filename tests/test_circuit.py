@@ -278,6 +278,35 @@ def test_transfer_matrix_is_block_unitary():
     assert np.max(np.abs(t @ t.conj().T - np.eye(t.shape[0]))) < 1e-10
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("max_total", [0, 1, 2, 3, 4])
+def test_transfer_matrix_matches_permanent_amplitudes(modes, max_total):
+    rng = np.random.default_rng(1000 + 10 * modes + max_total)
+    u = haar_unitary(rng, modes)
+    t = fock_transfer_matrix(u, max_total)
+    basis = basis_enumerate(modes, max_total)
+    assert t.shape == (len(basis), len(basis))
+    for col, n_in in enumerate(basis):
+        for row, n_out in enumerate(basis):
+            if sum(n_in) == sum(n_out):
+                assert abs(t[row, col] - fock_amplitude(u, n_in, n_out)) <= 1e-12
+            else:
+                assert t[row, col] == 0.0
+
+
+def test_transfer_matrix_evaluates_no_permanent(monkeypatch):
+    import qscissor.circuit as circuit
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transfer matrix evaluated a permanent")
+
+    monkeypatch.setattr(circuit, "permanent", forbidden)
+    monkeypatch.setattr(circuit, "fock_amplitude", forbidden)
+    u = haar_unitary(np.random.default_rng(2024), 4)  # fresh: not in the cache
+    t = fock_transfer_matrix(u, 4)
+    assert np.max(np.abs(t @ t.conj().T - np.eye(t.shape[0]))) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # loss channel
 # ---------------------------------------------------------------------------

@@ -110,6 +110,32 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment,text,extra,code,message",
+    [
+        ("gain-sweep", "g = nan\n", [], 2, "line 1: g: 'nan' is not a finite"),
+        ("fringes", "g = 1\nsigma = nan\n", [], 2, "line 2: sigma: 'nan'"),
+        ("gain-sweep", "g = inf\ntau = 0.5\n", [], 2, "line 1: g: 'inf'"),
+        ("gain-sweep", "g = 0:inf:1\n", [], 2, "line 1: g: 'inf'"),
+        ("gain-sweep", "g = 1, -1e999\n", [], 2, "line 1: g: '-1e999'"),
+        ("sobol", "n_base = 16\n", ["--seed", "-1"], 2, "--seed: -1 outside"),
+        ("sobol", "seed = 3\n", ["--seed", "-1"], 2, "--seed: -1 outside"),
+        ("sobol", "seed = -1\n", [], 2, "line 1: seed: -1 outside"),
+        ("sobol", f"seed = {2**64}\n", [], 2, f"line 1: seed: {2**64} outside"),
+        ("validate", f"experiment = sobol\nseed = {2**64 - 1}\n", [], 0, ""),
+    ],
+)
+def test_non_finite_values_and_bad_seeds_exit_2(
+    tmp_path, capsys, experiment, text, extra, code, message
+):
+    path = write_config(tmp_path, text)
+    argv = [experiment, "--config", path, "--out", str(tmp_path), *extra]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["hom", "--config", str(tmp_path / "nope.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -313,10 +313,11 @@ def test_measured_gain_unit_gain_is_one():
 
 
 def test_measured_gain_matches_closed_form():
-    for tau, g in [(0.05, 2.0), (0.1, 3.0), (0.5, 1.5)]:
-        assert measured_two_photon_gain(tau, g) == pytest.approx(
-            two_photon_gain(tau, g), abs=1e-9 * two_photon_gain(tau, g)
-        )
+    for pattern in SUCCESS_PATTERNS:
+        for tau, g in [(0.05, 2.0), (0.1, 3.0), (0.5, 1.5)]:
+            assert measured_two_photon_gain(tau, g, pattern) == pytest.approx(
+                two_photon_gain(tau, g), abs=1e-9 * two_photon_gain(tau, g)
+            )
 
 
 def test_gain_measurement_off_normalization_cancels_heralds():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qscissor.scissor import two_photon_gain
+from qscissor.scissor import SUCCESS_PATTERNS, two_photon_gain
 from qscissor.sensitivity import (
     LossLayout,
     LossPoint,
@@ -181,11 +181,12 @@ def test_scalar_model_path_matches_vectorized():
 
 def test_zero_loss_fixed_point_over_grid():
     zeros = np.zeros(14)
-    for g in (0.5, 1.0, 2.0, 3.0, 5.0):
-        for tau in (0.05, 0.1, 0.3):
-            assert lossy_gain_model(g, tau, zeros) == pytest.approx(
-                two_photon_gain(tau, g), abs=1e-9, rel=1e-9
-            )
+    for pattern in SUCCESS_PATTERNS:
+        for g in (0.5, 1.0, 2.0, 3.0, 5.0):
+            for tau in (0.05, 0.1, 0.3):
+                assert lossy_gain_model(
+                    g, tau, zeros, pattern=pattern
+                ) == pytest.approx(two_photon_gain(tau, g), abs=1e-9, rel=1e-9)
 
 
 def test_input_post_prep_loss_composes_with_channel():
