@@ -38,6 +38,11 @@ SCHEMA_VERSION = 1
 
 _MAX_SEED = 2**64 - 1
 
+#: size limits, so memory stays bounded by the work a config asks for (an
+#: explicit comma list is already bounded by the length of the config text)
+_MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
+_MAX_N_BASE = 10**5  # the Saltelli design holds about 1.6 KB per base sample
+
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
 #: experiments whose outputs involve random sampling and need a seed
@@ -122,7 +127,10 @@ def _parse_grid(raw: str) -> list[float]:
             raise ValueError(f"grid step must be positive, got {step}")
         if stop < start:
             raise ValueError(f"grid stop {stop} below start {start}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step  # inf for a step far below the range
+        if span + 1.0 > _MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
+        count = int(math.floor(span + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     return [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
 
@@ -138,17 +146,6 @@ def _parse_pattern(raw: str):
             return [pattern]
     valid = ", ".join("".join(map(str, p)) for p in SUCCESS_PATTERNS)
     raise ValueError(f"{raw!r} is not a herald pattern (one of {valid}, or 'all')")
-
-
-def _require_range(name, values, lo, hi, open_lo=False, open_hi=False):
-    for v in values:
-        bad_lo = v <= lo if open_lo else v < lo
-        bad_hi = v >= hi if open_hi else v > hi
-        if bad_lo or bad_hi:
-            left = "(" if open_lo else "["
-            right = ")" if open_hi else "]"
-            raise ValueError(f"{name} = {v} outside {left}{lo}, {hi}{right}")
-    return values
 
 
 @dataclass
@@ -225,6 +222,7 @@ def resolve_config(
         )
 
     resolved: dict = {}
+    sources: dict[str, str] = {}  # where each resolved value came from
     for key, (raw, lineno) in entries.items():
         if key == "experiment":
             continue
@@ -249,53 +247,66 @@ def resolve_config(
         for raw, where in given:
             try:
                 resolved[key] = field.parse(raw)
+                sources[key] = where
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
 
     # semantic checks run on whatever parsed, so one bad key does not hide
     # range violations elsewhere
-    problems.extend(_semantic_checks(experiment, resolved))
+    problems.extend(_semantic_checks(experiment, resolved, sources))
     if problems:
         raise ConfigError(problems)
     resolved["experiment"] = experiment
     return resolved
 
 
-def _semantic_checks(experiment: str, cfg: dict) -> list[str]:
-    """Range checks over whatever keys parsed successfully."""
+def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
+    """Range checks over whatever keys parsed successfully.
+
+    ``sources`` maps each parsed key to where its value came from (its
+    config line, ``--seed`` or the default); a problem with one key's value
+    is reported there.
+    """
     problems = []
 
-    def check(fn, *args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except ValueError as exc:
-            problems.append(str(exc))
+    def problem(key, message):
+        problems.append(f"{sources[key]}: {message}")
 
-    def as_list(value):
-        return value if isinstance(value, list) else [value]
+    def check_range(key, lo, hi, open_lo=False, open_hi=False):
+        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        for v in values:
+            if (v <= lo if open_lo else v < lo) or (v >= hi if open_hi else v > hi):
+                left = "(" if open_lo else "["
+                right = ")" if open_hi else "]"
+                problem(key, f"{v} outside {left}{lo}, {hi}{right}")
+                return
 
     if "g" in cfg:
-        check(_require_range, "g", as_list(cfg["g"]), 0.0, math.inf)
+        check_range("g", 0.0, math.inf)
     if "tau" in cfg and experiment in ("gain-sweep", "sobol"):
-        check(_require_range, "tau", as_list(cfg["tau"]), 0.0, 1.0, open_lo=True)
+        check_range("tau", 0.0, 1.0, open_lo=True)
     if "sigma" in cfg:
-        check(
-            _require_range, "sigma", as_list(cfg["sigma"]), 0.0, 1.0,
-            open_lo=True, open_hi=True,
-        )
+        check_range("sigma", 0.0, 1.0, open_lo=True, open_hi=True)
     if experiment == "fringes" and "phi" in cfg and len(cfg["phi"]) < 4:
-        problems.append("phi grid needs at least 4 points")
+        problem("phi", "grid needs at least 4 points")
     if experiment == "scissor" and "input_coeffs" in cfg:
         coeffs = cfg["input_coeffs"]
         if not 1 <= len(coeffs) <= 5:
-            problems.append(f"input_coeffs needs 1..5 entries, got {len(coeffs)}")
+            problem("input_coeffs", f"needs 1..5 entries, got {len(coeffs)}")
         elif not any(abs(c) > 0 for c in coeffs):
-            problems.append("input_coeffs must not all be zero")
+            problem("input_coeffs", "must not all be zero")
+    if experiment in ("gain-sweep", "sobol") and len(cfg.get("pattern", ())) > 1:
+        problem(
+            "pattern",
+            f"{experiment} takes one herald pattern, got {len(cfg['pattern'])}",
+        )
     if experiment == "sobol":
         if cfg.get("n_base", 2) < 2:
-            problems.append(f"n_base = {cfg['n_base']} must be >= 2")
+            problem("n_base", f"{cfg['n_base']} is below 2")
+        if cfg.get("n_base", 2) > _MAX_N_BASE:
+            problem("n_base", f"{cfg['n_base']} is above the limit {_MAX_N_BASE}")
         if cfg.get("bootstrap", 2) < 2:
-            problems.append(f"bootstrap = {cfg['bootstrap']} must be >= 2")
+            problem("bootstrap", f"{cfg['bootstrap']} is below 2")
         lo, hi = cfg.get("loss_min", 0.0), cfg.get("loss_max", 0.5)
         if not hi > lo:
             problems.append(f"loss range [{lo}, {hi}] is empty")

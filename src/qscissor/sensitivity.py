@@ -7,14 +7,23 @@ gain an experimenter would actually measure.  ``first_order_indices``
 estimates each location's first-order Sobol index S_i = V_i / Var(G) from
 N (D + 2) model evaluations arranged in the usual Saltelli design.
 
-The model is evaluated in batches: amplitudes are carried as arrays with a
-leading sample axis, so one pass through the circuit prices every sampled
-loss vector at once.  All reductions run in a fixed order, which makes the
-estimates bitwise reproducible for a given seed.
+The model is evaluated in batches.  Amplitudes are carried sample-last,
+as [terms, samples] arrays per fixed-photon-number sector, so one pass
+through the circuit prices a chunk of sampled loss vectors at once and
+every gather copies contiguous rows.  Each Kraus branch of the three
+in-mixer losses is precomposed into one map (a gather of the surviving
+terms, then the second mixer half restricted to the rows the herald
+pattern can fire on); the resource-arm loss is folded into the first mixer
+half.  The amplifier-off configuration needs no circuit: its heralds are
+independent of the input and cancel, leaving the closed form tau_off^2 / 2.
+The bootstrap prices blocks of resamples with one matmul of draw counts.
+All reductions run in a fixed order, which makes the estimates bitwise
+reproducible for a given seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -130,14 +139,16 @@ def default_loss_layout() -> LossLayout:
 # Modes: 0 = signal, 1 = resource, 2 = output, 3 = aux.  The mixer acts on
 # (0, 1, 3) and is split into its two element halves so losses can sit
 # inside it.  Amplitude vectors are kept sector-local (fixed total photon
-# number) with a leading sample axis.
+# number) and sample-last: [terms, ..., samples], so gathering terms copies
+# contiguous rows.
 # ---------------------------------------------------------------------------
 
 _ENGINE_MODES = 4
 _MAX_PHOTONS = 4
 _QFT_MODES = (0, 1, 3)
 _OUT_MODE = 2
-_CHUNK = 4096
+_RESOURCE_MODE = 1
+_CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
 
 
 def _mixer_halves():
@@ -157,16 +168,20 @@ class _Sectors:
         basis = basis_enumerate(_ENGINE_MODES, _MAX_PHOTONS)
         self.occ_by_total: list[np.ndarray] = []
         self.index_by_total: list[dict[tuple, int]] = []
-        self.global_index: dict[tuple, tuple[int, int]] = {}
         for total in range(_MAX_PHOTONS + 1):
             occs = [occ for occ in basis if sum(occ) == total]
             self.occ_by_total.append(np.array(occs, dtype=int))
             self.index_by_total.append({occ: i for i, occ in enumerate(occs)})
-            for i, occ in enumerate(occs):
-                self.global_index[occ] = (total, i)
 
     def dim(self, total: int) -> int:
         return len(self.occ_by_total[total])
+
+    def lowered_index(self, total: int, src: np.ndarray, removed) -> np.ndarray:
+        """Indices in sector ``total - sum(removed)`` of the terms ``src`` of
+        sector ``total`` after ``removed[m]`` photons leave mode m."""
+        lowered = self.occ_by_total[total][src] - np.asarray(removed)
+        index = self.index_by_total[total - int(np.sum(removed))]
+        return np.array([index[tuple(occ)] for occ in lowered], dtype=int)
 
 
 _SECTORS: _Sectors | None = None
@@ -190,44 +205,6 @@ def _sector_blocks(unitary) -> list[np.ndarray]:
         idx = [flat_index[tuple(occ)] for occ in sectors.occ_by_total[total]]
         blocks.append(transfer[np.ix_(idx, idx)])
     return blocks
-
-
-@dataclass
-class _LowerMap:
-    """Index map of the k-photon-lowering operator on one mode, per sector."""
-
-    src: np.ndarray  # indices in sector T
-    dst: np.ndarray  # indices in sector T - k
-    comb_sqrt: np.ndarray  # sqrt(C(n, k)) per source term
-    n_src: np.ndarray  # photon number at the lossy mode per source term
-
-
-def _build_lower_maps() -> dict[tuple[int, int, int], _LowerMap]:
-    sectors = _sectors()
-    maps: dict[tuple[int, int, int], _LowerMap] = {}
-    for mode in range(_ENGINE_MODES):
-        for total in range(_MAX_PHOTONS + 1):
-            occs = sectors.occ_by_total[total]
-            for k in range(0, total + 1):
-                src, dst, comb, n_src = [], [], [], []
-                for i, occ in enumerate(occs):
-                    n = occ[mode]
-                    if n < k:
-                        continue
-                    lowered = tuple(occ)
-                    lowered = lowered[:mode] + (n - k,) + lowered[mode + 1 :]
-                    src.append(i)
-                    dst.append(sectors.index_by_total[total - k][lowered])
-                    comb.append(math.sqrt(math.comb(n, k)))
-                    n_src.append(n)
-                if src:
-                    maps[(mode, k, total)] = _LowerMap(
-                        np.array(src),
-                        np.array(dst),
-                        np.array(comb),
-                        np.array(n_src),
-                    )
-    return maps
 
 
 @dataclass
@@ -267,19 +244,140 @@ def _build_povm(pattern: tuple) -> list[_PatternPovm]:
     return out
 
 
+#: (n0, n1, n3) photon numbers the mixer modes can hold, indexing the
+#: per-chunk table of sqrt(t_0)^n0 sqrt(t_1)^n1 sqrt(t_3)^n3
+_MIXER_POWERS = np.array(
+    [p for p in itertools.product(range(_MAX_PHOTONS + 1), repeat=3)
+     if sum(p) <= _MAX_PHOTONS]
+)
+_MIXER_POWER_ROW = {tuple(p): i for i, p in enumerate(_MIXER_POWERS.tolist())}
+
+
+@dataclass
+class _MixerBranch:
+    """One in-mixer Kraus branch: k_m photons lost at mixer mode m.
+
+    Distinct source terms stay distinct after the removal, so the branch is
+    a single gather of ``src`` scaled by the kept photons' transmission
+    amplitudes; the lost photons' factor prod_m (1 - t_m)^k_m multiplies the
+    heralded weight.  The destination columns, with their sqrt(C(n, k))
+    factors, are folded into the second mixer half, kept only on the rows
+    the pattern can herald.
+    """
+
+    lost: tuple  # (k0, k1, k3)
+    src: np.ndarray  # surviving source terms in the starting sector
+    power_rows: np.ndarray  # _MIXER_POWERS row of n_m - k_m per source term
+    h2: np.ndarray  # [n_valid(end), n_src]
+    end: int  # sector after the branch
+
+
+def _mixer_branches(povm: list, h2_blocks: list) -> list[list[_MixerBranch]]:
+    """Heraldable in-mixer branches, per starting sector."""
+    sectors = _sectors()
+    out = []
+    for total in range(_MAX_PHOTONS + 1):
+        mixer_occ = sectors.occ_by_total[total][:, _QFT_MODES]
+        branches = []
+        for lost in itertools.product(range(total + 1), repeat=3):
+            end = total - sum(lost)
+            if end < 0 or povm[end].valid.size == 0:
+                continue
+            src = np.flatnonzero(np.all(mixer_occ >= lost, axis=1))
+            removed = np.zeros(_ENGINE_MODES, dtype=int)
+            removed[list(_QFT_MODES)] = lost
+            dst = sectors.lowered_index(total, src, removed)
+            occ = mixer_occ[src].tolist()
+            comb_sqrt = np.sqrt(
+                [math.prod(math.comb(n, k) for n, k in zip(o, lost)) for o in occ]
+            )
+            kept = [tuple(n - k for n, k in zip(o, lost)) for o in occ]
+            branches.append(
+                _MixerBranch(
+                    lost=lost,
+                    src=src,
+                    power_rows=np.array([_MIXER_POWER_ROW[p] for p in kept]),
+                    h2=h2_blocks[end][np.ix_(povm[end].valid, dst)] * comb_sqrt,
+                    end=end,
+                )
+            )
+        out.append(branches)
+    return out
+
+
+@dataclass
+class _ResourceStage:
+    """Every |a, b, 0, 0> start that reaches one sector of the first mixer
+    half: through the gain splitter, k resource photons lost, then the
+    mixer half.  Start c enters the mixer as ``matrix[c] @ sqrt(t)^p``,
+    p = 0, 1, 2 resource photons kept, times sqrt(1 - t)^k, t being the
+    resource-arm transmission."""
+
+    a: np.ndarray  # per start
+    b: np.ndarray
+    k: np.ndarray
+    matrix: np.ndarray  # [starts, d_mid, 3]
+
+
 @dataclass
 class _EngineContext:
     g: float
     pattern: tuple
-    base_vectors: dict  # (a, b) -> (total, complex vector after the splitter)
-    h1_blocks: list
-    h2_blocks: list
+    resource: list  # per sector entering the mixer: _ResourceStage or None
+    mixer: list  # per starting sector: [_MixerBranch]
     povm: list
-    lower: dict
 
 
 _ENGINE_CACHE: dict[tuple, _EngineContext] = {}
-_STATIC_CACHE: dict[str, object] = {}
+_STATIC_CACHE: dict[object, object] = {}
+
+
+def _resource_stages(g: float, h1: list, mixer: list) -> list:
+    """Resource stages of gain ``g`` for every heraldable mixer sector.
+
+    The splitter output does not depend on the sample, so the resource
+    loss's lowering, the base vector and the first mixer half compose
+    into one fixed matrix per start.
+    """
+    from .scissor import _RESOURCE_SPLITTER_PHASE  # single source of truth
+
+    sectors = _sectors()
+    splitter = embed_unitary(
+        beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
+        (1, 2),
+        _ENGINE_MODES,
+    )
+    split_blocks = _sector_blocks(splitter)
+    starts = [[] for _ in range(_MAX_PHOTONS + 1)]
+    for a in range(3):
+        for b in range(3):
+            total = a + b
+            vec = np.zeros(sectors.dim(total), dtype=complex)
+            vec[sectors.index_by_total[total][(a, b, 0, 0)]] = 1.0
+            base = split_blocks[total] @ vec
+            n_res = sectors.occ_by_total[total][:, _RESOURCE_MODE]
+            for k in range(b + 1):
+                mid = total - k
+                if not mixer[mid]:
+                    continue
+                src = np.flatnonzero((base != 0.0) & (n_res >= k))
+                removed = np.zeros(_ENGINE_MODES, dtype=int)
+                removed[_RESOURCE_MODE] = k
+                dst = sectors.lowered_index(total, src, removed)
+                comb_sqrt = np.sqrt([math.comb(int(n), k) for n in n_res[src]])
+                columns = h1[mid][:, dst] * (base[src] * comb_sqrt)
+                # gather the columns by the resource photons each term keeps
+                matrix = columns @ np.eye(3)[n_res[src] - k]
+                starts[mid].append((a, b, k, matrix))
+
+    stages = [None] * (_MAX_PHOTONS + 1)
+    for mid, group in enumerate(starts):
+        if group:
+            a, b, k, matrix = zip(*group)
+            stages[mid] = _ResourceStage(
+                np.array(a), np.array(b), np.array(k), np.stack(matrix)
+            )
+    return stages
 
 
 def _engine_context(g: float, pattern: tuple) -> _EngineContext:
@@ -295,157 +393,94 @@ def _engine_context(g: float, pattern: tuple) -> _EngineContext:
         _STATIC_CACHE["h2"] = _sector_blocks(
             embed_unitary(second, _QFT_MODES, _ENGINE_MODES)
         )
-        _STATIC_CACHE["lower"] = _build_lower_maps()
-    povm_key = ("povm", tuple(pattern))
-    if povm_key not in _STATIC_CACHE:
-        _STATIC_CACHE[povm_key] = _build_povm(tuple(pattern))
-
-    # initial |a, b, 0, 0> through the resource splitter, per photon numbers
-    from .scissor import _RESOURCE_SPLITTER_PHASE  # single source of truth
-
-    sectors = _sectors()
-    eta = gain_to_transmittance(g)
-    splitter = embed_unitary(
-        beam_splitter_unitary(eta, _RESOURCE_SPLITTER_PHASE), (1, 2), _ENGINE_MODES
-    )
-    split_blocks = _sector_blocks(splitter)
-    base_vectors = {}
-    for a in range(3):
-        for b in range(3):
-            total = a + b
-            vec = np.zeros(sectors.dim(total), dtype=complex)
-            vec[sectors.index_by_total[total][(a, b, 0, 0)]] = 1.0
-            base_vectors[(a, b)] = (total, split_blocks[total] @ vec)
-
+    pattern_key = ("pattern", tuple(pattern))
+    if pattern_key not in _STATIC_CACHE:
+        povm = _build_povm(tuple(pattern))
+        _STATIC_CACHE[pattern_key] = (povm, _mixer_branches(povm, _STATIC_CACHE["h2"]))
+    povm, mixer = _STATIC_CACHE[pattern_key]
     ctx = _EngineContext(
         g=float(g),
         pattern=tuple(pattern),
-        base_vectors=base_vectors,
-        h1_blocks=_STATIC_CACHE["h1"],
-        h2_blocks=_STATIC_CACHE["h2"],
-        povm=_STATIC_CACHE[povm_key],
-        lower=_STATIC_CACHE["lower"],
+        resource=_resource_stages(g, _STATIC_CACHE["h1"], mixer),
+        mixer=mixer,
+        povm=povm,
     )
     _ENGINE_CACHE[key] = ctx
     return ctx
 
 
 def _sqrt_power_table(t: np.ndarray, max_power: int = _MAX_PHOTONS) -> np.ndarray:
-    """[samples, max_power + 1] table of sqrt(t)^n."""
-    table = np.empty((t.shape[0], max_power + 1))
-    table[:, 0] = 1.0
-    root = np.sqrt(t)
-    for n in range(1, max_power + 1):
-        table[:, n] = table[:, n - 1] * root
-    return table
+    """[max_power + 1, samples] table of sqrt(t)^n."""
+    return _power_table(np.sqrt(t), max_power)
 
 
 def _power_table(t: np.ndarray, max_power: int = _MAX_PHOTONS) -> np.ndarray:
-    table = np.empty((t.shape[0], max_power + 1))
-    table[:, 0] = 1.0
+    """[max_power + 1, samples] table of t^n."""
+    table = np.empty((max_power + 1, t.shape[0]))
+    table[0] = 1.0
     for n in range(1, max_power + 1):
-        table[:, n] = table[:, n - 1] * t
+        table[n] = table[n - 1] * t
     return table
 
 
-def _loss_branch(ctx, amp, total, mode, k, s_t, s_one_minus_t):
-    """Apply the k-loss Kraus branch on one mode of a sector-local batch."""
-    lower = ctx.lower.get((mode, k, total))
-    if lower is None:
-        return None
-    out = np.zeros((amp.shape[0], _sectors().dim(total - k)), dtype=complex)
-    factors = (
-        lower.comb_sqrt[None, :]
-        * s_t[:, lower.n_src - k]
-        * s_one_minus_t[:, k][:, None]
-    )
-    out[:, lower.dst] = amp[:, lower.src] * factors
-    return out
-
-
-def _internal_loss_branches(ctx, amp, total, mode_tables):
-    """Yield every Kraus-branch combination of the three in-mixer losses."""
-    mode, tables = mode_tables[0]
-    rest = mode_tables[1:]
-    for k in range(total + 1):
-        branch = _loss_branch(ctx, amp, total, mode, k, *tables)
-        if branch is None or not branch.any():
-            continue
-        if rest:
-            yield from _internal_loss_branches(ctx, branch, total - k, rest)
-        else:
-            yield branch, total - k
-
-
-def _herald_sums(ctx, amp, total, det_t_tables, det_omt_tables):
-    """Pattern probability and two-photon-output weight of one branch."""
-    povm = ctx.povm[total]
-    if povm.valid.size == 0:
-        return 0.0, 0.0
-    weights = np.abs(amp[:, povm.valid]) ** 2
-    factor = povm.comb[None, :].copy()
-    common = 1.0
-    for m in range(3):
-        p = ctx.pattern[m]
-        common = common * det_t_tables[m][:, p]
-        factor = factor * det_omt_tables[m][:, povm.excess[:, m]]
-    weighted = weights * factor
-    p_pattern = common * weighted.sum(axis=1)
-    rho22 = common * weighted[:, povm.out_is_two].sum(axis=1)
-    return p_pattern, rho22
-
-
 def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detect):
-    """(pattern probability, conditional rho_22 numerator) for one config.
+    """(pattern probability, conditional rho_22 numerator), amplifier on.
 
-    ``w_in`` / ``w_res`` are per-sample photon-number weights of the input
+    ``w_in`` / ``w_res`` are [3, samples] photon-number weights of the input
     and resource beams entering the circuit; the remaining arguments are
     per-sample transmissions of the in-circuit loss points.
     """
-    n = w_in.shape[0]
+    n = w_in.shape[1]
     s_anc = _sqrt_power_table(t_ancilla)
     s_anc_m = _sqrt_power_table(1.0 - t_ancilla)
-    internal_tables = [
-        (mode, (_sqrt_power_table(t), _sqrt_power_table(1.0 - t)))
-        for mode, t in zip(_QFT_MODES, t_internal)
-    ]
+    s_int = [_sqrt_power_table(t) for t in t_internal]
+    kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
+    kept *= s_int[2][_MIXER_POWERS[:, 2]]
+    lost = [_power_table(1.0 - t) for t in t_internal]
+
+    # |amplitude|^2 per heraldable term, summed over every branch that ends
+    # in the sector; the weight of each incoherent start rides on its
+    # amplitudes as sqrt(w_in[a] w_res[b])
+    heralded = [np.zeros((povm.valid.size, n)) for povm in ctx.povm]
+    for mid, stage in enumerate(ctx.resource):
+        if stage is None:
+            continue
+        scale = np.sqrt(w_in[stage.a] * w_res[stage.b]) * s_anc_m[stage.k]
+        amp = stage.matrix @ (s_anc[:3] * scale[:, None, :])  # [starts, d_mid, n]
+        for branch in ctx.mixer[mid]:
+            picked = amp[:, branch.src]
+            picked *= kept[branch.power_rows]
+            final = branch.h2 @ picked
+            weight = (final.real**2 + final.imag**2).sum(axis=0)
+            k0, k1, k2 = branch.lost
+            weight *= lost[0][k0] * lost[1][k1] * lost[2][k2]
+            heralded[branch.end] += weight
+
     det_t = [_power_table(t) for t in t_detect]
     det_omt = [_power_table(1.0 - t) for t in t_detect]
-
     p_pattern = np.zeros(n)
     rho22 = np.zeros(n)
-    for (a, b), (total, base) in ctx.base_vectors.items():
-        weight = w_in[:, a] * w_res[:, b]
-        if not weight.any():
-            continue
-        base_batch = np.broadcast_to(base, (n, base.shape[0]))
-        for k_anc in range(b + 1):
-            amp = _loss_branch(ctx, base_batch, total, 1, k_anc, s_anc, s_anc_m)
-            if amp is None or not amp.any():
-                continue
-            t_mid = total - k_anc
-            amp = amp @ ctx.h1_blocks[t_mid].T
-            for branch, t_end in _internal_loss_branches(
-                ctx, amp, t_mid, internal_tables
-            ):
-                final = branch @ ctx.h2_blocks[t_end].T
-                p_b, r_b = _herald_sums(ctx, final, t_end, det_t, det_omt)
-                p_pattern += weight * p_b
-                rho22 += weight * r_b
-    return p_pattern, rho22
+    for povm, weight in zip(ctx.povm, heralded):
+        factor = povm.comb[:, None] * det_omt[0][povm.excess[:, 0]]
+        for m in (1, 2):
+            factor *= det_omt[m][povm.excess[:, m]]
+        weighted = weight * factor
+        p_pattern += weighted.sum(axis=0)
+        rho22 += weighted[povm.out_is_two].sum(axis=0)
+    common = math.prod(det_t[m][p] for m, p in enumerate(ctx.pattern))
+    return common * p_pattern, common * rho22
 
 
 def _pair_weights(transmission: np.ndarray) -> np.ndarray:
-    """Photon-number weights of |2> after an intensity-transmission channel."""
+    """[3, samples] photon-number weights of |2> after a loss channel."""
     t = transmission
-    return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t * t], axis=1)
+    return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t * t])
 
 
 def _role_transmission(tr: np.ndarray, columns: dict, role: str) -> np.ndarray:
-    cols = columns.get(role, [])
-    out = np.ones(tr.shape[0])
-    for c in cols:
-        out = out * tr[:, c]
+    out = np.ones(tr.shape[1])
+    for c in columns.get(role, []):
+        out = out * tr[c]
     return out
 
 
@@ -457,37 +492,27 @@ def _evaluate_batch(
     pattern: tuple,
 ) -> np.ndarray:
     columns = layout.role_columns()
-    tr = 1.0 - losses
+    tr = np.ascontiguousarray((1.0 - losses).T)  # [dims, samples]
     role = lambda name: _role_transmission(tr, columns, name)
-
-    t_internal = [role(f"qft_internal_{i}") for i in range(3)]
-    t_detect = [role(f"detector_{i}") for i in range(3)]
-    t_anc_post = role("ancilla_post_prep")
-    t_anc_pre = role("ancilla_pre_qft")
 
     # amplifier on: input crosses its post-prep and pre-mixer losses, the
     # output crosses the post-amplification loss before being counted
     tau_on = tau * role("input_post_prep") * role("input_pre_qft")
-    ctx_on = _engine_context(g, pattern)
     p2_on, rho22_on = _conditioned_counting_ratio(
-        ctx_on, _pair_weights(tau_on), _pair_weights(t_anc_post),
-        t_anc_pre, t_internal, t_detect,
+        _engine_context(g, pattern),
+        _pair_weights(tau_on),
+        _pair_weights(role("ancilla_post_prep")),
+        role("ancilla_pre_qft"),
+        [role(f"qft_internal_{i}") for i in range(3)],
+        [role(f"detector_{i}") for i in range(3)],
     )
     ratio_on = 0.5 * role("output_post_amp") ** 2 * rho22_on / p2_on
 
-    # amplifier off: full splitter transmission routes the resource through
-    # the mixer alone; the input goes straight to the counting stage, so the
-    # heralds are statistically independent of it and cancel in the ratio
+    # amplifier off: the input goes straight to the counting stage, so the
+    # heralds of the resource-only circuit are independent of it and cancel
+    # exactly, leaving the input's own coincidence rate
     tau_off = tau * role("input_post_prep") * role("input_size_path")
-    ctx_off = _engine_context(0.0, pattern)
-    vacuum_in = np.zeros((losses.shape[0], 3))
-    vacuum_in[:, 0] = 1.0
-    p2_off, _ = _conditioned_counting_ratio(
-        ctx_off, vacuum_in, _pair_weights(t_anc_post),
-        t_anc_pre, t_internal, t_detect,
-    )
-    fourfold_off = p2_off * 0.5 * tau_off**2
-    ratio_off = fourfold_off / p2_off
+    ratio_off = 0.5 * tau_off**2
 
     return ratio_on / ratio_off
 
@@ -552,6 +577,9 @@ def make_gain_model(
 # ---------------------------------------------------------------------------
 
 DEFAULT_LOSS_RANGE = (0.0, 0.5)
+
+#: bytes of one block of bootstrap draw counts (float64 [resamples, n_base])
+_BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
 
 def saltelli_sample(
@@ -639,26 +667,36 @@ def first_order_indices(
     cross = (f_b - mean_all)[None, :] * diff
     indices = cross.mean(axis=1) / variance
 
-    # paired bootstrap over rows; mean and variance are recomputed per
-    # resample from per-row sums so the loop stays O(resamples * n)
+    # paired bootstrap over rows.  A resample's sums are its per-row draw
+    # counts times the per-row statistics, so a block of resamples costs one
+    # matmul; the draws are the same rng.integers call per resample, in the
+    # same order, as a resample-at-a-time loop
     rng = np.random.default_rng([int(seed), 0xB00])
-    rows = all_values.shape[0]
-    col_sum = all_values.sum(axis=0)
-    col_sq_sum = (all_values**2).sum(axis=0)
-    raw_cross = f_b[None, :] * diff
-    boot = np.empty((bootstrap_resamples, dims))
-    for r in range(bootstrap_resamples):
-        idx = rng.integers(0, n_base, size=n_base)
-        total = rows * n_base
-        mean_r = col_sum[idx].sum() / total
-        mean_sq_r = col_sq_sum[idx].sum() / total
+    total = all_values.shape[0] * n_base
+    stats = np.vstack(
+        [
+            f_b[None, :] * diff,
+            diff,
+            all_values.sum(axis=0),
+            (all_values**2).sum(axis=0),
+        ]
+    ).T  # [n_base, 2 dims + 2]
+    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_base))
+    boot = np.zeros((bootstrap_resamples, dims))
+    for start in range(0, bootstrap_resamples, block):
+        counts = np.empty((min(block, bootstrap_resamples - start), n_base))
+        for row in counts:
+            draw = rng.integers(0, n_base, size=n_base)
+            row[:] = np.bincount(draw, minlength=n_base)
+        sums = counts @ stats
+        mean_r = sums[:, 2 * dims] / total
+        mean_sq_r = sums[:, 2 * dims + 1] / total
         var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
-        if var_r <= 0.0:
-            boot[r] = 0.0
-            continue
-        boot[r] = (
-            raw_cross[:, idx].mean(axis=1) - mean_r * diff[:, idx].mean(axis=1)
-        ) / var_r
+        keep = ~(var_r <= 0.0)  # a degenerate resample contributes 0
+        boot[start : start + counts.shape[0]][keep] = (
+            sums[keep, :dims] / n_base
+            - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
+        ) / var_r[keep, None]
     ci = 1.96 * boot.std(axis=0, ddof=1)
 
     return SobolResult(

@@ -123,6 +123,19 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
         ("sobol", "seed = -1\n", [], 2, "line 1: seed: -1 outside"),
         ("sobol", f"seed = {2**64}\n", [], 2, f"line 1: seed: {2**64} outside"),
         ("validate", f"experiment = sobol\nseed = {2**64 - 1}\n", [], 0, ""),
+        # runners that take one herald pattern reject several
+        ("gain-sweep", "pattern = all\n", [], 2,
+         "line 1: pattern: gain-sweep takes one herald pattern, got 3"),
+        ("sobol", "seed = 1\npattern = all\n", [], 2,
+         "line 2: pattern: sobol takes one herald pattern, got 3"),
+        # size limits: the oversized grids are rejected before they are built
+        ("gain-sweep", "g = 0:1:1e-12\n", [], 2,
+         "line 1: g: grid has more than 1000000 points"),
+        ("hom", "theta = 0:1e308:1e-308\n", [], 2,
+         "line 1: theta: grid has more than 1000000 points"),
+        ("sobol", "seed = 1\nn_base = 100001\n", [], 2,
+         "line 2: n_base: 100001 is above the limit 100000"),
+        ("validate", "experiment = sobol\nseed = 1\nn_base = 100000\n", [], 0, ""),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

@@ -3,7 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from qscissor.scissor import SUCCESS_PATTERNS, two_photon_gain
+from qscissor import sensitivity
+from qscissor.circuit import (
+    BeamSplitter,
+    Loss,
+    PhaseShift,
+    apply_loss,
+    apply_mode_unitary,
+    compile_circuit,
+)
+from qscissor.fock import MixedState, fock_state, project_pattern
+from qscissor.scissor import (
+    _RESOURCE_SPLITTER_PHASE,
+    SUCCESS_PATTERNS,
+    gain_to_transmittance,
+    lossy_two_photon_input,
+    pnr_coincidence_probability,
+    two_photon_gain,
+)
 from qscissor.sensitivity import (
     LossLayout,
     LossPoint,
@@ -174,9 +191,116 @@ def test_scalar_model_path_matches_vectorized():
     assert np.allclose(vec.indices, scal.indices)
 
 
+def reference_bootstrap_ci(model, n_base, seed, dims, bounds, resamples):
+    """The paired bootstrap one resample at a time, as the estimator's
+    definition reads: draw rows, recompute mean, variance and the V_i."""
+    a, b, hybrids = saltelli_sample(n_base, dims, seed, bounds)
+    f_a, f_b = model(a), model(b)
+    f_hyb = np.stack([model(hybrids[i]) for i in range(dims)])
+    all_values = np.concatenate([f_a[None, :], f_b[None, :], f_hyb], axis=0)
+    diff = f_hyb - f_a[None, :]
+    rng = np.random.default_rng([int(seed), 0xB00])
+    rows = all_values.shape[0]
+    col_sum = all_values.sum(axis=0)
+    col_sq_sum = (all_values**2).sum(axis=0)
+    raw_cross = f_b[None, :] * diff
+    boot = np.empty((resamples, dims))
+    for r in range(resamples):
+        idx = rng.integers(0, n_base, size=n_base)
+        total = rows * n_base
+        mean_r = col_sum[idx].sum() / total
+        mean_sq_r = col_sq_sum[idx].sum() / total
+        var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
+        if var_r <= 0.0:
+            boot[r] = 0.0
+            continue
+        boot[r] = (
+            raw_cross[:, idx].mean(axis=1) - mean_r * diff[:, idx].mean(axis=1)
+        ) / var_r
+    return 1.96 * boot.std(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize(
+    "model,n_base,dims,blocks",
+    [
+        (additive_model([1.0, 2.0, 3.0]), 256, 3, 1),
+        (make_gain_model(2.0, 0.05), 256, 14, 1),
+        # 1000 resamples in blocks of 174: five full blocks and one of 130
+        (additive_model([1.0, -0.5, 2.0, 0.25]), 3000, 4, 6),
+    ],
+    ids=["additive", "gain-model", "partial-block"],
+)
+def test_blocked_bootstrap_matches_per_resample_loop(model, n_base, dims, blocks):
+    block = sensitivity._BOOTSTRAP_BLOCK_BYTES // (8 * n_base)
+    assert -(-1000 // block) == blocks
+    bounds = (0.0, 0.5)
+    res = first_order_indices(
+        model, n_base, seed=19, dims=dims, bounds=bounds, vectorized=True
+    )
+    expected = reference_bootstrap_ci(model, n_base, 19, dims, bounds, 1000)
+    np.testing.assert_allclose(res.ci, expected, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # loss model
 # ---------------------------------------------------------------------------
+
+
+def dict_engine_gain(g, tau, losses, pattern):
+    """Measured gain of the default layout, rebuilt on the dict engine.
+
+    Every tagged loss is an ``apply_loss`` on its mode (losses sharing a
+    location compose into one channel), the circuit elements are compiled
+    one stage at a time, and the detector efficiencies act before the
+    pattern projection.  With the amplifier off the input goes straight to
+    the counting stage, so its conditioned rho_22 is the input's own.
+    """
+    t = 1.0 - np.asarray(losses)
+    steps = [
+        Loss(0, tau * t[0] * t[2] * t[6]),  # channel, L1, L3, L7 on the input
+        Loss(1, t[3]),  # L4: resource after preparation
+        compile_circuit(
+            [BeamSplitter(1, 2, gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE)],
+            4,
+        ),
+        Loss(1, t[4] * t[7]),  # L5, L8: resource arm entering the mixer
+        compile_circuit([BeamSplitter(0, 1, 0.5), BeamSplitter(1, 3, 1.0 / 3.0)], 4),
+        Loss(0, t[8]),  # L9-L11: between the mixer halves
+        Loss(1, t[9]),
+        Loss(3, t[10]),
+        compile_circuit(
+            [PhaseShift(0, 3.0 * math.pi / 2.0), BeamSplitter(0, 1, 0.5)], 4
+        ),
+        Loss(0, t[11]),  # L12-L14: herald detector efficiencies
+        Loss(1, t[12]),
+        Loss(3, t[13]),
+    ]
+    state = MixedState.from_pure(fock_state((2, 2, 0, 0), cutoff=4))
+    for step in steps:
+        if isinstance(step, Loss):
+            state = apply_loss(state, step.mode, step.transmission)
+        else:
+            state = MixedState(
+                [(w, apply_mode_unitary(s, step)) for w, s in state.components]
+            )
+    heralded = [
+        (w, project_pattern(s, (0, 1, 3), pattern)[0]) for w, s in state.components
+    ]
+    herald = sum(w * s.norm() ** 2 for w, s in heralded)
+    output = apply_loss(MixedState(heralded), 0, t[5])  # L6
+    rho22_on = 2.0 * pnr_coincidence_probability(output) / herald
+    off_input = lossy_two_photon_input(tau * t[0] * t[1])  # channel, L1, L2
+    rho22_off = 2.0 * pnr_coincidence_probability(off_input)
+    return rho22_on / rho22_off
+
+
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_lossy_model_matches_dict_engine_oracle(pattern):
+    for seed, g in ((1, 1.0), (2, 2.0), (3, 3.0)):
+        losses = np.random.default_rng(seed).uniform(0.0, 0.9, size=14)
+        assert lossy_gain_model(g, 0.05, losses, pattern=pattern) == pytest.approx(
+            dict_engine_gain(g, 0.05, losses, pattern), rel=1e-10
+        )
 
 
 def test_zero_loss_fixed_point_over_grid():
