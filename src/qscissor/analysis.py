@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import apply_mode_unitary, beam_splitter_unitary, compile_circuit
-from .circuit import PhaseShift, BeamSplitter
-from .fock import PureState, fock_state, project_pattern, tensor, vacuum
+from .circuit import apply_mode_unitary, beam_splitter_unitary, fock_transfer_matrix
+from .fock import basis_enumerate, fock_state, tensor, vacuum
 from .scissor import SUCCESS_PATTERNS, heralded_amplify
 
 
@@ -178,14 +177,14 @@ def fringe_scan(
         raise ValueError("herald pattern has zero probability in this setup")
     amplified = amplified.normalized()
 
-    values = np.empty(len(phases))
-    for i, phase in enumerate(phases):
-        recombiner = compile_circuit(
-            [PhaseShift(1, float(phase)), BeamSplitter(0, 1, 0.5)], 2
-        )
-        mixed = apply_mode_unitary(amplified, recombiner)
-        _, coincidence = project_pattern(mixed, (0, 1), (1, 1))
-        values[i] = coincidence
+    # the scanned phase is diagonal in Fock space, e^{i n_1 phase}, so every
+    # phase shares the fixed recombiner's coincidence row
+    basis = basis_enumerate(2, amplified.cutoff)
+    recombiner = fock_transfer_matrix(beam_splitter_unitary(0.5), amplified.cutoff)
+    n1 = np.array([occ[1] for occ in basis])
+    shifted = np.exp(1j * np.outer(phases, n1)) * amplified.to_vector(basis)
+    coincidence = shifted @ recombiner[basis.index((1, 1))]
+    values = coincidence.real**2 + coincidence.imag**2
     return FringeScan(phases=phases, values=values, pattern=tuple(pattern))
 
 

@@ -17,13 +17,20 @@ Conventions used throughout the package:
   survives with probability ``tau``.
 
 Evolution uses the multiphoton map of ``U``, its symmetric tensor power
-(Scheel 2004, "Permanents in linear optical networks").
-:func:`fock_transfer_matrix` builds it one total-photon sector at a time:
-each sector follows from the one below by applying the transformed creation
-operator once, with basis-only index maps cached per (modes, cutoff).  No
-permanent is evaluated on that path.  :func:`permanent` (Ryser's formula
-with Gray-code subset ordering, O(2^n n)) and :func:`fock_amplitude` stay
-as the single-amplitude API and as the test oracle for the transfer matrix.
+(Scheel 2004, "Permanents in linear optical networks").  The map is block
+diagonal in total photon number, and this module owns the one sector
+layout of the truncated basis: :func:`fock_sectors` gives each sector's
+occupations, their local index and their place in the
+:func:`basis_enumerate` order.  :func:`sector_transfer_blocks` builds the
+map one sector at a time: each sector follows from the one below by
+applying the transformed creation operator once, so no permanent is
+evaluated.  :func:`fock_transfer_matrix` places those blocks into the dense
+matrix.  Both come from one LRU cache of fixed size keyed on the unitary's
+bytes, so memory stays bounded however many distinct unitaries a process
+sees; the arrays are shared between callers and therefore read-only.
+:func:`permanent` (Ryser's formula with Gray-code subset ordering,
+O(2^n n)) and :func:`fock_amplitude` stay as the single-amplitude API and
+as the test oracle for the transfer matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,78 +261,119 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
     return permanent(sub) / math.sqrt(norm)
 
 
-@functools.lru_cache(maxsize=None)
+#: (modes, max_total) basis layouts kept; basis-only, so few are ever needed
+_LAYOUT_CACHE_SIZE = 32
+
+#: unitaries whose Fock map is kept; a 4-mode, 4-photon entry (dense matrix
+#: plus sector blocks) holds about 106 KB
+_TRANSFER_CACHE_SIZE = 64
+
+
+class FockSector(NamedTuple):
+    """One fixed-total-photon sector of the truncated basis.
+
+    Rows follow the :func:`basis_enumerate` order; every array is read-only.
+    """
+
+    occupations: np.ndarray  # [d, modes] photon counts per row
+    index: Mapping[tuple, int]  # occupation -> row
+    positions: np.ndarray  # each row's index in the full basis
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def fock_sectors(modes: int, max_total: int) -> tuple[FockSector, ...]:
+    """Sectors 0..max_total of the ``modes``-mode basis capped at ``max_total``."""
+    basis = basis_enumerate(modes, max_total)
+    by_total: list[list[int]] = [[] for _ in range(max_total + 1)]
+    for position, occ in enumerate(basis):
+        by_total[sum(occ)].append(position)
+    sectors = []
+    for members in by_total:
+        occs = [basis[p] for p in members]
+        occupations = np.array(occs, dtype=int).reshape(len(occs), modes)
+        positions = np.array(members, dtype=np.intp)
+        occupations.setflags(write=False)
+        positions.setflags(write=False)
+        index = MappingProxyType({occ: i for i, occ in enumerate(occs)})
+        sectors.append(FockSector(occupations, index, positions))
+    return tuple(sectors)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
     """Index maps that build each total-photon sector N >= 1 from N - 1.
 
-    They depend on the basis only, not on the unitary.  Sector-local
-    indices follow the order of :func:`basis_enumerate`.  Each step is
-    ``(place, gather, sqrt_occ, first, inv_sqrt_first)``:
+    They depend on the basis only, not on the unitary.  Indices are rows of
+    :func:`fock_sectors`.  Each step is
+    ``(gather, sqrt_occ, first, inv_sqrt_first)``:
 
-    * ``place`` is the ``np.ix_`` of the sector's basis indices;
     * ``sqrt_occ[o, j]`` is ``sqrt(o_j)``;
     * ``first[c]`` is the first occupied mode ``i`` of input ``c`` and
       ``inv_sqrt_first[c]`` is ``1 / sqrt(c_i)``;
     * ``gather`` indexes the sector-(N-1) block at row ``o - e_j`` (row 0
       where ``o_j = 0``, which ``sqrt_occ`` masks) and column ``c - e_i``.
     """
-    basis = basis_enumerate(modes, max_total)
-    flat: list[list[int]] = [[] for _ in range(max_total + 1)]
-    local: dict[tuple, int] = {}
-    for i, occ in enumerate(basis):
-        sector = flat[sum(occ)]
-        local[occ] = len(sector)
-        sector.append(i)
+    sectors = fock_sectors(modes, max_total)
     steps = []
-    for total in range(1, max_total + 1):
-        occs = [basis[i] for i in flat[total]]
-        lower = np.zeros((len(occs), modes), dtype=np.intp)
-        sqrt_occ = np.zeros((len(occs), modes))
-        for o, occ in enumerate(occs):
+    for below, sector in zip(sectors, sectors[1:]):
+        lower = np.zeros(sector.occupations.shape, dtype=np.intp)
+        sqrt_occ = np.zeros(sector.occupations.shape)
+        for o, occ in enumerate(map(tuple, sector.occupations.tolist())):
             for j, n in enumerate(occ):
                 if n:
-                    lower[o, j] = local[occ[:j] + (n - 1,) + occ[j + 1 :]]
+                    lower[o, j] = below.index[occ[:j] + (n - 1,) + occ[j + 1 :]]
                     sqrt_occ[o, j] = math.sqrt(n)
         first = np.argmax(sqrt_occ > 0, axis=1)
-        cols = np.arange(len(occs))
+        cols = np.arange(len(lower))
         pred, inv_sqrt_first = lower[cols, first], 1.0 / sqrt_occ[cols, first]
         gather = (lower[:, :, None], pred)
         for a in (*gather, sqrt_occ, first, inv_sqrt_first):
             a.setflags(write=False)
-        place = np.ix_(flat[total], flat[total])
-        steps.append((place, gather, sqrt_occ, first, inv_sqrt_first))
+        steps.append((gather, sqrt_occ, first, inv_sqrt_first))
     return tuple(steps)
 
 
-_TRANSFER_CACHE: dict[tuple, np.ndarray] = {}
+@functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
+def _transfer(
+    matrix_bytes: bytes, modes: int, max_total: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Sector blocks and dense Fock matrix of one mode unitary."""
+    u = np.frombuffer(matrix_bytes, dtype=complex).reshape(modes, modes)
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for gather, sqrt_occ, first, inv_sqrt_first in _sector_steps(modes, max_total):
+        coeff = u[:, first] * inv_sqrt_first
+        blocks.append(np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, blocks[-1][gather]))
+    dim = basis_dimension(modes, max_total)
+    dense = np.zeros((dim, dim), dtype=complex)
+    for sector, block in zip(fock_sectors(modes, max_total), blocks):
+        dense[np.ix_(sector.positions, sector.positions)] = block
+        block.setflags(write=False)
+    dense.setflags(write=False)
+    return tuple(blocks), dense
+
+
+def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, ...]:
+    """Fock map of ``u`` per total photon number 0..max_total.
+
+    Block N acts on the rows of ``fock_sectors(u.dim, max_total)[N]``.
+    Sector 0 is ``[[1]]``; each higher sector is built from the one below by
+    the creation-operator recursion
+    ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with ``i`` the
+    first occupied mode of ``n``, so no permanent is evaluated.  Cached on
+    (matrix bytes, max_total) for the last ``_TRANSFER_CACHE_SIZE``
+    unitaries, because sweeps reuse the same interferometer many times.
+    """
+    return _transfer(u.matrix.tobytes(), u.dim, max_total)[0]
 
 
 def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:
     """Dense Fock-space matrix of ``u`` on the canonical truncated basis.
 
-    Block diagonal in total photon number.  Sector 0 is ``[[1]]``; each
-    higher sector is built from the one below by the creation-operator
-    recursion ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with
-    ``i`` the first occupied mode of ``n``, so no permanent is evaluated.
-    Entries equal :func:`fock_amplitude` up to rounding.  Cached on (matrix
-    bytes, max_total) because sweeps reuse the same interferometer many
-    times.
+    The blocks of :func:`sector_transfer_blocks` placed at their basis
+    positions, from the same cache; entries equal :func:`fock_amplitude` up
+    to rounding.  The array is shared between callers, hence read-only.
     """
-    key = (u.matrix.tobytes(), u.dim, max_total)
-    cached = _TRANSFER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    steps = _sector_steps(u.dim, max_total)
-    dim = basis_dimension(u.dim, max_total)
-    transfer = np.zeros((dim, dim), dtype=complex)
-    transfer[0, 0] = 1.0  # the vacuum leads the basis order
-    block = transfer[:1, :1]
-    for place, gather, sqrt_occ, first, inv_sqrt_first in steps:
-        coeff = u.matrix[:, first] * inv_sqrt_first
-        block = np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, block[gather])
-        transfer[place] = block
-    _TRANSFER_CACHE[key] = transfer
-    return transfer
+    return _transfer(u.matrix.tobytes(), u.dim, max_total)[1]
 
 
 def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:

@@ -42,6 +42,7 @@ _MAX_SEED = 2**64 - 1
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
 _MAX_N_BASE = 10**5  # the Saltelli design holds about 1.6 KB per base sample
+_MAX_BOOTSTRAP = 10**5  # resamples; the result holds 8 B per index per resample
 
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
@@ -307,6 +308,10 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
             problem("n_base", f"{cfg['n_base']} is above the limit {_MAX_N_BASE}")
         if cfg.get("bootstrap", 2) < 2:
             problem("bootstrap", f"{cfg['bootstrap']} is below 2")
+        if cfg.get("bootstrap", 2) > _MAX_BOOTSTRAP:
+            problem(
+                "bootstrap", f"{cfg['bootstrap']} is above the limit {_MAX_BOOTSTRAP}"
+            )
         lo, hi = cfg.get("loss_min", 0.0), cfg.get("loss_max", 0.5)
         if not hi > lo:
             problems.append(f"loss range [{lo}, {hi}] is empty")

@@ -6,9 +6,10 @@ of ints) and every state caps the *total* photon number at a configurable
 cutoff.  Amplitude maps are kept sparse because the experiments populate only
 a handful of occupations out of a combinatorially large basis.
 
-All containers are treated as immutable values: operations return new states
-and never mutate their inputs, so everything here is safe to evaluate
-concurrently.
+Operations return new states and never mutate their inputs, and this module
+keeps no state between calls.  The containers are not frozen, though: a
+state's ``amplitudes`` is a plain dict, so a state shared between threads
+stays consistent only while no caller edits it.
 """
 
 from __future__ import annotations

@@ -47,6 +47,12 @@ SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 #: phase exactly zero; the other two patterns then land on 2pi/3 and 4pi/3.
 _RESOURCE_SPLITTER_PHASE = -math.pi / 3.0
 
+#: Herald probability of the resource alone.  With the amplifier off
+#: (g = 0) both resource photons enter the three-mode Fourier mixer and
+#: leave on any two distinct ports with amplitude sqrt(2) / 3, whatever the
+#: input does.
+_RESOURCE_ONLY_HERALD = 2.0 / 9.0
+
 #: Largest input-state cutoff the full simulation accepts by default.
 MAX_INPUT_CUTOFF = 4
 
@@ -56,21 +62,6 @@ def gain_to_transmittance(g: float) -> float:
     if g < 0.0:
         raise ValueError(f"gain must be non-negative, got {g}")
     return 1.0 / (1.0 + g * g)
-
-
-@dataclass(frozen=True)
-class GainSetting:
-    """Amplitude gain together with the derived splitter transmittance."""
-
-    g: float
-
-    def __post_init__(self):
-        if self.g < 0.0:
-            raise ValueError(f"gain must be non-negative, got {self.g}")
-
-    @property
-    def transmittance(self) -> float:
-        return gain_to_transmittance(self.g)
 
 
 def herald_phase(pattern: Sequence[int]) -> float:
@@ -113,6 +104,15 @@ def ideal_scissor_transform(
     return kept / norm
 
 
+def _resource_splitter(g: float, resource: int, output: int, modes: int):
+    """Gain splitter on (resource, output) of a ``modes``-mode system."""
+    return embed_unitary(
+        beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
+        (resource, output),
+        modes,
+    )
+
+
 def _amplifier_unitary(modes: int, signal_mode: int, g: float):
     """Composed mode unitary of the amplifier on a ``modes + 3`` system.
 
@@ -122,11 +122,7 @@ def _amplifier_unitary(modes: int, signal_mode: int, g: float):
     """
     total = modes + 3
     res, out, aux = modes, modes + 1, modes + 2
-    splitter = embed_unitary(
-        beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
-        (res, out),
-        total,
-    )
+    splitter = _resource_splitter(g, res, out, total)
     mixer = embed_unitary(qft_unitary(3), (signal_mode, res, aux), total)
     return mixer @ splitter, (signal_mode, res, aux), out
 
@@ -318,10 +314,14 @@ def simulate_gain_measurement(
     the input goes straight to the counting stage while the resource alone
     (full transmittance, no interference) still fires the heralds, so the
     same conditioning applies but the heralds carry no information about
-    the input and cancel from the normalized estimate.
+    the input and cancel from the normalized estimate; their probability is
+    the closed form 2/9.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
+    pattern = tuple(int(n) for n in pattern)
+    if pattern not in SUCCESS_PATTERNS:
+        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     input_mixture = lossy_two_photon_input(tau)
     if with_amplifier:
         outcome = run_two_scissor(input_mixture, g, pattern)
@@ -329,11 +329,8 @@ def simulate_gain_measurement(
         coincidence = pnr_coincidence_probability(outcome.output)
         fourfold = herald * coincidence
     else:
-        # eta = 1 (g = 0) sends the whole resource through the mixer; the
-        # input is diverted to the counting stage and never interferes
-        herald = run_two_scissor(
-            vacuum(1, cutoff=2), 0.0, pattern
-        ).success_probability
+        # the input is diverted to the counting stage and never interferes
+        herald = _RESOURCE_ONLY_HERALD
         coincidence = pnr_coincidence_probability(input_mixture)
         fourfold = herald * coincidence
     return GainMeasurement(

@@ -14,15 +14,20 @@ every gather copies contiguous rows.  Each Kraus branch of the three
 in-mixer losses is precomposed into one map (a gather of the surviving
 terms, then the second mixer half restricted to the rows the herald
 pattern can fire on); the resource-arm loss is folded into the first mixer
-half.  The amplifier-off configuration needs no circuit: its heralds are
-independent of the input and cancel, leaving the closed form tau_off^2 / 2.
-The bootstrap prices blocks of resamples with one matmul of draw counts.
-All reductions run in a fixed order, which makes the estimates bitwise
-reproducible for a given seed.
+half.  The engine keeps no basis layer of its own: its sectors, their row
+order and the blocks of the mixer halves and the gain splitter come from
+``circuit.fock_sectors`` and ``circuit.sector_transfer_blocks``, and what
+it builds per pattern and per gain sits in LRU caches (the per-gain one of
+fixed size).  The amplifier-off configuration needs no circuit: its
+heralds are independent of the input and cancel, leaving the closed form
+tau_off^2 / 2.  The bootstrap prices blocks of resamples with one matmul
+of draw counts.  All reductions run in a fixed order, which makes the
+estimates bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,15 +36,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import (
-    BeamSplitter,
-    PhaseShift,
-    beam_splitter_unitary,
     compile_circuit,
     embed_unitary,
-    fock_transfer_matrix,
+    fock_sectors,
+    sector_transfer_blocks,
+    tritter_elements,
 )
-from .fock import basis_enumerate
-from .scissor import SUCCESS_PATTERNS, gain_to_transmittance
+from .scissor import SUCCESS_PATTERNS, _resource_splitter
 
 # ---------------------------------------------------------------------------
 # loss layout
@@ -139,72 +142,27 @@ def default_loss_layout() -> LossLayout:
 # Modes: 0 = signal, 1 = resource, 2 = output, 3 = aux.  The mixer acts on
 # (0, 1, 3) and is split into its two element halves so losses can sit
 # inside it.  Amplitude vectors are kept sector-local (fixed total photon
-# number) and sample-last: [terms, ..., samples], so gathering terms copies
-# contiguous rows.
+# number, rows of circuit.fock_sectors) and sample-last: [terms, ...,
+# samples], so gathering terms copies contiguous rows.
 # ---------------------------------------------------------------------------
 
-_ENGINE_MODES = 4
-_MAX_PHOTONS = 4
 _QFT_MODES = (0, 1, 3)
 _OUT_MODE = 2
 _RESOURCE_MODE = 1
+_MODES = max(*_QFT_MODES, _OUT_MODE) + 1
+_BEAM_PHOTONS = 2  # the input and the resource each start as |2>
+_PHOTONS = 2 * _BEAM_PHOTONS
 _CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
+_ENGINE_CONTEXTS = 16  # (g, pattern) engines kept; the per-gain part is about 8 KB
 
 
-def _mixer_halves():
-    first = compile_circuit(
-        [BeamSplitter(0, 1, 0.5), BeamSplitter(1, 2, 1.0 / 3.0)], 3
-    )
-    second = compile_circuit(
-        [PhaseShift(0, 3.0 * math.pi / 2.0), BeamSplitter(0, 1, 0.5)], 3
-    )
-    return first, second
-
-
-class _Sectors:
-    """Fixed-total-photon sectors of the four-mode truncated basis."""
-
-    def __init__(self):
-        basis = basis_enumerate(_ENGINE_MODES, _MAX_PHOTONS)
-        self.occ_by_total: list[np.ndarray] = []
-        self.index_by_total: list[dict[tuple, int]] = []
-        for total in range(_MAX_PHOTONS + 1):
-            occs = [occ for occ in basis if sum(occ) == total]
-            self.occ_by_total.append(np.array(occs, dtype=int))
-            self.index_by_total.append({occ: i for i, occ in enumerate(occs)})
-
-    def dim(self, total: int) -> int:
-        return len(self.occ_by_total[total])
-
-    def lowered_index(self, total: int, src: np.ndarray, removed) -> np.ndarray:
-        """Indices in sector ``total - sum(removed)`` of the terms ``src`` of
-        sector ``total`` after ``removed[m]`` photons leave mode m."""
-        lowered = self.occ_by_total[total][src] - np.asarray(removed)
-        index = self.index_by_total[total - int(np.sum(removed))]
-        return np.array([index[tuple(occ)] for occ in lowered], dtype=int)
-
-
-_SECTORS: _Sectors | None = None
-
-
-def _sectors() -> _Sectors:
-    global _SECTORS
-    if _SECTORS is None:
-        _SECTORS = _Sectors()
-    return _SECTORS
-
-
-def _sector_blocks(unitary) -> list[np.ndarray]:
-    """Per-sector transfer blocks of a four-mode unitary."""
-    sectors = _sectors()
-    transfer = fock_transfer_matrix(unitary, _MAX_PHOTONS)
-    basis = basis_enumerate(_ENGINE_MODES, _MAX_PHOTONS)
-    flat_index = {occ: i for i, occ in enumerate(basis)}
-    blocks = []
-    for total in range(_MAX_PHOTONS + 1):
-        idx = [flat_index[tuple(occ)] for occ in sectors.occ_by_total[total]]
-        blocks.append(transfer[np.ix_(idx, idx)])
-    return blocks
+def _lowered_index(total: int, src: np.ndarray, removed) -> np.ndarray:
+    """Rows in sector ``total - sum(removed)`` of the rows ``src`` of sector
+    ``total`` after ``removed[m]`` photons leave mode m."""
+    sectors = fock_sectors(_MODES, _PHOTONS)
+    lowered = sectors[total].occupations[src] - np.asarray(removed)
+    index = sectors[total - int(np.sum(removed))].index
+    return np.array([index[tuple(occ)] for occ in lowered.tolist()], dtype=int)
 
 
 @dataclass
@@ -217,11 +175,11 @@ class _PatternPovm:
     out_is_two: np.ndarray  # bool: does the term leave 2 photons in the output
 
 
-def _build_povm(pattern: tuple) -> list[_PatternPovm]:
-    sectors = _sectors()
+@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
+def _build_povm(pattern: tuple) -> tuple[_PatternPovm, ...]:
     out = []
-    for total in range(_MAX_PHOTONS + 1):
-        occs = sectors.occ_by_total[total]
+    for sector in fock_sectors(_MODES, _PHOTONS):
+        occs = sector.occupations
         valid, comb, excess, out2 = [], [], [], []
         for i, occ in enumerate(occs):
             detected = [occ[m] for m in _QFT_MODES]
@@ -237,18 +195,18 @@ def _build_povm(pattern: tuple) -> list[_PatternPovm]:
             _PatternPovm(
                 np.array(valid, dtype=int),
                 np.array(comb, dtype=float),
-                np.array(excess, dtype=int).reshape(len(valid), 3),
+                np.array(excess, dtype=int).reshape(len(valid), len(_QFT_MODES)),
                 np.array(out2, dtype=bool),
             )
         )
-    return out
+    return tuple(out)
 
 
 #: (n0, n1, n3) photon numbers the mixer modes can hold, indexing the
 #: per-chunk table of sqrt(t_0)^n0 sqrt(t_1)^n1 sqrt(t_3)^n3
 _MIXER_POWERS = np.array(
-    [p for p in itertools.product(range(_MAX_PHOTONS + 1), repeat=3)
-     if sum(p) <= _MAX_PHOTONS]
+    [p for p in itertools.product(range(_PHOTONS + 1), repeat=len(_QFT_MODES))
+     if sum(p) <= _PHOTONS]
 )
 _MIXER_POWER_ROW = {tuple(p): i for i, p in enumerate(_MIXER_POWERS.tolist())}
 
@@ -272,21 +230,36 @@ class _MixerBranch:
     end: int  # sector after the branch
 
 
-def _mixer_branches(povm: list, h2_blocks: list) -> list[list[_MixerBranch]]:
-    """Heraldable in-mixer branches, per starting sector."""
-    sectors = _sectors()
+@functools.lru_cache(maxsize=None)
+def _mixer_blocks() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Sector blocks of the mixer's two element halves on the engine modes."""
+    elements = tritter_elements()
+    return tuple(
+        sector_transfer_blocks(
+            embed_unitary(compile_circuit(half, len(_QFT_MODES)), _QFT_MODES, _MODES),
+            _PHOTONS,
+        )
+        for half in (elements[:2], elements[2:])
+    )
+
+
+@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
+def _mixer_branches(pattern: tuple) -> tuple[tuple[_MixerBranch, ...], ...]:
+    """Heraldable in-mixer branches of ``pattern``, per starting sector."""
+    povm = _build_povm(pattern)
+    h2_blocks = _mixer_blocks()[1]
     out = []
-    for total in range(_MAX_PHOTONS + 1):
-        mixer_occ = sectors.occ_by_total[total][:, _QFT_MODES]
+    for total, sector in enumerate(fock_sectors(_MODES, _PHOTONS)):
+        mixer_occ = sector.occupations[:, _QFT_MODES]
         branches = []
-        for lost in itertools.product(range(total + 1), repeat=3):
+        for lost in itertools.product(range(total + 1), repeat=len(_QFT_MODES)):
             end = total - sum(lost)
             if end < 0 or povm[end].valid.size == 0:
                 continue
             src = np.flatnonzero(np.all(mixer_occ >= lost, axis=1))
-            removed = np.zeros(_ENGINE_MODES, dtype=int)
+            removed = np.zeros(_MODES, dtype=int)
             removed[list(_QFT_MODES)] = lost
-            dst = sectors.lowered_index(total, src, removed)
+            dst = _lowered_index(total, src, removed)
             occ = mixer_occ[src].tolist()
             comb_sqrt = np.sqrt(
                 [math.prod(math.comb(n, k) for n, k in zip(o, lost)) for o in occ]
@@ -301,8 +274,8 @@ def _mixer_branches(povm: list, h2_blocks: list) -> list[list[_MixerBranch]]:
                     end=end,
                 )
             )
-        out.append(branches)
-    return out
+        out.append(tuple(branches))
+    return tuple(out)
 
 
 @dataclass
@@ -321,56 +294,48 @@ class _ResourceStage:
 
 @dataclass
 class _EngineContext:
-    g: float
     pattern: tuple
     resource: list  # per sector entering the mixer: _ResourceStage or None
-    mixer: list  # per starting sector: [_MixerBranch]
-    povm: list
+    mixer: tuple  # per starting sector: (_MixerBranch, ...)
+    povm: tuple
 
 
-_ENGINE_CACHE: dict[tuple, _EngineContext] = {}
-_STATIC_CACHE: dict[object, object] = {}
-
-
-def _resource_stages(g: float, h1: list, mixer: list) -> list:
+def _resource_stages(g: float, mixer: tuple) -> list:
     """Resource stages of gain ``g`` for every heraldable mixer sector.
 
     The splitter output does not depend on the sample, so the resource
     loss's lowering, the base vector and the first mixer half compose
     into one fixed matrix per start.
     """
-    from .scissor import _RESOURCE_SPLITTER_PHASE  # single source of truth
-
-    sectors = _sectors()
-    splitter = embed_unitary(
-        beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
-        (1, 2),
-        _ENGINE_MODES,
+    sectors = fock_sectors(_MODES, _PHOTONS)
+    h1 = _mixer_blocks()[0]
+    split_blocks = sector_transfer_blocks(
+        _resource_splitter(g, _RESOURCE_MODE, _OUT_MODE, _MODES), _PHOTONS
     )
-    split_blocks = _sector_blocks(splitter)
-    starts = [[] for _ in range(_MAX_PHOTONS + 1)]
-    for a in range(3):
-        for b in range(3):
+    kept_photons = np.eye(_BEAM_PHOTONS + 1)
+    starts = [[] for _ in range(_PHOTONS + 1)]
+    for a in range(_BEAM_PHOTONS + 1):
+        for b in range(_BEAM_PHOTONS + 1):
             total = a + b
-            vec = np.zeros(sectors.dim(total), dtype=complex)
-            vec[sectors.index_by_total[total][(a, b, 0, 0)]] = 1.0
+            vec = np.zeros(len(sectors[total].occupations), dtype=complex)
+            vec[sectors[total].index[(a, b, 0, 0)]] = 1.0
             base = split_blocks[total] @ vec
-            n_res = sectors.occ_by_total[total][:, _RESOURCE_MODE]
+            n_res = sectors[total].occupations[:, _RESOURCE_MODE]
             for k in range(b + 1):
                 mid = total - k
                 if not mixer[mid]:
                     continue
                 src = np.flatnonzero((base != 0.0) & (n_res >= k))
-                removed = np.zeros(_ENGINE_MODES, dtype=int)
+                removed = np.zeros(_MODES, dtype=int)
                 removed[_RESOURCE_MODE] = k
-                dst = sectors.lowered_index(total, src, removed)
+                dst = _lowered_index(total, src, removed)
                 comb_sqrt = np.sqrt([math.comb(int(n), k) for n in n_res[src]])
                 columns = h1[mid][:, dst] * (base[src] * comb_sqrt)
                 # gather the columns by the resource photons each term keeps
-                matrix = columns @ np.eye(3)[n_res[src] - k]
+                matrix = columns @ kept_photons[n_res[src] - k]
                 starts[mid].append((a, b, k, matrix))
 
-    stages = [None] * (_MAX_PHOTONS + 1)
+    stages = [None] * (_PHOTONS + 1)
     for mid, group in enumerate(starts):
         if group:
             a, b, k, matrix = zip(*group)
@@ -380,41 +345,23 @@ def _resource_stages(g: float, h1: list, mixer: list) -> list:
     return stages
 
 
+@functools.lru_cache(maxsize=_ENGINE_CONTEXTS)
 def _engine_context(g: float, pattern: tuple) -> _EngineContext:
-    key = (float(g), tuple(pattern))
-    ctx = _ENGINE_CACHE.get(key)
-    if ctx is not None:
-        return ctx
-    if "h1" not in _STATIC_CACHE:
-        first, second = _mixer_halves()
-        _STATIC_CACHE["h1"] = _sector_blocks(
-            embed_unitary(first, _QFT_MODES, _ENGINE_MODES)
-        )
-        _STATIC_CACHE["h2"] = _sector_blocks(
-            embed_unitary(second, _QFT_MODES, _ENGINE_MODES)
-        )
-    pattern_key = ("pattern", tuple(pattern))
-    if pattern_key not in _STATIC_CACHE:
-        povm = _build_povm(tuple(pattern))
-        _STATIC_CACHE[pattern_key] = (povm, _mixer_branches(povm, _STATIC_CACHE["h2"]))
-    povm, mixer = _STATIC_CACHE[pattern_key]
-    ctx = _EngineContext(
-        g=float(g),
-        pattern=tuple(pattern),
-        resource=_resource_stages(g, _STATIC_CACHE["h1"], mixer),
+    mixer = _mixer_branches(pattern)
+    return _EngineContext(
+        pattern=pattern,
+        resource=_resource_stages(g, mixer),
         mixer=mixer,
-        povm=povm,
+        povm=_build_povm(pattern),
     )
-    _ENGINE_CACHE[key] = ctx
-    return ctx
 
 
-def _sqrt_power_table(t: np.ndarray, max_power: int = _MAX_PHOTONS) -> np.ndarray:
+def _sqrt_power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
     """[max_power + 1, samples] table of sqrt(t)^n."""
     return _power_table(np.sqrt(t), max_power)
 
 
-def _power_table(t: np.ndarray, max_power: int = _MAX_PHOTONS) -> np.ndarray:
+def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
     """[max_power + 1, samples] table of t^n."""
     table = np.empty((max_power + 1, t.shape[0]))
     table[0] = 1.0
@@ -431,8 +378,8 @@ def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detec
     per-sample transmissions of the in-circuit loss points.
     """
     n = w_in.shape[1]
-    s_anc = _sqrt_power_table(t_ancilla)
-    s_anc_m = _sqrt_power_table(1.0 - t_ancilla)
+    s_anc = _sqrt_power_table(t_ancilla, _BEAM_PHOTONS)
+    s_anc_m = _sqrt_power_table(1.0 - t_ancilla, _BEAM_PHOTONS)
     s_int = [_sqrt_power_table(t) for t in t_internal]
     kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
     kept *= s_int[2][_MIXER_POWERS[:, 2]]
@@ -446,7 +393,7 @@ def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detec
         if stage is None:
             continue
         scale = np.sqrt(w_in[stage.a] * w_res[stage.b]) * s_anc_m[stage.k]
-        amp = stage.matrix @ (s_anc[:3] * scale[:, None, :])  # [starts, d_mid, n]
+        amp = stage.matrix @ (s_anc * scale[:, None, :])  # [starts, d_mid, n]
         for branch in ctx.mixer[mid]:
             picked = amp[:, branch.src]
             picked *= kept[branch.power_rows]
@@ -499,7 +446,7 @@ def _evaluate_batch(
     # output crosses the post-amplification loss before being counted
     tau_on = tau * role("input_post_prep") * role("input_pre_qft")
     p2_on, rho22_on = _conditioned_counting_ratio(
-        _engine_context(g, pattern),
+        _engine_context(float(g), pattern),
         _pair_weights(tau_on),
         _pair_weights(role("ancilla_post_prep")),
         role("ancilla_pre_qft"),

@@ -15,7 +15,15 @@ from qscissor.analysis import (
     negativity_curve,
     path_entangled_state,
 )
-from qscissor.scissor import SUCCESS_PATTERNS, herald_phase
+from qscissor.circuit import (
+    BeamSplitter,
+    PhaseShift,
+    apply_mode_unitary,
+    beam_splitter_unitary,
+    compile_circuit,
+)
+from qscissor.fock import fock_state, project_pattern, tensor, vacuum
+from qscissor.scissor import SUCCESS_PATTERNS, herald_phase, heralded_amplify
 
 
 def wrapped_angle_difference(a, b):
@@ -191,6 +199,29 @@ def test_fringe_scan_validates_arguments():
         fringe_scan(0.0, 1.0)
     with pytest.raises(ValueError):
         fringe_scan(0.5, 1.0, (1, 1, 1))
+
+
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_fringe_scan_matches_per_phase_evolution(pattern):
+    """Reference: compile and evolve the recombiner once per phase."""
+    sigma, g = 0.2, 2.0
+    phases = np.linspace(0.0, 2 * np.pi, 37)
+    pair = tensor(fock_state((2,), cutoff=2), vacuum(1, cutoff=0))
+    path = apply_mode_unitary(pair, beam_splitter_unitary(1.0 - sigma))
+    amplified = heralded_amplify(path, 1, g, pattern)[0].normalized()
+    expected = [
+        project_pattern(
+            apply_mode_unitary(
+                amplified,
+                compile_circuit([PhaseShift(1, phi), BeamSplitter(0, 1, 0.5)], 2),
+            ),
+            (0, 1),
+            (1, 1),
+        )[1]
+        for phi in phases
+    ]
+    scan = fringe_scan(sigma, g, pattern, phases)
+    np.testing.assert_allclose(scan.values, expected, rtol=0.0, atol=1e-14)
 
 
 def test_fringe_values_nonnegative_and_periodic():

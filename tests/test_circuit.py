@@ -14,9 +14,11 @@ from qscissor.circuit import (
     beam_splitter_unitary,
     compile_circuit,
     fock_amplitude,
+    fock_sectors,
     fock_transfer_matrix,
     permanent,
     qft_unitary,
+    sector_transfer_blocks,
     spdc_two_mode_squeezed,
     tritter_elements,
 )
@@ -305,6 +307,25 @@ def test_transfer_matrix_evaluates_no_permanent(monkeypatch):
     u = haar_unitary(np.random.default_rng(2024), 4)  # fresh: not in the cache
     t = fock_transfer_matrix(u, 4)
     assert np.max(np.abs(t @ t.conj().T - np.eye(t.shape[0]))) < 1e-10
+
+
+def test_transfer_cache_is_bounded_and_read_only():
+    import qscissor.circuit as circuit
+
+    maxsize = circuit._transfer.cache_info().maxsize
+    assert maxsize is not None
+    rng = np.random.default_rng(77)
+    for _ in range(maxsize + 5):  # distinct unitaries
+        u = haar_unitary(rng, 3)
+        t = fock_transfer_matrix(u, 3)
+    assert circuit._transfer.cache_info().currsize <= maxsize
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 0.0
+    blocks = sector_transfer_blocks(u, 3)
+    for sector, block in zip(fock_sectors(3, 3), blocks, strict=True):
+        assert not block.flags.writeable
+        assert np.array_equal(block, t[np.ix_(sector.positions, sector.positions)])
 
 
 # ---------------------------------------------------------------------------

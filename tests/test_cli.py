@@ -136,6 +136,8 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
         ("sobol", "seed = 1\nn_base = 100001\n", [], 2,
          "line 2: n_base: 100001 is above the limit 100000"),
         ("validate", "experiment = sobol\nseed = 1\nn_base = 100000\n", [], 0, ""),
+        ("sobol", "g = 1\nn_base = 2\nseed = 1\nbootstrap = 1000000000000000\n", [],
+         2, "line 4: bootstrap: 1000000000000000 is above the limit 100000"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

@@ -6,7 +6,6 @@ import pytest
 from qscissor.fock import MixedState, PureState, fidelity, fock_state, vacuum
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
-    GainSetting,
     amplified_mixture_closed_form,
     gain_to_transmittance,
     herald_phase,
@@ -53,7 +52,7 @@ def test_gain_to_transmittance_rejects_negative():
 
 def test_gain_setting_round_trip():
     for g in (0.25, 1.0, 2.5, 7.0):
-        eta = GainSetting(g).transmittance
+        eta = gain_to_transmittance(g)
         assert g**2 == pytest.approx((1 - eta) / eta, abs=1e-12)
 
 

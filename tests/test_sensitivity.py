@@ -303,6 +303,15 @@ def test_lossy_model_matches_dict_engine_oracle(pattern):
         )
 
 
+def test_engine_cache_is_bounded():
+    cache = sensitivity._engine_context
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for g in np.linspace(0.5, 3.0, maxsize + 3):  # distinct gains
+        lossy_gain_model(g, 0.05, np.zeros(14))
+    assert cache.cache_info().currsize <= maxsize
+
+
 def test_zero_loss_fixed_point_over_grid():
     zeros = np.zeros(14)
     for pattern in SUCCESS_PATTERNS:
