@@ -436,15 +436,3 @@ def apply_loss(
             components.append((weight * branch_weight, branch))
     return MixedState(components)
 
-
-def spdc_two_mode_squeezed(chi: complex, pairs: int) -> PureState:
-    """Two-mode squeezed vacuum truncated at ``pairs`` photon pairs.
-
-    Amplitudes scale as chi^n on |n, n>, normalized over the kept terms.
-    """
-    if abs(chi) >= 1.0:
-        raise ValueError(f"|chi| must be < 1, got {abs(chi)}")
-    if pairs < 0:
-        raise ValueError("pair cutoff must be non-negative")
-    amps = {(n, n): complex(chi) ** n for n in range(pairs + 1)}
-    return PureState(2, amps, cutoff=2 * pairs, prune=0.0).normalized()

@@ -44,6 +44,12 @@ _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
 _MAX_N_BASE = 10**5  # the Saltelli design holds about 1.6 KB per base sample
 _MAX_BOOTSTRAP = 10**5  # resamples; the result holds 8 B per index per resample
 
+#: value limits, well inside where the arithmetic breaks: the closed forms
+#: take g^4, which overflows above g = 1.2e77, and the gain model squares
+#: tau, which turns subnormal below tau = 1.5e-154
+_MAX_GAIN = 1e6
+_MIN_TAU = 1e-100
+
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
 #: experiments whose outputs involve random sampling and need a seed
@@ -160,7 +166,7 @@ _PHI_DEFAULT = "0:6.283185307179586:0.06283185307179587"
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "scissor": {
-        "g": Field(_parse_grid, "0.5, 1, 2, 3", "amplitude gain grid, >= 0"),
+        "g": Field(_parse_grid, "0.5, 1, 2, 3", "amplitude gain grid in [0, 1e6]"),
         "pattern": Field(_parse_pattern, "all", "herald pattern or 'all'"),
         "input_coeffs": Field(
             lambda raw: [_parse_float(p) for p in raw.split(",")],
@@ -169,19 +175,19 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         ),
     },
     "gain-sweep": {
-        "tau": Field(_parse_grid, "0.05, 0.1", "channel transmissions in (0, 1]"),
-        "g": Field(_parse_grid, "0:6:0.25", "gain grid, >= 0"),
+        "tau": Field(_parse_grid, "0.05, 0.1", "channel transmissions in [1e-100, 1]"),
+        "g": Field(_parse_grid, "0:6:0.25", "gain grid in [0, 1e6]"),
         "pattern": Field(_parse_pattern, "110", "herald pattern"),
     },
     "fringes": {
         "sigma": Field(_parse_float, None, "reference split ratio in (0, 1)"),
-        "g": Field(_parse_float, None, "amplitude gain, >= 0"),
+        "g": Field(_parse_float, None, "amplitude gain in [0, 1e6]"),
         "pattern": Field(_parse_pattern, "all", "herald pattern or 'all'"),
         "phi": Field(_parse_grid, _PHI_DEFAULT, "recombination phase grid"),
     },
     "negativity": {
         "sigma": Field(_parse_grid, "0.1, 0.2, 0.5", "split ratios in (0, 1)"),
-        "g": Field(_parse_grid, "0.5:4:0.025", "gain grid, >= 0"),
+        "g": Field(_parse_grid, "0.5:4:0.025", "gain grid in [0, 1e6]"),
     },
     "hom": {
         "theta": Field(
@@ -190,8 +196,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         ),
     },
     "sobol": {
-        "g": Field(_parse_grid, "1, 2, 3", "gain values, >= 0"),
-        "tau": Field(_parse_float, "0.05", "channel transmission in (0, 1]"),
+        "g": Field(_parse_grid, "1, 2, 3", "gain values in (0, 1e6]"),
+        "tau": Field(_parse_float, "0.05", "channel transmission in [1e-100, 1]"),
         "n_base": Field(_parse_int, "3840", "base sample count, >= 2"),
         "seed": Field(_parse_seed, None, "RNG seed (required; may come from --seed)"),
         "loss_min": Field(_parse_float, "0", "lower loss-sampling bound"),
@@ -273,19 +279,26 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
     def problem(key, message):
         problems.append(f"{sources[key]}: {message}")
 
-    def check_range(key, lo, hi, open_lo=False, open_hi=False):
+    def check_range(key, lo, hi, open_lo=False, open_hi=False) -> bool:
+        """Report the first value of ``key`` outside the range; True if any."""
         values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
         for v in values:
             if (v <= lo if open_lo else v < lo) or (v >= hi if open_hi else v > hi):
                 left = "(" if open_lo else "["
                 right = ")" if open_hi else "]"
                 problem(key, f"{v} outside {left}{lo}, {hi}{right}")
-                return
+                return True
+        return False
 
+    # g = 0 makes the sobol model identically 0, so its variance vanishes
     if "g" in cfg:
-        check_range("g", 0.0, math.inf)
+        check_range("g", 0.0, _MAX_GAIN, open_lo=experiment == "sobol")
     if "tau" in cfg and experiment in ("gain-sweep", "sobol"):
-        check_range("tau", 0.0, 1.0, open_lo=True)
+        if not check_range("tau", 0.0, 1.0, open_lo=True):
+            check_range("tau", _MIN_TAU, 1.0)
+    if experiment == "gain-sweep":
+        if 0.0 in cfg.get("g", ()) and 1.0 in cfg.get("tau", ()):
+            problem("g", "g = 0 keeps only the vacuum, which tau = 1 never holds")
     if "sigma" in cfg:
         check_range("sigma", 0.0, 1.0, open_lo=True, open_hi=True)
     if experiment == "fringes" and "phi" in cfg and len(cfg["phi"]) < 4:
@@ -296,6 +309,10 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
             problem("input_coeffs", f"needs 1..5 entries, got {len(coeffs)}")
         elif not any(abs(c) > 0 for c in coeffs):
             problem("input_coeffs", "must not all be zero")
+        elif not any(abs(c) > 0 for c in coeffs[:3]):
+            problem("input_coeffs", "c0, c1, c2 are all zero: nothing can be heralded")
+        elif coeffs[0] == 0 and 0.0 in cfg.get("g", ()):
+            problem("g", "g = 0 keeps only c0, which input_coeffs sets to zero")
     if experiment in ("gain-sweep", "sobol") and len(cfg.get("pattern", ())) > 1:
         problem(
             "pattern",

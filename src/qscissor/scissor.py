@@ -3,22 +3,29 @@
 The amplifier teleports a single-mode field onto the reflected arm of a
 two-photon resource state while multiplying every photon-number amplitude
 by a programmable gain: ``c_k -> g^k c_k`` for k = 0, 1, 2 (components above
-two photons cannot satisfy the herald and are cut off).  The circuit is
+two photons cannot satisfy the herald and are cut off).  The circuit, on
+modes signal 0, resource 1, output 2 and vacuum port 3, is
 
 * resource |2> split on a beam splitter with transmittance ``eta(g)``;
   the reflected arm becomes the output mode,
-* transmitted arm, the input field, and one vacuum port mixed in a
+* transmitted arm, the input field, and the vacuum port mixed in a
   three-mode Fourier interferometer,
 * success heralded by detecting exactly two photons across the three
   interferometer outputs in one of the patterns (1,1,0), (1,0,1), (0,1,1).
 
-Each success pattern imprints a fixed extra phase per photon-number step
-(0, 2pi/3 or 4pi/3 under this package's splitter convention) that a
-receiver can undo locally.
+The resource brings two photons and the herald takes two, so the heralded
+map is diagonal in the signal's photon number k and leaves every other mode
+alone: three amplitudes ``<pattern, k| U |k, 2, 0, 0>`` read from the
+circuit's Fock map.  Each success pattern imprints a fixed extra phase per
+photon-number step (0, 2pi/3 or 4pi/3 under this package's splitter
+convention) that a receiver can undo locally.  The counting stage's
+balanced splitter registers a coincidence only from two photons, so its
+probability is the two-photon weight times one fixed factor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,20 +35,22 @@ import numpy as np
 from .circuit import (
     beam_splitter_unitary,
     embed_unitary,
+    fock_sectors,
     qft_unitary,
-    apply_mode_unitary,
+    sector_transfer_blocks,
 )
-from .fock import (
-    MixedState,
-    PureState,
-    fock_state,
-    project_pattern,
-    tensor,
-    vacuum,
-)
+from .fock import MixedState, PureState, fock_state
 
 #: Herald patterns that flag a successful two-photon amplification.
 SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+#: The amplifier's mode layout.  The gain splitter couples the resource to
+#: the output; the Fourier mixer and its herald detectors take the signal,
+#: the resource's transmitted arm and the vacuum port, in that order.
+_SIGNAL_MODE, _RESOURCE_MODE, _OUT_MODE = 0, 1, 2
+_QFT_MODES = (_SIGNAL_MODE, _RESOURCE_MODE, 3)
+_MODES = max(*_QFT_MODES, _OUT_MODE) + 1
+_RESOURCE_PHOTONS = 2  # also the most photons the output can hold
 
 #: Phase of the resource splitter.  This choice makes the (1,1,0) herald
 #: phase exactly zero; the other two patterns then land on 2pi/3 and 4pi/3.
@@ -104,27 +113,35 @@ def ideal_scissor_transform(
     return kept / norm
 
 
-def _resource_splitter(g: float, resource: int, output: int, modes: int):
-    """Gain splitter on (resource, output) of a ``modes``-mode system."""
+def _resource_splitter(g: float):
+    """Gain splitter on (resource, output) of the amplifier's modes."""
     return embed_unitary(
         beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
-        (resource, output),
-        modes,
+        (_RESOURCE_MODE, _OUT_MODE),
+        _MODES,
     )
 
 
-def _amplifier_unitary(modes: int, signal_mode: int, g: float):
-    """Composed mode unitary of the amplifier on a ``modes + 3`` system.
+@functools.lru_cache(maxsize=256)  # (g, pattern) keys; each entry is tiny
+def _herald_amplitudes(g: float, pattern: tuple) -> np.ndarray:
+    """``<pattern, k| U |k, 2, 0, 0>`` for k = 0, 1, 2 (read-only, shared).
 
-    Appended modes: resource = modes, output = modes + 1, aux = modes + 2.
-    The splitter acts on (resource, output); the Fourier mixer on
-    (signal, resource, aux); the herald detectors watch those three ports.
+    ``U`` is the Fourier mixer after the gain splitter; ``pattern`` is read
+    on the mixer modes while the output holds the k photons.
     """
-    total = modes + 3
-    res, out, aux = modes, modes + 1, modes + 2
-    splitter = _resource_splitter(g, res, out, total)
-    mixer = embed_unitary(qft_unitary(3), (signal_mode, res, aux), total)
-    return mixer @ splitter, (signal_mode, res, aux), out
+    u = embed_unitary(qft_unitary(3), _QFT_MODES, _MODES) @ _resource_splitter(g)
+    blocks = sector_transfer_blocks(u, 2 * _RESOURCE_PHOTONS)
+    sectors = fock_sectors(_MODES, 2 * _RESOURCE_PHOTONS)
+    amplitudes = np.empty(_RESOURCE_PHOTONS + 1, dtype=complex)
+    for k in range(_RESOURCE_PHOTONS + 1):
+        start, heralded = np.zeros((2, _MODES), dtype=int)
+        start[[_SIGNAL_MODE, _RESOURCE_MODE]] = k, _RESOURCE_PHOTONS
+        heralded[list(_QFT_MODES)], heralded[_OUT_MODE] = pattern, k
+        index = sectors[k + _RESOURCE_PHOTONS].index
+        row, col = index[tuple(heralded.tolist())], index[tuple(start.tolist())]
+        amplitudes[k] = blocks[k + _RESOURCE_PHOTONS][row, col]
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def heralded_amplify(
@@ -143,20 +160,14 @@ def heralded_amplify(
         raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     if not 0 <= signal_mode < state.modes:
         raise ValueError(f"signal mode {signal_mode} out of range")
-    unitary, detector_modes, out_mode = _amplifier_unitary(
-        state.modes, signal_mode, g
-    )
-    extended = tensor(state, fock_state((2, 0, 0), cutoff=2))
-    evolved = apply_mode_unitary(extended, unitary)
-    residual, probability = project_pattern(evolved, detector_modes, pattern)
-    # after removing the three detected modes the output sits last; move it
-    # back to the signal mode's slot so callers see an unchanged mode layout
-    p = signal_mode
+    gains = _herald_amplitudes(g, pattern)
     amps = {
-        occ[:p] + (occ[-1],) + occ[p:-1]: amp
-        for occ, amp in residual.amplitudes.items()
+        occ: gains[occ[signal_mode]] * amp
+        for occ, amp in state.amplitudes.items()
+        if occ[signal_mode] <= _RESOURCE_PHOTONS
     }
-    return PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0), probability
+    conditional = PureState(state.modes, amps, cutoff=state.cutoff)
+    return conditional, conditional.norm() ** 2
 
 
 @dataclass
@@ -279,19 +290,19 @@ def pnr_coincidence_probability(state: MixedState | PureState) -> float:
 
     The single-mode state is split on a balanced splitter onto two click
     detectors; a photon pair separates (and registers a coincidence) with
-    probability one half.
+    probability one half.  Only |2, 0> reaches the (1, 1) outcome, so the
+    probability is that splitter amplitude squared times the two-photon
+    weight.
     """
     if isinstance(state, PureState):
         state = MixedState.from_pure(state)
     if state.modes != 1:
         raise ValueError("the counting stage takes a single-mode state")
-    splitter = beam_splitter_unitary(0.5)
-    probability = 0.0
-    for weight, pure in state.components:
-        split = apply_mode_unitary(tensor(pure, vacuum(1, cutoff=0)), splitter)
-        _, p = project_pattern(split, (0, 1), (1, 1))
-        probability += weight * p
-    return probability
+    pair = sector_transfer_blocks(beam_splitter_unitary(0.5), 2)[2]
+    index = fock_sectors(2, 2)[2].index
+    separated = pair[index[(1, 1)], index[(2, 0)]]
+    two_photon = state.photon_number_weights(0, max_n=2)[2]
+    return abs(separated) ** 2 * two_photon
 
 
 @dataclass

@@ -42,7 +42,14 @@ from .circuit import (
     sector_transfer_blocks,
     tritter_elements,
 )
-from .scissor import SUCCESS_PATTERNS, _resource_splitter
+from .scissor import (
+    _MODES,
+    _OUT_MODE,
+    _QFT_MODES,
+    _RESOURCE_MODE,
+    SUCCESS_PATTERNS,
+    _resource_splitter,
+)
 
 # ---------------------------------------------------------------------------
 # loss layout
@@ -139,17 +146,14 @@ def default_loss_layout() -> LossLayout:
 # ---------------------------------------------------------------------------
 # batched circuit engine
 #
-# Modes: 0 = signal, 1 = resource, 2 = output, 3 = aux.  The mixer acts on
-# (0, 1, 3) and is split into its two element halves so losses can sit
-# inside it.  Amplitude vectors are kept sector-local (fixed total photon
-# number, rows of circuit.fock_sectors) and sample-last: [terms, ...,
-# samples], so gathering terms copies contiguous rows.
+# Modes are the amplifier's layout from scissor.py: 0 = signal, 1 = resource,
+# 2 = output, 3 = vacuum port.  The mixer acts on (0, 1, 3) and is split
+# into its two element halves so losses can sit inside it.  Amplitude
+# vectors are kept sector-local (fixed total photon number, rows of
+# circuit.fock_sectors) and sample-last: [terms, ..., samples], so
+# gathering terms copies contiguous rows.
 # ---------------------------------------------------------------------------
 
-_QFT_MODES = (0, 1, 3)
-_OUT_MODE = 2
-_RESOURCE_MODE = 1
-_MODES = max(*_QFT_MODES, _OUT_MODE) + 1
 _BEAM_PHOTONS = 2  # the input and the resource each start as |2>
 _PHOTONS = 2 * _BEAM_PHOTONS
 _CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
@@ -309,9 +313,7 @@ def _resource_stages(g: float, mixer: tuple) -> list:
     """
     sectors = fock_sectors(_MODES, _PHOTONS)
     h1 = _mixer_blocks()[0]
-    split_blocks = sector_transfer_blocks(
-        _resource_splitter(g, _RESOURCE_MODE, _OUT_MODE, _MODES), _PHOTONS
-    )
+    split_blocks = sector_transfer_blocks(_resource_splitter(g), _PHOTONS)
     kept_photons = np.eye(_BEAM_PHOTONS + 1)
     starts = [[] for _ in range(_PHOTONS + 1)]
     for a in range(_BEAM_PHOTONS + 1):

@@ -19,7 +19,6 @@ from qscissor.circuit import (
     permanent,
     qft_unitary,
     sector_transfer_blocks,
-    spdc_two_mode_squeezed,
     tritter_elements,
 )
 from qscissor.fock import (
@@ -377,35 +376,3 @@ def test_loss_on_one_mode_leaves_other_marginal():
 def test_loss_range_check():
     with pytest.raises(ValueError):
         apply_loss(vacuum(1), 0, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# SPDC source
-# ---------------------------------------------------------------------------
-
-
-def test_spdc_zero_squeezing_is_vacuum():
-    state = spdc_two_mode_squeezed(0.0, 2)
-    assert state.amplitude((0, 0)) == pytest.approx(1.0)
-    assert state.norm() == pytest.approx(1.0)
-
-
-def test_spdc_amplitude_ratio_is_chi():
-    chi = 0.4
-    state = spdc_two_mode_squeezed(chi, 3)
-    for n in range(3):
-        ratio = state.amplitude((n + 1, n + 1)) / state.amplitude((n, n))
-        assert ratio == pytest.approx(chi)
-
-
-def test_spdc_truncated_normalization():
-    state = spdc_two_mode_squeezed(0.3, 2)
-    norm = math.sqrt(1 + 0.3**2 + 0.09**2)
-    assert state.amplitude((0, 0)) == pytest.approx(1 / norm)
-    assert state.amplitude((1, 1)) == pytest.approx(0.3 / norm)
-    assert state.amplitude((2, 2)) == pytest.approx(0.09 / norm)
-
-
-def test_spdc_rejects_large_chi():
-    with pytest.raises(ValueError):
-        spdc_two_mode_squeezed(1.0, 2)

@@ -138,6 +138,29 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
         ("validate", "experiment = sobol\nseed = 1\nn_base = 100000\n", [], 0, ""),
         ("sobol", "g = 1\nn_base = 2\nseed = 1\nbootstrap = 1000000000000000\n", [],
          2, "line 4: bootstrap: 1000000000000000 is above the limit 100000"),
+        # value limits: g^4 overflows, tau^2 turns subnormal or vanishes
+        ("gain-sweep", "g = 1e100\n", [], 2,
+         "line 1: g: 1e+100 outside [0.0, 1000000.0]"),
+        ("negativity", "g = 1e200\n", [], 2,
+         "line 1: g: 1e+200 outside [0.0, 1000000.0]"),
+        ("gain-sweep", "tau = 1e-200\n", [], 2,
+         "line 1: tau: 1e-200 outside [1e-100, 1.0]"),
+        ("gain-sweep", "tau = 1e-160\ng = 6\n", [], 2,
+         "line 1: tau: 1e-160 outside [1e-100, 1.0]"),
+        ("sobol", "seed = 1\ntau = 1e-200\n", [], 2,
+         "line 2: tau: 1e-200 outside [1e-100, 1.0]"),
+        ("validate", "experiment = gain-sweep\ng = 1e6\ntau = 1e-100\n", [], 0, ""),
+        ("validate", "experiment = sobol\nseed = 1\ng = 1e6\ntau = 1e-100\n", [],
+         0, ""),
+        # configurations whose herald, or whose sobol model, is identically zero
+        ("sobol", "seed = 1\ng = 0\n", [], 2,
+         "line 2: g: 0.0 outside (0.0, 1000000.0]"),
+        ("gain-sweep", "tau = 1\ng = 0, 1\n", [], 2,
+         "line 2: g: g = 0 keeps only the vacuum, which tau = 1 never holds"),
+        ("scissor", "input_coeffs = 0, 0, 1\ng = 0, 1\n", [], 2,
+         "line 2: g: g = 0 keeps only c0, which input_coeffs sets to zero"),
+        ("scissor", "input_coeffs = 0, 0, 0, 1\n", [], 2,
+         "line 1: input_coeffs: c0, c1, c2 are all zero: nothing can be heralded"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

@@ -1,0 +1,96 @@
+"""Invariants checked as properties over generated inputs (hypothesis).
+
+Every property runs a fixed, derandomized set of examples, so the suite
+stays reproducible and fast.
+"""
+
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qscissor.cli import (
+    EXPERIMENTS,
+    SCHEMAS,
+    ConfigError,
+    parse_config_text,
+    resolve_config,
+)
+from qscissor.fock import PureState
+from qscissor.scissor import SUCCESS_PATTERNS, heralded_amplify, two_photon_gain
+from qscissor.sensitivity import lossy_gain_model
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+_UNIT = st.floats(-1.0, 1.0)
+_COEFFICIENTS = st.lists(
+    st.builds(complex, _UNIT, _UNIT), min_size=1, max_size=5
+).filter(lambda cs: any(abs(c) > 1e-6 for c in cs))
+
+
+@PROPERTY
+@given(
+    coeffs=_COEFFICIENTS,
+    g=st.floats(0.0, 50.0),
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+)
+def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
+    state = PureState(
+        1, {(k,): c for k, c in enumerate(coeffs)}, cutoff=max(2, len(coeffs) - 1)
+    ).normalized()
+    c = [state.amplitude((k,)) for k in range(3)]
+    _, probability = heralded_amplify(state, 0, g, pattern)
+    expected = (2.0 / 9.0) / (1.0 + g * g) ** 2
+    expected *= sum(abs(g**k * c[k]) ** 2 for k in range(3))
+    # amplitudes under the 1e-15 prune threshold are dropped: < 1e-30 each
+    assert probability == pytest.approx(expected, rel=1e-12, abs=1e-29)
+
+
+@PROPERTY
+@given(
+    g=st.floats(0.0, 50.0),
+    tau=st.floats(0.01, 1.0),
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+)
+def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
+    measured = lossy_gain_model(g, tau, np.zeros(14), pattern=pattern)
+    assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-9, abs=1e-12)
+
+
+#: an explicit alphabet: ASCII plus a few look-alikes of digits and blanks
+_TEXT = st.text(alphabet=string.printable + "\u2212\u00a0\u0663\u221e", max_size=20)
+_KEYS = sorted({key for schema in SCHEMAS.values() for key in schema} | {"experiment"})
+_NUMBER = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e999", "1e-320", "x", ""]),
+)
+_STEP = st.one_of(
+    st.floats(0.01, 10.0).map(repr), st.sampled_from(["0", "-1", "nan", "1e-300", "x"])
+)
+_VALUE = st.one_of(
+    _NUMBER,
+    st.lists(_NUMBER, max_size=5).map(", ".join),
+    # grid steps stay coarse or invalid, so no valid grid holds many points
+    st.tuples(_NUMBER, _NUMBER, _STEP).map(":".join),
+    st.sampled_from(["all", "110", "(1, 0, 1)", "011", "200", *EXPERIMENTS]),
+    _TEXT,
+)
+_ENTRIES = st.dictionaries(st.sampled_from(_KEYS), _VALUE, max_size=6)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    entries=_ENTRIES,
+    junk=st.lists(_TEXT, max_size=1),
+    seed=st.none() | st.integers(-(2**70), 2**70),
+)
+def test_config_problems_raise_only_config_error(experiment, entries, junk, seed):
+    lines = [f"{key} = {value}" for key, value in entries.items()] + junk
+    try:
+        resolve_config(experiment, parse_config_text("\n".join(lines)), seed)
+    except ConfigError:
+        pass

@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qscissor.fock import MixedState, PureState, fidelity, fock_state, vacuum
+from qscissor import circuit, scissor
+from qscissor.circuit import (
+    apply_mode_unitary,
+    beam_splitter_unitary,
+    embed_unitary,
+    qft_unitary,
+)
+from qscissor.fock import (
+    MixedState,
+    PureState,
+    fidelity,
+    fock_state,
+    project_pattern,
+    tensor,
+    vacuum,
+)
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     amplified_mixture_closed_form,
@@ -154,6 +169,75 @@ def test_oracle_equivalence_random_inputs(g):
             outcome = run_two_scissor(psi, g, pattern)
             out = outcome.output.components[0][1]
             assert fidelity(out, expected_output(psi, g, pattern)) > 1 - 1e-9
+
+
+def full_circuit_amplify(state, signal_mode, g, pattern):
+    """Reference amplifier: the whole (modes + 3)-mode Fock evolution.
+
+    The resource |2, 0, 0> is appended as (resource, output, vacuum port),
+    evolved with the state through the gain splitter and the Fourier mixer,
+    the herald modes are projected out and the output is moved back to the
+    signal mode's slot.
+    """
+    total = state.modes + 3
+    res, out, aux = state.modes, state.modes + 1, state.modes + 2
+    splitter = embed_unitary(
+        beam_splitter_unitary(gain_to_transmittance(g), -math.pi / 3.0),
+        (res, out),
+        total,
+    )
+    mixer = embed_unitary(qft_unitary(3), (signal_mode, res, aux), total)
+    extended = tensor(state, fock_state((2, 0, 0), cutoff=2))
+    evolved = apply_mode_unitary(extended, mixer @ splitter)
+    residual, probability = project_pattern(evolved, (signal_mode, res, aux), pattern)
+    p = signal_mode
+    amps = {
+        occ[:p] + (occ[-1],) + occ[p:-1]: amp
+        for occ, amp in residual.amplitudes.items()
+    }
+    return amps, probability
+
+
+def random_state(rng, modes, cutoff):
+    basis = [occ for occ in np.ndindex(*(cutoff + 1,) * modes) if sum(occ) <= cutoff]
+    amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return PureState(modes, dict(zip(basis, amps)), cutoff=cutoff).normalized()
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 6.0])
+def test_heralded_amplify_matches_full_circuit_evolution(g):
+    rng = np.random.default_rng(int(g * 10) + 5)
+    for modes in (1, 2):
+        for _ in range(3):
+            state = random_state(rng, modes, cutoff=4)
+            for signal_mode in range(modes):
+                for pattern in SUCCESS_PATTERNS:
+                    conditional, probability = heralded_amplify(
+                        state, signal_mode, g, pattern
+                    )
+                    expected, expected_probability = full_circuit_amplify(
+                        state, signal_mode, g, pattern
+                    )
+                    assert set(conditional.amplitudes) == set(expected)
+                    for occ, amp in expected.items():
+                        assert abs(conditional.amplitudes[occ] - amp) < 1e-14
+                    assert probability == pytest.approx(expected_probability, abs=1e-14)
+
+
+def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the amplifier must not evolve the full Fock space")
+
+    for module in (circuit, scissor):
+        for name in ("apply_mode_unitary", "fock_transfer_matrix"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    psi = PureState(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, cutoff=2).normalized()
+    outcome = run_two_scissor(psi, 2.0, (1, 0, 1))
+    out = outcome.output.components[0][1]
+    assert fidelity(out, expected_output(psi, 2.0, (1, 0, 1))) > 1 - 1e-10
+    assert measured_two_photon_gain(0.05, 3.0) == pytest.approx(
+        two_photon_gain(0.05, 3.0), rel=1e-9
+    )
 
 
 def test_success_probability_symmetric_across_patterns():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qscissor import sensitivity
+from qscissor import scissor, sensitivity
 from qscissor.circuit import (
     BeamSplitter,
     Loss,
@@ -310,6 +310,16 @@ def test_engine_cache_is_bounded():
     for g in np.linspace(0.5, 3.0, maxsize + 3):  # distinct gains
         lossy_gain_model(g, 0.05, np.zeros(14))
     assert cache.cache_info().currsize <= maxsize
+
+    cache = scissor._herald_amplitudes
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for g in np.linspace(0.5, 3.0, maxsize + 3):
+        scissor.heralded_amplify(fock_state((1,), cutoff=2), 0, g, (1, 1, 0))
+    assert cache.cache_info().currsize <= maxsize
+    amplitudes = cache(1.0, (1, 1, 0))
+    with pytest.raises(ValueError):
+        amplitudes[0] = 0.0
 
 
 def test_zero_loss_fixed_point_over_grid():
