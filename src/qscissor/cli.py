@@ -49,6 +49,9 @@ _MAX_BOOTSTRAP = 10**5  # resamples; the result holds 8 B per index per resample
 #: tau, which turns subnormal below tau = 1.5e-154
 _MAX_GAIN = 1e6
 _MIN_TAU = 1e-100
+#: smallest nonzero gain: the heralded two-photon weight goes as g^4 tau^2,
+#: and (1e-25)^4 (1e-100)^2 = 1e-300 stays a normal float at the smallest tau
+_MIN_GAIN = 1e-25
 
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
@@ -163,10 +166,13 @@ class Field:
 
 
 _PHI_DEFAULT = "0:6.283185307179586:0.06283185307179587"
+_GAIN_RANGE = f"0 or [{_MIN_GAIN:g}, {_MAX_GAIN:g}]"
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "scissor": {
-        "g": Field(_parse_grid, "0.5, 1, 2, 3", "amplitude gain grid in [0, 1e6]"),
+        "g": Field(
+            _parse_grid, "0.5, 1, 2, 3", f"amplitude gain grid, each {_GAIN_RANGE}"
+        ),
         "pattern": Field(_parse_pattern, "all", "herald pattern or 'all'"),
         "input_coeffs": Field(
             lambda raw: [_parse_float(p) for p in raw.split(",")],
@@ -176,18 +182,18 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "gain-sweep": {
         "tau": Field(_parse_grid, "0.05, 0.1", "channel transmissions in [1e-100, 1]"),
-        "g": Field(_parse_grid, "0:6:0.25", "gain grid in [0, 1e6]"),
+        "g": Field(_parse_grid, "0:6:0.25", f"gain grid, each {_GAIN_RANGE}"),
         "pattern": Field(_parse_pattern, "110", "herald pattern"),
     },
     "fringes": {
         "sigma": Field(_parse_float, None, "reference split ratio in (0, 1)"),
-        "g": Field(_parse_float, None, "amplitude gain in [0, 1e6]"),
+        "g": Field(_parse_float, None, f"amplitude gain, {_GAIN_RANGE}"),
         "pattern": Field(_parse_pattern, "all", "herald pattern or 'all'"),
         "phi": Field(_parse_grid, _PHI_DEFAULT, "recombination phase grid"),
     },
     "negativity": {
         "sigma": Field(_parse_grid, "0.1, 0.2, 0.5", "split ratios in (0, 1)"),
-        "g": Field(_parse_grid, "0.5:4:0.025", "gain grid in [0, 1e6]"),
+        "g": Field(_parse_grid, "0.5:4:0.025", f"gain grid, each {_GAIN_RANGE}"),
     },
     "hom": {
         "theta": Field(
@@ -196,7 +202,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         ),
     },
     "sobol": {
-        "g": Field(_parse_grid, "1, 2, 3", "gain values in (0, 1e6]"),
+        "g": Field(
+            _parse_grid, "1, 2, 3", f"gain values in [{_MIN_GAIN:g}, {_MAX_GAIN:g}]"
+        ),
         "tau": Field(_parse_float, "0.05", "channel transmission in [1e-100, 1]"),
         "n_base": Field(_parse_int, "3840", "base sample count, >= 2"),
         "seed": Field(_parse_seed, None, "RNG seed (required; may come from --seed)"),
@@ -279,10 +287,12 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
     def problem(key, message):
         problems.append(f"{sources[key]}: {message}")
 
+    def values(key) -> list:
+        return cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+
     def check_range(key, lo, hi, open_lo=False, open_hi=False) -> bool:
         """Report the first value of ``key`` outside the range; True if any."""
-        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-        for v in values:
+        for v in values(key):
             if (v <= lo if open_lo else v < lo) or (v >= hi if open_hi else v > hi):
                 left = "(" if open_lo else "["
                 right = ")" if open_hi else "]"
@@ -291,8 +301,12 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
         return False
 
     # g = 0 makes the sobol model identically 0, so its variance vanishes
-    if "g" in cfg:
-        check_range("g", 0.0, _MAX_GAIN, open_lo=experiment == "sobol")
+    if "g" in cfg and not check_range(
+        "g", 0.0, _MAX_GAIN, open_lo=experiment == "sobol"
+    ):
+        tiny = [v for v in values("g") if 0.0 < v < _MIN_GAIN]
+        if tiny:
+            problem("g", f"{tiny[0]} is below the smallest nonzero gain {_MIN_GAIN}")
     if "tau" in cfg and experiment in ("gain-sweep", "sobol"):
         if not check_range("tau", 0.0, 1.0, open_lo=True):
             check_range("tau", _MIN_TAU, 1.0)

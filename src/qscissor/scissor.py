@@ -16,11 +16,15 @@ modes signal 0, resource 1, output 2 and vacuum port 3, is
 The resource brings two photons and the herald takes two, so the heralded
 map is diagonal in the signal's photon number k and leaves every other mode
 alone: three amplitudes ``<pattern, k| U |k, 2, 0, 0>`` read from the
-circuit's Fock map.  Each success pattern imprints a fixed extra phase per
-photon-number step (0, 2pi/3 or 4pi/3 under this package's splitter
-convention) that a receiver can undo locally.  The counting stage's
-balanced splitter registers a coincidence only from two photons, so its
-probability is the two-photon weight times one fixed factor.
+circuit's Fock map.  The gain only sets the splitter's t = 1/sqrt(1+g^2)
+and r = g t, and the heralded branch has k resource photons reflected, of
+amplitude sqrt(C(2,k)) t^(2-k) r^k times a g-free phase; so the amplitudes
+are read once per pattern at g = 1 and scaled by g^k 2/(1+g^2).  Each
+success pattern imprints a fixed extra phase per photon-number step (0,
+2pi/3 or 4pi/3 under this package's splitter convention) that a receiver
+can undo locally.  The counting stage's balanced splitter registers a
+coincidence only from two photons, so its probability is the two-photon
+weight times one fixed factor.
 """
 
 from __future__ import annotations
@@ -113,23 +117,30 @@ def ideal_scissor_transform(
     return kept / norm
 
 
-def _resource_splitter(g: float):
-    """Gain splitter on (resource, output) of the amplifier's modes."""
+def _resource_splitter():
+    """The g = 1 gain splitter on (resource, output) of the amplifier's modes."""
     return embed_unitary(
-        beam_splitter_unitary(gain_to_transmittance(g), _RESOURCE_SPLITTER_PHASE),
+        beam_splitter_unitary(0.5, _RESOURCE_SPLITTER_PHASE),
         (_RESOURCE_MODE, _OUT_MODE),
         _MODES,
     )
 
 
-@functools.lru_cache(maxsize=256)  # (g, pattern) keys; each entry is tiny
-def _herald_amplitudes(g: float, pattern: tuple) -> np.ndarray:
-    """``<pattern, k| U |k, 2, 0, 0>`` for k = 0, 1, 2 (read-only, shared).
+def _gain_factor(g: float, transmitted, reflected):
+    """(sqrt(2) t)^transmitted (sqrt(2) r)^reflected: a splitter term's amplitude
+    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact)."""
+    scale = math.sqrt(2.0) / math.hypot(1.0, g)  # finite for every finite g
+    return scale**transmitted * (g * scale) ** reflected
 
-    ``U`` is the Fourier mixer after the gain splitter; ``pattern`` is read
-    on the mixer modes while the output holds the k photons.
+
+@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
+def _herald_amplitudes(pattern: tuple) -> np.ndarray:
+    """``<pattern, k| U |k, 2, 0, 0>`` at g = 1 for k = 0, 1, 2 (read-only).
+
+    ``U`` is the Fourier mixer after the g = 1 gain splitter; ``pattern`` is
+    read on the mixer modes while the output holds the k photons.
     """
-    u = embed_unitary(qft_unitary(3), _QFT_MODES, _MODES) @ _resource_splitter(g)
+    u = embed_unitary(qft_unitary(3), _QFT_MODES, _MODES) @ _resource_splitter()
     blocks = sector_transfer_blocks(u, 2 * _RESOURCE_PHOTONS)
     sectors = fock_sectors(_MODES, 2 * _RESOURCE_PHOTONS)
     amplitudes = np.empty(_RESOURCE_PHOTONS + 1, dtype=complex)
@@ -160,13 +171,17 @@ def heralded_amplify(
         raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     if not 0 <= signal_mode < state.modes:
         raise ValueError(f"signal mode {signal_mode} out of range")
-    gains = _herald_amplitudes(g, pattern)
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"gain must be non-negative and finite, got {g}")
+    k = np.arange(_RESOURCE_PHOTONS + 1)
+    gains = _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
     amps = {
         occ: gains[occ[signal_mode]] * amp
         for occ, amp in state.amplitudes.items()
         if occ[signal_mode] <= _RESOURCE_PHOTONS
     }
-    conditional = PureState(state.modes, amps, cutoff=state.cutoff)
+    # a rescaling, so no amplitude is pruned by size; exact zeros still drop
+    conditional = PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
     return conditional, conditional.norm() ** 2
 
 

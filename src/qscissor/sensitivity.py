@@ -17,8 +17,8 @@ pattern can fire on); the resource-arm loss is folded into the first mixer
 half.  The engine keeps no basis layer of its own: its sectors, their row
 order and the blocks of the mixer halves and the gain splitter come from
 ``circuit.fock_sectors`` and ``circuit.sector_transfer_blocks``, and what
-it builds per pattern and per gain sits in LRU caches (the per-gain one of
-fixed size).  The amplifier-off configuration needs no circuit: its
+it builds per pattern sits in LRU caches; the gain only scales the g = 1
+resource stages.  The amplifier-off configuration needs no circuit: its
 heralds are independent of the input and cancel, leaving the closed form
 tau_off^2 / 2.  The bootstrap prices blocks of resamples with one matmul
 of draw counts.  All reductions run in a fixed order, which makes the
@@ -48,6 +48,7 @@ from .scissor import (
     _QFT_MODES,
     _RESOURCE_MODE,
     SUCCESS_PATTERNS,
+    _gain_factor,
     _resource_splitter,
 )
 
@@ -157,7 +158,6 @@ def default_loss_layout() -> LossLayout:
 _BEAM_PHOTONS = 2  # the input and the resource each start as |2>
 _PHOTONS = 2 * _BEAM_PHOTONS
 _CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
-_ENGINE_CONTEXTS = 16  # (g, pattern) engines kept; the per-gain part is about 8 KB
 
 
 def _lowered_index(total: int, src: np.ndarray, removed) -> np.ndarray:
@@ -285,27 +285,20 @@ def _mixer_branches(pattern: tuple) -> tuple[tuple[_MixerBranch, ...], ...]:
 @dataclass
 class _ResourceStage:
     """Every |a, b, 0, 0> start that reaches one sector of the first mixer
-    half: through the gain splitter, k resource photons lost, then the
-    mixer half.  Start c enters the mixer as ``matrix[c] @ sqrt(t)^p``,
+    half: through the g = 1 gain splitter, k resource photons lost, then
+    the mixer half.  Start c enters the mixer as ``matrix[c] @ sqrt(t)^p``,
     p = 0, 1, 2 resource photons kept, times sqrt(1 - t)^k, t being the
     resource-arm transmission."""
 
     a: np.ndarray  # per start
     b: np.ndarray
     k: np.ndarray
+    reflected: np.ndarray  # [starts, 3]: j = b - k - p, or 0 if p > b - k
     matrix: np.ndarray  # [starts, d_mid, 3]
 
 
-@dataclass
-class _EngineContext:
-    pattern: tuple
-    resource: list  # per sector entering the mixer: _ResourceStage or None
-    mixer: tuple  # per starting sector: (_MixerBranch, ...)
-    povm: tuple
-
-
-def _resource_stages(g: float, mixer: tuple) -> list:
-    """Resource stages of gain ``g`` for every heraldable mixer sector.
+def _resource_stages(mixer: tuple) -> list:
+    """Resource stages at g = 1 for every heraldable mixer sector.
 
     The splitter output does not depend on the sample, so the resource
     loss's lowering, the base vector and the first mixer half compose
@@ -313,15 +306,13 @@ def _resource_stages(g: float, mixer: tuple) -> list:
     """
     sectors = fock_sectors(_MODES, _PHOTONS)
     h1 = _mixer_blocks()[0]
-    split_blocks = sector_transfer_blocks(_resource_splitter(g), _PHOTONS)
+    split_blocks = sector_transfer_blocks(_resource_splitter(), _PHOTONS)
     kept_photons = np.eye(_BEAM_PHOTONS + 1)
     starts = [[] for _ in range(_PHOTONS + 1)]
     for a in range(_BEAM_PHOTONS + 1):
         for b in range(_BEAM_PHOTONS + 1):
             total = a + b
-            vec = np.zeros(len(sectors[total].occupations), dtype=complex)
-            vec[sectors[total].index[(a, b, 0, 0)]] = 1.0
-            base = split_blocks[total] @ vec
+            base = split_blocks[total][:, sectors[total].index[(a, b, 0, 0)]]
             n_res = sectors[total].occupations[:, _RESOURCE_MODE]
             for k in range(b + 1):
                 mid = total - k
@@ -340,27 +331,17 @@ def _resource_stages(g: float, mixer: tuple) -> list:
     stages = [None] * (_PHOTONS + 1)
     for mid, group in enumerate(starts):
         if group:
-            a, b, k, matrix = zip(*group)
-            stages[mid] = _ResourceStage(
-                np.array(a), np.array(b), np.array(k), np.stack(matrix)
-            )
+            a, b, k, matrix = map(np.array, zip(*group))
+            reflected = np.maximum((b - k)[:, None] - np.arange(_BEAM_PHOTONS + 1), 0)
+            stages[mid] = _ResourceStage(a, b, k, reflected, matrix)
     return stages
 
 
-@functools.lru_cache(maxsize=_ENGINE_CONTEXTS)
-def _engine_context(g: float, pattern: tuple) -> _EngineContext:
+@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
+def _engine_context(pattern: tuple) -> tuple:
+    """(resource stages, mixer branches, POVM) of ``pattern``, per sector."""
     mixer = _mixer_branches(pattern)
-    return _EngineContext(
-        pattern=pattern,
-        resource=_resource_stages(g, mixer),
-        mixer=mixer,
-        povm=_build_povm(pattern),
-    )
-
-
-def _sqrt_power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
-    """[max_power + 1, samples] table of sqrt(t)^n."""
-    return _power_table(np.sqrt(t), max_power)
+    return _resource_stages(mixer), mixer, _build_povm(pattern)
 
 
 def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
@@ -372,17 +353,18 @@ def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
     return table
 
 
-def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detect):
+def _conditioned_counting_ratio(pattern, g, w_in, w_res, t_anc, t_internal, t_detect):
     """(pattern probability, conditional rho_22 numerator), amplifier on.
 
     ``w_in`` / ``w_res`` are [3, samples] photon-number weights of the input
     and resource beams entering the circuit; the remaining arguments are
     per-sample transmissions of the in-circuit loss points.
     """
+    resource, mixer, povms = _engine_context(pattern)
     n = w_in.shape[1]
-    s_anc = _sqrt_power_table(t_ancilla, _BEAM_PHOTONS)
-    s_anc_m = _sqrt_power_table(1.0 - t_ancilla, _BEAM_PHOTONS)
-    s_int = [_sqrt_power_table(t) for t in t_internal]
+    s_anc = _power_table(np.sqrt(t_anc), _BEAM_PHOTONS)
+    s_anc_m = _power_table(np.sqrt(1.0 - t_anc), _BEAM_PHOTONS)
+    s_int = [_power_table(np.sqrt(t)) for t in t_internal]
     kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
     kept *= s_int[2][_MIXER_POWERS[:, 2]]
     lost = [_power_table(1.0 - t) for t in t_internal]
@@ -390,13 +372,14 @@ def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detec
     # |amplitude|^2 per heraldable term, summed over every branch that ends
     # in the sector; the weight of each incoherent start rides on its
     # amplitudes as sqrt(w_in[a] w_res[b])
-    heralded = [np.zeros((povm.valid.size, n)) for povm in ctx.povm]
-    for mid, stage in enumerate(ctx.resource):
+    heralded = [np.zeros((povm.valid.size, n)) for povm in povms]
+    for mid, stage in enumerate(resource):
         if stage is None:
             continue
         scale = np.sqrt(w_in[stage.a] * w_res[stage.b]) * s_anc_m[stage.k]
-        amp = stage.matrix @ (s_anc * scale[:, None, :])  # [starts, d_mid, n]
-        for branch in ctx.mixer[mid]:
+        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
+        amp = stage.matrix @ (s_anc * scale[:, None, :] * split[:, :, None])
+        for branch in mixer[mid]:
             picked = amp[:, branch.src]
             picked *= kept[branch.power_rows]
             final = branch.h2 @ picked
@@ -409,14 +392,14 @@ def _conditioned_counting_ratio(ctx, w_in, w_res, t_ancilla, t_internal, t_detec
     det_omt = [_power_table(1.0 - t) for t in t_detect]
     p_pattern = np.zeros(n)
     rho22 = np.zeros(n)
-    for povm, weight in zip(ctx.povm, heralded):
+    for povm, weight in zip(povms, heralded):
         factor = povm.comb[:, None] * det_omt[0][povm.excess[:, 0]]
         for m in (1, 2):
             factor *= det_omt[m][povm.excess[:, m]]
         weighted = weight * factor
         p_pattern += weighted.sum(axis=0)
         rho22 += weighted[povm.out_is_two].sum(axis=0)
-    common = math.prod(det_t[m][p] for m, p in enumerate(ctx.pattern))
+    common = math.prod(det_t[m][p] for m, p in enumerate(pattern))
     return common * p_pattern, common * rho22
 
 
@@ -448,7 +431,8 @@ def _evaluate_batch(
     # output crosses the post-amplification loss before being counted
     tau_on = tau * role("input_post_prep") * role("input_pre_qft")
     p2_on, rho22_on = _conditioned_counting_ratio(
-        _engine_context(float(g), pattern),
+        pattern,
+        g,
         _pair_weights(tau_on),
         _pair_weights(role("ancilla_post_prep")),
         role("ancilla_pre_qft"),
@@ -486,8 +470,8 @@ def lossy_gain_model(
         raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"gain must be non-negative and finite, got {g}")
     arr = np.asarray(losses, dtype=float)
     scalar = arr.ndim == 1
     if scalar:
@@ -496,7 +480,7 @@ def lossy_gain_model(
         raise ValueError(
             f"loss vectors must have {layout.dims} entries, got shape {arr.shape}"
         )
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if np.any(~((arr >= 0.0) & (arr <= 1.0))):  # NaN fails both
         raise ValueError("loss fractions must lie in [0, 1]")
     out = np.empty(arr.shape[0])
     for start in range(0, arr.shape[0], _CHUNK):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -161,6 +162,13 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 2: g: g = 0 keeps only c0, which input_coeffs sets to zero"),
         ("scissor", "input_coeffs = 0, 0, 0, 1\n", [], 2,
          "line 1: input_coeffs: c0, c1, c2 are all zero: nothing can be heralded"),
+        # g^4 tau^2 must stay a normal float: nonzero g has a lower bound
+        ("sobol", "seed = 1\ng = 1e-300\n", [], 2,
+         "line 2: g: 1e-300 is below the smallest nonzero gain 1e-25"),
+        ("gain-sweep", "g = 0, 1e-300\n", [], 2,
+         "line 1: g: 1e-300 is below the smallest nonzero gain 1e-25"),
+        ("scissor", "g = 1e-300\n", [], 2,
+         "line 1: g: 1e-300 is below the smallest nonzero gain 1e-25"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -251,6 +259,36 @@ def test_scissor_experiment_reports_gain_ratios(tmp_path):
     assert float(record["out_abs1"]) / float(record["out_abs0"]) == pytest.approx(2.0)
     assert float(record["out_abs2"]) / float(record["out_abs0"]) == pytest.approx(4.0)
     assert float(record["truncation_weight"]) == 0.0
+
+
+def test_scissor_keeps_tiny_heralded_amplitudes(tmp_path):
+    # c0 = 1e-14 is the only heraldable amplitude: about 5e-17 after the herald
+    path = write_config(tmp_path, "input_coeffs = 1e-14, 0, 0, 1\ng = 10\n")
+    assert main(["scissor", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "scissor.csv")
+    assert len(rows) == 1 + 3
+    expected = (2.0 / 9.0) / (1.0 + 10.0**2) ** 2 * 1e-28
+    for row in rows[1:]:
+        record = dict(zip(rows[0], row))
+        assert float(record["success_probability"]) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+        assert float(record["out_abs0"]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_smallest_nonzero_gain_runs(tmp_path):
+    path = write_config(tmp_path, "g = 1e-25\ntau = 1e-100\n")
+    assert main(["gain-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    (_, _, closed, simulated), = read_csv(tmp_path / "gain-sweep.csv")[1:]
+    assert float(simulated) == pytest.approx(float(closed), rel=1e-9, abs=0.0)
+
+    path = write_config(
+        tmp_path, "g = 1e-25\nn_base = 16\nseed = 1\nbootstrap = 10\n", "s.txt"
+    )
+    assert main(["sobol", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "sobol.csv")[1:]
+    assert len(rows) == 14
+    assert all(math.isfinite(float(row[3])) for row in rows)
 
 
 def test_sobol_experiment_counts_and_columns(tmp_path):

@@ -8,7 +8,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qscissor.cli import (
@@ -19,23 +19,26 @@ from qscissor.cli import (
     resolve_config,
 )
 from qscissor.fock import PureState
-from qscissor.scissor import SUCCESS_PATTERNS, heralded_amplify, two_photon_gain
+from qscissor.scissor import (
+    SUCCESS_PATTERNS,
+    heralded_amplify,
+    measured_two_photon_gain,
+    two_photon_gain,
+)
 from qscissor.sensitivity import lossy_gain_model
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 _UNIT = st.floats(-1.0, 1.0)
+#: log-uniform gains over twelve decades, plus the amplifier switched off
+_GAIN = st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 _COEFFICIENTS = st.lists(
     st.builds(complex, _UNIT, _UNIT), min_size=1, max_size=5
 ).filter(lambda cs: any(abs(c) > 1e-6 for c in cs))
 
 
 @PROPERTY
-@given(
-    coeffs=_COEFFICIENTS,
-    g=st.floats(0.0, 50.0),
-    pattern=st.sampled_from(SUCCESS_PATTERNS),
-)
+@given(coeffs=_COEFFICIENTS, g=_GAIN, pattern=st.sampled_from(SUCCESS_PATTERNS))
 def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
     state = PureState(
         1, {(k,): c for k, c in enumerate(coeffs)}, cutoff=max(2, len(coeffs) - 1)
@@ -44,19 +47,24 @@ def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
     _, probability = heralded_amplify(state, 0, g, pattern)
     expected = (2.0 / 9.0) / (1.0 + g * g) ** 2
     expected *= sum(abs(g**k * c[k]) ** 2 for k in range(3))
-    # amplitudes under the 1e-15 prune threshold are dropped: < 1e-30 each
-    assert probability == pytest.approx(expected, rel=1e-12, abs=1e-29)
+    assert probability == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @PROPERTY
-@given(
-    g=st.floats(0.0, 50.0),
-    tau=st.floats(0.01, 1.0),
-    pattern=st.sampled_from(SUCCESS_PATTERNS),
-)
+@given(g=_GAIN, tau=st.floats(0.01, 1.0), pattern=st.sampled_from(SUCCESS_PATTERNS))
+@example(g=1e-7, tau=0.05, pattern=(1, 1, 0))  # sqrt(1 - 1/(1 + g^2)) cancels
+def test_measured_gain_is_two_photon_gain(g, tau, pattern):
+    assume(g > 0.0 or tau < 1.0)  # g = 0 keeps only the vacuum, which tau = 1 lacks
+    measured = measured_two_photon_gain(tau, g, pattern)
+    assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-12, abs=0.0)
+
+
+@PROPERTY
+@given(g=_GAIN, tau=st.floats(0.01, 1.0), pattern=st.sampled_from(SUCCESS_PATTERNS))
 def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
+    assume(g > 0.0 or tau < 1.0)
     measured = lossy_gain_model(g, tau, np.zeros(14), pattern=pattern)
-    assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-9, abs=1e-12)
+    assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-12, abs=0.0)
 
 
 #: an explicit alphabet: ASCII plus a few look-alikes of digits and blanks

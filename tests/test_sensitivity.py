@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qscissor import scissor, sensitivity
+from qscissor import circuit, scissor, sensitivity
 from qscissor.circuit import (
     BeamSplitter,
     Loss,
@@ -303,23 +303,34 @@ def test_lossy_model_matches_dict_engine_oracle(pattern):
         )
 
 
-def test_engine_cache_is_bounded():
-    cache = sensitivity._engine_context
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None
-    for g in np.linspace(0.5, 3.0, maxsize + 3):  # distinct gains
-        lossy_gain_model(g, 0.05, np.zeros(14))
-    assert cache.cache_info().currsize <= maxsize
-
-    cache = scissor._herald_amplitudes
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None
-    for g in np.linspace(0.5, 3.0, maxsize + 3):
-        scissor.heralded_amplify(fock_state((1,), cutoff=2), 0, g, (1, 1, 0))
-    assert cache.cache_info().currsize <= maxsize
-    amplitudes = cache(1.0, (1, 1, 0))
+def test_distinct_gains_build_no_tables():
+    for pattern in SUCCESS_PATTERNS:  # warm every per-pattern table
+        scissor.measured_two_photon_gain(0.05, 1.0, pattern)
+        lossy_gain_model(1.0, 0.05, np.zeros(14), pattern=pattern)
+    misses = circuit._transfer.cache_info().misses
+    for g in np.geomspace(1e-6, 1e6, 50):  # distinct gains
+        for pattern in SUCCESS_PATTERNS:
+            scissor.measured_two_photon_gain(0.05, g, pattern)
+            lossy_gain_model(g, 0.05, np.full(14, 0.1), pattern=pattern)
+    assert circuit._transfer.cache_info().misses == misses
+    assert scissor._herald_amplitudes.cache_info().currsize <= 3
+    assert sensitivity._engine_context.cache_info().currsize <= 3
+    amplitudes = scissor._herald_amplitudes((1, 1, 0))
     with pytest.raises(ValueError):
         amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "g,loss",
+    [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)],
+    ids=["negative-gain", "nan-gain", "inf-gain", "nan-loss"],
+)
+def test_library_rejects_bad_gain_and_nan_loss(g, loss):
+    with pytest.raises(ValueError):
+        lossy_gain_model(g, 0.05, np.full(14, loss))
+    if not math.isnan(loss):
+        with pytest.raises(ValueError, match="gain"):
+            scissor.heralded_amplify(fock_state((1,), cutoff=2), 0, g, (1, 1, 0))
 
 
 def test_zero_loss_fixed_point_over_grid():
