@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import apply_mode_unitary, beam_splitter_unitary, fock_transfer_matrix
-from .fock import basis_enumerate, fock_state, tensor, vacuum
-from .scissor import SUCCESS_PATTERNS, heralded_amplify
+from .circuit import fock_sectors
+from .fock import PureState
+from .scissor import _check_gain, _coincidence_row, heralded_amplify
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def amplified_path_state(sigma: float, g: float) -> QutritPathState:
     """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"splitting ratio {sigma} outside [0, 1]")
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    _check_gain(g)
     base = path_entangled_state(sigma).coefficients
     raw = np.array([base[k] * g**k for k in range(3)], dtype=complex)
     return QutritPathState(tuple(raw / np.linalg.norm(raw)))
@@ -168,9 +167,9 @@ def fringe_scan(
     phases = np.asarray(list(phases), dtype=float)
 
     # modes: 0 = reference (reflected), 1 = transmitted -> amplified
-    split = beam_splitter_unitary(1.0 - sigma, 0.0)
-    path_state = apply_mode_unitary(
-        tensor(fock_state((2,), cutoff=2), vacuum(1, cutoff=0)), split
+    coefficients = path_entangled_state(sigma).coefficients
+    path_state = PureState(
+        2, {(2 - k, k): c for k, c in enumerate(coefficients)}, cutoff=2
     )
     amplified, herald_probability = heralded_amplify(path_state, 1, g, pattern)
     if herald_probability <= 0.0:
@@ -178,12 +177,11 @@ def fringe_scan(
     amplified = amplified.normalized()
 
     # the scanned phase is diagonal in Fock space, e^{i n_1 phase}, so every
-    # phase shares the fixed recombiner's coincidence row
-    basis = basis_enumerate(2, amplified.cutoff)
-    recombiner = fock_transfer_matrix(beam_splitter_unitary(0.5), amplified.cutoff)
-    n1 = np.array([occ[1] for occ in basis])
-    shifted = np.exp(1j * np.outer(phases, n1)) * amplified.to_vector(basis)
-    coincidence = shifted @ recombiner[basis.index((1, 1))]
+    # phase shares the fixed recombiner's coincidence row on the pair sector
+    pair = fock_sectors(2, 2)[2].occupations
+    vector = np.array([amplified.amplitude(occ) for occ in pair])
+    shifted = np.exp(1j * np.outer(phases, pair[:, 1])) * vector
+    coincidence = shifted @ _coincidence_row()
     values = coincidence.real**2 + coincidence.imag**2
     return FringeScan(phases=phases, values=values, pattern=tuple(pattern))
 

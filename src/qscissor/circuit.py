@@ -13,8 +13,9 @@ Conventions used throughout the package:
 
   so ``|U00|^2 = eta``.  All herald-phase statements elsewhere in the
   package are relative to this fixed convention.
-* Loss channels take the *intensity* transmission: a single photon
-  survives with probability ``tau``.
+* Circuits are lists of :class:`BeamSplitter` and :class:`PhaseShift`
+  elements, composed by :func:`compile_circuit`; the amplifier's mixer is
+  :func:`tritter_elements`.
 
 Evolution uses the multiphoton map of ``U``, its symmetric tensor power
 (Scheel 2004, "Permanents in linear optical networks").  The map is block
@@ -24,10 +25,12 @@ occupations, their local index and their place in the
 :func:`basis_enumerate` order.  :func:`sector_transfer_blocks` builds the
 map one sector at a time: each sector follows from the one below by
 applying the transformed creation operator once, so no permanent is
-evaluated.  :func:`fock_transfer_matrix` places those blocks into the dense
-matrix.  Both come from one LRU cache of fixed size keyed on the unitary's
-bytes, so memory stays bounded however many distinct unitaries a process
-sees; the arrays are shared between callers and therefore read-only.
+evaluated; every runtime path in the package evolves through these blocks.
+:func:`fock_transfer_matrix` places them into the dense matrix, which
+:func:`apply_mode_unitary` applies to a whole sparse state.  Both come
+from one LRU cache of fixed size keyed on the unitary's bytes, so memory
+stays bounded however many distinct unitaries a process sees; the arrays
+are shared between callers and therefore read-only.
 :func:`permanent` (Ryser's formula with Gray-code subset ordering,
 O(2^n n)) and :func:`fock_amplitude` stay as the single-amplitude API and
 as the test oracle for the transfer matrix.
@@ -43,12 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import (
-    MixedState,
-    PureState,
-    basis_dimension,
-    basis_enumerate,
-)
+from .fock import PureState, basis_dimension, basis_enumerate
 
 UNITARITY_TOL = 1e-10
 
@@ -128,19 +126,7 @@ class PhaseShift:
         object.__setattr__(self, "angle", self.angle % TWO_PI)
 
 
-@dataclass(frozen=True)
-class Loss:
-    """Pure-loss element; handled by :func:`apply_loss`, never by compile."""
-
-    mode: int
-    transmission: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission {self.transmission} outside [0, 1]")
-
-
-CircuitElement = BeamSplitter | PhaseShift | Loss
+CircuitElement = BeamSplitter | PhaseShift
 
 
 def beam_splitter_unitary(transmittance: float, phase: float = 0.0) -> ModeUnitary:
@@ -155,15 +141,6 @@ def beam_splitter_unitary(transmittance: float, phase: float = 0.0) -> ModeUnita
             dtype=complex,
         )
     )
-
-
-def qft_unitary(m: int) -> ModeUnitary:
-    """Discrete Fourier interferometer: U_jk = omega^{jk} / sqrt(m)."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
-    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    omega = np.exp(2j * np.pi / m)
-    return ModeUnitary(omega ** (j * k) / np.sqrt(m))
 
 
 def _embed_two_mode(u2: np.ndarray, mode_a: int, mode_b: int, modes: int) -> np.ndarray:
@@ -190,18 +167,9 @@ def embed_unitary(u: ModeUnitary, target_modes: Sequence[int], modes: int) -> Mo
 
 
 def compile_circuit(elements: Iterable[CircuitElement], modes: int) -> ModeUnitary:
-    """Compose element unitaries in application order (first element first).
-
-    Loss elements are non-unitary and must go through :func:`apply_loss`;
-    their presence here is a usage error.
-    """
+    """Compose element unitaries in application order (first element first)."""
     total = np.eye(modes, dtype=complex)
     for element in elements:
-        if isinstance(element, Loss):
-            raise ValueError(
-                "loss elements cannot be compiled into a unitary; apply them "
-                "with apply_loss instead"
-            )
         if isinstance(element, BeamSplitter):
             if element.mode_a >= modes or element.mode_b >= modes:
                 raise ValueError(f"element {element} exceeds mode count {modes}")
@@ -219,11 +187,14 @@ def compile_circuit(elements: Iterable[CircuitElement], modes: int) -> ModeUnita
 
 
 def tritter_elements() -> list[CircuitElement]:
-    """Default three-mode mixer: 1/2 and 1/3 splitters plus a 3pi/2 shift.
+    """The amplifier's three-mode mixer: 1/2 and 1/3 splitters plus a 3pi/2 shift.
 
-    The compiled product equals the three-mode Fourier interferometer up to
-    diagonal phase matrices on the input and output side (an invariant the
-    test suite checks by solving for those diagonals).
+    The compiled product is ``D_out F D_in``, with F the three-mode Fourier
+    interferometer, output phases (-pi/3, -2pi/3, 0) and input phases
+    (0, -pi/3, pi/3).  Photon counting removes ``D_out`` up to one global
+    phase per detection pattern; ``D_in`` fixes the herald phases.  The
+    first two elements and the last two are the halves that the loss model
+    puts its in-mixer losses between.
     """
     return [
         BeamSplitter(0, 1, 0.5),
@@ -387,52 +358,4 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
     out_vec = transfer @ state.to_vector(basis)
     amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
     return PureState(state.modes, amps, cutoff=state.cutoff)
-
-
-def loss_kraus_factors(n: int, k: int, transmission: float) -> float:
-    """Amplitude factor of the k-photon-loss Kraus operator acting on |n>."""
-    if k > n:
-        return 0.0
-    return math.sqrt(
-        math.comb(n, k) * transmission ** (n - k) * (1.0 - transmission) ** k
-    )
-
-
-def _apply_loss_pure(state: PureState, mode: int, transmission: float):
-    """Kraus branches of the pure-loss channel on one mode of a pure state."""
-    max_n = max((occ[mode] for occ in state.amplitudes), default=0)
-    for k in range(max_n + 1):
-        amps: dict[tuple, complex] = {}
-        for occ, amp in state.amplitudes.items():
-            n = occ[mode]
-            factor = loss_kraus_factors(n, k, transmission)
-            if factor != 0.0:
-                lowered = occ[:mode] + (n - k,) + occ[mode + 1 :]
-                amps[lowered] = amps.get(lowered, 0.0) + amp * factor
-        branch = PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
-        weight = branch.norm() ** 2
-        if weight > 0.0:
-            yield weight, branch.normalized()
-
-
-def apply_loss(
-    state: MixedState | PureState, mode: int, transmission: float
-) -> MixedState:
-    """Single-mode pure-loss channel with intensity transmission ``transmission``.
-
-    Kraus operators map |n> -> sqrt(C(n,k) tau^{n-k} (1-tau)^k) |n-k|; the
-    channel is trace preserving and composing two losses multiplies their
-    transmissions.
-    """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
-    if isinstance(state, PureState):
-        state = MixedState.from_pure(state)
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    components: list[tuple[float, PureState]] = []
-    for weight, pure in state.components:
-        for branch_weight, branch in _apply_loss_pure(pure, mode, transmission):
-            components.append((weight * branch_weight, branch))
-    return MixedState(components)
 

@@ -8,8 +8,10 @@ modes signal 0, resource 1, output 2 and vacuum port 3, is
 
 * resource |2> split on a beam splitter with transmittance ``eta(g)``;
   the reflected arm becomes the output mode,
-* transmitted arm, the input field, and the vacuum port mixed in a
-  three-mode Fourier interferometer,
+* transmitted arm, the input field, and the vacuum port mixed in the
+  tritter (:func:`circuit.tritter_elements`: 1/2 and 1/3 splitters and a
+  3pi/2 shift, in two halves that the loss model in ``sensitivity`` puts
+  its in-mixer losses between),
 * success heralded by detecting exactly two photons across the three
   interferometer outputs in one of the patterns (1,1,0), (1,0,1), (0,1,1).
 
@@ -21,10 +23,12 @@ and r = g t, and the heralded branch has k resource photons reflected, of
 amplitude sqrt(C(2,k)) t^(2-k) r^k times a g-free phase; so the amplitudes
 are read once per pattern at g = 1 and scaled by g^k 2/(1+g^2).  Each
 success pattern imprints a fixed extra phase per photon-number step (0,
-2pi/3 or 4pi/3 under this package's splitter convention) that a receiver
-can undo locally.  The counting stage's balanced splitter registers a
-coincidence only from two photons, so its probability is the two-photon
-weight times one fixed factor.
+2pi/3 or 4pi/3) that a receiver can undo locally; the tritter equals the
+three-mode Fourier interferometer up to diagonal phases, which shift each
+pattern's amplitudes by one global phase and leave these steps alone.
+The counting stage's balanced splitter registers a coincidence only from
+two photons, so its probability is the two-photon weight times one fixed
+factor.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
+    ModeUnitary,
     beam_splitter_unitary,
+    compile_circuit,
     embed_unitary,
     fock_sectors,
-    qft_unitary,
     sector_transfer_blocks,
+    tritter_elements,
 )
 from .fock import MixedState, PureState, fock_state
 
@@ -49,31 +55,31 @@ from .fock import MixedState, PureState, fock_state
 SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 #: The amplifier's mode layout.  The gain splitter couples the resource to
-#: the output; the Fourier mixer and its herald detectors take the signal,
-#: the resource's transmitted arm and the vacuum port, in that order.
+#: the output; the mixer and its herald detectors take the signal, the
+#: resource's transmitted arm and the vacuum port, in that order.
 _SIGNAL_MODE, _RESOURCE_MODE, _OUT_MODE = 0, 1, 2
 _QFT_MODES = (_SIGNAL_MODE, _RESOURCE_MODE, 3)
 _MODES = max(*_QFT_MODES, _OUT_MODE) + 1
 _RESOURCE_PHOTONS = 2  # also the most photons the output can hold
 
-#: Phase of the resource splitter.  This choice makes the (1,1,0) herald
-#: phase exactly zero; the other two patterns then land on 2pi/3 and 4pi/3.
-_RESOURCE_SPLITTER_PHASE = -math.pi / 3.0
-
 #: Herald probability of the resource alone.  With the amplifier off
-#: (g = 0) both resource photons enter the three-mode Fourier mixer and
-#: leave on any two distinct ports with amplitude sqrt(2) / 3, whatever the
-#: input does.
+#: (g = 0) both resource photons enter the mixer and leave on any two
+#: distinct ports with amplitude of modulus sqrt(2) / 3, whatever the input
+#: does.
 _RESOURCE_ONLY_HERALD = 2.0 / 9.0
 
 #: Largest input-state cutoff the full simulation accepts by default.
 MAX_INPUT_CUTOFF = 4
 
 
+def _check_gain(g: float) -> None:
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"gain must be non-negative and finite, got {g}")
+
+
 def gain_to_transmittance(g: float) -> float:
     """Splitter transmittance eta = 1 / (1 + g^2) that programs gain g."""
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    _check_gain(g)
     return 1.0 / (1.0 + g * g)
 
 
@@ -101,8 +107,7 @@ def ideal_scissor_transform(
     """
     if order < 1:
         raise ValueError("amplifier order must be >= 1")
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    _check_gain(g)
     kept = np.asarray(list(coefficients[: order + 1]), dtype=complex)
     if kept.size < order + 1:
         kept = np.concatenate([kept, np.zeros(order + 1 - kept.size)])
@@ -117,12 +122,18 @@ def ideal_scissor_transform(
     return kept / norm
 
 
-def _resource_splitter():
+def _resource_splitter() -> ModeUnitary:
     """The g = 1 gain splitter on (resource, output) of the amplifier's modes."""
-    return embed_unitary(
-        beam_splitter_unitary(0.5, _RESOURCE_SPLITTER_PHASE),
-        (_RESOURCE_MODE, _OUT_MODE),
-        _MODES,
+    splitter = beam_splitter_unitary(0.5)
+    return embed_unitary(splitter, (_RESOURCE_MODE, _OUT_MODE), _MODES)
+
+
+def _mixer_halves() -> tuple[ModeUnitary, ModeUnitary]:
+    """The tritter's two element halves, on the amplifier's mixer modes."""
+    elements = tritter_elements()
+    return tuple(
+        embed_unitary(compile_circuit(half, len(_QFT_MODES)), _QFT_MODES, _MODES)
+        for half in (elements[:2], elements[2:])
     )
 
 
@@ -137,10 +148,11 @@ def _gain_factor(g: float, transmitted, reflected):
 def _herald_amplitudes(pattern: tuple) -> np.ndarray:
     """``<pattern, k| U |k, 2, 0, 0>`` at g = 1 for k = 0, 1, 2 (read-only).
 
-    ``U`` is the Fourier mixer after the g = 1 gain splitter; ``pattern`` is
-    read on the mixer modes while the output holds the k photons.
+    ``U`` is the mixer after the g = 1 gain splitter; ``pattern`` is read on
+    the mixer modes while the output holds the k photons.
     """
-    u = embed_unitary(qft_unitary(3), _QFT_MODES, _MODES) @ _resource_splitter()
+    first, second = _mixer_halves()
+    u = second @ first @ _resource_splitter()
     blocks = sector_transfer_blocks(u, 2 * _RESOURCE_PHOTONS)
     sectors = fock_sectors(_MODES, 2 * _RESOURCE_PHOTONS)
     amplitudes = np.empty(_RESOURCE_PHOTONS + 1, dtype=complex)
@@ -171,8 +183,7 @@ def heralded_amplify(
         raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     if not 0 <= signal_mode < state.modes:
         raise ValueError(f"signal mode {signal_mode} out of range")
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"gain must be non-negative and finite, got {g}")
+    _check_gain(g)
     k = np.arange(_RESOURCE_PHOTONS + 1)
     gains = _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
     amps = {
@@ -271,8 +282,7 @@ def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, flo
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmission {tau} outside [0, 1]")
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
+    _check_gain(g)
     raw = np.array(
         [(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2]
     )
@@ -300,6 +310,14 @@ def two_photon_gain(tau: float, g: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _coincidence_row() -> np.ndarray:
+    """``<1, 1|`` of the balanced splitter on the rows of ``fock_sectors(2, 2)[2]``
+    (read-only): the counting stage's and the fringe recombiner's pair row."""
+    pair = sector_transfer_blocks(beam_splitter_unitary(0.5), 2)[2]
+    return pair[fock_sectors(2, 2)[2].index[(1, 1)]]
+
+
 def pnr_coincidence_probability(state: MixedState | PureState) -> float:
     """Coincidence probability of the probabilistic photon-number stage.
 
@@ -313,9 +331,7 @@ def pnr_coincidence_probability(state: MixedState | PureState) -> float:
         state = MixedState.from_pure(state)
     if state.modes != 1:
         raise ValueError("the counting stage takes a single-mode state")
-    pair = sector_transfer_blocks(beam_splitter_unitary(0.5), 2)[2]
-    index = fock_sectors(2, 2)[2].index
-    separated = pair[index[(1, 1)], index[(2, 0)]]
+    separated = _coincidence_row()[fock_sectors(2, 2)[2].index[(2, 0)]]
     two_photon = state.photon_number_weights(0, max_n=2)[2]
     return abs(separated) ** 2 * two_photon
 

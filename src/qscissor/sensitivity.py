@@ -14,15 +14,17 @@ every gather copies contiguous rows.  Each Kraus branch of the three
 in-mixer losses is precomposed into one map (a gather of the surviving
 terms, then the second mixer half restricted to the rows the herald
 pattern can fire on); the resource-arm loss is folded into the first mixer
-half.  The engine keeps no basis layer of its own: its sectors, their row
-order and the blocks of the mixer halves and the gain splitter come from
-``circuit.fock_sectors`` and ``circuit.sector_transfer_blocks``, and what
-it builds per pattern sits in LRU caches; the gain only scales the g = 1
-resource stages.  The amplifier-off configuration needs no circuit: its
-heralds are independent of the input and cancel, leaving the closed form
-tau_off^2 / 2.  The bootstrap prices blocks of resamples with one matmul
-of draw counts.  All reductions run in a fixed order, which makes the
-estimates bitwise reproducible for a given seed.
+half.  The engine keeps no basis layer and no circuit of its own: the
+mixer halves and the gain splitter are the amplifier's
+(``scissor._mixer_halves`` and ``scissor._resource_splitter``), their
+sectors, row order and blocks come from ``circuit.fock_sectors`` and
+``circuit.sector_transfer_blocks``, and what it builds per pattern sits in
+LRU caches; the gain only scales the g = 1 resource stages.  The
+amplifier-off configuration needs no circuit: its heralds are independent
+of the input and cancel, leaving the closed form tau_off^2 / 2.  The
+bootstrap prices blocks of resamples with one matmul of draw counts.  All
+reductions run in a fixed order, which makes the estimates bitwise
+reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -35,20 +37,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import (
-    compile_circuit,
-    embed_unitary,
-    fock_sectors,
-    sector_transfer_blocks,
-    tritter_elements,
-)
+from .circuit import fock_sectors, sector_transfer_blocks
 from .scissor import (
     _MODES,
     _OUT_MODE,
     _QFT_MODES,
     _RESOURCE_MODE,
     SUCCESS_PATTERNS,
+    _check_gain,
     _gain_factor,
+    _mixer_halves,
     _resource_splitter,
 )
 
@@ -148,10 +146,10 @@ def default_loss_layout() -> LossLayout:
 # batched circuit engine
 #
 # Modes are the amplifier's layout from scissor.py: 0 = signal, 1 = resource,
-# 2 = output, 3 = vacuum port.  The mixer acts on (0, 1, 3) and is split
-# into its two element halves so losses can sit inside it.  Amplitude
-# vectors are kept sector-local (fixed total photon number, rows of
-# circuit.fock_sectors) and sample-last: [terms, ..., samples], so
+# 2 = output, 3 = vacuum port.  The mixer acts on (0, 1, 3) and comes as
+# the amplifier's two tritter halves, so losses can sit between them.
+# Amplitude vectors are kept sector-local (fixed total photon number, rows
+# of circuit.fock_sectors) and sample-last: [terms, ..., samples], so
 # gathering terms copies contiguous rows.
 # ---------------------------------------------------------------------------
 
@@ -237,14 +235,7 @@ class _MixerBranch:
 @functools.lru_cache(maxsize=None)
 def _mixer_blocks() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Sector blocks of the mixer's two element halves on the engine modes."""
-    elements = tritter_elements()
-    return tuple(
-        sector_transfer_blocks(
-            embed_unitary(compile_circuit(half, len(_QFT_MODES)), _QFT_MODES, _MODES),
-            _PHOTONS,
-        )
-        for half in (elements[:2], elements[2:])
-    )
+    return tuple(sector_transfer_blocks(half, _PHOTONS) for half in _mixer_halves())
 
 
 @functools.lru_cache(maxsize=None)  # keyed on the three success patterns
@@ -470,8 +461,7 @@ def lossy_gain_model(
         raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"gain must be non-negative and finite, got {g}")
+    _check_gain(g)
     arr = np.asarray(losses, dtype=float)
     scalar = arr.ndim == 1
     if scalar:

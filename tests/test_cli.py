@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qscissor
 from qscissor.cli import ConfigError, main, parse_config_text, resolve_config
 from qscissor.scissor import two_photon_gain
 
@@ -323,11 +326,15 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_console_module_entry_point(tmp_path):
     path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
+    # the child imports the package this test imported, installed or not
+    source = str(Path(qscissor.__file__).parents[1])
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
     result = subprocess.run(
         [sys.executable, "-m", "qscissor", "hom", "--config", path,
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "hom.csv").exists()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_loss
 from qscissor.cli import (
     EXPERIMENTS,
     SCHEMAS,
@@ -18,7 +19,7 @@ from qscissor.cli import (
     parse_config_text,
     resolve_config,
 )
-from qscissor.fock import PureState
+from qscissor.fock import PureState, basis_enumerate
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     heralded_amplify,
@@ -65,6 +66,33 @@ def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
     assume(g > 0.0 or tau < 1.0)
     measured = lossy_gain_model(g, tau, np.zeros(14), pattern=pattern)
     assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _pure_states(draw):
+    """Random pure states on 1-2 modes with total-photon cutoff <= 4."""
+    modes, cutoff = draw(st.integers(1, 2)), draw(st.integers(0, 4))
+    basis = basis_enumerate(modes, cutoff)
+    parts = draw(st.lists(_UNIT, min_size=2 * len(basis), max_size=2 * len(basis)))
+    amps = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    assume(any(abs(a) > 1e-3 for a in amps))
+    return PureState(modes, dict(zip(basis, amps)), cutoff=cutoff).normalized()
+
+
+@PROPERTY
+@given(
+    state=_pure_states(),
+    mode=st.integers(0, 1),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+)
+def test_loss_oracle_preserves_trace_and_composes(state, mode, a, b):
+    mode = min(mode, state.modes - 1)
+    twice = apply_loss(apply_loss(state, mode, a), mode, b)
+    once = apply_loss(state, mode, a * b)
+    assert twice.trace() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    assert once.trace() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    assert np.max(np.abs(twice.density_matrix() - once.density_matrix())) <= 1e-12
 
 
 #: an explicit alphabet: ASCII plus a few look-alikes of digits and blanks

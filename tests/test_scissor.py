@@ -3,22 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qscissor import circuit, scissor
-from qscissor.circuit import (
-    apply_mode_unitary,
-    beam_splitter_unitary,
-    embed_unitary,
-    qft_unitary,
-)
-from qscissor.fock import (
-    MixedState,
-    PureState,
-    fidelity,
-    fock_state,
-    project_pattern,
-    tensor,
-    vacuum,
-)
+from oracles import full_circuit_amplify, qft_unitary
+from qscissor import analysis, circuit, fock, scissor
+from qscissor.circuit import compile_circuit, tritter_elements
+from qscissor.fock import MixedState, PureState, fidelity, fock_state, vacuum
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     amplified_mixture_closed_form,
@@ -63,6 +51,31 @@ def test_gain_to_transmittance_values():
 def test_gain_to_transmittance_rejects_negative():
     with pytest.raises(ValueError):
         gain_to_transmittance(-0.5)
+
+
+@pytest.mark.parametrize(
+    "g", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"]
+)
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        gain_to_transmittance,
+        lambda g: ideal_scissor_transform([1.0, 1.0, 1.0], g),
+        lambda g: amplified_mixture_closed_form(0.05, g),
+        lambda g: two_photon_gain(0.05, g),
+        lambda g: analysis.amplified_path_state(0.2, g),
+    ],
+    ids=[
+        "gain_to_transmittance",
+        "ideal_scissor_transform",
+        "amplified_mixture_closed_form",
+        "two_photon_gain",
+        "amplified_path_state",
+    ],
+)
+def test_closed_forms_reject_bad_gain(closed_form, g):
+    with pytest.raises(ValueError, match="gain must be non-negative and finite"):
+        closed_form(g)
 
 
 def test_gain_setting_round_trip():
@@ -171,37 +184,13 @@ def test_oracle_equivalence_random_inputs(g):
             assert fidelity(out, expected_output(psi, g, pattern)) > 1 - 1e-9
 
 
-def full_circuit_amplify(state, signal_mode, g, pattern):
-    """Reference amplifier: the whole (modes + 3)-mode Fock evolution.
-
-    The resource |2, 0, 0> is appended as (resource, output, vacuum port),
-    evolved with the state through the gain splitter and the Fourier mixer,
-    the herald modes are projected out and the output is moved back to the
-    signal mode's slot.
-    """
-    total = state.modes + 3
-    res, out, aux = state.modes, state.modes + 1, state.modes + 2
-    splitter = embed_unitary(
-        beam_splitter_unitary(gain_to_transmittance(g), -math.pi / 3.0),
-        (res, out),
-        total,
-    )
-    mixer = embed_unitary(qft_unitary(3), (signal_mode, res, aux), total)
-    extended = tensor(state, fock_state((2, 0, 0), cutoff=2))
-    evolved = apply_mode_unitary(extended, mixer @ splitter)
-    residual, probability = project_pattern(evolved, (signal_mode, res, aux), pattern)
-    p = signal_mode
-    amps = {
-        occ[:p] + (occ[-1],) + occ[p:-1]: amp
-        for occ, amp in residual.amplitudes.items()
-    }
-    return amps, probability
-
-
 def random_state(rng, modes, cutoff):
     basis = [occ for occ in np.ndindex(*(cutoff + 1,) * modes) if sum(occ) <= cutoff]
     amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     return PureState(modes, dict(zip(basis, amps)), cutoff=cutoff).normalized()
+
+
+TRITTER = compile_circuit(tritter_elements(), 3)
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5, 2.0, 6.0])
@@ -216,7 +205,7 @@ def test_heralded_amplify_matches_full_circuit_evolution(g):
                         state, signal_mode, g, pattern
                     )
                     expected, expected_probability = full_circuit_amplify(
-                        state, signal_mode, g, pattern
+                        state, signal_mode, g, pattern, TRITTER
                     )
                     assert set(conditional.amplitudes) == set(expected)
                     for occ, amp in expected.items():
@@ -224,12 +213,41 @@ def test_heralded_amplify_matches_full_circuit_evolution(g):
                     assert probability == pytest.approx(expected_probability, abs=1e-14)
 
 
+def test_amplifier_matches_qft_convention_up_to_global_phase():
+    # the textbook circuit (Fourier mixer behind a -pi/3 resource splitter)
+    # heralds the same states: one unit-modulus phase per pattern, whatever
+    # the input and the gain
+    rng = np.random.default_rng(2025)
+    phases = {pattern: [] for pattern in SUCCESS_PATTERNS}
+    for g in (0.0, 0.5, 2.0, 6.0):
+        for modes in (1, 2):
+            state = random_state(rng, modes, cutoff=4)
+            for signal_mode in range(modes):
+                for pattern in SUCCESS_PATTERNS:
+                    conditional, probability = heralded_amplify(
+                        state, signal_mode, g, pattern
+                    )
+                    expected, expected_probability = full_circuit_amplify(
+                        state, signal_mode, g, pattern, qft_unitary(3), -math.pi / 3.0
+                    )
+                    assert set(conditional.amplitudes) == set(expected)
+                    largest = max(expected, key=lambda occ: abs(expected[occ]))
+                    phase = conditional.amplitudes[largest] / expected[largest]
+                    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+                    for occ, amp in expected.items():
+                        assert abs(conditional.amplitudes[occ] - phase * amp) < 1e-14
+                    assert probability == pytest.approx(expected_probability, abs=1e-14)
+                    phases[pattern].append(phase)
+    for pattern, found in phases.items():
+        np.testing.assert_allclose(found, found[0], rtol=0.0, atol=1e-12)
+
+
 def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the amplifier must not evolve the full Fock space")
 
-    for module in (circuit, scissor):
-        for name in ("apply_mode_unitary", "fock_transfer_matrix"):
+    for module in (circuit, fock, scissor, analysis):
+        for name in ("apply_mode_unitary", "fock_transfer_matrix", "tensor"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     psi = PureState(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, cutoff=2).normalized()
     outcome = run_two_scissor(psi, 2.0, (1, 0, 1))
@@ -238,6 +256,8 @@ def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
     assert measured_two_photon_gain(0.05, 3.0) == pytest.approx(
         two_photon_gain(0.05, 3.0), rel=1e-9
     )
+    scan = analysis.fringe_scan(0.2, 2.0, (0, 1, 1), np.linspace(0.0, np.pi, 9))
+    assert analysis.fit_visibility(scan).visibility == pytest.approx(1.0, abs=1e-9)
 
 
 def test_success_probability_symmetric_across_patterns():
