@@ -41,7 +41,7 @@ _MAX_SEED = 2**64 - 1
 #: size limits, so memory stays bounded by the work a config asks for (an
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
-_MAX_N_BASE = 10**5  # the Saltelli design holds about 1.6 KB per base sample
+_MAX_N_BASE = 10**5  # a Sobol sweep holds about 1.1 KB per base sample
 _MAX_BOOTSTRAP = 10**5  # resamples; the result holds 8 B per index per resample
 
 #: value limits, well inside where the arithmetic breaks: the closed forms
@@ -360,6 +360,23 @@ def _pattern_label(pattern) -> str:
     return "".join(str(int(p)) for p in pattern)
 
 
+#: a step within this of -pi is a pi step that rounding put on the far side
+_PI_STEP_TOLERANCE = 1e-12
+
+
+def _relative_phase(amplitude: complex, reference: complex) -> float:
+    """Phase of ``amplitude / reference``, nan if either is 0.
+
+    ``np.angle`` puts a negative-real ratio at +pi or -pi by the sign of a
+    last-bit imaginary part; an angle that close to -pi is read 2 pi
+    higher, so every pi step has the one value +pi.
+    """
+    if abs(amplitude) == 0 or abs(reference) == 0:
+        return float("nan")
+    phase = float(np.angle(amplitude / reference))
+    return phase + 2.0 * math.pi if phase < -math.pi + _PI_STEP_TOLERANCE else phase
+
+
 def _run_scissor(cfg: dict) -> tuple[list[str], list[list]]:
     coeffs = cfg["input_coeffs"]
     state = PureState(
@@ -375,13 +392,12 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list[list]]:
             outcome = run_two_scissor(state, g, pattern)
             out = outcome.output.components[0][1]
             c = [out.amplitude((k,)) for k in range(3)]
-            phase01 = float(np.angle(c[1] / c[0])) if abs(c[0]) > 0 and abs(c[1]) > 0 else float("nan")
-            phase12 = float(np.angle(c[2] / c[1])) if abs(c[1]) > 0 and abs(c[2]) > 0 else float("nan")
             rows.append(
                 [
                     g, _pattern_label(pattern), outcome.success_probability,
                     outcome.truncation_weight,
-                    abs(c[0]), abs(c[1]), abs(c[2]), phase01, phase12,
+                    abs(c[0]), abs(c[1]), abs(c[2]),
+                    _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
                 ]
             )
     return header, rows

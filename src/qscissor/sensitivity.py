@@ -21,9 +21,27 @@ sectors, row order and blocks come from ``circuit.fock_sectors`` and
 ``circuit.sector_transfer_blocks``, and what it builds per pattern sits in
 LRU caches; the gain only scales the g = 1 resource stages.  The
 amplifier-off configuration needs no circuit: its heralds are independent
-of the input and cancel, leaving the closed form tau_off^2 / 2.  The
-bootstrap prices blocks of resamples with one matmul of draw counts.  All
-reductions run in a fixed order, which makes the estimates bitwise
+of the input and cancel, leaving the closed form tau_off^2 / 2.
+
+One evaluation runs in three stages: the resource-stage amplitudes (gain
+and resource-arm loss), the Kraus-branch walk through the in-mixer losses,
+which keeps the heralded |amplitude|^2 rows of each incoherent |a, b> start
+apart, and the POVM sums, which weight start (a, b) by w_in[a] w_res[b] and
+each row by its detector factors.  Only the losses on the resource arm
+entering the mixer and inside the mixer (``_WALKED_ROLES``) enter the walk.
+The input-beam losses and the resource loss before the gain splitter enter
+linearly through the start weights, the detector efficiencies through
+per-row factors, and the two counting-path losses only through closed-form
+scalars.  A Saltelli hybrid differs from A in one column, so
+``sensitivity_sweep`` walks A, B and the hybrids whose column is in the
+walk (reusing A's amplitudes unless the column is the resource arm's);
+every other hybrid recombines A's per-start rows with its own weights,
+factors and scalars.  It walks the design in blocks of base rows and never
+forms the hybrid matrices.  Per point the values are those
+``lossy_gain_model`` returns on the full design.
+
+The bootstrap prices blocks of resamples with one matmul of draw counts.
+All reductions run in a fixed order, which makes the estimates bitwise
 reproducible for a given seed.
 """
 
@@ -69,6 +87,12 @@ LOSS_ROLES = (
     "detector_1",
     "detector_2",
 )
+
+#: Roles whose loss enters the Kraus-branch walk; ``ancilla_pre_qft`` also
+#: sets the resource-stage amplitudes the walk starts from.  Every other
+#: role only reweights the walk's per-start rows or sets a closed-form
+#: scalar, so a Saltelli hybrid that changes it reuses its base row's walk.
+_WALKED_ROLES = ("ancilla_pre_qft", "qft_internal_0", "qft_internal_1", "qft_internal_2")
 
 #: Report regions, matching how the loss points group in the setup.
 LOSS_REGIONS = (
@@ -156,6 +180,7 @@ def default_loss_layout() -> LossLayout:
 _BEAM_PHOTONS = 2  # the input and the resource each start as |2>
 _PHOTONS = 2 * _BEAM_PHOTONS
 _CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
+_STARTS = (_BEAM_PHOTONS + 1) ** 2  # incoherent |a, b> starts, a * 3 + b
 
 
 def _lowered_index(total: int, src: np.ndarray, removed) -> np.ndarray:
@@ -279,9 +304,10 @@ class _ResourceStage:
     half: through the g = 1 gain splitter, k resource photons lost, then
     the mixer half.  Start c enters the mixer as ``matrix[c] @ sqrt(t)^p``,
     p = 0, 1, 2 resource photons kept, times sqrt(1 - t)^k, t being the
-    resource-arm transmission."""
+    resource-arm transmission.  The sector fixes k = a + b - sector, so
+    each (a, b) appears at most once per stage."""
 
-    a: np.ndarray  # per start
+    start: np.ndarray  # per start: a * 3 + b, its row in the walk's output
     b: np.ndarray
     k: np.ndarray
     reflected: np.ndarray  # [starts, 3]: j = b - k - p, or 0 if p > b - k
@@ -324,7 +350,8 @@ def _resource_stages(mixer: tuple) -> list:
         if group:
             a, b, k, matrix = map(np.array, zip(*group))
             reflected = np.maximum((b - k)[:, None] - np.arange(_BEAM_PHOTONS + 1), 0)
-            stages[mid] = _ResourceStage(a, b, k, reflected, matrix)
+            start = a * (_BEAM_PHOTONS + 1) + b
+            stages[mid] = _ResourceStage(start, b, k, reflected, matrix)
     return stages
 
 
@@ -344,50 +371,78 @@ def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
     return table
 
 
-def _conditioned_counting_ratio(pattern, g, w_in, w_res, t_anc, t_internal, t_detect):
-    """(pattern probability, conditional rho_22 numerator), amplifier on.
-
-    ``w_in`` / ``w_res`` are [3, samples] photon-number weights of the input
-    and resource beams entering the circuit; the remaining arguments are
-    per-sample transmissions of the in-circuit loss points.
-    """
-    resource, mixer, povms = _engine_context(pattern)
-    n = w_in.shape[1]
+def _resource_amplitudes(pattern, g, t_anc):
+    """Per mixer sector, each start's [starts, d_mid, samples] amplitudes
+    after the gain splitter at ``g``, the resource-arm loss ``t_anc`` (per
+    sample) and the first mixer half; None where no start arrives."""
     s_anc = _power_table(np.sqrt(t_anc), _BEAM_PHOTONS)
     s_anc_m = _power_table(np.sqrt(1.0 - t_anc), _BEAM_PHOTONS)
+    amplitudes = []
+    for stage in _engine_context(pattern)[0]:
+        if stage is None:
+            amplitudes.append(None)
+            continue
+        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
+        loss = s_anc * s_anc_m[stage.k][:, None, :]
+        amplitudes.append(stage.matrix @ (loss * split[:, :, None]))
+    return amplitudes
+
+
+def _branch_walk(pattern, amplitudes, t_internal):
+    """The Kraus-branch walk: heralded rows of every incoherent start.
+
+    Takes the resource-stage ``amplitudes`` through every heraldable branch
+    of the in-mixer losses ``t_internal`` (per-sample transmissions) and
+    the second mixer half.  Returns, per sector, [_STARTS, n_valid, samples]
+    sums of |amplitude|^2, row a * 3 + b holding the |a, b> start's share
+    before its photon-number weight w_in[a] w_res[b] or any detector factor.
+    """
+    resource, mixer, povms = _engine_context(pattern)
+    n = t_internal[0].shape[0]
     s_int = [_power_table(np.sqrt(t)) for t in t_internal]
     kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
     kept *= s_int[2][_MIXER_POWERS[:, 2]]
     lost = [_power_table(1.0 - t) for t in t_internal]
 
-    # |amplitude|^2 per heraldable term, summed over every branch that ends
-    # in the sector; the weight of each incoherent start rides on its
-    # amplitudes as sqrt(w_in[a] w_res[b])
-    heralded = [np.zeros((povm.valid.size, n)) for povm in povms]
-    for mid, stage in enumerate(resource):
+    heralded = [np.zeros((_STARTS, povm.valid.size, n)) for povm in povms]
+    for stage, amp, branches in zip(resource, amplitudes, mixer):
         if stage is None:
             continue
-        scale = np.sqrt(w_in[stage.a] * w_res[stage.b]) * s_anc_m[stage.k]
-        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
-        amp = stage.matrix @ (s_anc * scale[:, None, :] * split[:, :, None])
-        for branch in mixer[mid]:
+        ends = {}  # the stage's rows per end sector, scattered once
+        for branch in branches:
             picked = amp[:, branch.src]
             picked *= kept[branch.power_rows]
             final = branch.h2 @ picked
-            weight = (final.real**2 + final.imag**2).sum(axis=0)
+            weight = final.real**2 + final.imag**2
             k0, k1, k2 = branch.lost
             weight *= lost[0][k0] * lost[1][k1] * lost[2][k2]
-            heralded[branch.end] += weight
+            if branch.end in ends:
+                ends[branch.end] += weight
+            else:
+                ends[branch.end] = weight
+        for end, weight in ends.items():
+            heralded[end][stage.start] += weight
+    return heralded
 
+
+def _povm_sums(pattern, heralded, w_in, w_res, t_detect):
+    """(pattern probability, conditional rho_22 numerator), amplifier on.
+
+    ``heralded`` is the walk's output; ``w_in`` / ``w_res`` are [3, samples]
+    photon-number weights of the input and resource beams entering the
+    circuit and ``t_detect`` the per-sample detector efficiencies.
+    """
+    n = w_in.shape[1]
+    start_weight = (w_in[:, None, :] * w_res[None, :, :]).reshape(_STARTS, n)
     det_t = [_power_table(t) for t in t_detect]
     det_omt = [_power_table(1.0 - t) for t in t_detect]
     p_pattern = np.zeros(n)
     rho22 = np.zeros(n)
-    for povm, weight in zip(povms, heralded):
+    for povm, rows in zip(_build_povm(pattern), heralded):
         factor = povm.comb[:, None] * det_omt[0][povm.excess[:, 0]]
         for m in (1, 2):
             factor *= det_omt[m][povm.excess[:, m]]
-        weighted = weight * factor
+        weighted = np.einsum("svn,sn->vn", rows, start_weight) * factor
         p_pattern += weighted.sum(axis=0)
         rho22 += weighted[povm.out_is_two].sum(axis=0)
     common = math.prod(det_t[m][p] for m, p in enumerate(pattern))
@@ -407,6 +462,38 @@ def _role_transmission(tr: np.ndarray, columns: dict, role: str) -> np.ndarray:
     return out
 
 
+def _transmissions(losses: np.ndarray) -> np.ndarray:
+    """[dims, samples] transmissions of a [samples, dims] batch of losses."""
+    return np.ascontiguousarray((1.0 - losses).T)
+
+
+def _gain_from_walk(pattern, tau, roles: dict, heralded) -> np.ndarray:
+    """The measured gain from the walk's rows and every role's transmission."""
+    # amplifier on: input crosses its post-prep and pre-mixer losses, the
+    # output crosses the post-amplification loss before being counted
+    tau_on = tau * roles["input_post_prep"] * roles["input_pre_qft"]
+    p2_on, rho22_on = _povm_sums(
+        pattern,
+        heralded,
+        _pair_weights(tau_on),
+        _pair_weights(roles["ancilla_post_prep"]),
+        [roles[f"detector_{i}"] for i in range(3)],
+    )
+    ratio_on = 0.5 * roles["output_post_amp"] ** 2 * rho22_on / p2_on
+
+    # amplifier off: the input goes straight to the counting stage, so the
+    # heralds of the resource-only circuit are independent of it and cancel
+    # exactly, leaving the input's own coincidence rate
+    tau_off = tau * roles["input_post_prep"] * roles["input_size_path"]
+    ratio_off = 0.5 * tau_off**2
+
+    return ratio_on / ratio_off
+
+
+def _mixer_transmissions(roles: dict) -> list:
+    return [roles[f"qft_internal_{m}"] for m in range(3)]
+
+
 def _evaluate_batch(
     g: float,
     tau: float,
@@ -415,30 +502,27 @@ def _evaluate_batch(
     pattern: tuple,
 ) -> np.ndarray:
     columns = layout.role_columns()
-    tr = np.ascontiguousarray((1.0 - losses).T)  # [dims, samples]
-    role = lambda name: _role_transmission(tr, columns, name)
+    tr = _transmissions(losses)
+    roles = {role: _role_transmission(tr, columns, role) for role in LOSS_ROLES}
+    amplitudes = _resource_amplitudes(pattern, g, roles["ancilla_pre_qft"])
+    heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
+    return _gain_from_walk(pattern, tau, roles, heralded)
 
-    # amplifier on: input crosses its post-prep and pre-mixer losses, the
-    # output crosses the post-amplification loss before being counted
-    tau_on = tau * role("input_post_prep") * role("input_pre_qft")
-    p2_on, rho22_on = _conditioned_counting_ratio(
-        pattern,
-        g,
-        _pair_weights(tau_on),
-        _pair_weights(role("ancilla_post_prep")),
-        role("ancilla_pre_qft"),
-        [role(f"qft_internal_{i}") for i in range(3)],
-        [role(f"detector_{i}") for i in range(3)],
-    )
-    ratio_on = 0.5 * role("output_post_amp") ** 2 * rho22_on / p2_on
 
-    # amplifier off: the input goes straight to the counting stage, so the
-    # heralds of the resource-only circuit are independent of it and cancel
-    # exactly, leaving the input's own coincidence rate
-    tau_off = tau * role("input_post_prep") * role("input_size_path")
-    ratio_off = 0.5 * tau_off**2
+def _check_model_arguments(g: float, tau: float, pattern) -> tuple:
+    """Validate the gain, the channel and the pattern; return the pattern."""
+    pattern = tuple(int(p) for p in pattern)
+    if pattern not in SUCCESS_PATTERNS:
+        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"transmission must be in (0, 1], got {tau}")
+    _check_gain(g)
+    return pattern
 
-    return ratio_on / ratio_off
+
+def _check_losses(arr: np.ndarray) -> None:
+    if np.any(~((arr >= 0.0) & (arr <= 1.0))):  # NaN fails both
+        raise ValueError("loss fractions must lie in [0, 1]")
 
 
 def lossy_gain_model(
@@ -456,12 +540,7 @@ def lossy_gain_model(
     """
     if layout is None:
         layout = default_loss_layout()
-    pattern = tuple(int(p) for p in pattern)
-    if pattern not in SUCCESS_PATTERNS:
-        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {tau}")
-    _check_gain(g)
+    pattern = _check_model_arguments(g, tau, pattern)
     arr = np.asarray(losses, dtype=float)
     scalar = arr.ndim == 1
     if scalar:
@@ -470,8 +549,7 @@ def lossy_gain_model(
         raise ValueError(
             f"loss vectors must have {layout.dims} entries, got shape {arr.shape}"
         )
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):  # NaN fails both
-        raise ValueError("loss fractions must lie in [0, 1]")
+    _check_losses(arr)
     out = np.empty(arr.shape[0])
     for start in range(0, arr.shape[0], _CHUNK):
         block = arr[start : start + _CHUNK]
@@ -505,6 +583,23 @@ DEFAULT_LOSS_RANGE = (0.0, 0.5)
 _BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
 
+def _base_samples(
+    n_base: int, dims: int, seed: int, bounds: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design's base matrices A and B, each (n_base, dims)."""
+    if n_base < 2:
+        raise ValueError("need at least 2 base samples")
+    if dims < 1:
+        raise ValueError("need at least one input dimension")
+    lo, hi = bounds
+    if not hi > lo:
+        raise ValueError(f"empty sampling range {bounds}")
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(lo, hi, size=(n_base, dims))
+    b = rng.uniform(lo, hi, size=(n_base, dims))
+    return a, b
+
+
 def saltelli_sample(
     n_base: int,
     dims: int,
@@ -518,16 +613,7 @@ def saltelli_sample(
     Evaluating a model on all of them costs n_base * (dims + 2) calls.
     Deterministic for a fixed seed.
     """
-    if n_base < 2:
-        raise ValueError("need at least 2 base samples")
-    if dims < 1:
-        raise ValueError("need at least one input dimension")
-    lo, hi = bounds
-    if not hi > lo:
-        raise ValueError(f"empty sampling range {bounds}")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(lo, hi, size=(n_base, dims))
-    b = rng.uniform(lo, hi, size=(n_base, dims))
+    a, b = _base_samples(n_base, dims, seed, bounds)
     hybrids = np.empty((dims, n_base, dims))
     for i in range(dims):
         hybrids[i] = a
@@ -573,7 +659,19 @@ def first_order_indices(
     f_hyb = np.stack(
         [_evaluate_model(model, hybrids[i], vectorized) for i in range(dims)]
     )
+    return _indices_from_values(f_a, f_b, f_hyb, seed, bootstrap_resamples)
 
+
+def _indices_from_values(
+    f_a: np.ndarray,
+    f_b: np.ndarray,
+    f_hyb: np.ndarray,
+    seed: int,
+    bootstrap_resamples: int,
+) -> SobolResult:
+    """The Saltelli et al. (2010) estimator on the design's model values:
+    f(A) and f(B) of shape (n_base,), f(A_B^i) of shape (dims, n_base)."""
+    dims, n_base = f_hyb.shape
     all_values = np.concatenate([f_a[None, :], f_b[None, :], f_hyb], axis=0)
     mean_all = float(all_values.mean())
     variance = float(np.var(all_values, ddof=1))
@@ -636,6 +734,45 @@ class SweepEntry:
     result: SobolResult
 
 
+def _design_block(
+    g: float,
+    tau: float,
+    a: np.ndarray,
+    b: np.ndarray,
+    layout: LossLayout,
+    pattern: tuple,
+) -> np.ndarray:
+    """[dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of base rows.
+
+    A hybrid differs from A in one column, so it shares every role but that
+    column's with A.  Only a column whose role is in ``_WALKED_ROLES`` needs
+    the Kraus-branch walk; it reuses A's resource-stage amplitudes unless its
+    role is the resource arm's.  Any other hybrid recombines A's heralded
+    rows with its own weights, detector factors and scalars.
+    """
+    columns = layout.role_columns()
+    tr_a, tr_b = _transmissions(a), _transmissions(b)
+    roles_a = {role: _role_transmission(tr_a, columns, role) for role in LOSS_ROLES}
+    amplitudes_a = _resource_amplitudes(pattern, g, roles_a["ancilla_pre_qft"])
+    heralded_a = _branch_walk(pattern, amplitudes_a, _mixer_transmissions(roles_a))
+
+    out = np.empty((layout.dims + 2, a.shape[0]))
+    out[0] = _gain_from_walk(pattern, tau, roles_a, heralded_a)
+    out[1] = _evaluate_batch(g, tau, b, layout, pattern)
+    for i, point in enumerate(layout.points):
+        tr = tr_a.copy()
+        tr[i] = tr_b[i]
+        roles = {**roles_a, point.role: _role_transmission(tr, columns, point.role)}
+        heralded = heralded_a
+        if point.role in _WALKED_ROLES:
+            amplitudes = amplitudes_a
+            if point.role == "ancilla_pre_qft":
+                amplitudes = _resource_amplitudes(pattern, g, roles[point.role])
+            heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
+        out[2 + i] = _gain_from_walk(pattern, tau, roles, heralded)
+    return out
+
+
 def sensitivity_sweep(
     g_grid: Sequence[float],
     tau: float = 0.05,
@@ -649,21 +786,25 @@ def sensitivity_sweep(
     """First-order indices of the loss model at each gain on the grid.
 
     The same seed (hence the same loss samples) is reused at every gain so
-    the per-variable curves are directly comparable across g.
+    the per-variable curves are directly comparable across g.  The values
+    are those of ``first_order_indices`` on ``make_gain_model``; the design
+    is evaluated in blocks of base rows without forming its hybrids.
     """
     if layout is None:
         layout = default_loss_layout()
+    a, b = _base_samples(n_base, layout.dims, seed, bounds)
+    _check_losses(a)
+    _check_losses(b)
     entries = []
     for g in g_grid:
-        model = make_gain_model(float(g), tau, layout=layout, pattern=pattern)
-        result = first_order_indices(
-            model,
-            n_base,
-            seed,
-            dims=layout.dims,
-            bounds=bounds,
-            vectorized=True,
-            bootstrap_resamples=bootstrap_resamples,
+        g = float(g)
+        pattern = _check_model_arguments(g, tau, pattern)
+        values = np.empty((layout.dims + 2, n_base))
+        for start in range(0, n_base, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            values[:, rows] = _design_block(g, tau, a[rows], b[rows], layout, pattern)
+        result = _indices_from_values(
+            values[0], values[1], values[2:], seed, bootstrap_resamples
         )
-        entries.append(SweepEntry(g=float(g), result=result))
+        entries.append(SweepEntry(g=g, result=result))
     return layout, entries

@@ -279,6 +279,31 @@ def test_scissor_keeps_tiny_heralded_amplitudes(tmp_path):
         assert float(record["out_abs0"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_scissor_pi_steps_read_plus_pi(tmp_path):
+    # amplitude ratios -0.2727+6.4e-17j and -0.5556-1.1e-16j: both pi steps,
+    # on either side of the branch cut of np.angle
+    path = write_config(
+        tmp_path, "input_coeffs = 0.66, -0.18, 0.1, 0\npattern = 110\ng = 1\n"
+    )
+    assert main(["scissor", "--config", path, "--out", str(tmp_path)]) == 0
+    (row,) = read_csv(tmp_path / "scissor.csv")[1:]
+    assert row[7:] == [repr(math.pi), repr(math.pi)]
+
+    path = write_config(
+        tmp_path,
+        "input_coeffs = 0.3, -0.5, -0.4, 0.1\npattern = all\ng = 0.1:6:0.1\n",
+        "grid.txt",
+    )
+    out = tmp_path / "grid"
+    assert main(["scissor", "--config", path, "--out", str(out)]) == 0
+    rows = read_csv(out / "scissor.csv")[1:]
+    assert len(rows) == 60 * 3
+    pi_cells = [cell for row in rows for cell in row[7:] if abs(float(cell)) > 3.0]
+    # the 110 rows' c1/c0 step, one per gain; 101 and 011 add 2pi/3 or 4pi/3
+    assert len(pi_cells) == 60
+    assert set(pi_cells) == {repr(math.pi)}
+
+
 def test_smallest_nonzero_gain_runs(tmp_path):
     path = write_config(tmp_path, "g = 1e-25\ntau = 1e-100\n")
     assert main(["gain-sweep", "--config", path, "--out", str(tmp_path)]) == 0

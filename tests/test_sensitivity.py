@@ -396,6 +396,103 @@ def test_loss_model_validates_input():
 # ---------------------------------------------------------------------------
 
 
+def shuffled_layout():
+    """Nine points out of the default order, two pairs sharing a role and
+    four roles left out; four of its columns enter the Kraus-branch walk
+    (Q1, Q1b, R, Q0), one of them through the resource amplitudes (R)."""
+    return LossLayout(
+        (
+            LossPoint("D0", "detection", "detector_0"),
+            LossPoint("Q1", "within_qft", "qft_internal_1"),
+            LossPoint("S", "size_measurement", "input_size_path"),
+            LossPoint("Q1b", "within_qft", "qft_internal_1"),
+            LossPoint("R", "pre_qft", "ancilla_pre_qft"),
+            LossPoint("P", "post_prep", "ancilla_post_prep"),
+            LossPoint("I", "post_prep", "input_post_prep"),
+            LossPoint("Q0", "within_qft", "qft_internal_0"),
+            LossPoint("P2", "post_prep", "ancilla_post_prep"),
+        )
+    )
+
+
+def record_design_values(monkeypatch):
+    """Capture the (f_a, f_b, f_hyb) every estimate is computed from."""
+    seen = []
+    estimator = sensitivity._indices_from_values
+
+    def recording(f_a, f_b, f_hyb, *args):
+        seen.append((f_a.copy(), f_b.copy(), f_hyb.copy()))
+        return estimator(f_a, f_b, f_hyb, *args)
+
+    monkeypatch.setattr(sensitivity, "_indices_from_values", recording)
+    return seen
+
+
+@pytest.mark.parametrize("layout_name", ["default", "shuffled"])
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout_name):
+    # 1500 base rows: one full _CHUNK block and a partial one
+    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
+    n_base, seed, g = 1500, 31, 2.0
+    assert n_base % sensitivity._CHUNK != 0
+    seen = record_design_values(monkeypatch)
+    _, (entry,) = sensitivity_sweep(
+        [g], n_base=n_base, seed=seed, layout=layout, pattern=pattern,
+        bootstrap_resamples=200,
+    )
+    expected = first_order_indices(
+        make_gain_model(g, 0.05, layout=layout, pattern=pattern),
+        n_base, seed, dims=layout.dims, vectorized=True, bootstrap_resamples=200,
+    )
+    (swept, generic) = seen
+    for got, want in zip(swept, generic):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(entry.result.indices, expected.indices, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(entry.result.ci, expected.ci, rtol=0, atol=1e-12)
+    assert entry.result.evaluations == expected.evaluations == n_base * (layout.dims + 2)
+
+    _, (rerun,) = sensitivity_sweep(
+        [g], n_base=n_base, seed=seed, layout=layout, pattern=pattern,
+        bootstrap_resamples=200,
+    )
+    assert rerun.result.indices.tobytes() == entry.result.indices.tobytes()
+    assert rerun.result.ci.tobytes() == entry.result.ci.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen[2], swept))
+
+
+@pytest.mark.parametrize(
+    "layout_name,walked,amplitudes",
+    # walked: A, B and the hybrids on L5, L8, L9-L11; amplitudes: A, B, L5, L8
+    [("default", 7, 4), ("shuffled", 6, 3)],
+)
+def test_sweep_walks_only_columns_inside_the_walk(
+    monkeypatch, layout_name, walked, amplitudes
+):
+    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
+    rows = {"walk": 0, "amplitudes": 0}
+    walk, resource = sensitivity._branch_walk, sensitivity._resource_amplitudes
+
+    def counted_walk(pattern, amps, t_internal):
+        rows["walk"] += t_internal[0].shape[0]
+        return walk(pattern, amps, t_internal)
+
+    def counted_amplitudes(pattern, g, t_anc):
+        rows["amplitudes"] += t_anc.shape[0]
+        return resource(pattern, g, t_anc)
+
+    monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
+    monkeypatch.setattr(sensitivity, "_resource_amplitudes", counted_amplitudes)
+    n_base, gains = 1100, [1.0, 3.0]
+    _, entries = sensitivity_sweep(
+        gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20
+    )
+    assert rows == {
+        "walk": walked * n_base * len(gains),
+        "amplitudes": amplitudes * n_base * len(gains),
+    }
+    assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
+
+
 def test_sweep_qualitative_structure():
     layout, entries = sensitivity_sweep(
         [2.0, 3.0], tau=0.05, n_base=512, seed=2026, bootstrap_resamples=200
