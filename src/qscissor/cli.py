@@ -41,8 +41,10 @@ _MAX_SEED = 2**64 - 1
 #: size limits, so memory stays bounded by the work a config asks for (an
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
-_MAX_N_BASE = 10**5  # a Sobol sweep holds about 1.1 KB per base sample
-_MAX_BOOTSTRAP = 10**5  # resamples; the result holds 8 B per index per resample
+_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.95 KB per base sample
+#: resamples; a bootstrap pass holds 8 B per index per resample for each gain
+#: it shares, and takes one gain at a time once that passes 4 MiB
+_MAX_BOOTSTRAP = 10**5
 
 #: value limits, well inside where the arithmetic breaks: the closed forms
 #: take g^4, which overflows above g = 1.2e77, and the gain model squares

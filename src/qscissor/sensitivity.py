@@ -33,16 +33,24 @@ The input-beam losses and the resource loss before the gain splitter enter
 linearly through the start weights, the detector efficiencies through
 per-row factors, and the two counting-path losses only through closed-form
 scalars.  A Saltelli hybrid differs from A in one column, so
-``sensitivity_sweep`` walks A, B and the hybrids whose column is in the
-walk (reusing A's amplitudes unless the column is the resource arm's);
-every other hybrid recombines A's per-start rows with its own weights,
-factors and scalars.  It walks the design in blocks of base rows and never
-forms the hybrid matrices.  Per point the values are those
-``lossy_gain_model`` returns on the full design.
+``sensitivity_sweep`` redoes for it only the stage that column's role
+enters and takes the rest from A: it walks A, B and the hybrids whose
+column is in the walk (reusing A's amplitudes unless the column is the
+resource arm's), and weights their rows with A's start weights and
+detector factors; a start-weight hybrid reweights A's rows, a detector
+hybrid applies its own factors to A's start-weighted rows, and a
+counting-path hybrid keeps A's POVM sums and changes only the scalars.
+It walks the design in blocks of base rows and never forms the hybrid
+matrices.  Per point the values are those ``lossy_gain_model`` returns on
+the full design.
 
-The bootstrap prices blocks of resamples with one matmul of draw counts.
-All reductions run in a fixed order, which makes the estimates bitwise
-reproducible for a given seed.
+The bootstrap prices blocks of resamples with one matmul of draw counts
+per model.  The draws depend only on the seed, the number of base samples
+and the number of resamples, so the sweep makes them once per group of
+gains: consecutive gains whose bootstrap inputs fit one fixed budget share
+a pass, which bounds its memory by the group, not by the grid.  All
+reductions run in a fixed order, which makes the estimates bitwise
+reproducible for a given seed, whichever gains share a pass.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,11 +96,19 @@ LOSS_ROLES = (
     "detector_2",
 )
 
+# Every role falls in exactly one of four classes, by the stage of one
+# evaluation its loss enters; a Saltelli hybrid that changes one role redoes
+# only that stage and the ones after it, and takes the rest from its base row.
+
 #: Roles whose loss enters the Kraus-branch walk; ``ancilla_pre_qft`` also
-#: sets the resource-stage amplitudes the walk starts from.  Every other
-#: role only reweights the walk's per-start rows or sets a closed-form
-#: scalar, so a Saltelli hybrid that changes it reuses its base row's walk.
+#: sets the resource-stage amplitudes the walk starts from.
 _WALKED_ROLES = ("ancilla_pre_qft", "qft_internal_0", "qft_internal_1", "qft_internal_2")
+#: Roles that set the photon-number weights of the walk's incoherent starts.
+_START_WEIGHT_ROLES = ("input_post_prep", "input_pre_qft", "ancilla_post_prep")
+#: Roles that set the per-row detector factors of the POVM sums.
+_DETECTOR_ROLES = ("detector_0", "detector_1", "detector_2")
+#: Roles that enter only the closed-form scalars of the measured ratio.
+_SCALAR_ROLES = ("input_size_path", "output_post_amp")
 
 #: Report regions, matching how the loss points group in the setup.
 LOSS_REGIONS = (
@@ -425,27 +441,49 @@ def _branch_walk(pattern, amplitudes, t_internal):
     return heralded
 
 
-def _povm_sums(pattern, heralded, w_in, w_res, t_detect):
-    """(pattern probability, conditional rho_22 numerator), amplifier on.
+def _start_weights(tau, roles: dict) -> np.ndarray:
+    """[_STARTS, samples] weights w_in[a] w_res[b] of the |a, b> starts.
 
-    ``heralded`` is the walk's output; ``w_in`` / ``w_res`` are [3, samples]
-    photon-number weights of the input and resource beams entering the
-    circuit and ``t_detect`` the per-sample detector efficiencies.
+    The input crosses the channel ``tau`` and its post-prep and pre-mixer
+    losses, the resource its post-prep loss, each as a |2> beam.
     """
-    n = w_in.shape[1]
-    start_weight = (w_in[:, None, :] * w_res[None, :, :]).reshape(_STARTS, n)
+    w_in = _pair_weights(tau * roles["input_post_prep"] * roles["input_pre_qft"])
+    w_res = _pair_weights(roles["ancilla_post_prep"])
+    return (w_in[:, None, :] * w_res[None, :, :]).reshape(_STARTS, w_in.shape[1])
+
+
+def _weighted_rows(heralded, start_weight: np.ndarray) -> list:
+    """Per sector, the walk's heralded rows summed over starts by weight."""
+    return [np.einsum("svn,sn->vn", rows, start_weight) for rows in heralded]
+
+
+def _detector_factors(pattern, roles: dict) -> tuple[list, np.ndarray]:
+    """Per sector, each heraldable row's detector factor, and the pattern's
+    common prefactor prod_m t_m^p_m, from the detector efficiencies."""
+    t_detect = [roles[f"detector_{m}"] for m in range(3)]
     det_t = [_power_table(t) for t in t_detect]
     det_omt = [_power_table(1.0 - t) for t in t_detect]
-    p_pattern = np.zeros(n)
-    rho22 = np.zeros(n)
-    for povm, rows in zip(_build_povm(pattern), heralded):
+    factors = []
+    for povm in _build_povm(pattern):
         factor = povm.comb[:, None] * det_omt[0][povm.excess[:, 0]]
         for m in (1, 2):
             factor *= det_omt[m][povm.excess[:, m]]
-        weighted = np.einsum("svn,sn->vn", rows, start_weight) * factor
+        factors.append(factor)
+    common = math.prod(det_t[m][p] for m, p in enumerate(pattern))
+    return factors, common
+
+
+def _povm_sums(pattern, weighted_rows, detector) -> tuple[np.ndarray, np.ndarray]:
+    """(pattern probability, conditional rho_22 numerator), amplifier on,
+    from the start-weighted rows and ``_detector_factors``' output."""
+    factors, common = detector
+    n = weighted_rows[0].shape[1]
+    p_pattern = np.zeros(n)
+    rho22 = np.zeros(n)
+    for povm, rows, factor in zip(_build_povm(pattern), weighted_rows, factors):
+        weighted = rows * factor
         p_pattern += weighted.sum(axis=0)
         rho22 += weighted[povm.out_is_two].sum(axis=0)
-    common = math.prod(det_t[m][p] for m, p in enumerate(pattern))
     return common * p_pattern, common * rho22
 
 
@@ -467,18 +505,10 @@ def _transmissions(losses: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((1.0 - losses).T)
 
 
-def _gain_from_walk(pattern, tau, roles: dict, heralded) -> np.ndarray:
-    """The measured gain from the walk's rows and every role's transmission."""
-    # amplifier on: input crosses its post-prep and pre-mixer losses, the
-    # output crosses the post-amplification loss before being counted
-    tau_on = tau * roles["input_post_prep"] * roles["input_pre_qft"]
-    p2_on, rho22_on = _povm_sums(
-        pattern,
-        heralded,
-        _pair_weights(tau_on),
-        _pair_weights(roles["ancilla_post_prep"]),
-        [roles[f"detector_{i}"] for i in range(3)],
-    )
+def _measured_gain(tau, roles: dict, p2_on, rho22_on) -> np.ndarray:
+    """The measured gain from the amplifier-on POVM sums and the scalars."""
+    # amplifier on: the output crosses the post-amplification loss before
+    # being counted
     ratio_on = 0.5 * roles["output_post_amp"] ** 2 * rho22_on / p2_on
 
     # amplifier off: the input goes straight to the counting stage, so the
@@ -506,7 +536,9 @@ def _evaluate_batch(
     roles = {role: _role_transmission(tr, columns, role) for role in LOSS_ROLES}
     amplitudes = _resource_amplitudes(pattern, g, roles["ancilla_pre_qft"])
     heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
-    return _gain_from_walk(pattern, tau, roles, heralded)
+    rows = _weighted_rows(heralded, _start_weights(tau, roles))
+    sums = _povm_sums(pattern, rows, _detector_factors(pattern, roles))
+    return _measured_gain(tau, roles, *sums)
 
 
 def _check_model_arguments(g: float, tau: float, pattern) -> tuple:
@@ -579,7 +611,8 @@ def make_gain_model(
 
 DEFAULT_LOSS_RANGE = (0.0, 0.5)
 
-#: bytes of one block of bootstrap draw counts (float64 [resamples, n_base])
+#: bytes of one block of bootstrap draw counts (float64 [resamples, n_base]),
+#: and of the bootstrap inputs the gains sharing one pass hold together
 _BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
 
@@ -637,6 +670,13 @@ def _evaluate_model(model, points: np.ndarray, vectorized: bool) -> np.ndarray:
     return np.array([float(model(p)) for p in points])
 
 
+def _check_resamples(bootstrap_resamples: int) -> None:
+    if not bootstrap_resamples >= 2:
+        raise ValueError(
+            f"bootstrap_resamples must be at least 2, got {bootstrap_resamples}"
+        )
+
+
 def first_order_indices(
     model: Callable,
     n_base: int,
@@ -653,28 +693,33 @@ def first_order_indices(
     from a paired bootstrap over sample rows.  Identical seeds give bitwise
     identical results.
     """
+    _check_resamples(bootstrap_resamples)
     a, b, hybrids = saltelli_sample(n_base, dims, seed, bounds)
-    f_a = _evaluate_model(model, a, vectorized)
-    f_b = _evaluate_model(model, b, vectorized)
-    f_hyb = np.stack(
-        [_evaluate_model(model, hybrids[i], vectorized) for i in range(dims)]
-    )
-    return _indices_from_values(f_a, f_b, f_hyb, seed, bootstrap_resamples)
+    values = np.empty((dims + 2, n_base))
+    values[0] = _evaluate_model(model, a, vectorized)
+    values[1] = _evaluate_model(model, b, vectorized)
+    for i in range(dims):
+        values[2 + i] = _evaluate_model(model, hybrids[i], vectorized)
+    (result,) = _indices_from_values([values], seed, bootstrap_resamples)
+    return result
 
 
-def _indices_from_values(
-    f_a: np.ndarray,
-    f_b: np.ndarray,
-    f_hyb: np.ndarray,
-    seed: int,
-    bootstrap_resamples: int,
-) -> SobolResult:
-    """The Saltelli et al. (2010) estimator on the design's model values:
-    f(A) and f(B) of shape (n_base,), f(A_B^i) of shape (dims, n_base)."""
-    dims, n_base = f_hyb.shape
-    all_values = np.concatenate([f_a[None, :], f_b[None, :], f_hyb], axis=0)
-    mean_all = float(all_values.mean())
-    variance = float(np.var(all_values, ddof=1))
+def _gains_per_group(n_base: int, dims: int, bootstrap_resamples: int) -> int:
+    """How many gains share one bootstrap pass: as many as fit what each
+    holds in ``_BOOTSTRAP_BLOCK_BYTES`` together, and at least one.  A gain
+    holds its design values ([dims + 2, n_base]) until the group is
+    evaluated, then its row statistics ([n_base, 2 dims + 2]) and resampled
+    estimates ([resamples, dims]) through the pass."""
+    held = 8 * (n_base * (2 * dims + 2) + bootstrap_resamples * dims)
+    return max(1, _BOOTSTRAP_BLOCK_BYTES // held)
+
+
+def _point_estimate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first-order indices, [n_base, 2 dims + 2] per-row statistics) of one
+    model's design values [f(A); f(B); f(A_B^1); ...; f(A_B^dims)]."""
+    f_a, f_b, f_hyb = design[0], design[1], design[2:]
+    mean_all = float(design.mean())
+    variance = float(np.var(design, ddof=1))
     if not np.isfinite(variance) or variance <= 0.0:
         raise ValueError(
             "model output has zero variance over the sampled inputs; "
@@ -686,46 +731,67 @@ def _indices_from_values(
     # mean-level sampling noise from the cross products
     diff = f_hyb - f_a[None, :]  # [dims, n], independent of the centering
     cross = (f_b - mean_all)[None, :] * diff
-    indices = cross.mean(axis=1) / variance
+    stats = np.vstack(
+        [f_b[None, :] * diff, diff, design.sum(axis=0), (design**2).sum(axis=0)]
+    ).T
+    return cross.mean(axis=1) / variance, stats
+
+
+def _indices_from_values(
+    values: Iterable[np.ndarray], seed: int, bootstrap_resamples: int
+) -> list[SobolResult]:
+    """The Saltelli et al. (2010) estimator on the design values of one or
+    more models sampled on the same design.
+
+    Each item of ``values`` is one model's [f(A); f(B); f(A_B^1); ...;
+    f(A_B^dims)], shape (dims + 2, n_base).  One bootstrap pass resamples
+    all of them with the same draws, which depend only on the seed.
+    """
+    # every item is taken before any is reduced, so only design values are
+    # held while a lazily evaluated item is made; each is then released as
+    # its (larger) per-row statistics are built
+    designs = list(values)
+    estimates = []
+    while designs:
+        estimates.append(_point_estimate(designs.pop(0)))
+    dims, n_base = estimates[0][0].shape[0], estimates[0][1].shape[0]
 
     # paired bootstrap over rows.  A resample's sums are its per-row draw
     # counts times the per-row statistics, so a block of resamples costs one
-    # matmul; the draws are the same rng.integers call per resample, in the
-    # same order, as a resample-at-a-time loop
+    # matmul per model; the draws are the same rng.integers call per
+    # resample, in the same order, as a resample-at-a-time loop
     rng = np.random.default_rng([int(seed), 0xB00])
-    total = all_values.shape[0] * n_base
-    stats = np.vstack(
-        [
-            f_b[None, :] * diff,
-            diff,
-            all_values.sum(axis=0),
-            (all_values**2).sum(axis=0),
-        ]
-    ).T  # [n_base, 2 dims + 2]
+    total = (dims + 2) * n_base
     block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_base))
-    boot = np.zeros((bootstrap_resamples, dims))
+    boots = [np.zeros((bootstrap_resamples, dims)) for _ in estimates]
+    # one buffer for every block: a fresh one per block left the pass with
+    # about 2 MB more resident memory than the evaluation before it
+    buffer = np.empty((min(block, bootstrap_resamples), n_base))
     for start in range(0, bootstrap_resamples, block):
-        counts = np.empty((min(block, bootstrap_resamples - start), n_base))
+        counts = buffer[: min(block, bootstrap_resamples - start)]
         for row in counts:
             draw = rng.integers(0, n_base, size=n_base)
             row[:] = np.bincount(draw, minlength=n_base)
-        sums = counts @ stats
-        mean_r = sums[:, 2 * dims] / total
-        mean_sq_r = sums[:, 2 * dims + 1] / total
-        var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
-        keep = ~(var_r <= 0.0)  # a degenerate resample contributes 0
-        boot[start : start + counts.shape[0]][keep] = (
-            sums[keep, :dims] / n_base
-            - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
-        ) / var_r[keep, None]
-    ci = 1.96 * boot.std(axis=0, ddof=1)
+        for (_, stats), boot in zip(estimates, boots):
+            sums = counts @ stats
+            mean_r = sums[:, 2 * dims] / total
+            mean_sq_r = sums[:, 2 * dims + 1] / total
+            var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
+            keep = ~(var_r <= 0.0)  # a degenerate resample contributes 0
+            boot[start : start + counts.shape[0]][keep] = (
+                sums[keep, :dims] / n_base
+                - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
+            ) / var_r[keep, None]
 
-    return SobolResult(
-        indices=indices,
-        ci=ci,
-        n_base=n_base,
-        evaluations=n_base * (dims + 2),
-    )
+    return [
+        SobolResult(
+            indices=indices,
+            ci=1.96 * boot.std(axis=0, ddof=1),
+            n_base=n_base,
+            evaluations=total,
+        )
+        for (indices, _), boot in zip(estimates, boots)
+    ]
 
 
 @dataclass
@@ -745,32 +811,55 @@ def _design_block(
     """[dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of base rows.
 
     A hybrid differs from A in one column, so it shares every role but that
-    column's with A.  Only a column whose role is in ``_WALKED_ROLES`` needs
-    the Kraus-branch walk; it reuses A's resource-stage amplitudes unless its
-    role is the resource arm's.  Any other hybrid recombines A's heralded
-    rows with its own weights, detector factors and scalars.
+    column's with A, and redoes only the stage that role enters: a walked
+    column the Kraus-branch walk (on A's resource-stage amplitudes unless
+    its role is the resource arm's), a start-weight column the start
+    weights, a detector column the detector factors.  Everything else, and
+    for a scalar column the POVM sums themselves, comes from A.
     """
     columns = layout.role_columns()
     tr_a, tr_b = _transmissions(a), _transmissions(b)
     roles_a = {role: _role_transmission(tr_a, columns, role) for role in LOSS_ROLES}
     amplitudes_a = _resource_amplitudes(pattern, g, roles_a["ancilla_pre_qft"])
     heralded_a = _branch_walk(pattern, amplitudes_a, _mixer_transmissions(roles_a))
+    weights_a = _start_weights(tau, roles_a)
+    detector_a = _detector_factors(pattern, roles_a)
+    rows_a = _weighted_rows(heralded_a, weights_a)
+    sums_a = _povm_sums(pattern, rows_a, detector_a)
 
     out = np.empty((layout.dims + 2, a.shape[0]))
-    out[0] = _gain_from_walk(pattern, tau, roles_a, heralded_a)
+    out[0] = _measured_gain(tau, roles_a, *sums_a)
     out[1] = _evaluate_batch(g, tau, b, layout, pattern)
     for i, point in enumerate(layout.points):
         tr = tr_a.copy()
         tr[i] = tr_b[i]
         roles = {**roles_a, point.role: _role_transmission(tr, columns, point.role)}
-        heralded = heralded_a
+        rows, detector = rows_a, detector_a
         if point.role in _WALKED_ROLES:
             amplitudes = amplitudes_a
             if point.role == "ancilla_pre_qft":
                 amplitudes = _resource_amplitudes(pattern, g, roles[point.role])
             heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
-        out[2 + i] = _gain_from_walk(pattern, tau, roles, heralded)
+            rows = _weighted_rows(heralded, weights_a)
+            del heralded  # the largest array here: free it before the next walk
+        elif point.role in _START_WEIGHT_ROLES:
+            rows = _weighted_rows(heralded_a, _start_weights(tau, roles))
+        elif point.role in _DETECTOR_ROLES:
+            detector = _detector_factors(pattern, roles)
+        sums = sums_a
+        if point.role not in _SCALAR_ROLES:
+            sums = _povm_sums(pattern, rows, detector)
+        out[2 + i] = _measured_gain(tau, roles, *sums)
     return out
+
+
+def _design_values(g, tau, a, b, layout: LossLayout, pattern: tuple) -> np.ndarray:
+    """[dims + 2, n_base]: the whole design's values at one gain."""
+    values = np.empty((layout.dims + 2, a.shape[0]))
+    for start in range(0, a.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        values[:, rows] = _design_block(g, tau, a[rows], b[rows], layout, pattern)
+    return values
 
 
 def sensitivity_sweep(
@@ -785,26 +874,30 @@ def sensitivity_sweep(
 ) -> tuple[LossLayout, list[SweepEntry]]:
     """First-order indices of the loss model at each gain on the grid.
 
-    The same seed (hence the same loss samples) is reused at every gain so
-    the per-variable curves are directly comparable across g.  The values
-    are those of ``first_order_indices`` on ``make_gain_model``; the design
-    is evaluated in blocks of base rows without forming its hybrids.
+    The same seed (hence the same loss samples and bootstrap draws) is
+    reused at every gain so the per-variable curves are directly comparable
+    across g.  The values are those of ``first_order_indices`` on
+    ``make_gain_model``; the design is evaluated in blocks of base rows
+    without forming its hybrids, and consecutive gains whose bootstrap
+    inputs fit ``_BOOTSTRAP_BLOCK_BYTES`` share one bootstrap pass.
     """
     if layout is None:
         layout = default_loss_layout()
+    _check_resamples(bootstrap_resamples)
+    gains = [float(g) for g in g_grid]
+    for g in gains:
+        pattern = _check_model_arguments(g, tau, pattern)
     a, b = _base_samples(n_base, layout.dims, seed, bounds)
     _check_losses(a)
     _check_losses(b)
+    group = _gains_per_group(n_base, layout.dims, bootstrap_resamples)
     entries = []
-    for g in g_grid:
-        g = float(g)
-        pattern = _check_model_arguments(g, tau, pattern)
-        values = np.empty((layout.dims + 2, n_base))
-        for start in range(0, n_base, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            values[:, rows] = _design_block(g, tau, a[rows], b[rows], layout, pattern)
-        result = _indices_from_values(
-            values[0], values[1], values[2:], seed, bootstrap_resamples
+    for first in range(0, len(gains), group):
+        grouped = gains[first : first + group]
+        results = _indices_from_values(
+            (_design_values(g, tau, a, b, layout, pattern) for g in grouped),
+            seed,
+            bootstrap_resamples,
         )
-        entries.append(SweepEntry(g=g, result=result))
+        entries.extend(SweepEntry(g=g, result=r) for g, r in zip(grouped, results))
     return layout, entries

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_ishigami_indices_within_confidence():
 def test_constant_model_raises():
     with pytest.raises(ValueError, match="zero variance"):
         first_order_indices(lambda x: 1.0, 64, seed=0, dims=3)
+
+
+@pytest.mark.parametrize("resamples", [0, 1, -3])
+def test_library_rejects_fewer_than_two_resamples(resamples):
+    # one resample has no spread (and zero or fewer no draws): the ci would
+    # be NaN or numpy would fail on a negative shape
+    message = f"at least 2, got {resamples}"
+    with pytest.raises(ValueError, match=message):
+        first_order_indices(
+            additive_model([1.0, 2.0]), 64, seed=0, dims=2, vectorized=True,
+            bootstrap_resamples=resamples,
+        )
+    with pytest.raises(ValueError, match=message):
+        sensitivity_sweep([1.0], n_base=64, bootstrap_resamples=resamples)
 
 
 def test_estimator_bitwise_deterministic():
@@ -420,9 +435,10 @@ def record_design_values(monkeypatch):
     seen = []
     estimator = sensitivity._indices_from_values
 
-    def recording(f_a, f_b, f_hyb, *args):
-        seen.append((f_a.copy(), f_b.copy(), f_hyb.copy()))
-        return estimator(f_a, f_b, f_hyb, *args)
+    def recording(values, *args):
+        values = list(values)
+        seen.extend((v[0].copy(), v[1].copy(), v[2:].copy()) for v in values)
+        return estimator(values, *args)
 
     monkeypatch.setattr(sensitivity, "_indices_from_values", recording)
     return seen
@@ -491,6 +507,111 @@ def test_sweep_walks_only_columns_inside_the_walk(
         "amplitudes": amplitudes * n_base * len(gains),
     }
     assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
+
+
+def test_role_classes_partition_loss_roles():
+    classes = (
+        sensitivity._WALKED_ROLES,
+        sensitivity._START_WEIGHT_ROLES,
+        sensitivity._DETECTOR_ROLES,
+        sensitivity._SCALAR_ROLES,
+    )
+    for role in sensitivity.LOSS_ROLES:
+        assert sum(role in c for c in classes) == 1, role
+    assert sorted(r for c in classes for r in c) == sorted(sensitivity.LOSS_ROLES)
+
+
+@pytest.mark.parametrize(
+    "layout_name,per_block",
+    # default: start weights of A, B and L1, L3, L4, L7; detector factors of
+    # A, B and L12-L14; start-weighted rows of those start weights' owners
+    # plus the five walked hybrids; POVM sums of every point but the L2 and
+    # L6 hybrids, which take A's sums whole.  shuffled: start weights of A,
+    # B, P, I, P2; detector factors of A, B, D0; sums of all but S.
+    [
+        ("default", {"weights": 6, "detector": 5, "rows": 11, "sums": 14}),
+        ("shuffled", {"weights": 5, "detector": 3, "rows": 9, "sums": 10}),
+    ],
+)
+def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_block):
+    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
+    calls = dict.fromkeys(per_block, 0)
+    pieces = {
+        "weights": "_start_weights",
+        "detector": "_detector_factors",
+        "rows": "_weighted_rows",
+        "sums": "_povm_sums",
+    }
+    for key, name in pieces.items():
+        def counted(*args, _key=key, _piece=getattr(sensitivity, name)):
+            calls[_key] += 1
+            return _piece(*args)
+
+        monkeypatch.setattr(sensitivity, name, counted)
+    n_base, gains = 1100, [1.0, 3.0]
+    blocks = -(-n_base // sensitivity._CHUNK) * len(gains)
+    sensitivity_sweep(gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20)
+    assert calls == {key: count * blocks for key, count in per_block.items()}
+
+
+def record_group_sizes(monkeypatch):
+    """Capture how many gains each bootstrap pass resamples together."""
+    sizes = []
+    estimator = sensitivity._indices_from_values
+
+    def recording(values, *args):
+        values = list(values)
+        sizes.append(len(values))
+        return estimator(values, *args)
+
+    monkeypatch.setattr(sensitivity, "_indices_from_values", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("group,expected_sizes", [(1, [1] * 5), (2, [2, 2, 1]), (5, [5])])
+def test_shared_bootstrap_draws_match_single_gain_sweeps(
+    monkeypatch, group, expected_sizes
+):
+    n_base, dims, resamples = 64, 14, 50
+    held = 8 * (n_base * (2 * dims + 2) + resamples * dims)
+    # the same budget also blocks the draws: 40, 81 or 204 resamples a block
+    monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", group * held)
+    sizes = record_group_sizes(monkeypatch)
+    gains = [0.5, 1.0, 2.0, 3.0, 5.0]
+    kwargs = dict(n_base=n_base, seed=8, bootstrap_resamples=resamples)
+    _, shared = sensitivity_sweep(gains, **kwargs)
+    assert sizes == expected_sizes
+    for g, entry in zip(gains, shared):
+        _, (alone,) = sensitivity_sweep([g], **kwargs)
+        assert entry.g == alone.g == g
+        assert entry.result.indices.tobytes() == alone.result.indices.tobytes()
+        assert entry.result.ci.tobytes() == alone.result.ci.tobytes()
+    _, rerun = sensitivity_sweep(gains, **kwargs)
+    for first, second in zip(shared, rerun):
+        assert first.result.indices.tobytes() == second.result.indices.tobytes()
+        assert first.result.ci.tobytes() == second.result.ci.tobytes()
+
+
+def test_sweep_memory_is_bounded_by_one_group():
+    # at n_base 64 a gain holds about 125 KB through its bootstrap pass, so
+    # 32 gains fill one budget and 40 gains take two passes
+    sensitivity_sweep([1.0], n_base=64, bootstrap_resamples=10)  # warm tables
+
+    def traced(gains):
+        tracemalloc.start()
+        try:
+            _, entries = sensitivity_sweep(gains, n_base=64, seed=3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == len(gains)
+        return peak, kept
+
+    peak_few, kept_few = traced([1.0, 2.0])
+    peak_many, kept_many = traced(list(np.linspace(0.5, 4.0, 40)))
+    assert sensitivity._gains_per_group(64, 14, 1000) < 40
+    # kept: the SobolResults still alive when the sweep returns
+    assert peak_many - peak_few < sensitivity._BOOTSTRAP_BLOCK_BYTES + kept_many - kept_few
 
 
 def test_sweep_qualitative_structure():
