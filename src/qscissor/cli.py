@@ -144,7 +144,10 @@ def _parse_grid(raw: str) -> list[float]:
             raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
         count = int(math.floor(span + 1e-9)) + 1
         return [start + i * step for i in range(count)]
-    return [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
+    values = [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"grid {raw!r} holds no values")
+    return values
 
 
 def _parse_pattern(raw: str):

@@ -7,36 +7,41 @@ gain an experimenter would actually measure.  ``first_order_indices``
 estimates each location's first-order Sobol index S_i = V_i / Var(G) from
 N (D + 2) model evaluations arranged in the usual Saltelli design.
 
-The model is evaluated in batches.  Amplitudes are carried sample-last,
-as [terms, samples] arrays per fixed-photon-number sector, so one pass
-through the circuit prices a chunk of sampled loss vectors at once and
-every gather copies contiguous rows.  Each Kraus branch of the three
-in-mixer losses is precomposed into one map (a gather of the surviving
-terms, then the second mixer half restricted to the rows the herald
-pattern can fire on); the resource-arm loss is folded into the first mixer
-half.  The engine keeps no basis layer and no circuit of its own: the
-mixer halves and the gain splitter are the amplifier's
+The model is evaluated in batches.  Per-sample quantities are carried
+sample-last, as [rows, samples] arrays, so one pass through the circuit
+prices a chunk of sampled loss vectors at once.  Before |.|^2 every
+heralded amplitude is linear in a few real monomials of the per-sample
+transmissions, sqrt(t)^n for the photons n each loss lets through.  So the
+g = 1 gain splitter, the resource-arm loss's lowering, the first mixer
+half, each Kraus branch of the three in-mixer losses (a gather of the
+surviving terms) and the second mixer half, kept on the rows the herald
+pattern can fire on, compose into one fixed complex matrix per pattern
+(``_walk_matrix``): one row per start, branch and heraldable output, one
+column per monomial.  A walk builds the chunk's monomials, scales the
+matrix by the gain's splitter factors, takes one real matmul, squares, and
+weights each row by its lost photons before adding it to its start's
+heralded row.  The engine keeps no basis layer and no circuit of its own:
+the mixer halves and the gain splitter are the amplifier's
 (``scissor._mixer_halves`` and ``scissor._resource_splitter``), their
 sectors, row order and blocks come from ``circuit.fock_sectors`` and
 ``circuit.sector_transfer_blocks``, and what it builds per pattern sits in
-LRU caches; the gain only scales the g = 1 resource stages.  The
-amplifier-off configuration needs no circuit: its heralds are independent
-of the input and cancel, leaving the closed form tau_off^2 / 2.
+LRU caches; the gain is a scalar applied per call.  The amplifier-off
+configuration needs no circuit: its heralds are independent of the input
+and cancel, leaving the closed form tau_off^2 / 2.
 
-One evaluation runs in three stages: the resource-stage amplitudes (gain
-and resource-arm loss), the Kraus-branch walk through the in-mixer losses,
-which keeps the heralded |amplitude|^2 rows of each incoherent |a, b> start
-apart, and the POVM sums, which weight start (a, b) by w_in[a] w_res[b] and
-each row by its detector factors.  Only the losses on the resource arm
-entering the mixer and inside the mixer (``_WALKED_ROLES``) enter the walk.
-The input-beam losses and the resource loss before the gain splitter enter
+One evaluation runs in two stages: the Kraus-branch walk through the gain
+splitter, the resource-arm loss and the in-mixer losses, which keeps the
+heralded |amplitude|^2 rows of each incoherent |a, b> start apart, and the
+POVM sums, which weight start (a, b) by w_in[a] w_res[b] and each row by
+its detector factors.  Only the losses on the resource arm entering the
+mixer and inside the mixer (``_WALKED_ROLES``) enter the walk.  The
+input-beam losses and the resource loss before the gain splitter enter
 linearly through the start weights, the detector efficiencies through
 per-row factors, and the two counting-path losses only through closed-form
 scalars.  A Saltelli hybrid differs from A in one column, so
 ``sensitivity_sweep`` redoes for it only the stage that column's role
 enters and takes the rest from A: it walks A, B and the hybrids whose
-column is in the walk (reusing A's amplitudes unless the column is the
-resource arm's), and weights their rows with A's start weights and
+column is in the walk, and weights their rows with A's start weights and
 detector factors; a start-weight hybrid reweights A's rows, a detector
 hybrid applies its own factors to A's start-weighted rows, and a
 counting-path hybrid keeps A's POVM sums and changes only the scalars.
@@ -100,8 +105,8 @@ LOSS_ROLES = (
 # evaluation its loss enters; a Saltelli hybrid that changes one role redoes
 # only that stage and the ones after it, and takes the rest from its base row.
 
-#: Roles whose loss enters the Kraus-branch walk; ``ancilla_pre_qft`` also
-#: sets the resource-stage amplitudes the walk starts from.
+#: Roles whose loss enters the Kraus-branch walk: the resource arm entering
+#: the mixer and the three losses inside it.
 _WALKED_ROLES = ("ancilla_pre_qft", "qft_internal_0", "qft_internal_1", "qft_internal_2")
 #: Roles that set the photon-number weights of the walk's incoherent starts.
 _START_WEIGHT_ROLES = ("input_post_prep", "input_pre_qft", "ancilla_post_prep")
@@ -188,9 +193,9 @@ def default_loss_layout() -> LossLayout:
 # Modes are the amplifier's layout from scissor.py: 0 = signal, 1 = resource,
 # 2 = output, 3 = vacuum port.  The mixer acts on (0, 1, 3) and comes as
 # the amplifier's two tritter halves, so losses can sit between them.
-# Amplitude vectors are kept sector-local (fixed total photon number, rows
-# of circuit.fock_sectors) and sample-last: [terms, ..., samples], so
-# gathering terms copies contiguous rows.
+# The per-pattern tables are built sector by sector (fixed total photon
+# number, rows of circuit.fock_sectors); per-sample arrays are sample-last,
+# [rows, samples].
 # ---------------------------------------------------------------------------
 
 _BEAM_PHOTONS = 2  # the input and the resource each start as |2>
@@ -245,8 +250,8 @@ def _build_povm(pattern: tuple) -> tuple[_PatternPovm, ...]:
     return tuple(out)
 
 
-#: (n0, n1, n3) photon numbers the mixer modes can hold, indexing the
-#: per-chunk table of sqrt(t_0)^n0 sqrt(t_1)^n1 sqrt(t_3)^n3
+#: (n0, n1, n3) photon numbers the mixer modes can hold: the powers of the
+#: monomials sqrt(t_0)^n0 sqrt(t_1)^n1 sqrt(t_3)^n3 of the in-mixer losses
 _MIXER_POWERS = np.array(
     [p for p in itertools.product(range(_PHOTONS + 1), repeat=len(_QFT_MODES))
      if sum(p) <= _PHOTONS]
@@ -279,7 +284,6 @@ def _mixer_blocks() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     return tuple(sector_transfer_blocks(half, _PHOTONS) for half in _mixer_halves())
 
 
-@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
 def _mixer_branches(pattern: tuple) -> tuple[tuple[_MixerBranch, ...], ...]:
     """Heraldable in-mixer branches of ``pattern``, per starting sector."""
     povm = _build_povm(pattern)
@@ -371,11 +375,77 @@ def _resource_stages(mixer: tuple) -> list:
     return stages
 
 
+@dataclass
+class _WalkMatrix:
+    """The heralded amplitudes of one pattern as one matrix over loss monomials.
+
+    Before |.|^2 every heralded amplitude is linear in the per-sample
+    monomials sqrt(t_anc)^p prod_m sqrt(t_m)^n_m, p = 0, 1, 2 resource
+    photons kept and n_m the photons kept at mixer mode m (a row of
+    ``_MIXER_POWERS``).  A row composes one resource-stage start at g = 1,
+    one in-mixer branch and one heraldable row of the second mixer half; a
+    column is one monomial, and only the monomials some row uses are kept.
+    At gain g an entry is scaled by ``_gain_factor`` of its start's photons
+    through the gain splitter, and a row's |amplitude|^2 by the weight of
+    the photons it lost, (1 - t_anc)^k prod_m (1 - t_m)^k_m, before it is
+    added to its slot of the walk's output.
+    """
+
+    parts: np.ndarray  # [2, rows, columns]: real and imaginary parts
+    transmitted: np.ndarray  # [rows, columns]: resource photons the splitter kept
+    reflected: np.ndarray  # [rows, columns]: resource photons sent to the output
+    kept: np.ndarray  # [columns, 4]: powers of sqrt(t_anc), then sqrt(t_m) per mode
+    lost: np.ndarray  # [kinds, 4]: powers of 1 - t_anc, then 1 - t_m per mode
+    lost_kind: np.ndarray  # [rows]: each row's row of ``lost``
+    scatter: np.ndarray  # [slots, rows]: 1 where a row adds to a slot
+    slots: np.ndarray  # each slot's row in the flattened [_STARTS, n_valid] sectors
+    sizes: tuple  # n_valid per sector
+
+
 @functools.lru_cache(maxsize=None)  # keyed on the three success patterns
-def _engine_context(pattern: tuple) -> tuple:
-    """(resource stages, mixer branches, POVM) of ``pattern``, per sector."""
+def _walk_matrix(pattern: tuple) -> _WalkMatrix:
+    """The read-only g-free ``_WalkMatrix`` of ``pattern``."""
+    sizes = tuple(povm.valid.size for povm in _build_povm(pattern))
+    offsets = np.cumsum((0,) + sizes[:-1]) * _STARTS
     mixer = _mixer_branches(pattern)
-    return _resource_stages(mixer), mixer, _build_povm(pattern)
+    one_hot = np.eye(len(_MIXER_POWERS))
+    rows, b, reflected, lost, slots = [], [], [], [], []
+    for stage, branches in zip(_resource_stages(mixer), mixer):
+        if stage is None:
+            continue
+        for branch in branches:
+            kept = one_hot[branch.power_rows]  # [n_src, _MIXER_POWERS rows]
+            for c, start in enumerate(stage.start):
+                block = np.einsum(
+                    "vs,sp,sr->vpr", branch.h2, stage.matrix[c][branch.src], kept
+                ).reshape(branch.h2.shape[0], -1)
+                for v in np.flatnonzero(np.any(block != 0.0, axis=1)):
+                    rows.append(block[v])
+                    b.append(stage.b[c])
+                    reflected.append(stage.reflected[c])
+                    lost.append((stage.k[c], *branch.lost))
+                    slots.append(offsets[branch.end] + start * sizes[branch.end] + v)
+    matrix = np.array(rows)
+    columns = np.flatnonzero(np.any(matrix != 0.0, axis=0))
+    power, mixer_row = np.divmod(columns, len(_MIXER_POWERS))
+    reflected = np.array(reflected)[:, power]
+    lost, lost_kind = np.unique(lost, axis=0, return_inverse=True)
+    slots, slot_of_row = np.unique(slots, return_inverse=True)
+    walk = _WalkMatrix(
+        parts=np.stack([matrix.real, matrix.imag])[:, :, columns],
+        transmitted=np.array(b)[:, None] - reflected,
+        reflected=reflected,
+        kept=np.column_stack([power, _MIXER_POWERS[mixer_row]]),
+        lost=lost,
+        lost_kind=lost_kind.ravel(),
+        scatter=(slot_of_row == np.arange(slots.size)[:, None]).astype(float),
+        slots=slots,
+        sizes=sizes,
+    )
+    for value in vars(walk).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return walk
 
 
 def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
@@ -387,58 +457,44 @@ def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
     return table
 
 
-def _resource_amplitudes(pattern, g, t_anc):
-    """Per mixer sector, each start's [starts, d_mid, samples] amplitudes
-    after the gain splitter at ``g``, the resource-arm loss ``t_anc`` (per
-    sample) and the first mixer half; None where no start arrives."""
-    s_anc = _power_table(np.sqrt(t_anc), _BEAM_PHOTONS)
-    s_anc_m = _power_table(np.sqrt(1.0 - t_anc), _BEAM_PHOTONS)
-    amplitudes = []
-    for stage in _engine_context(pattern)[0]:
-        if stage is None:
-            amplitudes.append(None)
-            continue
-        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
-        loss = s_anc * s_anc_m[stage.k][:, None, :]
-        amplitudes.append(stage.matrix @ (loss * split[:, :, None]))
-    return amplitudes
+def _monomials(tables: list, powers: np.ndarray) -> np.ndarray:
+    """[len(powers), samples]: prod_i tables[i][powers[:, i]]."""
+    out = tables[0][powers[:, 0]]
+    for table, power in zip(tables[1:], powers.T[1:]):
+        out *= table[power]
+    return out
 
 
-def _branch_walk(pattern, amplitudes, t_internal):
+def _branch_walk(pattern, g, t_anc, t_internal):
     """The Kraus-branch walk: heralded rows of every incoherent start.
 
-    Takes the resource-stage ``amplitudes`` through every heraldable branch
-    of the in-mixer losses ``t_internal`` (per-sample transmissions) and
-    the second mixer half.  Returns, per sector, [_STARTS, n_valid, samples]
-    sums of |amplitude|^2, row a * 3 + b holding the |a, b> start's share
-    before its photon-number weight w_in[a] w_res[b] or any detector factor.
+    Takes every |a, b> start through the gain splitter at ``g``, the
+    resource-arm loss ``t_anc``, the first mixer half, every heraldable
+    branch of the in-mixer losses ``t_internal`` (per-sample
+    transmissions) and the second mixer half, as one product of the
+    pattern's ``_WalkMatrix`` with the samples' loss monomials.  Returns,
+    per sector, [_STARTS, n_valid, samples] sums of |amplitude|^2, row
+    a * 3 + b holding the |a, b> start's share before its photon-number
+    weight w_in[a] w_res[b] or any detector factor.
     """
-    resource, mixer, povms = _engine_context(pattern)
-    n = t_internal[0].shape[0]
-    s_int = [_power_table(np.sqrt(t)) for t in t_internal]
-    kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
-    kept *= s_int[2][_MIXER_POWERS[:, 2]]
-    lost = [_power_table(1.0 - t) for t in t_internal]
+    walk = _walk_matrix(pattern)
+    t = [t_anc, *t_internal]
+    n = t_anc.shape[0]
+    monomials = _monomials([_power_table(np.sqrt(x)) for x in t], walk.kept)
+    split = walk.parts * _gain_factor(g, walk.transmitted, walk.reflected)
+    rows = split.shape[1]
+    amplitude = split.reshape(2 * rows, -1) @ monomials
+    amplitude *= amplitude
+    weight = amplitude[:rows] + amplitude[rows:]
+    weight *= _monomials([_power_table(1.0 - x) for x in t], walk.lost)[walk.lost_kind]
 
-    heralded = [np.zeros((_STARTS, povm.valid.size, n)) for povm in povms]
-    for stage, amp, branches in zip(resource, amplitudes, mixer):
-        if stage is None:
-            continue
-        ends = {}  # the stage's rows per end sector, scattered once
-        for branch in branches:
-            picked = amp[:, branch.src]
-            picked *= kept[branch.power_rows]
-            final = branch.h2 @ picked
-            weight = final.real**2 + final.imag**2
-            k0, k1, k2 = branch.lost
-            weight *= lost[0][k0] * lost[1][k1] * lost[2][k2]
-            if branch.end in ends:
-                ends[branch.end] += weight
-            else:
-                ends[branch.end] = weight
-        for end, weight in ends.items():
-            heralded[end][stage.start] += weight
-    return heralded
+    flat = np.zeros((_STARTS * sum(walk.sizes), n))
+    flat[walk.slots] = walk.scatter @ weight
+    ends = np.cumsum(walk.sizes) * _STARTS
+    return [
+        flat[end - _STARTS * size : end].reshape(_STARTS, size, n)
+        for end, size in zip(ends, walk.sizes)
+    ]
 
 
 def _start_weights(tau, roles: dict) -> np.ndarray:
@@ -520,8 +576,10 @@ def _measured_gain(tau, roles: dict, p2_on, rho22_on) -> np.ndarray:
     return ratio_on / ratio_off
 
 
-def _mixer_transmissions(roles: dict) -> list:
-    return [roles[f"qft_internal_{m}"] for m in range(3)]
+def _walk(pattern, g, roles: dict) -> list:
+    """``_branch_walk`` on the walked roles' transmissions."""
+    t_internal = [roles[f"qft_internal_{m}"] for m in range(3)]
+    return _branch_walk(pattern, g, roles["ancilla_pre_qft"], t_internal)
 
 
 def _evaluate_batch(
@@ -534,8 +592,7 @@ def _evaluate_batch(
     columns = layout.role_columns()
     tr = _transmissions(losses)
     roles = {role: _role_transmission(tr, columns, role) for role in LOSS_ROLES}
-    amplitudes = _resource_amplitudes(pattern, g, roles["ancilla_pre_qft"])
-    heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
+    heralded = _walk(pattern, g, roles)
     rows = _weighted_rows(heralded, _start_weights(tau, roles))
     sums = _povm_sums(pattern, rows, _detector_factors(pattern, roles))
     return _measured_gain(tau, roles, *sums)
@@ -812,16 +869,14 @@ def _design_block(
 
     A hybrid differs from A in one column, so it shares every role but that
     column's with A, and redoes only the stage that role enters: a walked
-    column the Kraus-branch walk (on A's resource-stage amplitudes unless
-    its role is the resource arm's), a start-weight column the start
-    weights, a detector column the detector factors.  Everything else, and
+    column the Kraus-branch walk, a start-weight column the start weights, a
+    detector column the detector factors.  Everything else, and
     for a scalar column the POVM sums themselves, comes from A.
     """
     columns = layout.role_columns()
     tr_a, tr_b = _transmissions(a), _transmissions(b)
     roles_a = {role: _role_transmission(tr_a, columns, role) for role in LOSS_ROLES}
-    amplitudes_a = _resource_amplitudes(pattern, g, roles_a["ancilla_pre_qft"])
-    heralded_a = _branch_walk(pattern, amplitudes_a, _mixer_transmissions(roles_a))
+    heralded_a = _walk(pattern, g, roles_a)
     weights_a = _start_weights(tau, roles_a)
     detector_a = _detector_factors(pattern, roles_a)
     rows_a = _weighted_rows(heralded_a, weights_a)
@@ -836,12 +891,7 @@ def _design_block(
         roles = {**roles_a, point.role: _role_transmission(tr, columns, point.role)}
         rows, detector = rows_a, detector_a
         if point.role in _WALKED_ROLES:
-            amplitudes = amplitudes_a
-            if point.role == "ancilla_pre_qft":
-                amplitudes = _resource_amplitudes(pattern, g, roles[point.role])
-            heralded = _branch_walk(pattern, amplitudes, _mixer_transmissions(roles))
-            rows = _weighted_rows(heralded, weights_a)
-            del heralded  # the largest array here: free it before the next walk
+            rows = _weighted_rows(_walk(pattern, g, roles), weights_a)
         elif point.role in _START_WEIGHT_ROLES:
             rows = _weighted_rows(heralded_a, _start_weights(tau, roles))
         elif point.role in _DETECTOR_ROLES:
@@ -885,6 +935,8 @@ def sensitivity_sweep(
         layout = default_loss_layout()
     _check_resamples(bootstrap_resamples)
     gains = [float(g) for g in g_grid]
+    if not gains:
+        raise ValueError("the gain grid holds no values")
     for g in gains:
         pattern = _check_model_arguments(g, tau, pattern)
     a, b = _base_samples(n_base, layout.dims, seed, bounds)

@@ -2,12 +2,15 @@
 
 None of these run in the package: the three-mode Fourier interferometer is
 the textbook form of the amplifier's mixer (the package builds the tritter,
-which equals it up to diagonal phases), and the dict loss channel is the
-Kraus-operator definition the Sobol engine's batched loss walk reproduces.
+which equals it up to diagonal phases), the dict loss channel is the
+Kraus-operator definition the Sobol engine's batched loss walk reproduces,
+and the per-branch walk is that loss walk one Kraus branch at a time, which
+the engine composes into a single matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +23,16 @@ from qscissor.circuit import (
     embed_unitary,
 )
 from qscissor.fock import MixedState, PureState, fock_state, project_pattern, tensor
-from qscissor.scissor import gain_to_transmittance
+from qscissor.scissor import _gain_factor, gain_to_transmittance
+from qscissor.sensitivity import (
+    _BEAM_PHOTONS,
+    _MIXER_POWERS,
+    _STARTS,
+    _build_povm,
+    _mixer_branches,
+    _power_table,
+    _resource_stages,
+)
 
 
 def qft_unitary(m: int) -> ModeUnitary:
@@ -119,3 +131,61 @@ def full_circuit_amplify(state, signal_mode, g, pattern, mixer, splitter_phase=0
         for occ, amp in residual.amplitudes.items()
     }
     return amps, probability
+
+
+@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
+def _walk_context(pattern: tuple) -> tuple:
+    """(resource stages, mixer branches, POVM) of ``pattern``, per sector."""
+    mixer = _mixer_branches(pattern)
+    return _resource_stages(mixer), mixer, _build_povm(pattern)
+
+
+def _resource_amplitudes(pattern, g, t_anc):
+    """Per mixer sector, each start's [starts, d_mid, samples] amplitudes
+    after the gain splitter at ``g``, the resource-arm loss ``t_anc`` (per
+    sample) and the first mixer half; None where no start arrives."""
+    s_anc = _power_table(np.sqrt(t_anc), _BEAM_PHOTONS)
+    s_anc_m = _power_table(np.sqrt(1.0 - t_anc), _BEAM_PHOTONS)
+    amplitudes = []
+    for stage in _walk_context(pattern)[0]:
+        if stage is None:
+            amplitudes.append(None)
+            continue
+        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
+        loss = s_anc * s_anc_m[stage.k][:, None, :]
+        amplitudes.append(stage.matrix @ (loss * split[:, :, None]))
+    return amplitudes
+
+
+def branch_walk(pattern, g, t_anc, t_internal):
+    """Reference Kraus-branch walk, one gather and matmul per branch.
+
+    The resource-stage amplitudes of every start are carried through each
+    heraldable in-mixer branch in turn: the branch's surviving terms are
+    gathered, scaled by their kept photons' transmission amplitudes and
+    taken through the second mixer half, and the |amplitude|^2 rows,
+    weighted by the lost photons' factor, are summed per start.  Same
+    arguments and [_STARTS, n_valid, samples] rows per sector as
+    ``sensitivity._branch_walk``.
+    """
+    resource, mixer, povms = _walk_context(pattern)
+    amplitudes = _resource_amplitudes(pattern, g, t_anc)
+    n = t_internal[0].shape[0]
+    s_int = [_power_table(np.sqrt(t)) for t in t_internal]
+    kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
+    kept *= s_int[2][_MIXER_POWERS[:, 2]]
+    lost = [_power_table(1.0 - t) for t in t_internal]
+
+    heralded = [np.zeros((_STARTS, povm.valid.size, n)) for povm in povms]
+    for stage, amp, branches in zip(resource, amplitudes, mixer):
+        if stage is None:
+            continue
+        for branch in branches:
+            picked = amp[:, branch.src] * kept[branch.power_rows]
+            final = branch.h2 @ picked
+            weight = final.real**2 + final.imag**2
+            k0, k1, k2 = branch.lost
+            heralded[branch.end][stage.start] += weight * (
+                lost[0][k0] * lost[1][k1] * lost[2][k2]
+            )
+    return heralded

@@ -172,6 +172,8 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 1: g: 1e-300 is below the smallest nonzero gain 1e-25"),
         ("scissor", "g = 1e-300\n", [], 2,
          "line 1: g: 1e-300 is below the smallest nonzero gain 1e-25"),
+        # a comma list with no values is an empty grid, not a header-only run
+        ("sobol", "seed = 1\ng = ,\n", [], 2, "line 2: g: grid ',' holds no values"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

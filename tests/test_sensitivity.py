@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import Loss, apply_loss
+from oracles import Loss, apply_loss, branch_walk
 from qscissor import circuit, scissor, sensitivity
 from qscissor.circuit import (
     BeamSplitter,
@@ -313,6 +313,30 @@ def test_lossy_model_matches_dict_engine_oracle(pattern):
         )
 
 
+@pytest.mark.parametrize("g", [0.0, 1e-6, 1.0, 6.0, 1e6])
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_walk_matches_per_branch_reference(pattern, g):
+    losses = np.random.default_rng(17).uniform(0.0, 1.0, size=(64, 14))
+    walked = [4, 7, 8, 9, 10]  # L5, L8 (resource arm), L9-L11 (inside the mixer)
+    for i, column in enumerate(walked):  # one walked loss at 0, then at 1
+        losses[2 * i, column] = 0.0
+        losses[2 * i + 1, column] = 1.0
+    losses[10, walked] = 0.0  # every walked loss at 0, then at 1
+    losses[11, walked] = 1.0
+    losses[12, [4, 7]] = 1.0  # the resource arm fully lost, the mixer lossless
+    losses[12, 8:11] = 0.0
+    tr = 1.0 - losses.T
+    t_anc, t_internal = tr[4] * tr[7], [tr[8], tr[9], tr[10]]
+    got = sensitivity._branch_walk(pattern, g, t_anc, t_internal)
+    want = branch_walk(pattern, g, t_anc, t_internal)
+    assert [rows.shape for rows in got] == [rows.shape for rows in want]
+    got = np.concatenate([rows.reshape(-1, 64) for rows in got])
+    want = np.concatenate([rows.reshape(-1, 64) for rows in want])
+    # per sample, within 1e-13 of its largest row (exact where all rows are 0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want.max(axis=0))
+    assert np.any(want.max(axis=0) == 0.0) and np.any(want.max(axis=0) > 0.0)
+
+
 def test_distinct_gains_build_no_tables():
     for pattern in SUCCESS_PATTERNS:  # warm every per-pattern table
         scissor.measured_two_photon_gain(0.05, 1.0, pattern)
@@ -325,8 +349,12 @@ def test_distinct_gains_build_no_tables():
     after = circuit._transfer.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert scissor._herald_amplitudes.cache_info().currsize <= 3
-    assert sensitivity._engine_context.cache_info().currsize <= 3
-    for table in (scissor._herald_amplitudes((1, 1, 0)), scissor._coincidence_row()):
+    assert sensitivity._walk_matrix.cache_info().currsize <= 3
+    walk = sensitivity._walk_matrix((1, 1, 0))
+    tables = [scissor._herald_amplitudes((1, 1, 0)), scissor._coincidence_row()]
+    tables += [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
+    assert len(tables) == 10
+    for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0.0
 
@@ -477,36 +505,33 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout_name):
 
 
 @pytest.mark.parametrize(
-    "layout_name,walked,amplitudes",
-    # walked: A, B and the hybrids on L5, L8, L9-L11; amplitudes: A, B, L5, L8
-    [("default", 7, 4), ("shuffled", 6, 3)],
+    "layout_name,walked",
+    # walked: A, B and the hybrids on L5, L8, L9-L11
+    [("default", 7), ("shuffled", 6)],
 )
-def test_sweep_walks_only_columns_inside_the_walk(
-    monkeypatch, layout_name, walked, amplitudes
-):
+def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout_name, walked):
     layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
-    rows = {"walk": 0, "amplitudes": 0}
-    walk, resource = sensitivity._branch_walk, sensitivity._resource_amplitudes
+    rows = 0
+    walk = sensitivity._branch_walk
 
-    def counted_walk(pattern, amps, t_internal):
-        rows["walk"] += t_internal[0].shape[0]
-        return walk(pattern, amps, t_internal)
-
-    def counted_amplitudes(pattern, g, t_anc):
-        rows["amplitudes"] += t_anc.shape[0]
-        return resource(pattern, g, t_anc)
+    def counted_walk(pattern, g, t_anc, t_internal):
+        nonlocal rows
+        rows += t_anc.shape[0]
+        assert all(t.shape == t_anc.shape for t in t_internal)
+        return walk(pattern, g, t_anc, t_internal)
 
     monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
-    monkeypatch.setattr(sensitivity, "_resource_amplitudes", counted_amplitudes)
     n_base, gains = 1100, [1.0, 3.0]
     _, entries = sensitivity_sweep(
         gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20
     )
-    assert rows == {
-        "walk": walked * n_base * len(gains),
-        "amplitudes": amplitudes * n_base * len(gains),
-    }
+    assert rows == walked * n_base * len(gains)
     assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
+
+
+def test_sweep_rejects_an_empty_gain_grid():
+    with pytest.raises(ValueError, match="gain grid"):
+        sensitivity_sweep([], tau=5.0, pattern=(2, 0, 0))
 
 
 def test_role_classes_partition_loss_roles():
