@@ -17,37 +17,35 @@ half, each Kraus branch of the three in-mixer losses (a gather of the
 surviving terms) and the second mixer half, kept on the rows the herald
 pattern can fire on, compose into one fixed complex matrix per pattern
 (``_walk_matrix``): one row per start, branch and heraldable output, one
-column per monomial.  A walk builds the chunk's monomials, scales the
-matrix by the gain's splitter factors, takes one real matmul, squares, and
-weights each row by its lost photons before adding it to its start's
-heralded row.  The engine keeps no basis layer and no circuit of its own:
-the mixer halves and the gain splitter are the amplifier's
-(``scissor._mixer_halves`` and ``scissor._resource_splitter``), their
-sectors, row order and blocks come from ``circuit.fock_sectors`` and
-``circuit.sector_transfer_blocks``, and what it builds per pattern sits in
-LRU caches; the gain is a scalar applied per call.  The amplifier-off
-configuration needs no circuit: its heralds are independent of the input
-and cancel, leaving the closed form tau_off^2 / 2.
+column per monomial.  A walk builds the chunk's monomials, takes one real
+matmul, squares, and weights each row by its lost photons.  The output row
+a row ends on fixes the resource photons the gain splitter reflected, so
+all its terms share one (transmitted, reflected) splitter class and a gain
+scales its weight by one factor: the walk runs at g = 1, and a gain is a
+sum over the six classes.  The mixer halves and the gain splitter are the
+amplifier's (``scissor._mixer_halves``, ``scissor._resource_splitter``),
+their sectors and blocks come from ``circuit``, and what the engine builds
+per pattern sits in LRU caches.  The amplifier-off configuration needs no
+circuit: its heralds are independent of the input and cancel, leaving the
+closed form tau_off^2 / 2.
 
-One evaluation runs in two stages: the Kraus-branch walk through the gain
-splitter, the resource-arm loss and the in-mixer losses, which keeps the
-heralded |amplitude|^2 rows of each incoherent |a, b> start apart, and the
-POVM sums, which weight start (a, b) by w_in[a] w_res[b] and each row by
-its detector factors.  Only the losses on the resource arm entering the
-mixer and inside the mixer (``_WALKED_ROLES``) enter the walk.  The
-input-beam losses and the resource loss before the gain splitter enter
-linearly through the start weights, the detector efficiencies through
-per-row factors, and the two counting-path losses only through closed-form
-scalars.  A Saltelli hybrid differs from A in one column, so
+One evaluation runs in two g-free stages: the Kraus-branch walk through
+the gain splitter, the resource-arm loss and the in-mixer losses, and the
+POVM sums, which weight each row by its start's w_in[a] w_res[b] and its
+detector factors and add the rows per splitter class.  Only the losses on
+the resource arm entering the mixer and inside it (``_WALKED_ROLES``)
+enter the walk.  The input-beam losses and the resource loss before the
+gain splitter enter through the start weights, the detector efficiencies
+through per-row factors, and the two counting-path losses only through
+closed-form scalars.  A Saltelli hybrid differs from A in one column, so
 ``sensitivity_sweep`` redoes for it only the stage that column's role
 enters and takes the rest from A: it walks A, B and the hybrids whose
-column is in the walk, and weights their rows with A's start weights and
-detector factors; a start-weight hybrid reweights A's rows, a detector
-hybrid applies its own factors to A's start-weighted rows, and a
-counting-path hybrid keeps A's POVM sums and changes only the scalars.
-It walks the design in blocks of base rows and never forms the hybrid
-matrices.  Per point the values are those ``lossy_gain_model`` returns on
-the full design.
+column is in the walk; a start-weight or detector hybrid sums A's rows
+with its own start weights or detector factors, and a counting-path
+hybrid keeps A's sums.  It walks the design in blocks of base rows, once
+for all the gains that share a bootstrap pass, folds each point's sums
+into every one of them, and never forms the hybrid matrices.  Per point
+the values are those ``lossy_gain_model`` returns on the full design.
 
 The bootstrap prices blocks of resamples with one matmul of draw counts
 per model.  The draws depend only on the seed, the number of base samples
@@ -385,66 +383,74 @@ class _WalkMatrix:
     ``_MIXER_POWERS``).  A row composes one resource-stage start at g = 1,
     one in-mixer branch and one heraldable row of the second mixer half; a
     column is one monomial, and only the monomials some row uses are kept.
-    At gain g an entry is scaled by ``_gain_factor`` of its start's photons
-    through the gain splitter, and a row's |amplitude|^2 by the weight of
-    the photons it lost, (1 - t_anc)^k prod_m (1 - t_m)^k_m, before it is
-    added to its slot of the walk's output.
+    A row's |amplitude|^2 is weighted by the photons it lost, (1 - t_anc)^k
+    prod_m (1 - t_m)^k_m, and at gain g by ``_gain_factor(g, n, j)**2``,
+    (n, j) = (b - j, j) its splitter class, j the photons it reflected.
     """
 
     parts: np.ndarray  # [2, rows, columns]: real and imaginary parts
-    transmitted: np.ndarray  # [rows, columns]: resource photons the splitter kept
-    reflected: np.ndarray  # [rows, columns]: resource photons sent to the output
     kept: np.ndarray  # [columns, 4]: powers of sqrt(t_anc), then sqrt(t_m) per mode
     lost: np.ndarray  # [kinds, 4]: powers of 1 - t_anc, then 1 - t_m per mode
     lost_kind: np.ndarray  # [rows]: each row's row of ``lost``
-    scatter: np.ndarray  # [slots, rows]: 1 where a row adds to a slot
-    slots: np.ndarray  # each slot's row in the flattened [_STARTS, n_valid] sectors
-    sizes: tuple  # n_valid per sector
+    start: np.ndarray  # [rows]: the row's |a, b> start, a * 3 + b
+    povm_row: np.ndarray  # [rows]: its row in the POVM rows of every sector
+    detected: np.ndarray  # [povm rows, 6]: powers of t_m, then 1 - t_m per detector
+    classes: np.ndarray  # [classes, 2]: (transmitted, reflected) splitter photons
+    row_class: np.ndarray  # [rows]: each row's row of ``classes``
+    select: np.ndarray  # [2 classes, rows]: C(n, p) on the row's class, for p2,
+    # then for rho22 on the rows that leave two photons in the output
 
 
 @functools.lru_cache(maxsize=None)  # keyed on the three success patterns
 def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     """The read-only g-free ``_WalkMatrix`` of ``pattern``."""
-    sizes = tuple(povm.valid.size for povm in _build_povm(pattern))
-    offsets = np.cumsum((0,) + sizes[:-1]) * _STARTS
+    povm = _build_povm(pattern)
+    offsets = np.cumsum([0] + [sector.valid.size for sector in povm[:-1]])
     mixer = _mixer_branches(pattern)
     one_hot = np.eye(len(_MIXER_POWERS))
-    rows, b, reflected, lost, slots = [], [], [], [], []
+    rows, start, split, lost, povm_row = [], [], [], [], []
     for stage, branches in zip(_resource_stages(mixer), mixer):
         if stage is None:
             continue
         for branch in branches:
             kept = one_hot[branch.power_rows]  # [n_src, _MIXER_POWERS rows]
-            for c, start in enumerate(stage.start):
+            for c in range(stage.start.size):
                 block = np.einsum(
                     "vs,sp,sr->vpr", branch.h2, stage.matrix[c][branch.src], kept
                 ).reshape(branch.h2.shape[0], -1)
                 for v in np.flatnonzero(np.any(block != 0.0, axis=1)):
                     rows.append(block[v])
-                    b.append(stage.b[c])
-                    reflected.append(stage.reflected[c])
+                    start.append(stage.start[c])
+                    split.append([stage.b[c] - stage.reflected[c], stage.reflected[c]])
                     lost.append((stage.k[c], *branch.lost))
-                    slots.append(offsets[branch.end] + start * sizes[branch.end] + v)
-    matrix = np.array(rows)
+                    povm_row.append(offsets[branch.end] + v)
+    matrix, start, povm_row = np.array(rows), np.array(start), np.array(povm_row)
     columns = np.flatnonzero(np.any(matrix != 0.0, axis=0))
     power, mixer_row = np.divmod(columns, len(_MIXER_POWERS))
-    reflected = np.array(reflected)[:, power]
+    split = np.array(split).transpose(0, 2, 1)[:, power]  # [rows, columns, (n, j)]
+    nonzero = matrix[:, columns] != 0.0
+    first = split[np.arange(start.size), nonzero.argmax(axis=1)]
+    assert np.all(np.all(split == first[:, None], axis=2) | ~nonzero), "mixed classes"
+    classes, row_class = np.unique(first, axis=0, return_inverse=True)
     lost, lost_kind = np.unique(lost, axis=0, return_inverse=True)
-    slots, slot_of_row = np.unique(slots, return_inverse=True)
+    excess = np.concatenate([sector.excess for sector in povm])
+    comb = np.concatenate([sector.comb for sector in povm])[povm_row]
+    out_is_two = np.concatenate([sector.out_is_two for sector in povm])[povm_row]
+    in_class = row_class.ravel() == np.arange(len(classes))[:, None]
     walk = _WalkMatrix(
         parts=np.stack([matrix.real, matrix.imag])[:, :, columns],
-        transmitted=np.array(b)[:, None] - reflected,
-        reflected=reflected,
         kept=np.column_stack([power, _MIXER_POWERS[mixer_row]]),
         lost=lost,
         lost_kind=lost_kind.ravel(),
-        scatter=(slot_of_row == np.arange(slots.size)[:, None]).astype(float),
-        slots=slots,
-        sizes=sizes,
+        start=start,
+        povm_row=povm_row,
+        detected=np.column_stack([np.tile(pattern, (excess.shape[0], 1)), excess]),
+        classes=classes,
+        row_class=row_class.ravel(),
+        select=np.vstack([in_class * comb, in_class * (comb * out_is_two)]),
     )
     for value in vars(walk).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        value.flags.writeable = False
     return walk
 
 
@@ -465,36 +471,21 @@ def _monomials(tables: list, powers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_walk(pattern, g, t_anc, t_internal):
-    """The Kraus-branch walk: heralded rows of every incoherent start.
-
-    Takes every |a, b> start through the gain splitter at ``g``, the
-    resource-arm loss ``t_anc``, the first mixer half, every heraldable
-    branch of the in-mixer losses ``t_internal`` (per-sample
-    transmissions) and the second mixer half, as one product of the
-    pattern's ``_WalkMatrix`` with the samples' loss monomials.  Returns,
-    per sector, [_STARTS, n_valid, samples] sums of |amplitude|^2, row
-    a * 3 + b holding the |a, b> start's share before its photon-number
-    weight w_in[a] w_res[b] or any detector factor.
-    """
+def _branch_walk(pattern, t_anc, t_internal) -> np.ndarray:
+    """The Kraus-branch walk at g = 1: the [rows, samples] |amplitude|^2 of
+    every walk row times its lost photons' weight, for the resource-arm loss
+    ``t_anc`` and the in-mixer losses ``t_internal`` (per-sample
+    transmissions), as one product of the pattern's ``_WalkMatrix`` with
+    the samples' loss monomials."""
     walk = _walk_matrix(pattern)
     t = [t_anc, *t_internal]
-    n = t_anc.shape[0]
     monomials = _monomials([_power_table(np.sqrt(x)) for x in t], walk.kept)
-    split = walk.parts * _gain_factor(g, walk.transmitted, walk.reflected)
-    rows = split.shape[1]
-    amplitude = split.reshape(2 * rows, -1) @ monomials
+    rows = walk.parts.shape[1]
+    amplitude = walk.parts.reshape(2 * rows, -1) @ monomials
     amplitude *= amplitude
     weight = amplitude[:rows] + amplitude[rows:]
     weight *= _monomials([_power_table(1.0 - x) for x in t], walk.lost)[walk.lost_kind]
-
-    flat = np.zeros((_STARTS * sum(walk.sizes), n))
-    flat[walk.slots] = walk.scatter @ weight
-    ends = np.cumsum(walk.sizes) * _STARTS
-    return [
-        flat[end - _STARTS * size : end].reshape(_STARTS, size, n)
-        for end, size in zip(ends, walk.sizes)
-    ]
+    return weight
 
 
 def _start_weights(tau, roles: dict) -> np.ndarray:
@@ -508,39 +499,30 @@ def _start_weights(tau, roles: dict) -> np.ndarray:
     return (w_in[:, None, :] * w_res[None, :, :]).reshape(_STARTS, w_in.shape[1])
 
 
-def _weighted_rows(heralded, start_weight: np.ndarray) -> list:
-    """Per sector, the walk's heralded rows summed over starts by weight."""
-    return [np.einsum("svn,sn->vn", rows, start_weight) for rows in heralded]
-
-
-def _detector_factors(pattern, roles: dict) -> tuple[list, np.ndarray]:
-    """Per sector, each heraldable row's detector factor, and the pattern's
-    common prefactor prod_m t_m^p_m, from the detector efficiencies."""
+def _detector_factors(pattern, roles: dict) -> np.ndarray:
+    """[rows, samples]: each walk row's detector factor prod_m t_m^p_m
+    (1 - t_m)^e_m, p_m photons heralded and e_m lost at detector m (its
+    count C(n, p) is in the walk's ``select``)."""
+    walk = _walk_matrix(pattern)
     t_detect = [roles[f"detector_{m}"] for m in range(3)]
-    det_t = [_power_table(t) for t in t_detect]
-    det_omt = [_power_table(1.0 - t) for t in t_detect]
-    factors = []
-    for povm in _build_povm(pattern):
-        factor = povm.comb[:, None] * det_omt[0][povm.excess[:, 0]]
-        for m in (1, 2):
-            factor *= det_omt[m][povm.excess[:, m]]
-        factors.append(factor)
-    common = math.prod(det_t[m][p] for m, p in enumerate(pattern))
-    return factors, common
+    tables = [_power_table(t) for t in t_detect]
+    tables += [_power_table(1.0 - t) for t in t_detect]
+    return _monomials(tables, walk.detected)[walk.povm_row]
 
 
-def _povm_sums(pattern, weighted_rows, detector) -> tuple[np.ndarray, np.ndarray]:
-    """(pattern probability, conditional rho_22 numerator), amplifier on,
-    from the start-weighted rows and ``_detector_factors``' output."""
-    factors, common = detector
-    n = weighted_rows[0].shape[1]
-    p_pattern = np.zeros(n)
-    rho22 = np.zeros(n)
-    for povm, rows, factor in zip(_build_povm(pattern), weighted_rows, factors):
-        weighted = rows * factor
-        p_pattern += weighted.sum(axis=0)
-        rho22 += weighted[povm.out_is_two].sum(axis=0)
-    return common * p_pattern, common * rho22
+def _povm_sums(pattern, weight, start_weight, detector) -> np.ndarray:
+    """[2 classes, samples]: per splitter class, the g-free pattern
+    probability, then the conditional rho_22 numerator, amplifier on."""
+    walk = _walk_matrix(pattern)
+    rows = weight * start_weight[walk.start]
+    rows *= detector
+    return walk.select @ rows
+
+
+def _class_factors(pattern, gains) -> list:
+    """Per gain, each splitter class's weight at that gain over g = 1."""
+    classes = _walk_matrix(pattern).classes
+    return [_gain_factor(g, classes[:, 0], classes[:, 1]) ** 2 for g in gains]
 
 
 def _pair_weights(transmission: np.ndarray) -> np.ndarray:
@@ -561,11 +543,14 @@ def _transmissions(losses: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((1.0 - losses).T)
 
 
-def _measured_gain(tau, roles: dict, p2_on, rho22_on) -> np.ndarray:
-    """The measured gain from the amplifier-on POVM sums and the scalars."""
+def _measured_gains(tau, roles: dict, sums: np.ndarray, factors) -> list:
+    """The measured gain at each of ``factors`` from one point's class sums
+    and the scalars."""
+    classes = sums.shape[0] // 2
+    p2, rho22 = sums[:classes], sums[classes:]
     # amplifier on: the output crosses the post-amplification loss before
     # being counted
-    ratio_on = 0.5 * roles["output_post_amp"] ** 2 * rho22_on / p2_on
+    scale = 0.5 * roles["output_post_amp"] ** 2
 
     # amplifier off: the input goes straight to the counting stage, so the
     # heralds of the resource-only circuit are independent of it and cancel
@@ -573,29 +558,23 @@ def _measured_gain(tau, roles: dict, p2_on, rho22_on) -> np.ndarray:
     tau_off = tau * roles["input_post_prep"] * roles["input_size_path"]
     ratio_off = 0.5 * tau_off**2
 
-    return ratio_on / ratio_off
+    return [scale * (f @ rho22) / (f @ p2) / ratio_off for f in factors]
 
 
-def _walk(pattern, g, roles: dict) -> list:
+def _walk(pattern, roles: dict) -> np.ndarray:
     """``_branch_walk`` on the walked roles' transmissions."""
     t_internal = [roles[f"qft_internal_{m}"] for m in range(3)]
-    return _branch_walk(pattern, g, roles["ancilla_pre_qft"], t_internal)
+    return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal)
 
 
-def _evaluate_batch(
-    g: float,
-    tau: float,
-    losses: np.ndarray,
-    layout: LossLayout,
-    pattern: tuple,
-) -> np.ndarray:
+def _evaluate_batch(factors, tau, losses, layout: LossLayout, pattern: tuple) -> list:
+    """The measured gain at each of ``factors`` on a [samples, dims] batch."""
     columns = layout.role_columns()
     tr = _transmissions(losses)
     roles = {role: _role_transmission(tr, columns, role) for role in LOSS_ROLES}
-    heralded = _walk(pattern, g, roles)
-    rows = _weighted_rows(heralded, _start_weights(tau, roles))
-    sums = _povm_sums(pattern, rows, _detector_factors(pattern, roles))
-    return _measured_gain(tau, roles, *sums)
+    weight, start = _walk(pattern, roles), _start_weights(tau, roles)
+    sums = _povm_sums(pattern, weight, start, _detector_factors(pattern, roles))
+    return _measured_gains(tau, roles, sums, factors)
 
 
 def _check_model_arguments(g: float, tau: float, pattern) -> tuple:
@@ -639,11 +618,12 @@ def lossy_gain_model(
             f"loss vectors must have {layout.dims} entries, got shape {arr.shape}"
         )
     _check_losses(arr)
+    factors = _class_factors(pattern, [g])
     out = np.empty(arr.shape[0])
     for start in range(0, arr.shape[0], _CHUNK):
         block = arr[start : start + _CHUNK]
-        out[start : start + _CHUNK] = _evaluate_batch(
-            g, tau, block, layout, pattern
+        (out[start : start + _CHUNK],) = _evaluate_batch(
+            factors, tau, block, layout, pattern
         )
     return float(out[0]) if scalar else out
 
@@ -858,57 +838,59 @@ class SweepEntry:
 
 
 def _design_block(
-    g: float,
+    gains: list,
     tau: float,
     a: np.ndarray,
     b: np.ndarray,
     layout: LossLayout,
     pattern: tuple,
 ) -> np.ndarray:
-    """[dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of base rows.
+    """[gains, dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of
+    base rows, at each of ``gains``.
 
-    A hybrid differs from A in one column, so it shares every role but that
-    column's with A, and redoes only the stage that role enters: a walked
-    column the Kraus-branch walk, a start-weight column the start weights, a
-    detector column the detector factors.  Everything else, and
-    for a scalar column the POVM sums themselves, comes from A.
+    A hybrid shares every role but its column's with A and redoes only the
+    stage that role enters: the walk, the start weights or the detector
+    factors; a scalar column takes A's POVM sums.  Each point's g-free sums
+    are folded into every gain.
     """
+    factors = _class_factors(pattern, gains)
     columns = layout.role_columns()
     tr_a, tr_b = _transmissions(a), _transmissions(b)
     roles_a = {role: _role_transmission(tr_a, columns, role) for role in LOSS_ROLES}
-    heralded_a = _walk(pattern, g, roles_a)
-    weights_a = _start_weights(tau, roles_a)
+    weight_a = _walk(pattern, roles_a)
+    start_a = _start_weights(tau, roles_a)
     detector_a = _detector_factors(pattern, roles_a)
-    rows_a = _weighted_rows(heralded_a, weights_a)
-    sums_a = _povm_sums(pattern, rows_a, detector_a)
+    sums_a = _povm_sums(pattern, weight_a, start_a, detector_a)
 
-    out = np.empty((layout.dims + 2, a.shape[0]))
-    out[0] = _measured_gain(tau, roles_a, *sums_a)
-    out[1] = _evaluate_batch(g, tau, b, layout, pattern)
+    out = np.empty((len(factors), layout.dims + 2, a.shape[0]))
+    out[:, 0] = _measured_gains(tau, roles_a, sums_a, factors)
+    out[:, 1] = _evaluate_batch(factors, tau, b, layout, pattern)
     for i, point in enumerate(layout.points):
         tr = tr_a.copy()
         tr[i] = tr_b[i]
         roles = {**roles_a, point.role: _role_transmission(tr, columns, point.role)}
-        rows, detector = rows_a, detector_a
+        weight, start, detector = weight_a, start_a, detector_a
         if point.role in _WALKED_ROLES:
-            rows = _weighted_rows(_walk(pattern, g, roles), weights_a)
+            weight = _walk(pattern, roles)
         elif point.role in _START_WEIGHT_ROLES:
-            rows = _weighted_rows(heralded_a, _start_weights(tau, roles))
+            start = _start_weights(tau, roles)
         elif point.role in _DETECTOR_ROLES:
             detector = _detector_factors(pattern, roles)
         sums = sums_a
         if point.role not in _SCALAR_ROLES:
-            sums = _povm_sums(pattern, rows, detector)
-        out[2 + i] = _measured_gain(tau, roles, *sums)
+            sums = _povm_sums(pattern, weight, start, detector)
+        out[:, 2 + i] = _measured_gains(tau, roles, sums, factors)
     return out
 
 
-def _design_values(g, tau, a, b, layout: LossLayout, pattern: tuple) -> np.ndarray:
-    """[dims + 2, n_base]: the whole design's values at one gain."""
-    values = np.empty((layout.dims + 2, a.shape[0]))
+def _design_values(gains, tau, a, b, layout: LossLayout, pattern: tuple) -> list:
+    """Per gain, [dims + 2, n_base]: the whole design's values."""
+    values = [np.empty((layout.dims + 2, a.shape[0])) for _ in gains]
     for start in range(0, a.shape[0], _CHUNK):
         rows = slice(start, start + _CHUNK)
-        values[:, rows] = _design_block(g, tau, a[rows], b[rows], layout, pattern)
+        block = _design_block(gains, tau, a[rows], b[rows], layout, pattern)
+        for design, gain_block in zip(values, block):
+            design[:, rows] = gain_block
     return values
 
 
@@ -947,7 +929,7 @@ def sensitivity_sweep(
     for first in range(0, len(gains), group):
         grouped = gains[first : first + group]
         results = _indices_from_values(
-            (_design_values(g, tau, a, b, layout, pattern) for g in grouped),
+            _design_values(grouped, tau, a, b, layout, pattern),
             seed,
             bootstrap_resamples,
         )

@@ -164,9 +164,10 @@ def branch_walk(pattern, g, t_anc, t_internal):
     heraldable in-mixer branch in turn: the branch's surviving terms are
     gathered, scaled by their kept photons' transmission amplitudes and
     taken through the second mixer half, and the |amplitude|^2 rows,
-    weighted by the lost photons' factor, are summed per start.  Same
-    arguments and [_STARTS, n_valid, samples] rows per sector as
-    ``sensitivity._branch_walk``.
+    weighted by the lost photons' factor, are summed per start.  Returns,
+    per sector, [_STARTS, n_valid, samples] sums at gain ``g``: each of
+    ``sensitivity._branch_walk``'s g = 1 rows, times its splitter class's
+    factor, added to its start's share of its POVM row.
     """
     resource, mixer, povms = _walk_context(pattern)
     amplitudes = _resource_amplitudes(pattern, g, t_anc)

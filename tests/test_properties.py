@@ -4,6 +4,7 @@ Every property runs a fixed, derandomized set of examples, so the suite
 stays reproducible and fast.
 """
 
+import functools
 import string
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import apply_loss
 from qscissor.cli import (
+    _MAX_GAIN,
+    _MIN_GAIN,
     EXPERIMENTS,
     SCHEMAS,
     ConfigError,
@@ -26,7 +29,7 @@ from qscissor.scissor import (
     measured_two_photon_gain,
     two_photon_gain,
 )
-from qscissor.sensitivity import lossy_gain_model
+from qscissor.sensitivity import lossy_gain_model, sensitivity_sweep
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -66,6 +69,32 @@ def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
     assume(g > 0.0 or tau < 1.0)
     measured = lossy_gain_model(g, tau, np.zeros(14), pattern=pattern)
     assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-12, abs=0.0)
+
+
+_SWEEP = dict(n_base=32, seed=5, bootstrap_resamples=10)
+
+
+@functools.lru_cache(maxsize=None)
+def _single_gain_result(g: float) -> tuple[bytes, bytes]:
+    _, (entry,) = sensitivity_sweep([g], **_SWEEP)
+    return entry.result.indices.tobytes(), entry.result.ci.tobytes()
+
+
+@PROPERTY
+@given(
+    gains=st.lists(
+        _GAIN.filter(lambda g: g > 0.0) | st.sampled_from([_MIN_GAIN, _MAX_GAIN]),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(gains=[_MIN_GAIN, 2.0, _MAX_GAIN, 2.0, _MIN_GAIN])
+def test_sweep_entry_does_not_depend_on_its_grid(gains):
+    _, entries = sensitivity_sweep(gains, **_SWEEP)
+    assert [entry.g for entry in entries] == gains
+    for entry in entries:
+        result = entry.result.indices.tobytes(), entry.result.ci.tobytes()
+        assert result == _single_gain_result(entry.g)
 
 
 @st.composite

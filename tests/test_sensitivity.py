@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -8,14 +9,21 @@ from oracles import Loss, apply_loss, branch_walk
 from qscissor import circuit, scissor, sensitivity
 from qscissor.circuit import (
     BeamSplitter,
+    ModeUnitary,
     PhaseShift,
-    apply_mode_unitary,
     compile_circuit,
+    embed_unitary,
+    fock_transfer_matrix,
 )
-from qscissor.fock import MixedState, fock_state, project_pattern
+from qscissor.fock import (
+    MixedState,
+    PureState,
+    basis_enumerate,
+    fock_state,
+    project_pattern,
+)
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
-    gain_to_transmittance,
     lossy_two_photon_input,
     pnr_coincidence_probability,
     two_photon_gain,
@@ -269,10 +277,13 @@ def dict_engine_gain(g, tau, losses, pattern):
     the counting stage, so its conditioned rho_22 is the input's own.
     """
     t = 1.0 - np.asarray(losses)
+    # the gain splitter from its amplitudes, which stay exact at any small g
+    # (sqrt(1 - 1 / (1 + g^2)) cancels), and no amplitude pruned by size
+    c, s = 1.0 / math.hypot(1.0, g), g / math.hypot(1.0, g)
     steps = [
         Loss(0, tau * t[0] * t[2] * t[6]),  # channel, L1, L3, L7 on the input
         Loss(1, t[3]),  # L4: resource after preparation
-        compile_circuit([BeamSplitter(1, 2, gain_to_transmittance(g))], 4),
+        embed_unitary(ModeUnitary([[c, s], [s, -c]]), (1, 2), 4),
         Loss(1, t[4] * t[7]),  # L5, L8: resource arm entering the mixer
         compile_circuit([BeamSplitter(0, 1, 0.5), BeamSplitter(1, 3, 1.0 / 3.0)], 4),
         Loss(0, t[8]),  # L9-L11: between the mixer halves
@@ -285,14 +296,20 @@ def dict_engine_gain(g, tau, losses, pattern):
         Loss(1, t[12]),
         Loss(3, t[13]),
     ]
+    basis = basis_enumerate(4, 4)
+
+    def evolve(pure):
+        amps = transfer @ pure.to_vector(basis)
+        kept = {occ: a for occ, a in zip(basis, amps) if a != 0.0}
+        return PureState(4, kept, cutoff=4, prune=0.0)
+
     state = MixedState.from_pure(fock_state((2, 2, 0, 0), cutoff=4))
     for step in steps:
         if isinstance(step, Loss):
             state = apply_loss(state, step.mode, step.transmission)
         else:
-            state = MixedState(
-                [(w, apply_mode_unitary(s, step)) for w, s in state.components]
-            )
+            transfer = fock_transfer_matrix(step, 4)
+            state = MixedState([(w, evolve(s)) for w, s in state.components])
     heralded = [
         (w, project_pattern(s, (0, 1, 3), pattern)[0]) for w, s in state.components
     ]
@@ -311,6 +328,13 @@ def test_lossy_model_matches_dict_engine_oracle(pattern):
         assert lossy_gain_model(g, 0.05, losses, pattern=pattern) == pytest.approx(
             dict_engine_gain(g, 0.05, losses, pattern), rel=1e-10
         )
+    # the gain and channel limits: gains from the smallest nonzero one the CLI
+    # takes to the largest, a channel that keeps almost nothing or everything
+    for seed, (g, tau) in enumerate(itertools.product((1e-25, 1e-6, 1e6), (1e-100, 1.0))):
+        losses = np.random.default_rng(seed).uniform(0.0, 0.5, size=14)
+        assert lossy_gain_model(g, tau, losses, pattern=pattern) == pytest.approx(
+            dict_engine_gain(g, tau, losses, pattern), rel=1e-10
+        ), (g, tau)
 
 
 @pytest.mark.parametrize("g", [0.0, 1e-6, 1.0, 6.0, 1e6])
@@ -327,14 +351,41 @@ def test_walk_matches_per_branch_reference(pattern, g):
     losses[12, 8:11] = 0.0
     tr = 1.0 - losses.T
     t_anc, t_internal = tr[4] * tr[7], [tr[8], tr[9], tr[10]]
-    got = sensitivity._branch_walk(pattern, g, t_anc, t_internal)
-    want = branch_walk(pattern, g, t_anc, t_internal)
-    assert [rows.shape for rows in got] == [rows.shape for rows in want]
-    got = np.concatenate([rows.reshape(-1, 64) for rows in got])
-    want = np.concatenate([rows.reshape(-1, 64) for rows in want])
+    walk = sensitivity._walk_matrix(pattern)
+    split = walk.classes[walk.row_class]
+    rows = sensitivity._branch_walk(pattern, t_anc, t_internal)
+    rows = rows * (scissor._gain_factor(g, split[:, 0], split[:, 1]) ** 2)[:, None]
+    # every row added to its start's share of its POVM row, as the oracle lays
+    # them out: per sector, [starts, heraldable rows, samples]
+    want = np.concatenate(branch_walk(pattern, g, t_anc, t_internal), axis=1)
+    got = np.zeros_like(want)
+    np.add.at(got, (walk.start, walk.povm_row), rows)
+    got, want = got.reshape(-1, 64), want.reshape(-1, 64)
     # per sample, within 1e-13 of its largest row (exact where all rows are 0)
     assert np.all(np.abs(got - want) <= 1e-13 * want.max(axis=0))
     assert np.any(want.max(axis=0) == 0.0) and np.any(want.max(axis=0) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "pattern,columns", [((1, 1, 0), 27), ((1, 0, 1), 24), ((0, 1, 1), 24)]
+)
+def test_walk_rows_each_hold_one_splitter_class(pattern, columns):
+    # the sweep prices every gain from one g = 1 walk because each row's
+    # terms share one (transmitted, reflected) pair through the gain splitter
+    walk = sensitivity._walk_matrix(pattern)
+    assert walk.parts.shape == (2, 55, columns)
+    assert sorted(map(tuple, walk.classes.tolist())) == [
+        (n, j) for n in range(3) for j in range(3 - n)
+    ]
+    # per entry: n = k lost + p kept resource photons, j = b - n reflected
+    k = walk.lost[walk.lost_kind, 0][:, None]
+    transmitted = k + walk.kept[:, 0][None, :]
+    reflected = (walk.start % 3)[:, None] - transmitted
+    own = walk.classes[walk.row_class]
+    nonzero = (walk.parts[0] != 0.0) | (walk.parts[1] != 0.0)
+    assert np.all(nonzero.any(axis=1))
+    assert np.all((transmitted == own[:, :1]) | ~nonzero)
+    assert np.all((reflected == own[:, 1:]) | ~nonzero)
 
 
 def test_distinct_gains_build_no_tables():
@@ -353,7 +404,7 @@ def test_distinct_gains_build_no_tables():
     walk = sensitivity._walk_matrix((1, 1, 0))
     tables = [scissor._herald_amplitudes((1, 1, 0)), scissor._coincidence_row()]
     tables += [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
-    assert len(tables) == 10
+    assert len(tables) == 12
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -514,19 +565,31 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout_name, walk
     rows = 0
     walk = sensitivity._branch_walk
 
-    def counted_walk(pattern, g, t_anc, t_internal):
+    def counted_walk(pattern, t_anc, t_internal):
         nonlocal rows
         rows += t_anc.shape[0]
         assert all(t.shape == t_anc.shape for t in t_internal)
-        return walk(pattern, g, t_anc, t_internal)
+        return walk(pattern, t_anc, t_internal)
 
     monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
-    n_base, gains = 1100, [1.0, 3.0]
-    _, entries = sensitivity_sweep(
-        gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20
-    )
-    assert rows == walked * n_base * len(gains)
-    assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
+    n_base, resamples = 1100, 20
+    held = 8 * (n_base * (2 * layout.dims + 2) + resamples * layout.dims)
+    budget = sensitivity._BOOTSTRAP_BLOCK_BYTES
+    # (gains, bootstrap budget, groups): the last shares a pass two gains a time
+    for gains, budget, groups in (
+        ([1.0], budget, 1),
+        ([1.0, 3.0, 0.5], budget, 1),
+        ([1.0] * 5, 2 * held, 3),
+    ):
+        monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", budget)
+        rows = 0
+        _, entries = sensitivity_sweep(
+            gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=resamples
+        )
+        # once per design block and bootstrap group, whatever the number of gains
+        assert rows == walked * n_base * groups
+        assert len(entries) == len(gains)
+        assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
 
 
 def test_sweep_rejects_an_empty_gain_grid():
@@ -549,13 +612,12 @@ def test_role_classes_partition_loss_roles():
 @pytest.mark.parametrize(
     "layout_name,per_block",
     # default: start weights of A, B and L1, L3, L4, L7; detector factors of
-    # A, B and L12-L14; start-weighted rows of those start weights' owners
-    # plus the five walked hybrids; POVM sums of every point but the L2 and
-    # L6 hybrids, which take A's sums whole.  shuffled: start weights of A,
-    # B, P, I, P2; detector factors of A, B, D0; sums of all but S.
+    # A, B and L12-L14; POVM sums of every point but the L2 and L6 hybrids,
+    # which take A's sums whole.  shuffled: start weights of A, B, P, I, P2;
+    # detector factors of A, B, D0; sums of all but S.
     [
-        ("default", {"weights": 6, "detector": 5, "rows": 11, "sums": 14}),
-        ("shuffled", {"weights": 5, "detector": 3, "rows": 9, "sums": 10}),
+        ("default", {"weights": 6, "detector": 5, "sums": 14}),
+        ("shuffled", {"weights": 5, "detector": 3, "sums": 10}),
     ],
 )
 def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_block):
@@ -564,7 +626,6 @@ def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_bl
     pieces = {
         "weights": "_start_weights",
         "detector": "_detector_factors",
-        "rows": "_weighted_rows",
         "sums": "_povm_sums",
     }
     for key, name in pieces.items():
@@ -573,10 +634,14 @@ def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_bl
             return _piece(*args)
 
         monkeypatch.setattr(sensitivity, name, counted)
-    n_base, gains = 1100, [1.0, 3.0]
-    blocks = -(-n_base // sensitivity._CHUNK) * len(gains)
-    sensitivity_sweep(gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20)
-    assert calls == {key: count * blocks for key, count in per_block.items()}
+    n_base = 1100
+    blocks = -(-n_base // sensitivity._CHUNK)
+    for gains in ([2.0], [1.0, 3.0, 0.5]):  # per block, whatever the gains
+        calls.update(dict.fromkeys(per_block, 0))
+        sensitivity_sweep(
+            gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20
+        )
+        assert calls == {key: count * blocks for key, count in per_block.items()}
 
 
 def record_group_sizes(monkeypatch):
