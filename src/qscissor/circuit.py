@@ -357,5 +357,5 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
     transfer = fock_transfer_matrix(u, state.cutoff)
     out_vec = transfer @ state.to_vector(basis)
     amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
-    return PureState(state.modes, amps, cutoff=state.cutoff)
+    return PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
 

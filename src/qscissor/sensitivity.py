@@ -11,23 +11,25 @@ The model is evaluated in batches.  Per-sample quantities are carried
 sample-last, as [rows, samples] arrays, so one pass through the circuit
 prices a chunk of sampled loss vectors at once.  Before |.|^2 every
 heralded amplitude is linear in a few real monomials of the per-sample
-transmissions, sqrt(t)^n for the photons n each loss lets through.  So the
-g = 1 gain splitter, the resource-arm loss's lowering, the first mixer
-half, each Kraus branch of the three in-mixer losses (a gather of the
-surviving terms) and the second mixer half, kept on the rows the herald
-pattern can fire on, compose into one fixed complex matrix per pattern
-(``_walk_matrix``): one row per start, branch and heraldable output, one
-column per monomial.  A walk builds the chunk's monomials, takes one real
-matmul, squares, and weights each row by its lost photons.  The output row
-a row ends on fixes the resource photons the gain splitter reflected, so
-all its terms share one (transmitted, reflected) splitter class and a gain
-scales its weight by one factor: the walk runs at g = 1, and a gain is a
-sum over the six classes.  The mixer halves and the gain splitter are the
-amplifier's (``scissor._mixer_halves``, ``scissor._resource_splitter``),
-their sectors and blocks come from ``circuit``, and what the engine builds
-per pattern sits in LRU caches.  The amplifier-off configuration needs no
-circuit: its heralds are independent of the input and cancel, leaving the
-closed form tau_off^2 / 2.
+transmissions, sqrt(t)^n for the photons n each loss lets through.
+``_walk_matrix`` walks each |a, b> start through the g = 1 gain splitter,
+the resource-arm loss, the first mixer half, the three in-mixer losses and
+the second half, keeping each Kraus branch as sparse (sector row,
+monomial, coefficient) terms.  The splitter and the halves are the
+amplifier's (``scissor``) and act through their ``circuit`` sector blocks;
+every loss is the one pure-loss step ``_lose``, whose branch k lowers the
+loss's mode by k photons, scales by sqrt(C(n, k)) and gives the loss's
+sqrt(t) the power n - k.  Kept on the rows the pattern can herald, the
+branches form one fixed complex matrix per pattern, cached: one row per
+start, branch and heraldable output, one column per monomial.  A walk
+builds the chunk's monomials, takes one real matmul, squares, and weights
+each row by its lost photons.  The output row a row ends on fixes the
+resource photons the gain splitter reflected, so all its terms share one
+(transmitted, reflected) splitter class and a gain scales its weight by
+one factor: the walk runs at g = 1, and a gain is a sum over the six
+classes.  The amplifier-off configuration needs no circuit: its heralds
+are independent of the input and cancel, leaving the closed form
+tau_off^2 / 2.
 
 One evaluation runs in two g-free stages: the Kraus-branch walk through
 the gain splitter, the resource-arm loss and the in-mixer losses, and the
@@ -61,7 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -201,176 +203,70 @@ _PHOTONS = 2 * _BEAM_PHOTONS
 _CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
 _STARTS = (_BEAM_PHOTONS + 1) ** 2  # incoherent |a, b> starts, a * 3 + b
 
-
-def _lowered_index(total: int, src: np.ndarray, removed) -> np.ndarray:
-    """Rows in sector ``total - sum(removed)`` of the rows ``src`` of sector
-    ``total`` after ``removed[m]`` photons leave mode m."""
-    sectors = fock_sectors(_MODES, _PHOTONS)
-    lowered = sectors[total].occupations[src] - np.asarray(removed)
-    index = sectors[total - int(np.sum(removed))].index
-    return np.array([index[tuple(occ)] for occ in lowered.tolist()], dtype=int)
-
-
-@dataclass
-class _PatternPovm:
-    """Per-sector data for heralding a detector pattern with inefficiency."""
-
-    valid: np.ndarray  # term indices compatible with the pattern
-    comb: np.ndarray  # product of C(n_m, p_m) over detector modes
-    excess: np.ndarray  # photons lost at each detector mode, [n_valid, 3]
-    out_is_two: np.ndarray  # bool: does the term leave 2 photons in the output
+#: Modes of the walked losses, one slot each in the order of ``_WALKED_ROLES``:
+#: the resource arm entering the mixer, then the mixer modes between its halves.
+_WALKED_MODES = (_RESOURCE_MODE, *_QFT_MODES)
+#: A slot keeps at most _PHOTONS photons, so a monomial's powers fit one
+#: base-_BASE digit per slot.
+_BASE = _PHOTONS + 1
+_COMB = np.array([[math.comb(n, k) for k in range(_BASE)] for n in range(_BASE)], float)
 
 
-@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
-def _build_povm(pattern: tuple) -> tuple[_PatternPovm, ...]:
-    out = []
-    for sector in fock_sectors(_MODES, _PHOTONS):
-        occs = sector.occupations
-        valid, comb, excess, out2 = [], [], [], []
-        for i, occ in enumerate(occs):
-            detected = [occ[m] for m in _QFT_MODES]
-            if any(n < p for n, p in zip(detected, pattern)):
-                continue
-            valid.append(i)
-            comb.append(
-                math.prod(math.comb(n, p) for n, p in zip(detected, pattern))
-            )
-            excess.append([n - p for n, p in zip(detected, pattern)])
-            out2.append(occ[_OUT_MODE] == 2)
-        out.append(
-            _PatternPovm(
-                np.array(valid, dtype=int),
-                np.array(comb, dtype=float),
-                np.array(excess, dtype=int).reshape(len(valid), len(_QFT_MODES)),
-                np.array(out2, dtype=bool),
-            )
-        )
-    return tuple(out)
+@dataclass(frozen=True)
+class _Branch:
+    """One Kraus branch of the walk from one |a, b, 0, 0> start.
 
-
-#: (n0, n1, n3) photon numbers the mixer modes can hold: the powers of the
-#: monomials sqrt(t_0)^n0 sqrt(t_1)^n1 sqrt(t_3)^n3 of the in-mixer losses
-_MIXER_POWERS = np.array(
-    [p for p in itertools.product(range(_PHOTONS + 1), repeat=len(_QFT_MODES))
-     if sum(p) <= _PHOTONS]
-)
-_MIXER_POWER_ROW = {tuple(p): i for i, p in enumerate(_MIXER_POWERS.tolist())}
-
-
-@dataclass
-class _MixerBranch:
-    """One in-mixer Kraus branch: k_m photons lost at mixer mode m.
-
-    Distinct source terms stay distinct after the removal, so the branch is
-    a single gather of ``src`` scaled by the kept photons' transmission
-    amplitudes; the lost photons' factor prod_m (1 - t_m)^k_m multiplies the
-    heralded weight.  The destination columns, with their sqrt(C(n, k))
-    factors, are folded into the second mixer half, kept only on the rows
-    the pattern can herald.
+    Its amplitude is a sum of terms, each a coefficient times one row of its
+    sector times the monomial prod_s sqrt(t_s)^p_s of the walked slots'
+    transmissions, keyed sum_s p_s _BASE^s.  Its |amplitude|^2 is weighted
+    by the photons each slot lost, prod_s (1 - t_s)^k_s.
     """
 
-    lost: tuple  # (k0, k1, k3)
-    src: np.ndarray  # surviving source terms in the starting sector
-    power_rows: np.ndarray  # _MIXER_POWERS row of n_m - k_m per source term
-    h2: np.ndarray  # [n_valid(end), n_src]
-    end: int  # sector after the branch
+    start: int  # a * 3 + b
+    lost: tuple  # k_s of the slots walked so far
+    photons: int  # its sector
+    rows: np.ndarray  # [terms]
+    keys: np.ndarray  # [terms]
+    coefs: np.ndarray  # [terms], complex
 
 
-@functools.lru_cache(maxsize=None)
-def _mixer_blocks() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Sector blocks of the mixer's two element halves on the engine modes."""
-    return tuple(sector_transfer_blocks(half, _PHOTONS) for half in _mixer_halves())
+def _lose(branch: _Branch, slot: int, k: int) -> _Branch:
+    """Kraus branch k of the pure loss at walked ``slot``.
 
-
-def _mixer_branches(pattern: tuple) -> tuple[tuple[_MixerBranch, ...], ...]:
-    """Heraldable in-mixer branches of ``pattern``, per starting sector."""
-    povm = _build_povm(pattern)
-    h2_blocks = _mixer_blocks()[1]
-    out = []
-    for total, sector in enumerate(fock_sectors(_MODES, _PHOTONS)):
-        mixer_occ = sector.occupations[:, _QFT_MODES]
-        branches = []
-        for lost in itertools.product(range(total + 1), repeat=len(_QFT_MODES)):
-            end = total - sum(lost)
-            if end < 0 or povm[end].valid.size == 0:
-                continue
-            src = np.flatnonzero(np.all(mixer_occ >= lost, axis=1))
-            removed = np.zeros(_MODES, dtype=int)
-            removed[list(_QFT_MODES)] = lost
-            dst = _lowered_index(total, src, removed)
-            occ = mixer_occ[src].tolist()
-            comb_sqrt = np.sqrt(
-                [math.prod(math.comb(n, k) for n, k in zip(o, lost)) for o in occ]
-            )
-            kept = [tuple(n - k for n, k in zip(o, lost)) for o in occ]
-            branches.append(
-                _MixerBranch(
-                    lost=lost,
-                    src=src,
-                    power_rows=np.array([_MIXER_POWER_ROW[p] for p in kept]),
-                    h2=h2_blocks[end][np.ix_(povm[end].valid, dst)] * comb_sqrt,
-                    end=end,
-                )
-            )
-        out.append(tuple(branches))
-    return tuple(out)
-
-
-@dataclass
-class _ResourceStage:
-    """Every |a, b, 0, 0> start that reaches one sector of the first mixer
-    half: through the g = 1 gain splitter, k resource photons lost, then
-    the mixer half.  Start c enters the mixer as ``matrix[c] @ sqrt(t)^p``,
-    p = 0, 1, 2 resource photons kept, times sqrt(1 - t)^k, t being the
-    resource-arm transmission.  The sector fixes k = a + b - sector, so
-    each (a, b) appears at most once per stage."""
-
-    start: np.ndarray  # per start: a * 3 + b, its row in the walk's output
-    b: np.ndarray
-    k: np.ndarray
-    reflected: np.ndarray  # [starts, 3]: j = b - k - p, or 0 if p > b - k
-    matrix: np.ndarray  # [starts, d_mid, 3]
-
-
-def _resource_stages(mixer: tuple) -> list:
-    """Resource stages at g = 1 for every heraldable mixer sector.
-
-    The splitter output does not depend on the sample, so the resource
-    loss's lowering, the base vector and the first mixer half compose
-    into one fixed matrix per start.
+    A term with n >= k photons on the slot's mode keeps n - k of them: its
+    row is lowered by k, its coefficient gains sqrt(C(n, k)) and its key the
+    power n - k of sqrt(t_slot).  The slot held no power before, so distinct
+    terms stay distinct and need no summing.
     """
+    mode = _WALKED_MODES[slot]
     sectors = fock_sectors(_MODES, _PHOTONS)
-    h1 = _mixer_blocks()[0]
-    split_blocks = sector_transfer_blocks(_resource_splitter(), _PHOTONS)
-    kept_photons = np.eye(_BEAM_PHOTONS + 1)
-    starts = [[] for _ in range(_PHOTONS + 1)]
-    for a in range(_BEAM_PHOTONS + 1):
-        for b in range(_BEAM_PHOTONS + 1):
-            total = a + b
-            base = split_blocks[total][:, sectors[total].index[(a, b, 0, 0)]]
-            n_res = sectors[total].occupations[:, _RESOURCE_MODE]
-            for k in range(b + 1):
-                mid = total - k
-                if not mixer[mid]:
-                    continue
-                src = np.flatnonzero((base != 0.0) & (n_res >= k))
-                removed = np.zeros(_MODES, dtype=int)
-                removed[_RESOURCE_MODE] = k
-                dst = _lowered_index(total, src, removed)
-                comb_sqrt = np.sqrt([math.comb(int(n), k) for n in n_res[src]])
-                columns = h1[mid][:, dst] * (base[src] * comb_sqrt)
-                # gather the columns by the resource photons each term keeps
-                matrix = columns @ kept_photons[n_res[src] - k]
-                starts[mid].append((a, b, k, matrix))
+    occupations = sectors[branch.photons].occupations[branch.rows]
+    n = occupations[:, mode]
+    keep = n >= k
+    lowered, n = occupations[keep], n[keep]
+    lowered[:, mode] -= k
+    index = sectors[branch.photons - k].index
+    return _Branch(
+        branch.start,
+        branch.lost + (k,),
+        branch.photons - k,
+        np.array([index[tuple(occ)] for occ in lowered.tolist()], dtype=int),
+        branch.keys[keep] + (n - k) * _BASE**slot,
+        branch.coefs[keep] * np.sqrt(_COMB[n, k]),
+    )
 
-    stages = [None] * (_PHOTONS + 1)
-    for mid, group in enumerate(starts):
-        if group:
-            a, b, k, matrix = map(np.array, zip(*group))
-            reflected = np.maximum((b - k)[:, None] - np.arange(_BEAM_PHOTONS + 1), 0)
-            start = a * (_BEAM_PHOTONS + 1) + b
-            stages[mid] = _ResourceStage(start, b, k, reflected, matrix)
-    return stages
+
+def _evolve(branch: _Branch, blocks) -> _Branch:
+    """``branch`` through the one of the sector ``blocks`` for its photon
+    number; the rows of the result are that block's rows."""
+    keys = np.flatnonzero(np.bincount(branch.keys))  # np.unique, faster on small keys
+    column = np.searchsorted(keys, branch.keys)
+    block = blocks[branch.photons]
+    state = np.zeros((block.shape[1], keys.size), dtype=complex)
+    state[branch.rows, column] = branch.coefs
+    out = block @ state
+    rows, columns = np.nonzero(out)
+    return replace(branch, rows=rows, keys=keys[columns], coefs=out[rows, columns])
 
 
 @dataclass
@@ -378,19 +274,17 @@ class _WalkMatrix:
     """The heralded amplitudes of one pattern as one matrix over loss monomials.
 
     Before |.|^2 every heralded amplitude is linear in the per-sample
-    monomials sqrt(t_anc)^p prod_m sqrt(t_m)^n_m, p = 0, 1, 2 resource
-    photons kept and n_m the photons kept at mixer mode m (a row of
-    ``_MIXER_POWERS``).  A row composes one resource-stage start at g = 1,
-    one in-mixer branch and one heraldable row of the second mixer half; a
-    column is one monomial, and only the monomials some row uses are kept.
-    A row's |amplitude|^2 is weighted by the photons it lost, (1 - t_anc)^k
-    prod_m (1 - t_m)^k_m, and at gain g by ``_gain_factor(g, n, j)**2``,
+    monomials prod_s sqrt(t_s)^p_s, p_s the photons kept at walked slot s.
+    A row is one Kraus branch of one start's walk at g = 1, ending on one
+    row the pattern can herald; a column is one monomial some row uses.  A
+    row's |amplitude|^2 is weighted by the photons it lost, prod_s
+    (1 - t_s)^k_s, and at gain g by ``_gain_factor(g, n, j)**2``,
     (n, j) = (b - j, j) its splitter class, j the photons it reflected.
     """
 
     parts: np.ndarray  # [2, rows, columns]: real and imaginary parts
-    kept: np.ndarray  # [columns, 4]: powers of sqrt(t_anc), then sqrt(t_m) per mode
-    lost: np.ndarray  # [kinds, 4]: powers of 1 - t_anc, then 1 - t_m per mode
+    kept: np.ndarray  # [columns, 4]: powers of sqrt(t_s) per walked slot
+    lost: np.ndarray  # [kinds, 4]: powers of 1 - t_s per walked slot
     lost_kind: np.ndarray  # [rows]: each row's row of ``lost``
     start: np.ndarray  # [rows]: the row's |a, b> start, a * 3 + b
     povm_row: np.ndarray  # [rows]: its row in the POVM rows of every sector
@@ -403,51 +297,84 @@ class _WalkMatrix:
 
 @functools.lru_cache(maxsize=None)  # keyed on the three success patterns
 def _walk_matrix(pattern: tuple) -> _WalkMatrix:
-    """The read-only g-free ``_WalkMatrix`` of ``pattern``."""
-    povm = _build_povm(pattern)
-    offsets = np.cumsum([0] + [sector.valid.size for sector in povm[:-1]])
-    mixer = _mixer_branches(pattern)
-    one_hot = np.eye(len(_MIXER_POWERS))
-    rows, start, split, lost, povm_row = [], [], [], [], []
-    for stage, branches in zip(_resource_stages(mixer), mixer):
-        if stage is None:
-            continue
-        for branch in branches:
-            kept = one_hot[branch.power_rows]  # [n_src, _MIXER_POWERS rows]
-            for c in range(stage.start.size):
-                block = np.einsum(
-                    "vs,sp,sr->vpr", branch.h2, stage.matrix[c][branch.src], kept
-                ).reshape(branch.h2.shape[0], -1)
-                for v in np.flatnonzero(np.any(block != 0.0, axis=1)):
-                    rows.append(block[v])
-                    start.append(stage.start[c])
-                    split.append([stage.b[c] - stage.reflected[c], stage.reflected[c]])
-                    lost.append((stage.k[c], *branch.lost))
-                    povm_row.append(offsets[branch.end] + v)
-    matrix, start, povm_row = np.array(rows), np.array(start), np.array(povm_row)
-    columns = np.flatnonzero(np.any(matrix != 0.0, axis=0))
-    power, mixer_row = np.divmod(columns, len(_MIXER_POWERS))
-    split = np.array(split).transpose(0, 2, 1)[:, power]  # [rows, columns, (n, j)]
-    nonzero = matrix[:, columns] != 0.0
-    first = split[np.arange(start.size), nonzero.argmax(axis=1)]
-    assert np.all(np.all(split == first[:, None], axis=2) | ~nonzero), "mixed classes"
-    classes, row_class = np.unique(first, axis=0, return_inverse=True)
-    lost, lost_kind = np.unique(lost, axis=0, return_inverse=True)
-    excess = np.concatenate([sector.excess for sector in povm])
-    comb = np.concatenate([sector.comb for sector in povm])[povm_row]
-    out_is_two = np.concatenate([sector.out_is_two for sector in povm])[povm_row]
+    """The read-only g-free ``_WalkMatrix`` of ``pattern``.
+
+    Every |a, b, 0, 0> start crosses the g = 1 gain splitter, the
+    resource-arm loss, the first mixer half, the three in-mixer losses and
+    the second half, kept on the POVM rows: those with at least p_m photons
+    at each detector m.  A branch is dropped once it holds fewer photons
+    than the pattern heralds.
+    """
+    sectors = fock_sectors(_MODES, _PHOTONS)
+    povm = [
+        np.flatnonzero(np.all(sector.occupations[:, _QFT_MODES] >= pattern, axis=1))
+        for sector in sectors
+    ]
+    first, second = (sector_transfer_blocks(half, _PHOTONS) for half in _mixer_halves())
+
+    def lose(branches, slot):
+        lost = (
+            _lose(branch, slot, k)
+            for branch in branches
+            for k in range(branch.photons - sum(pattern) + 1)
+        )
+        return [branch for branch in lost if branch.rows.size]
+
+    branches = [
+        _Branch(
+            a * (_BEAM_PHOTONS + 1) + b,
+            (),
+            a + b,
+            np.array([sectors[a + b].index[(a, b, 0, 0)]]),
+            np.zeros(1, dtype=int),
+            np.ones(1, dtype=complex),
+        )
+        for a, b in itertools.product(range(_BEAM_PHOTONS + 1), repeat=2)
+    ]
+    splitter = sector_transfer_blocks(_resource_splitter(), _PHOTONS)
+    branches = [_evolve(branch, splitter) for branch in branches]
+    branches = [_evolve(branch, first) for branch in lose(branches, 0)]
+    for slot in range(1, len(_WALKED_MODES)):
+        branches = lose(branches, slot)
+    heralded = [block[rows] for block, rows in zip(second, povm)]
+    branches = [_evolve(branch, heralded) for branch in branches]
+
+    # one row per branch and POVM row it ends on, one column per monomial
+    offsets = np.cumsum([0] + [rows.size for rows in povm])
+    term_branch = np.repeat(np.arange(len(branches)), [b.rows.size for b in branches])
+    term_row = np.concatenate([offsets[b.photons] + b.rows for b in branches])
+    ids, row = np.unique(term_branch * offsets[-1] + term_row, return_inverse=True)
+    row_branch, povm_row = np.divmod(ids, offsets[-1])
+    keys = np.concatenate([b.keys for b in branches])
+    keys, column = np.unique(keys, return_inverse=True)
+    matrix = np.zeros((ids.size, keys.size), dtype=complex)
+    matrix[row, column] = np.concatenate([b.coefs for b in branches])
+
+    start = np.array([b.start for b in branches])[row_branch]
+    lost, lost_kind = np.unique(
+        np.array([b.lost for b in branches])[row_branch], axis=0, return_inverse=True
+    )
+    occupations = np.concatenate([s.occupations[r] for s, r in zip(sectors, povm)])
+    detected = occupations[:, _QFT_MODES]
+    comb = _COMB[detected, pattern].prod(axis=1)[povm_row]
+    # the output mode holds the photons the gain splitter reflected
+    reflected = occupations[povm_row, _OUT_MODE]
+    split = np.column_stack([start % (_BEAM_PHOTONS + 1) - reflected, reflected])
+    classes, row_class = np.unique(split, axis=0, return_inverse=True)
     in_class = row_class.ravel() == np.arange(len(classes))[:, None]
     walk = _WalkMatrix(
-        parts=np.stack([matrix.real, matrix.imag])[:, :, columns],
-        kept=np.column_stack([power, _MIXER_POWERS[mixer_row]]),
+        parts=np.stack([matrix.real, matrix.imag]),
+        kept=keys[:, None] // _BASE ** np.arange(len(_WALKED_MODES)) % _BASE,
         lost=lost,
         lost_kind=lost_kind.ravel(),
         start=start,
         povm_row=povm_row,
-        detected=np.column_stack([np.tile(pattern, (excess.shape[0], 1)), excess]),
+        detected=np.column_stack(
+            [np.tile(pattern, (len(occupations), 1)), detected - pattern]
+        ),
         classes=classes,
         row_class=row_class.ravel(),
-        select=np.vstack([in_class * comb, in_class * (comb * out_is_two)]),
+        select=np.vstack([in_class * comb, in_class * (comb * (reflected == 2))]),
     )
     for value in vars(walk).values():
         value.flags.writeable = False

@@ -4,35 +4,46 @@ None of these run in the package: the three-mode Fourier interferometer is
 the textbook form of the amplifier's mixer (the package builds the tritter,
 which equals it up to diagonal phases), the dict loss channel is the
 Kraus-operator definition the Sobol engine's batched loss walk reproduces,
-and the per-branch walk is that loss walk one Kraus branch at a time, which
-the engine composes into a single matrix product.
+and the per-branch walk is that loss walk one Kraus branch at a time on the
+dense Fock basis, which the engine composes into a single matrix product.
+They build on the circuit and state primitives only, never on the Sobol
+engine's own code.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qscissor.circuit import (
+    BeamSplitter,
     ModeUnitary,
+    PhaseShift,
     apply_mode_unitary,
     beam_splitter_unitary,
+    compile_circuit,
     embed_unitary,
+    fock_transfer_matrix,
 )
-from qscissor.fock import MixedState, PureState, fock_state, project_pattern, tensor
-from qscissor.scissor import _gain_factor, gain_to_transmittance
-from qscissor.sensitivity import (
-    _BEAM_PHOTONS,
-    _MIXER_POWERS,
-    _STARTS,
-    _build_povm,
-    _mixer_branches,
-    _power_table,
-    _resource_stages,
+from qscissor.fock import (
+    MixedState,
+    PureState,
+    basis_enumerate,
+    fock_state,
+    project_pattern,
+    tensor,
 )
+from qscissor.scissor import gain_to_transmittance
+
+#: The amplifier's four modes hold at most four photons: the input's and
+#: the resource's two each.
+_MODES = _PHOTONS = 4
+_BASIS = basis_enumerate(_MODES, _PHOTONS)
+_OCCUPATIONS = np.array(_BASIS)
+_INDEX = {occ: i for i, occ in enumerate(_BASIS)}
 
 
 def qft_unitary(m: int) -> ModeUnitary:
@@ -133,60 +144,89 @@ def full_circuit_amplify(state, signal_mode, g, pattern, mixer, splitter_phase=0
     return amps, probability
 
 
-@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
-def _walk_context(pattern: tuple) -> tuple:
-    """(resource stages, mixer branches, POVM) of ``pattern``, per sector."""
-    mixer = _mixer_branches(pattern)
-    return _resource_stages(mixer), mixer, _build_povm(pattern)
+def gain_splitter(g: float) -> ModeUnitary:
+    """The gain-g splitter on (resource, output) of the amplifier's modes
+    (signal, resource, output, vacuum port), from its amplitudes, which stay
+    exact at any small g (sqrt(1 - 1 / (1 + g^2)) cancels)."""
+    c, s = 1.0 / math.hypot(1.0, g), g / math.hypot(1.0, g)
+    return embed_unitary(ModeUnitary([[c, s], [s, -c]]), (1, 2), _MODES)
 
 
-def _resource_amplitudes(pattern, g, t_anc):
-    """Per mixer sector, each start's [starts, d_mid, samples] amplitudes
-    after the gain splitter at ``g``, the resource-arm loss ``t_anc`` (per
-    sample) and the first mixer half; None where no start arrives."""
-    s_anc = _power_table(np.sqrt(t_anc), _BEAM_PHOTONS)
-    s_anc_m = _power_table(np.sqrt(1.0 - t_anc), _BEAM_PHOTONS)
-    amplitudes = []
-    for stage in _walk_context(pattern)[0]:
-        if stage is None:
-            amplitudes.append(None)
-            continue
-        split = _gain_factor(g, stage.b[:, None] - stage.reflected, stage.reflected)
-        loss = s_anc * s_anc_m[stage.k][:, None, :]
-        amplitudes.append(stage.matrix @ (loss * split[:, :, None]))
-    return amplitudes
+def mixer_halves() -> tuple[ModeUnitary, ModeUnitary]:
+    """The tritter's two halves on (signal, resource, vacuum port) of the
+    amplifier's modes; the in-mixer losses sit between them."""
+    return (
+        compile_circuit(
+            [BeamSplitter(0, 1, 0.5), BeamSplitter(1, 3, 1.0 / 3.0)], _MODES
+        ),
+        compile_circuit(
+            [PhaseShift(0, 3.0 * math.pi / 2.0), BeamSplitter(0, 1, 0.5)], _MODES
+        ),
+    )
+
+
+def _loss_step(mode: int, transmission: np.ndarray) -> tuple:
+    """A pure loss on ``mode`` with a per-sample ``transmission``: the mode
+    and its Kraus factors, [k lost, n held, samples]."""
+    photons = range(_PHOTONS + 1)
+    factors = [
+        [[loss_kraus_factors(n, k, t) for t in transmission] for n in photons]
+        for k in photons
+    ]
+    return mode, np.array(factors)
+
+
+def _kraus_branches(amplitudes: np.ndarray, steps: list):
+    """Every Kraus branch of ``steps`` applied to dense [basis, starts,
+    samples] ``amplitudes``: a mode unitary acts through its Fock transfer
+    matrix, a loss step yields one branch per number of photons the mode
+    can lose."""
+    if not steps:
+        yield amplitudes
+        return
+    step, rest = steps[0], steps[1:]
+    if isinstance(step, ModeUnitary):
+        transfer = fock_transfer_matrix(step, _PHOTONS)
+        yield from _kraus_branches(np.tensordot(transfer, amplitudes, 1), rest)
+        return
+    mode, factors = step
+    n = _OCCUPATIONS[:, mode]
+    most = n[amplitudes.any(axis=(1, 2))].max(initial=0)  # photons it can lose
+    for k in range(most + 1):
+        held = n >= k  # the Kraus operator maps |n> to |n - k> on the mode
+        lowered = _OCCUPATIONS[held]
+        lowered[:, mode] -= k
+        branch = np.zeros_like(amplitudes)
+        branch[[_INDEX[tuple(occ)] for occ in lowered.tolist()]] = (
+            amplitudes[held] * factors[k, n[held], None]
+        )
+        yield from _kraus_branches(branch, rest)
 
 
 def branch_walk(pattern, g, t_anc, t_internal):
-    """Reference Kraus-branch walk, one gather and matmul per branch.
+    """Reference Kraus-branch walk on the dense 70-state basis.
 
-    The resource-stage amplitudes of every start are carried through each
-    heraldable in-mixer branch in turn: the branch's surviving terms are
-    gathered, scaled by their kept photons' transmission amplitudes and
-    taken through the second mixer half, and the |amplitude|^2 rows,
-    weighted by the lost photons' factor, are summed per start.  Returns,
-    per sector, [_STARTS, n_valid, samples] sums at gain ``g``: each of
-    ``sensitivity._branch_walk``'s g = 1 rows, times its splitter class's
-    factor, added to its start's share of its POVM row.
+    Each |a, b, 0, 0> start (a, b = 0..2) crosses the gain-g splitter, the
+    resource-arm loss ``t_anc``, the first mixer half, the losses
+    ``t_internal`` on the mixer modes (0, 1, 3) and the second half, one
+    Kraus branch of each loss at a time, and the branches' |amplitude|^2 add
+    up.  Returns, per photon number, the [9 starts, rows, samples] sums on
+    the rows with at least ``pattern[m]`` photons at each mixer mode m, in
+    basis order; start a * 3 + b.
     """
-    resource, mixer, povms = _walk_context(pattern)
-    amplitudes = _resource_amplitudes(pattern, g, t_anc)
-    n = t_internal[0].shape[0]
-    s_int = [_power_table(np.sqrt(t)) for t in t_internal]
-    kept = s_int[0][_MIXER_POWERS[:, 0]] * s_int[1][_MIXER_POWERS[:, 1]]
-    kept *= s_int[2][_MIXER_POWERS[:, 2]]
-    lost = [_power_table(1.0 - t) for t in t_internal]
-
-    heralded = [np.zeros((_STARTS, povm.valid.size, n)) for povm in povms]
-    for stage, amp, branches in zip(resource, amplitudes, mixer):
-        if stage is None:
-            continue
-        for branch in branches:
-            picked = amp[:, branch.src] * kept[branch.power_rows]
-            final = branch.h2 @ picked
-            weight = final.real**2 + final.imag**2
-            k0, k1, k2 = branch.lost
-            heralded[branch.end][stage.start] += weight * (
-                lost[0][k0] * lost[1][k1] * lost[2][k2]
-            )
-    return heralded
+    starts = list(itertools.product(range(3), repeat=2))
+    amplitudes = np.zeros((len(_BASIS), len(starts), t_anc.shape[0]), dtype=complex)
+    for s, (a, b) in enumerate(starts):
+        amplitudes[_INDEX[a, b, 0, 0], s] = 1.0
+    first, second = mixer_halves()
+    steps = [gain_splitter(g), _loss_step(1, t_anc), first]
+    steps += [_loss_step(m, t) for m, t in zip((0, 1, 3), t_internal)]
+    heralded = np.zeros(amplitudes.shape)
+    for branch in _kraus_branches(amplitudes, steps + [second]):
+        heralded += branch.real**2 + branch.imag**2
+    heraldable = np.all(_OCCUPATIONS[:, [0, 1, 3]] >= pattern, axis=1)
+    totals = _OCCUPATIONS.sum(axis=1)
+    return [
+        heralded[heraldable & (totals == total)].transpose(1, 0, 2)
+        for total in range(_PHOTONS + 1)
+    ]

@@ -254,6 +254,18 @@ def test_apply_balanced_splitter_hom():
     assert out.amplitude((0, 2)) == pytest.approx(-1 / np.sqrt(2))
 
 
+def test_apply_keeps_amplitudes_of_any_size():
+    # only exact zeros are dropped: |2, 0> through the g = 1e-25 gain splitter
+    # keeps its sqrt(2) g |1, 1> and g^2 |0, 2> terms
+    g = 1e-25
+    c, s = 1.0 / math.hypot(1.0, g), g / math.hypot(1.0, g)
+    splitter = ModeUnitary([[c, s], [s, -c]])
+    out = apply_mode_unitary(fock_state((2, 0), cutoff=2), splitter)
+    assert out.amplitude((2, 0)) == 1.0
+    assert out.amplitude((1, 1)) == pytest.approx(math.sqrt(2) * g, rel=1e-12, abs=0)
+    assert out.amplitude((0, 2)) == pytest.approx(g * g, rel=1e-12, abs=0)
+
+
 def test_apply_preserves_norm_random():
     rng = np.random.default_rng(37)
     for _ in range(100):

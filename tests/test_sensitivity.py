@@ -1,27 +1,16 @@
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import Loss, apply_loss, branch_walk
+from oracles import Loss, apply_loss, branch_walk, gain_splitter, mixer_halves
 from qscissor import circuit, scissor, sensitivity
-from qscissor.circuit import (
-    BeamSplitter,
-    ModeUnitary,
-    PhaseShift,
-    compile_circuit,
-    embed_unitary,
-    fock_transfer_matrix,
-)
-from qscissor.fock import (
-    MixedState,
-    PureState,
-    basis_enumerate,
-    fock_state,
-    project_pattern,
-)
+from qscissor.circuit import apply_mode_unitary
+from qscissor.fock import MixedState, fock_state, project_pattern
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     lossy_two_photon_input,
@@ -277,39 +266,29 @@ def dict_engine_gain(g, tau, losses, pattern):
     the counting stage, so its conditioned rho_22 is the input's own.
     """
     t = 1.0 - np.asarray(losses)
-    # the gain splitter from its amplitudes, which stay exact at any small g
-    # (sqrt(1 - 1 / (1 + g^2)) cancels), and no amplitude pruned by size
-    c, s = 1.0 / math.hypot(1.0, g), g / math.hypot(1.0, g)
+    first, second = mixer_halves()
     steps = [
         Loss(0, tau * t[0] * t[2] * t[6]),  # channel, L1, L3, L7 on the input
         Loss(1, t[3]),  # L4: resource after preparation
-        embed_unitary(ModeUnitary([[c, s], [s, -c]]), (1, 2), 4),
+        gain_splitter(g),
         Loss(1, t[4] * t[7]),  # L5, L8: resource arm entering the mixer
-        compile_circuit([BeamSplitter(0, 1, 0.5), BeamSplitter(1, 3, 1.0 / 3.0)], 4),
+        first,
         Loss(0, t[8]),  # L9-L11: between the mixer halves
         Loss(1, t[9]),
         Loss(3, t[10]),
-        compile_circuit(
-            [PhaseShift(0, 3.0 * math.pi / 2.0), BeamSplitter(0, 1, 0.5)], 4
-        ),
+        second,
         Loss(0, t[11]),  # L12-L14: herald detector efficiencies
         Loss(1, t[12]),
         Loss(3, t[13]),
     ]
-    basis = basis_enumerate(4, 4)
-
-    def evolve(pure):
-        amps = transfer @ pure.to_vector(basis)
-        kept = {occ: a for occ, a in zip(basis, amps) if a != 0.0}
-        return PureState(4, kept, cutoff=4, prune=0.0)
-
     state = MixedState.from_pure(fock_state((2, 2, 0, 0), cutoff=4))
     for step in steps:
         if isinstance(step, Loss):
             state = apply_loss(state, step.mode, step.transmission)
         else:
-            transfer = fock_transfer_matrix(step, 4)
-            state = MixedState([(w, evolve(s)) for w, s in state.components])
+            state = MixedState(
+                [(w, apply_mode_unitary(s, step)) for w, s in state.components]
+            )
     heralded = [
         (w, project_pattern(s, (0, 1, 3), pattern)[0]) for w, s in state.components
     ]
@@ -386,6 +365,42 @@ def test_walk_rows_each_hold_one_splitter_class(pattern, columns):
     assert np.all(nonzero.any(axis=1))
     assert np.all((transmitted == own[:, :1]) | ~nonzero)
     assert np.all((reflected == own[:, 1:]) | ~nonzero)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_loss_step_is_trace_preserving(slot):
+    # the Kraus branches of one walked loss, each weighted by its lost photons'
+    # (1 - t)^k, keep the norm of any state of any sector at any transmission
+    rng = np.random.default_rng(slot)
+    sectors = circuit.fock_sectors(sensitivity._MODES, sensitivity._PHOTONS)
+    for photons, sector in enumerate(sectors):
+        rows = np.arange(len(sector.occupations))
+        coefs = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+        keys = np.zeros(rows.size, dtype=int)
+        state = sensitivity._Branch(0, (0,) * slot, photons, rows, keys, coefs)
+        for t in (0.0, rng.uniform(), 1.0):
+            norm = 0.0
+            for k in range(photons + 1):
+                branch = sensitivity._lose(state, slot, k)
+                kept = branch.keys // sensitivity._BASE**slot  # sqrt(t)'s power
+                amplitude = np.zeros(len(sectors[photons - k].occupations), complex)
+                np.add.at(amplitude, branch.rows, branch.coefs * np.sqrt(t) ** kept)
+                norm += (1.0 - t) ** k * np.sum(np.abs(amplitude) ** 2)
+            assert norm == pytest.approx(np.sum(np.abs(coefs) ** 2), rel=1e-13)
+
+
+def test_oracles_import_nothing_from_the_engine():
+    # a reference built on the engine's own code cannot catch its mistakes
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert "qscissor.circuit.fock_transfer_matrix" in names
+    engine = "qscissor.sensitivity"
+    assert [n for n in names if n == engine or n.startswith(engine + ".")] == []
 
 
 def test_distinct_gains_build_no_tables():
