@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import PureState, basis_dimension, basis_enumerate
+from .fock import PureState, _basis_layout, basis_dimension, basis_enumerate
 
 UNITARITY_TOL = 1e-10
 
@@ -353,9 +353,9 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
         raise ValueError(
             f"unitary acts on {u.dim} modes but the state has {state.modes}"
         )
-    basis = basis_enumerate(state.modes, state.cutoff)
+    basis, _ = _basis_layout(state.modes, state.cutoff)
     transfer = fock_transfer_matrix(u, state.cutoff)
-    out_vec = transfer @ state.to_vector(basis)
+    out_vec = transfer @ state.to_vector()
     amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
     return PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
 

@@ -4,7 +4,8 @@ Experiments are described by a flat key = value config file (grids written
 as ``start:stop:step``, lists as comma-separated values) and produce a CSV
 plus a JSON sidecar holding the fully resolved configuration.  Outputs are
 byte identical for identical config and seed: floats are written in
-shortest round-trip form and no timestamps are recorded.
+shortest round-trip form and no timestamps are recorded.  The CSV streams
+out in blocks of rows, and a failed write leaves neither file behind.
 
 Exit codes: 0 success, 2 invalid configuration (messages carry the config
 line number), 3 output I/O failure.
@@ -13,10 +14,12 @@ line number), 3 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -382,7 +385,7 @@ def _relative_phase(amplitude: complex, reference: complex) -> float:
     return phase + 2.0 * math.pi if phase < -math.pi + _PI_STEP_TOLERANCE else phase
 
 
-def _run_scissor(cfg: dict) -> tuple[list[str], list[list]]:
+def _run_scissor(cfg: dict) -> tuple[list[str], list]:
     coeffs = cfg["input_coeffs"]
     state = PureState(
         1, {(k,): c for k, c in enumerate(coeffs)}, cutoff=max(2, len(coeffs) - 1)
@@ -391,121 +394,118 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list[list]]:
         "g", "pattern", "success_probability", "truncation_weight",
         "out_abs0", "out_abs1", "out_abs2", "rel_phase_01", "rel_phase_12",
     ]
-    rows = []
+    labels, rows = [], []
     for g in cfg["g"]:
         for pattern in cfg["pattern"]:
             outcome = run_two_scissor(state, g, pattern)
-            out = outcome.output.components[0][1]
-            c = [out.amplitude((k,)) for k in range(3)]
-            rows.append(
-                [
-                    g, _pattern_label(pattern), outcome.success_probability,
-                    outcome.truncation_weight,
-                    abs(c[0]), abs(c[1]), abs(c[2]),
-                    _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
-                ]
-            )
-    return header, rows
+            c = [outcome.output.components[0][1].amplitude((k,)) for k in range(3)]
+            labels.append(_pattern_label(pattern))
+            rows.append([
+                g, outcome.success_probability, outcome.truncation_weight, *map(abs, c),
+                _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
+            ])
+    gains, *values = np.array(rows, dtype=float).T
+    return header, [gains, labels, *values]
 
 
-def _run_gain_sweep(cfg: dict) -> tuple[list[str], list[list]]:
+def _run_gain_sweep(cfg: dict) -> tuple[list[str], list]:
     header = ["tau", "g", "G2_closed_form", "G2_simulated"]
     pattern = cfg["pattern"][0]
-    rows = []
-    for tau in cfg["tau"]:
-        for g in cfg["g"]:
-            closed = two_photon_gain(tau, g)
-            simulated = measured_two_photon_gain(tau, g, pattern)
-            rows.append([tau, g, closed, simulated])
-    return header, rows
+    rows = [
+        (tau, g, two_photon_gain(tau, g), measured_two_photon_gain(tau, g, pattern))
+        for tau in cfg["tau"] for g in cfg["g"]
+    ]
+    return header, list(np.array(rows, dtype=float).T)
 
 
-def _run_fringes(cfg: dict) -> tuple[list[str], list[list]]:
-    header = ["pattern", "phi", "rate"]
-    rows = []
-    for pattern in cfg["pattern"]:
-        scan = fringe_scan(cfg["sigma"], cfg["g"], pattern, cfg["phi"])
-        label = _pattern_label(pattern)
-        rows.extend([label, phi, rate] for phi, rate in zip(scan.phases, scan.values))
-    return header, rows
-
-
-def _run_negativity(cfg: dict) -> tuple[list[str], list[list]]:
-    header = ["sigma", "g", "EN_pre", "EN_post"]
-    rows = []
-    for sigma in cfg["sigma"]:
-        for g, pre, post in negativity_curve(sigma, cfg["g"]):
-            rows.append([sigma, g, pre, post])
-    return header, rows
-
-
-def _run_hom(cfg: dict) -> tuple[list[str], list[list]]:
-    return ["theta", "coincidence"], [
-        [theta, hom_coincidence(theta)] for theta in cfg["theta"]
+def _run_fringes(cfg: dict) -> tuple[list[str], list]:
+    scans = [fringe_scan(cfg["sigma"], cfg["g"], p, cfg["phi"]) for p in cfg["pattern"]]
+    labels = []
+    for scan in scans:
+        labels += [_pattern_label(scan.pattern)] * len(scan.phases)
+    return ["pattern", "phi", "rate"], [
+        labels,
+        np.concatenate([scan.phases for scan in scans]),
+        np.concatenate([scan.values for scan in scans]),
     ]
 
 
-def _run_sobol(cfg: dict) -> tuple[list[str], list[list]]:
+def _run_negativity(cfg: dict) -> tuple[list[str], list]:
+    rows = [(s, *p) for s in cfg["sigma"] for p in negativity_curve(s, cfg["g"])]
+    return ["sigma", "g", "EN_pre", "EN_post"], list(np.array(rows, dtype=float).T)
+
+
+def _run_hom(cfg: dict) -> tuple[list[str], list]:
+    coincidence = [hom_coincidence(theta) for theta in cfg["theta"]]
+    return ["theta", "coincidence"], [np.array(cfg["theta"]), np.array(coincidence)]
+
+
+def _run_sobol(cfg: dict) -> tuple[list[str], list]:
     layout, entries = sensitivity_sweep(
-        cfg["g"],
-        tau=cfg["tau"],
-        n_base=cfg["n_base"],
-        seed=cfg["seed"],
-        bounds=(cfg["loss_min"], cfg["loss_max"]),
-        pattern=cfg["pattern"][0],
+        cfg["g"], tau=cfg["tau"], n_base=cfg["n_base"], seed=cfg["seed"],
+        bounds=(cfg["loss_min"], cfg["loss_max"]), pattern=cfg["pattern"][0],
         bootstrap_resamples=cfg["bootstrap"],
     )
     header = ["g", "variable", "region", "s1", "ci95", "evaluations"]
-    rows = []
-    for entry in entries:
-        for point, s, ci in zip(layout.points, entry.result.indices, entry.result.ci):
-            rows.append(
-                [entry.g, point.name, point.region, float(s), float(ci),
-                 entry.result.evaluations]
-            )
-    return header, rows
+    points = len(layout.points)
+    return header, [
+        np.repeat([entry.g for entry in entries], points),
+        [point.name for point in layout.points] * len(entries),
+        [point.region for point in layout.points] * len(entries),
+        np.concatenate([entry.result.indices for entry in entries]),
+        np.concatenate([entry.result.ci for entry in entries]),
+        np.repeat([entry.result.evaluations for entry in entries], points),
+    ]
 
 
 _RUNNERS = {
-    "scissor": _run_scissor,
-    "gain-sweep": _run_gain_sweep,
-    "fringes": _run_fringes,
-    "negativity": _run_negativity,
-    "hom": _run_hom,
-    "sobol": _run_sobol,
+    "scissor": _run_scissor, "gain-sweep": _run_gain_sweep, "fringes": _run_fringes,
+    "negativity": _run_negativity, "hom": _run_hom, "sobol": _run_sobol,
 }
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip decimal form
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+_BLOCK_ROWS = 4096  # rows formatted at a time: the writer holds one block
 
 
-def write_results(out_dir: Path, experiment: str, header, rows, cfg, config_text):
+def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_text):
+    """Write ``<experiment>.csv`` and ``.meta.json``, both or neither: each is
+    staged under a temporary name and renamed once both are whole.  Columns
+    are float or int arrays (``repr`` of a ``tolist`` entry is its shortest
+    round-trip form) or label lists, written ``_BLOCK_ROWS`` rows at a time."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{experiment}.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "experiment": experiment,
-        "columns": list(header),
-        "rows": len(rows),
-        "resolved_config": _jsonable(cfg),
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-    }
-    meta_path = out_dir / f"{experiment}.meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
+    paths = [out_dir / f"{experiment}{suffix}" for suffix in (".csv", ".meta.json")]
+    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    placed = []
+    try:
+        with open(staged[0], "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for start in range(0, len(columns[0]), _BLOCK_ROWS):
+                block = [column[start : start + _BLOCK_ROWS] for column in columns]
+                writer.writerows(zip(*(
+                    map(repr, b.tolist()) if isinstance(b, np.ndarray) else b
+                    for b in block
+                )))
+        meta = {
+            "schema_version": SCHEMA_VERSION,
+            "package_version": __version__,
+            "experiment": experiment,
+            "columns": list(header),
+            "rows": len(columns[0]),
+            "resolved_config": _jsonable(cfg),
+            "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        }
+        with open(staged[1], "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for temporary, path in zip(staged, paths):
+            os.replace(temporary, path)
+            placed.append(path)
+    except BaseException:
+        for path in staged + placed:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+    return tuple(paths)
 
 
 def _jsonable(value):
@@ -594,15 +594,15 @@ def main(argv=None) -> int:
             print(f"{key} = {_jsonable(cfg[key])}")
         return 0
 
-    header, rows = _RUNNERS[experiment](cfg)
+    header, columns = _RUNNERS[experiment](cfg)
     try:
         csv_path, meta_path = write_results(
-            Path(args.out), experiment, header, rows, cfg, config_text
+            Path(args.out), experiment, header, columns, cfg, config_text
         )
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {csv_path} ({len(rows)} rows) and {meta_path}")
+    print(f"wrote {csv_path} ({len(columns[0])} rows) and {meta_path}")
     return 0
 
 

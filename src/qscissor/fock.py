@@ -6,15 +6,18 @@ of ints) and every state caps the *total* photon number at a configurable
 cutoff.  Amplitude maps are kept sparse because the experiments populate only
 a handful of occupations out of a combinatorially large basis.
 
-Operations return new states and never mutate their inputs, and this module
-keeps no state between calls.  The containers are not frozen, though: a
-state's ``amplitudes`` is a plain dict, so a state shared between threads
-stays consistent only while no caller edits it.
+Operations return new states and never mutate their inputs; the only state
+kept between calls is an LRU cache of read-only basis layouts.  The
+containers are not frozen, though: a state's ``amplitudes`` is a plain dict,
+so a state shared between threads stays consistent only while no caller
+edits it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -43,6 +46,14 @@ def basis_enumerate(modes: int, max_total: int) -> list[OccupationVector]:
     The order is lexicographic and therefore deterministic; it defines the
     index convention used by every dense-matrix export in the package.
     """
+    return list(_basis_layout(modes, max_total)[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_layout(
+    modes: int, max_total: int
+) -> tuple[tuple[OccupationVector, ...], Mapping[OccupationVector, int]]:
+    """The :func:`basis_enumerate` basis and its occupation -> index map."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
     if max_total < 0:
@@ -57,14 +68,8 @@ def basis_enumerate(modes: int, max_total: int) -> list[OccupationVector]:
             for tail in _build(remaining_modes - 1, budget - n):
                 yield (n,) + tail
 
-    return list(_build(modes, max_total))
-
-
-def _validate_occupation(occ: tuple, modes: int) -> None:
-    if len(occ) != modes:
-        raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {modes}")
-    if any((not isinstance(n, (int, np.integer))) or n < 0 for n in occ):
-        raise ValueError(f"occupation {occ} must contain non-negative integers")
+    basis = tuple(_build(modes, max_total))
+    return basis, MappingProxyType({occ: i for i, occ in enumerate(basis)})
 
 
 class PureState:
@@ -97,8 +102,13 @@ class PureState:
             raise ValueError("cutoff must be non-negative")
         amps: dict[tuple, complex] = {}
         for occ, amp in amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            _validate_occupation(occ, modes)
+            occ = tuple(map(int, occ))
+            if len(occ) != modes:
+                raise ValueError(
+                    f"occupation {occ} has {len(occ)} modes, expected {modes}"
+                )
+            if min(occ, default=0) < 0:
+                raise ValueError(f"occupation {occ} must contain non-negative integers")
             if sum(occ) > cutoff:
                 raise ValueError(
                     f"occupation {occ} exceeds the total-photon cutoff {cutoff}"
@@ -137,9 +147,10 @@ class PureState:
     def to_vector(self, basis: list[tuple] | None = None) -> np.ndarray:
         """Dense amplitude vector in the canonical (lexicographic) basis order."""
         if basis is None:
-            basis = basis_enumerate(self.modes, self.cutoff)
+            basis, index = _basis_layout(self.modes, self.cutoff)
+        else:
+            index = {occ: i for i, occ in enumerate(basis)}
         vec = np.zeros(len(basis), dtype=complex)
-        index = {occ: i for i, occ in enumerate(basis)}
         for occ, amp in self.amplitudes.items():
             vec[index[occ]] = amp
         return vec
@@ -275,9 +286,7 @@ class MixedState:
 
     def density_matrix(self, basis: list[tuple] | None = None) -> np.ndarray:
         """Dense density matrix in the canonical basis order."""
-        if basis is None:
-            basis = basis_enumerate(self.modes, self.cutoff)
-        dim = len(basis)
+        dim = basis_dimension(self.modes, self.cutoff) if basis is None else len(basis)
         rho = np.zeros((dim, dim), dtype=complex)
         for w, s in self.components:
             vec = s.to_vector(basis)

@@ -7,11 +7,13 @@ Kraus-operator definition the Sobol engine's batched loss walk reproduces,
 and the per-branch walk is that loss walk one Kraus branch at a time on the
 dense Fock basis, which the engine composes into a single matrix product.
 They build on the circuit and state primitives only, never on the Sobol
-engine's own code.
+engine's own code.  The row writer formats and writes one CSV row at a
+time, the reference for the CLI's blocked column writer.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -230,3 +232,22 @@ def branch_walk(pattern, g, t_anc, t_internal):
         heralded[heraldable & (totals == total)].transpose(1, 0, 2)
         for total in range(_PHOTONS + 1)
     ]
+
+
+def format_cell(value) -> str:
+    """One CSV cell: floats in shortest round-trip form, ints as digits."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def write_rows(path, header, rows) -> None:
+    """Reference CSV writer: every cell through :func:`format_cell`, then one
+    ``csv.writer.writerow`` per row."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])

@@ -1,17 +1,23 @@
 import csv
 import json
+import lzma
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qscissor
+from oracles import write_rows
+from qscissor import cli
 from qscissor.cli import ConfigError, main, parse_config_text, resolve_config
 from qscissor.scissor import two_photon_gain
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def write_config(tmp_path, text, name="config.txt"):
@@ -365,3 +371,104 @@ def test_console_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "hom.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# result writing
+# ---------------------------------------------------------------------------
+
+_SMALL_CONFIGS = {
+    # g = 0 leaves only c0, so both phase cells are nan; 110 has a pi step
+    "scissor": "g = 0, 1e-25, 2\npattern = all\ninput_coeffs = 0.66, -0.18, 0.1, 0\n",
+    "gain-sweep": "tau = 1e-100, 0.05, 1\ng = 1e-25, 1, 1e6\n",
+    "fringes": "sigma = 0.2\ng = 2\nphi = 0:6.3:0.7\n",
+    "negativity": "sigma = 0.1, 0.5\ng = 0:2:0.5\n",
+    "hom": "theta = 0:1.6:0.2\n",
+    "sobol": "g = 1, 2\nn_base = 16\nseed = 3\nbootstrap = 10\n",
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_column_writer_matches_row_writer(tmp_path, experiment):
+    text = _SMALL_CONFIGS[experiment]
+    cfg = resolve_config(experiment, parse_config_text(text), None)
+    header, columns = cli._RUNNERS[experiment](cfg)
+    csv_path, meta_path = cli.write_results(
+        tmp_path / "out", experiment, header, columns, cfg, text
+    )
+    write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    assert csv_path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    rows = len(read_csv(csv_path)) - 1
+    assert rows == len(columns[0]) == json.loads(meta_path.read_text())["rows"]
+
+
+def _fringe_columns(rows):
+    phases = np.linspace(0.0, 2.0 * np.pi, rows // 3)
+    rates = 0.25 + 0.2 * np.cos(2.0 * phases)
+    labels = [label for label in ("110", "101", "011") for _ in phases]
+    return ["pattern", "phi", "rate"], [labels, np.tile(phases, 3), np.tile(rates, 3)]
+
+
+def test_writer_memory_is_one_block(tmp_path):
+    """Ten blocks of rows take the memory of one to write: the writer holds
+    one block of formatted cells, never a row object per row."""
+    peaks = []
+    for rows in (cli._BLOCK_ROWS, 10 * cli._BLOCK_ROWS):
+        header, columns = _fringe_columns(rows)
+        phases = columns[1][: rows // 3].tolist()
+        cfg = {"experiment": "fringes", "sigma": 0.2, "g": 2.0, "phi": phases}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.write_results(tmp_path / str(rows), "fringes", header, columns, cfg, "")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * 2**20, peaks
+    assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
+
+def test_fringes_dense_matches_benchmark_reference(tmp_path):
+    """The benchmark's fringes workload against its stored reference, with the
+    benchmark's own rule: labels exact, numbers within RTOL 1e-9 / ATOL 1e-12."""
+    config = PERFBENCH / "configs" / "fringes-dense.conf"
+    assert main(["fringes", "--config", str(config), "--out", str(tmp_path)]) == 0
+    actual = read_csv(tmp_path / "fringes.csv")
+    with lzma.open(PERFBENCH / "reference" / "fringes-dense.csv.xz", "rt") as fh:
+        reference = list(csv.reader(fh))
+    assert actual[0] == reference[0] == ["pattern", "phi", "rate"]
+    assert len(actual) == len(reference) == 1 + 12003
+    labels, *numbers = zip(*actual[1:])
+    ref_labels, *ref_numbers = zip(*reference[1:])
+    assert labels == ref_labels
+    got, want = np.array(numbers, dtype=float), np.array(ref_numbers, dtype=float)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12)
+
+
+def _fail_json_dump(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "failure", ["out-is-a-file", "meta-is-a-directory", "disk-full"]
+)
+def test_failed_write_exits_3_and_leaves_nothing(
+    tmp_path, capsys, monkeypatch, failure
+):
+    path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
+    out = tmp_path / "out"
+    if failure == "out-is-a-file":
+        out.write_text("not a directory")
+    else:
+        out.mkdir()
+    if failure == "meta-is-a-directory":
+        (out / "hom.meta.json").mkdir()
+    if failure == "disk-full":
+        monkeypatch.setattr(cli.json, "dump", _fail_json_dump)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["hom", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write results") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before

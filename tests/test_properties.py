@@ -6,13 +6,17 @@ stays reproducible and fast.
 
 import functools
 import string
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_loss
+from oracles import apply_loss, write_rows
+from qscissor import cli
 from qscissor.cli import (
     _MAX_GAIN,
     _MIN_GAIN,
@@ -159,3 +163,43 @@ def test_config_problems_raise_only_config_error(experiment, entries, junk, seed
         resolve_config(experiment, parse_config_text("\n".join(lines)), seed)
     except ConfigError:
         pass
+
+
+_CELLS = {
+    "float": st.floats(),  # every float: nan, +-inf, -0.0, subnormals, huge, tiny
+    "int": st.integers(-(2**63), 2**63 - 1),
+    # csv quotes a cell holding a comma, a quote or a line break
+    "label": st.text(string.ascii_letters + ' ,"\r\n\té', max_size=6),
+}
+
+
+@st.composite
+def _columns(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3))
+    rows = draw(st.integers(0, 9))
+    columns = [draw(st.lists(_CELLS[k], min_size=rows, max_size=rows)) for k in kinds]
+    return [
+        column if kind == "label" else np.array(column, dtype=np.dtype(kind))
+        for kind, column in zip(kinds, columns)
+    ]
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]
+
+
+@settings(PROPERTY, max_examples=30)
+@given(columns=_columns(), block=st.integers(1, 5))
+@example(columns=[np.array(_SPECIAL_FLOATS)], block=3)
+@example(columns=[np.array([0, -1, 2**63 - 1, -(2**63)])], block=2)
+@example(
+    columns=[["a,b", 'q"', "", "new\nline", "cr\r"], np.arange(5.0) / 3], block=2
+)
+@example(columns=[[""]], block=1)  # a lone empty cell is written quoted
+def test_column_writer_matches_row_writer(columns, block):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            cli.write_results(out / "out", "hom", header, columns, {}, "")
+        write_rows(out / "rows.csv", header, zip(*columns))
+        assert (out / "out" / "hom.csv").read_bytes() == (out / "rows.csv").read_bytes()
