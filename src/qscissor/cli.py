@@ -4,8 +4,9 @@ Experiments are described by a flat key = value config file (grids written
 as ``start:stop:step``, lists as comma-separated values) and produce a CSV
 plus a JSON sidecar holding the fully resolved configuration.  Outputs are
 byte identical for identical config and seed: floats are written in
-shortest round-trip form and no timestamps are recorded.  The CSV streams
-out in blocks of rows, and a failed write leaves neither file behind.
+shortest round-trip form and no timestamps are recorded.  The CSV is
+written a row at a time from blocks of column values, and a failed write
+leaves neither file behind.
 
 Exit codes: 0 success, 2 invalid configuration (messages carry the config
 line number), 3 output I/O failure.
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -463,28 +465,44 @@ _RUNNERS = {
     "negativity": _run_negativity, "hom": _run_hom, "sobol": _run_sobol,
 }
 
-_BLOCK_ROWS = 4096  # rows formatted at a time: the writer holds one block
+_BLOCK_ROWS = 4096  # rows read at a time: the writer holds one block of values
+
+
+def _csv_cell(label, width: int) -> str:
+    """``label`` as ``csv`` writes it in a row of ``width`` cells (numeric
+    ``repr`` cells never need quoting); ``lineterminator=""`` would leave a
+    line break unquoted."""
+    label = str(label)
+    if not label and width > 1:
+        return label
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([label])
+    return buffer.getvalue()[:-1]
 
 
 def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_text):
     """Write ``<experiment>.csv`` and ``.meta.json``, both or neither: each is
     staged under a temporary name and renamed once both are whole.  Columns
-    are float or int arrays (``repr`` of a ``tolist`` entry is its shortest
-    round-trip form) or label lists, written ``_BLOCK_ROWS`` rows at a time."""
+    (float or int arrays, or label lists) are read ``_BLOCK_ROWS`` rows at a
+    time; each row is written as its cells joined by commas."""
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{experiment}{suffix}" for suffix in (".csv", ".meta.json")]
     staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     placed = []
     try:
         with open(staged[0], "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            csv.writer(fh, lineterminator="\n").writerow(header)
             for start in range(0, len(columns[0]), _BLOCK_ROWS):
-                block = [column[start : start + _BLOCK_ROWS] for column in columns]
-                writer.writerows(zip(*(
-                    map(repr, b.tolist()) if isinstance(b, np.ndarray) else b
-                    for b in block
-                )))
+                cells = []
+                for column in columns:
+                    block = column[start : start + _BLOCK_ROWS]
+                    if isinstance(block, np.ndarray):
+                        cells.append(map(repr, block.tolist()))
+                    else:
+                        quoted = {v: _csv_cell(v, len(columns)) for v in set(block)}
+                        cells.append(map(quoted.__getitem__, block))
+                for row in zip(*cells):
+                    fh.write(",".join(row) + "\n")
         meta = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,

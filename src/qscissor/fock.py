@@ -101,8 +101,13 @@ class PureState:
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
         amps: dict[tuple, complex] = {}
-        for occ, amp in amplitudes.items():
-            occ = tuple(map(int, occ))
+        for key, amp in amplitudes.items():
+            try:
+                occ = tuple(map(int, key))
+            except (OverflowError, ValueError):  # inf, nan
+                occ = None
+            if occ != tuple(key):  # int() truncated a non-integral entry
+                raise ValueError(f"occupation {key} must contain non-negative integers")
             if len(occ) != modes:
                 raise ValueError(
                     f"occupation {occ} has {len(occ)} modes, expected {modes}"

@@ -426,6 +426,21 @@ def test_writer_memory_is_one_block(tmp_path):
             tracemalloc.stop()
     assert max(peaks) < 3 * 2**20, peaks
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+    assert peaks[1] < 0.5 * 2**20, peaks  # a block joined into one string: 0.69 MB
+
+
+def test_fringes_dense_writer_matches_row_writer(tmp_path):
+    """The benchmark's fringes config, three blocks with a partial last one,
+    written byte for byte as the per-row reference writer writes it."""
+    text = (PERFBENCH / "configs" / "fringes-dense.conf").read_text()
+    cfg = resolve_config("fringes", parse_config_text(text), None)
+    header, columns = cli._RUNNERS["fringes"](cfg)
+    assert 2 * cli._BLOCK_ROWS < len(columns[0]) < 3 * cli._BLOCK_ROWS
+    csv_path, _ = cli.write_results(
+        tmp_path / "out", "fringes", header, columns, cfg, text
+    )
+    write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    assert csv_path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_fringes_dense_matches_benchmark_reference(tmp_path):

@@ -65,6 +65,25 @@ def test_pure_state_rejects_wrong_mode_count():
         PureState(2, {(1,): 1.0})
 
 
+@pytest.mark.parametrize(
+    "occ",
+    [(1.5, 0.7), (1, 0.5), (1, float("nan")), (1, float("inf")), (-float("inf"), 1),
+     (np.float64(0.5), 1), (-1, 1)],
+)
+def test_pure_state_rejects_non_integral_occupations(occ):
+    with pytest.raises(ValueError, match="must contain non-negative integers"):
+        PureState(2, {occ: 1.0})
+
+
+@pytest.mark.parametrize(
+    "occ", [(1, 0), (np.int64(1), np.int32(0)), (1.0, 0.0), (np.float64(1.0), -0.0)]
+)
+def test_pure_state_accepts_integral_occupations(occ):
+    state = PureState(2, {occ: 1.0})
+    assert list(state.amplitudes) == [(1, 0)]
+    assert all(type(n) is int for n in next(iter(state.amplitudes)))
+
+
 def test_pruning_drops_tiny_amplitudes_and_keeps_others():
     state = PureState(1, {(0,): 1.0, (1,): 1e-17}, cutoff=2)
     assert (1,) not in state.amplitudes

@@ -195,6 +195,9 @@ _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16
     columns=[["a,b", 'q"', "", "new\nline", "cr\r"], np.arange(5.0) / 3], block=2
 )
 @example(columns=[[""]], block=1)  # a lone empty cell is written quoted
+@example(columns=[["", "a", ""]], block=2)  # so is every empty cell of one column
+@example(columns=[["", "x"], np.array([1.0, 2.0])], block=1)  # not in a wider row
+@example(columns=[['a,"b\n'] * 3, np.arange(3)], block=1)  # quoted in every block
 def test_column_writer_matches_row_writer(columns, block):
     header = [f"c{i}" for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
