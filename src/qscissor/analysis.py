@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import fock_sectors
 from .fock import PureState
-from .scissor import _check_gain, _coincidence_row, heralded_amplify
+from .scissor import _check_gain, _check_pattern, _coincidence_row, heralded_amplify
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,8 @@ def amplified_path_state(sigma: float, g: float) -> QutritPathState:
     The transmitted-arm photon number k picks up g^k, so the state becomes
     balanced (maximally entangled) exactly when g^2 = (1 - sigma) / sigma.
     """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"splitting ratio {sigma} outside [0, 1]")
-    _check_gain(g)
     base = path_entangled_state(sigma).coefficients
+    _check_gain(g)
     raw = np.array([base[k] * g**k for k in range(3)], dtype=complex)
     return QutritPathState(tuple(raw / np.linalg.norm(raw)))
 
@@ -84,16 +82,6 @@ def log_negativity(state: QutritPathState) -> float:
     rho_pt = rho.transpose(0, 3, 2, 1).reshape(9, 9)  # transpose the t factor
     eigenvalues = np.linalg.eigvalsh(rho_pt)
     return float(np.log2(np.sum(np.abs(eigenvalues))))
-
-
-def log_negativity_schmidt(state: QutritPathState) -> float:
-    """Pure-state shortcut: E_N = log2((sum of Schmidt coefficients)^2).
-
-    The path state is already Schmidt-diagonal in the photon-number basis,
-    so the Schmidt coefficients are just the coefficient magnitudes.  Kept
-    as an independent cross-check of :func:`log_negativity`.
-    """
-    return float(2.0 * np.log2(sum(abs(c) for c in state.coefficients)))
 
 
 def negativity_curve(
@@ -171,6 +159,7 @@ def fringe_scan(
     path_state = PureState(
         2, {(2 - k, k): c for k, c in enumerate(coefficients)}, cutoff=2
     )
+    pattern = _check_pattern(pattern)
     amplified, herald_probability = heralded_amplify(path_state, 1, g, pattern)
     if herald_probability <= 0.0:
         raise ValueError("herald pattern has zero probability in this setup")
@@ -183,7 +172,7 @@ def fringe_scan(
     shifted = np.exp(1j * np.outer(phases, pair[:, 1])) * vector
     coincidence = shifted @ _coincidence_row()
     values = coincidence.real**2 + coincidence.imag**2
-    return FringeScan(phases=phases, values=values, pattern=tuple(pattern))
+    return FringeScan(phases=phases, values=values, pattern=pattern)
 
 
 @dataclass

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import PureState, _basis_layout, basis_dimension, basis_enumerate
+from .fock import PureState, _basis_layout, _occupation, basis_dimension, basis_enumerate
 
 UNITARITY_TOL = 1e-10
 
@@ -143,15 +143,6 @@ def beam_splitter_unitary(transmittance: float, phase: float = 0.0) -> ModeUnita
     )
 
 
-def _embed_two_mode(u2: np.ndarray, mode_a: int, mode_b: int, modes: int) -> np.ndarray:
-    u = np.eye(modes, dtype=complex)
-    u[mode_a, mode_a] = u2[0, 0]
-    u[mode_a, mode_b] = u2[0, 1]
-    u[mode_b, mode_a] = u2[1, 0]
-    u[mode_b, mode_b] = u2[1, 1]
-    return u
-
-
 def embed_unitary(u: ModeUnitary, target_modes: Sequence[int], modes: int) -> ModeUnitary:
     """Embed a small unitary so it acts on `target_modes` of a larger system."""
     target_modes = list(target_modes)
@@ -167,22 +158,23 @@ def embed_unitary(u: ModeUnitary, target_modes: Sequence[int], modes: int) -> Mo
 
 
 def compile_circuit(elements: Iterable[CircuitElement], modes: int) -> ModeUnitary:
-    """Compose element unitaries in application order (first element first)."""
+    """Compose element unitaries in application order (first element first).
+
+    Each element's local unitary (a splitter's 2x2, a phase shift's 1x1) is
+    placed on its modes by :func:`embed_unitary`, which rejects any mode
+    outside ``0..modes-1``.
+    """
     total = np.eye(modes, dtype=complex)
     for element in elements:
         if isinstance(element, BeamSplitter):
-            if element.mode_a >= modes or element.mode_b >= modes:
-                raise ValueError(f"element {element} exceeds mode count {modes}")
-            u2 = beam_splitter_unitary(element.transmittance, element.phase).matrix
-            step = _embed_two_mode(u2, element.mode_a, element.mode_b, modes)
+            local = beam_splitter_unitary(element.transmittance, element.phase)
+            targets = (element.mode_a, element.mode_b)
         elif isinstance(element, PhaseShift):
-            if element.mode >= modes:
-                raise ValueError(f"element {element} exceeds mode count {modes}")
-            step = np.eye(modes, dtype=complex)
-            step[element.mode, element.mode] = np.exp(1j * element.angle)
+            local = ModeUnitary([[np.exp(1j * element.angle)]])
+            targets = (element.mode,)
         else:
             raise TypeError(f"unknown circuit element {element!r}")
-        total = step @ total
+        total = embed_unitary(local, targets, modes).matrix @ total
     return ModeUnitary(total)
 
 
@@ -217,8 +209,7 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
     Mode unitaries conserve total photon number, so mismatched totals give
     exactly zero.
     """
-    n_in = tuple(int(n) for n in n_in)
-    n_out = tuple(int(n) for n in n_out)
+    n_in, n_out = _occupation(n_in), _occupation(n_out)
     if len(n_in) != u.dim or len(n_out) != u.dim:
         raise ValueError("occupation length must match the unitary dimension")
     if sum(n_in) != sum(n_out):

@@ -72,6 +72,22 @@ def _basis_layout(
     return basis, MappingProxyType({occ: i for i, occ in enumerate(basis)})
 
 
+def _occupation(values: Iterable[int]) -> OccupationVector:
+    """``values`` as a tuple of ints; raises unless each is a non-negative integer.
+
+    ``1.0`` and numpy integers pass; 1.5, NaN and inf fail rather than
+    truncate.
+    """
+    key = tuple(values)
+    try:
+        occ = tuple(map(int, key))
+    except (OverflowError, ValueError):  # inf, nan
+        occ = None
+    if occ != key or min(occ, default=0) < 0:
+        raise ValueError(f"occupation {key} must contain non-negative integers")
+    return occ
+
+
 class PureState:
     """Sparse complex amplitude map over occupation vectors.
 
@@ -102,18 +118,11 @@ class PureState:
             raise ValueError("cutoff must be non-negative")
         amps: dict[tuple, complex] = {}
         for key, amp in amplitudes.items():
-            try:
-                occ = tuple(map(int, key))
-            except (OverflowError, ValueError):  # inf, nan
-                occ = None
-            if occ != tuple(key):  # int() truncated a non-integral entry
-                raise ValueError(f"occupation {key} must contain non-negative integers")
+            occ = _occupation(key)
             if len(occ) != modes:
                 raise ValueError(
                     f"occupation {occ} has {len(occ)} modes, expected {modes}"
                 )
-            if min(occ, default=0) < 0:
-                raise ValueError(f"occupation {occ} must contain non-negative integers")
             if sum(occ) > cutoff:
                 raise ValueError(
                     f"occupation {occ} exceeds the total-photon cutoff {cutoff}"
@@ -141,7 +150,7 @@ class PureState:
         )
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        return self.amplitudes.get(tuple(int(n) for n in occ), 0.0 + 0.0j)
+        return self.amplitudes.get(_occupation(occ), 0.0 + 0.0j)
 
     def total_photon_weight(self, min_total: int) -> float:
         """Probability weight carried by components with >= min_total photons."""
@@ -149,12 +158,10 @@ class PureState:
             abs(a) ** 2 for occ, a in self.amplitudes.items() if sum(occ) >= min_total
         )
 
-    def to_vector(self, basis: list[tuple] | None = None) -> np.ndarray:
-        """Dense amplitude vector in the canonical (lexicographic) basis order."""
-        if basis is None:
-            basis, index = _basis_layout(self.modes, self.cutoff)
-        else:
-            index = {occ: i for i, occ in enumerate(basis)}
+    def to_vector(self) -> np.ndarray:
+        """Dense amplitude vector over ``basis_enumerate(modes, cutoff)``, in
+        that canonical (lexicographic) order."""
+        basis, index = _basis_layout(self.modes, self.cutoff)
         vec = np.zeros(len(basis), dtype=complex)
         for occ, amp in self.amplitudes.items():
             vec[index[occ]] = amp
@@ -167,7 +174,7 @@ class PureState:
 
 def fock_state(occ: Iterable[int], cutoff: int | None = None) -> PureState:
     """Basis state |occ> with amplitude 1."""
-    occ = tuple(int(n) for n in occ)
+    occ = _occupation(occ)
     if cutoff is None:
         cutoff = max(DEFAULT_CUTOFF, sum(occ))
     return PureState(len(occ), {occ: 1.0}, cutoff=cutoff)
@@ -289,12 +296,13 @@ class MixedState:
             raise ValueError("cannot normalize a zero-trace mixture")
         return MixedState([(w / total, s) for w, s in comps])
 
-    def density_matrix(self, basis: list[tuple] | None = None) -> np.ndarray:
-        """Dense density matrix in the canonical basis order."""
-        dim = basis_dimension(self.modes, self.cutoff) if basis is None else len(basis)
+    def density_matrix(self) -> np.ndarray:
+        """Dense density matrix over ``basis_enumerate(modes, cutoff)``, in
+        that canonical order."""
+        dim = basis_dimension(self.modes, self.cutoff)
         rho = np.zeros((dim, dim), dtype=complex)
         for w, s in self.components:
-            vec = s.to_vector(basis)
+            vec = s.to_vector()
             rho += w * np.outer(vec, vec.conj())
         return rho
 

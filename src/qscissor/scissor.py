@@ -68,13 +68,25 @@ _RESOURCE_PHOTONS = 2  # also the most photons the output can hold
 #: does.
 _RESOURCE_ONLY_HERALD = 2.0 / 9.0
 
-#: Largest input-state cutoff the full simulation accepts by default.
+#: Largest input-state cutoff the full simulation accepts.
 MAX_INPUT_CUTOFF = 4
 
 
 def _check_gain(g: float) -> None:
     if not 0.0 <= g < math.inf:
         raise ValueError(f"gain must be non-negative and finite, got {g}")
+
+
+def _check_pattern(pattern: Sequence[int]) -> tuple:
+    """The success pattern as a tuple of ints; raises for any other pattern.
+
+    Membership compares numerically, so 1.0 and numpy integers pass while
+    1.5, NaN and inf fail.
+    """
+    p = tuple(pattern)
+    if p not in SUCCESS_PATTERNS:
+        raise ValueError(f"{p} is not a success pattern {SUCCESS_PATTERNS}")
+    return tuple(map(int, p))
 
 
 def gain_to_transmittance(g: float) -> float:
@@ -85,34 +97,23 @@ def gain_to_transmittance(g: float) -> float:
 
 def herald_phase(pattern: Sequence[int]) -> float:
     """Phase acquired per photon-number step for a given success pattern."""
-    pattern = tuple(int(n) for n in pattern)
-    phases = {
-        (1, 1, 0): 0.0,
-        (1, 0, 1): 2.0 * math.pi / 3.0,
-        (0, 1, 1): 4.0 * math.pi / 3.0,
-    }
-    if pattern not in phases:
-        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
-    return phases[pattern]
+    return 2.0 * math.pi * SUCCESS_PATTERNS.index(_check_pattern(pattern)) / 3.0
 
 
-def ideal_scissor_transform(
-    coefficients: Sequence[complex], g: float, order: int = 2
-) -> np.ndarray:
-    """Closed-form amplifier action: keep c_0..c_order, scale c_k by g^k.
+def ideal_scissor_transform(coefficients: Sequence[complex], g: float) -> np.ndarray:
+    """Closed-form amplifier action: keep c_0, c_1, c_2, scale c_k by g^k.
 
-    Components above ``order`` are cut off.  Returns the renormalized
-    coefficient vector of length order + 1; raises if nothing survives the
-    cut (a degenerate input for the protocol).
+    Components above the resource's two photons are cut off.  Returns the
+    renormalized coefficient vector of length 3; raises if nothing survives
+    the cut (a degenerate input for the protocol).
     """
-    if order < 1:
-        raise ValueError("amplifier order must be >= 1")
     _check_gain(g)
-    kept = np.asarray(list(coefficients[: order + 1]), dtype=complex)
-    if kept.size < order + 1:
-        kept = np.concatenate([kept, np.zeros(order + 1 - kept.size)])
+    size = _RESOURCE_PHOTONS + 1
+    kept = np.asarray(list(coefficients[:size]), dtype=complex)
+    if kept.size < size:
+        kept = np.concatenate([kept, np.zeros(size - kept.size)])
     # 0^0 = 1 handles g = 0: only the vacuum component survives
-    kept = kept * np.array([g**k for k in range(order + 1)], dtype=complex)
+    kept = kept * np.array([g**k for k in range(size)], dtype=complex)
     norm = np.linalg.norm(kept)
     if norm == 0.0:
         raise ValueError(
@@ -178,9 +179,7 @@ def heralded_amplify(
     produce a two-photon herald, so they only dilute the success
     probability.
     """
-    pattern = tuple(int(n) for n in pattern)
-    if pattern not in SUCCESS_PATTERNS:
-        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
+    pattern = _check_pattern(pattern)
     if not 0 <= signal_mode < state.modes:
         raise ValueError(f"signal mode {signal_mode} out of range")
     _check_gain(g)
@@ -210,25 +209,24 @@ def run_two_scissor(
     input_state: MixedState | PureState,
     g: float,
     pattern: Sequence[int] = (1, 1, 0),
-    max_input_cutoff: int = MAX_INPUT_CUTOFF,
 ) -> ScissorOutcome:
     """Full circuit simulation of the amplifier on a single-mode input.
 
-    The output mixture is normalized (trace one); ``success_probability`` is
-    the raw herald-pattern probability; ``truncation_weight`` reports how
-    much input probability sat above two photons and therefore could not be
-    heralded.
+    The input's cutoff may be at most ``MAX_INPUT_CUTOFF``.  The output
+    mixture is normalized (trace one); ``success_probability`` is the raw
+    herald-pattern probability; ``truncation_weight`` reports how much input
+    probability sat above two photons and therefore could not be heralded.
     """
     if isinstance(input_state, PureState):
         input_state = MixedState.from_pure(input_state)
     if input_state.modes != 1:
         raise ValueError("the amplifier acts on a single-mode input")
-    if input_state.cutoff > max_input_cutoff:
+    if input_state.cutoff > MAX_INPUT_CUTOFF:
         raise ValueError(
             f"input cutoff {input_state.cutoff} exceeds the supported maximum "
-            f"{max_input_cutoff}; truncate the state first"
+            f"{MAX_INPUT_CUTOFF}; truncate the state first"
         )
-    pattern = tuple(int(n) for n in pattern)
+    pattern = _check_pattern(pattern)
     components: list[tuple[float, PureState]] = []
     success_probability = 0.0
     truncation_weight = 0.0
@@ -361,9 +359,7 @@ def simulate_gain_measurement(
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
-    pattern = tuple(int(n) for n in pattern)
-    if pattern not in SUCCESS_PATTERNS:
-        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
+    pattern = _check_pattern(pattern)
     input_mixture = lossy_two_photon_input(tau)
     if with_amplifier:
         outcome = run_two_scissor(input_mixture, g, pattern)

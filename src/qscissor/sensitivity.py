@@ -74,8 +74,8 @@ from .scissor import (
     _OUT_MODE,
     _QFT_MODES,
     _RESOURCE_MODE,
-    SUCCESS_PATTERNS,
     _check_gain,
+    _check_pattern,
     _gain_factor,
     _mixer_halves,
     _resource_splitter,
@@ -381,11 +381,11 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     return walk
 
 
-def _power_table(t: np.ndarray, max_power: int = _PHOTONS) -> np.ndarray:
-    """[max_power + 1, samples] table of t^n."""
-    table = np.empty((max_power + 1, t.shape[0]))
+def _power_table(t: np.ndarray) -> np.ndarray:
+    """[_PHOTONS + 1, samples] table of t^n."""
+    table = np.empty((_PHOTONS + 1, t.shape[0]))
     table[0] = 1.0
-    for n in range(1, max_power + 1):
+    for n in range(1, _PHOTONS + 1):
         table[n] = table[n - 1] * t
     return table
 
@@ -506,9 +506,7 @@ def _evaluate_batch(factors, tau, losses, layout: LossLayout, pattern: tuple) ->
 
 def _check_model_arguments(g: float, tau: float, pattern) -> tuple:
     """Validate the gain, the channel and the pattern; return the pattern."""
-    pattern = tuple(int(p) for p in pattern)
-    if pattern not in SUCCESS_PATTERNS:
-        raise ValueError(f"{pattern} is not a success pattern {SUCCESS_PATTERNS}")
+    pattern = _check_pattern(pattern)
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
     _check_gain(g)

@@ -7,8 +7,10 @@ Kraus-operator definition the Sobol engine's batched loss walk reproduces,
 and the per-branch walk is that loss walk one Kraus branch at a time on the
 dense Fock basis, which the engine composes into a single matrix product.
 They build on the circuit and state primitives only, never on the Sobol
-engine's own code.  The row writer formats and writes one CSV row at a
-time, the reference for the CLI's blocked column writer.
+engine's own code.  The Schmidt shortcut is the pure-state closed form of
+the path state's log-negativity, the check on its partial transpose.  The
+row writer formats and writes one CSV row at a time, the reference for the
+CLI's blocked column writer.
 """
 
 from __future__ import annotations
@@ -232,6 +234,15 @@ def branch_walk(pattern, g, t_anc, t_internal):
         heralded[heraldable & (totals == total)].transpose(1, 0, 2)
         for total in range(_PHOTONS + 1)
     ]
+
+
+def log_negativity_schmidt(state) -> float:
+    """Pure-state shortcut: E_N = log2((sum of Schmidt coefficients)^2).
+
+    A ``QutritPathState`` is already Schmidt-diagonal in the photon-number
+    basis, so the Schmidt coefficients are just the coefficient magnitudes.
+    """
+    return float(2.0 * np.log2(sum(abs(c) for c in state.coefficients)))
 
 
 def format_cell(value) -> str:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import log_negativity_schmidt
 from qscissor.analysis import (
     FringeScan,
     QutritPathState,
@@ -11,7 +12,6 @@ from qscissor.analysis import (
     fringe_scan,
     hom_coincidence,
     log_negativity,
-    log_negativity_schmidt,
     negativity_curve,
     path_entangled_state,
 )

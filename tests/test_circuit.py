@@ -166,6 +166,28 @@ def test_compile_rejects_out_of_range_mode():
         compile_circuit([BeamSplitter(0, 3, 0.5)], 3)
     with pytest.raises(ValueError):
         compile_circuit([PhaseShift(2, 1.0)], 2)
+    # numpy indexing would wrap a negative mode around to the last modes
+    for element in (BeamSplitter(-1, 0, 0.25), PhaseShift(-1, 1.0)):
+        with pytest.raises(ValueError, match="out of range"):
+            compile_circuit([element], 3)
+
+
+def test_compile_tritter_equals_hand_embedded_product():
+    def splitter(a, b, transmittance):
+        step = np.eye(3, dtype=complex)
+        step[np.ix_([a, b], [a, b])] = beam_splitter_unitary(transmittance).matrix
+        return step
+
+    shift = np.eye(3, dtype=complex)
+    shift[0, 0] = np.exp(1j * (3.0 * math.pi / 2.0))
+    steps = [splitter(0, 1, 0.5), splitter(1, 2, 1.0 / 3.0), shift, splitter(0, 1, 0.5)]
+    expected = np.eye(3, dtype=complex)
+    for step in steps:
+        expected = step @ expected
+    compiled = compile_circuit(tritter_elements(), 3).matrix
+    assert compiled.ravel().tolist() == pytest.approx(
+        expected.ravel().tolist(), rel=0, abs=0
+    )
 
 
 def test_phase_angles_reduced_mod_two_pi():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qscissor.circuit import beam_splitter_unitary, fock_amplitude
 from qscissor.fock import (
     MixedState,
     PureState,
@@ -73,6 +74,21 @@ def test_pure_state_rejects_wrong_mode_count():
 def test_pure_state_rejects_non_integral_occupations(occ):
     with pytest.raises(ValueError, match="must contain non-negative integers"):
         PureState(2, {occ: 1.0})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fock_state((1.5,)),
+        lambda: fock_state((1,)).amplitude((1.5,)),
+        lambda: fock_amplitude(beam_splitter_unitary(0.5), (1.5, 0), (1, 0)),
+    ],
+    ids=["fock_state", "amplitude", "fock_amplitude"],
+)
+def test_occupation_arguments_reject_non_integral_entries(call):
+    # int() alone would truncate 1.5 to 1
+    with pytest.raises(ValueError, match="must contain non-negative integers"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qscissor.scissor import (
     simulate_gain_measurement,
     two_photon_gain,
 )
+from qscissor.sensitivity import lossy_gain_model, sensitivity_sweep
 
 
 def random_qutrit_input(rng):
@@ -91,8 +94,8 @@ def test_gain_setting_round_trip():
 
 def test_herald_phase_table():
     assert herald_phase((1, 1, 0)) == 0.0
-    assert herald_phase((1, 0, 1)) == pytest.approx(2 * math.pi / 3)
-    assert herald_phase((0, 1, 1)) == pytest.approx(4 * math.pi / 3)
+    assert herald_phase((1, 0, 1)) == 2.0 * math.pi / 3.0
+    assert herald_phase((0, 1, 1)) == 4.0 * math.pi / 3.0
 
 
 def test_herald_phase_rejects_failure_patterns():
@@ -427,3 +430,74 @@ def test_gain_measurement_off_normalization_cancels_heralds():
     off = simulate_gain_measurement(0.3, 2.0, with_amplifier=False)
     assert off.rho22_estimate == pytest.approx(0.09, abs=1e-12)
     assert off.herald_probability == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one herald-pattern check
+# ---------------------------------------------------------------------------
+
+_PATTERN_ENTRY_POINTS = {
+    "heralded_amplify": lambda p: heralded_amplify(fock_state((1,), cutoff=2), 0, 1.5, p),
+    "run_two_scissor": lambda p: run_two_scissor(fock_state((1,), cutoff=2), 1.5, p),
+    "herald_phase": herald_phase,
+    "simulate_gain_measurement": lambda p: simulate_gain_measurement(0.3, 1.5, True, p),
+    "measured_two_photon_gain": lambda p: measured_two_photon_gain(0.3, 1.5, p),
+    "fringe_scan": lambda p: analysis.fringe_scan(0.2, 2.0, p, [0.0, 1.0]),
+    "lossy_gain_model": lambda p: lossy_gain_model(1.5, 0.3, np.zeros(14), pattern=p),
+    "sensitivity_sweep": lambda p: sensitivity_sweep(
+        [1.5], 0.3, n_base=8, pattern=p, bootstrap_resamples=2
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_PATTERN_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "pattern, expected",
+    [
+        ((1.5, 1, 0), None),
+        ((1, 1.9, 0), None),
+        ((math.nan, 1, 0), None),
+        ((math.inf, 1, 0), None),
+        ((1.0, np.int64(1), 0), (1, 1, 0)),
+        (np.array([0, 1, 1]), (0, 1, 1)),
+    ],
+    ids=["1.5", "1.9", "nan", "inf", "float-and-int64", "array"],
+)
+def test_every_pattern_entry_point_checks_the_pattern(entry, pattern, expected):
+    call = _PATTERN_ENTRY_POINTS[entry]
+    if expected is None:  # int() alone would truncate these to a success pattern
+        with pytest.raises(ValueError, match="success pattern"):
+            call(pattern)
+        return
+    stored = getattr(call(pattern), "pattern", expected)
+    assert stored == expected
+    assert all(type(n) is int for n in stored)
+
+
+def _int_tuple_sites(path: pathlib.Path) -> set:
+    """"<module>.<function>" of every ``tuple(...)`` call that mentions ``int``."""
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node))
+        ):
+            sites.add(f"{path.stem}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_int_tuples_are_built_only_by_the_two_checks():
+    # a stray tuple(int(n) for n in ...) truncates 1.5 to 1 without a word;
+    # cli._parse_pattern converts digits it has already checked are 0 or 1
+    package = pathlib.Path(scissor.__file__).parent
+    sites = set().union(*map(_int_tuple_sites, package.glob("*.py")))
+    assert sites == {"fock._occupation", "scissor._check_pattern", "cli._parse_pattern"}
