@@ -83,7 +83,7 @@ def _occupation(values: Iterable[int]) -> OccupationVector:
         occ = tuple(map(int, key))
     except (OverflowError, ValueError):  # inf, nan
         occ = None
-    if occ != key or min(occ, default=0) < 0:
+    if occ != key or (occ and min(occ) < 0):
         raise ValueError(f"occupation {key} must contain non-negative integers")
     return occ
 
