@@ -345,8 +345,7 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
             f"unitary acts on {u.dim} modes but the state has {state.modes}"
         )
     basis, _ = _basis_layout(state.modes, state.cutoff)
-    transfer = fock_transfer_matrix(u, state.cutoff)
-    out_vec = transfer @ state.to_vector()
+    out_vec = fock_transfer_matrix(u, state.cutoff) @ state.to_vector()
     amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
-    return PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
+    return PureState(state.modes, amps, cutoff=state.cutoff)
 

@@ -37,7 +37,7 @@ from .scissor import (
     run_two_scissor,
     two_photon_gain,
 )
-from .sensitivity import default_loss_layout, sensitivity_sweep
+from .sensitivity import sensitivity_sweep
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +59,13 @@ _MIN_TAU = 1e-100
 #: smallest nonzero gain: the heralded two-photon weight goes as g^4 tau^2,
 #: and (1e-25)^4 (1e-100)^2 = 1e-300 stays a normal float at the smallest tau
 _MIN_GAIN = 1e-25
+#: scissor input floor.  The runner divides c by |c| = sqrt(sum |c_k|^2), so
+#: max |c| in [1e-150, 1e150] keeps |c|^2 a finite normal float.  At gain g
+#: c_k heralds with amplitude c_k / |c| 2 g^k / (1 + g^2) times a mixer
+#: amplitude of modulus 1/sqrt(18), and |c| <= sqrt(5) max |c|; so a weight
+#: max_{k <= 2} |c_k| g^k 2 / (1 + g^2) / max |c| >= 1e-150 keeps the herald
+#: probability above 1e-300 / 90, a normal float
+_MIN_COEFF = 1e-150
 
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
@@ -329,14 +336,26 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
         problem("phi", "grid needs at least 4 points")
     if experiment == "scissor" and "input_coeffs" in cfg:
         coeffs = cfg["input_coeffs"]
+        size = max(map(abs, coeffs))
+        # gains outside their range are reported on the g line
+        gains = [g for g in cfg.get("g", ()) if g == 0 or _MIN_GAIN <= g <= _MAX_GAIN]
         if not 1 <= len(coeffs) <= 5:
             problem("input_coeffs", f"needs 1..5 entries, got {len(coeffs)}")
-        elif not any(abs(c) > 0 for c in coeffs):
+        elif size == 0:
             problem("input_coeffs", "must not all be zero")
         elif not any(abs(c) > 0 for c in coeffs[:3]):
             problem("input_coeffs", "c0, c1, c2 are all zero: nothing can be heralded")
-        elif coeffs[0] == 0 and 0.0 in cfg.get("g", ()):
+        elif coeffs[0] == 0 and 0.0 in gains:
             problem("g", "g = 0 keeps only c0, which input_coeffs sets to zero")
+        elif not _MIN_COEFF <= size <= 1 / _MIN_COEFF:
+            message = f"max |c| = {size} outside [{_MIN_COEFF}, {1 / _MIN_COEFF}]"
+            problem("input_coeffs", message)
+        else:
+            for g in gains:
+                weight = max(abs(c) / size * g**k for k, c in enumerate(coeffs[:3]))
+                if weight * 2.0 / (1.0 + g * g) < _MIN_COEFF:
+                    problem("input_coeffs", f"c0, c1, c2 too small to herald at g = {g}")
+                    break
     if experiment in ("gain-sweep", "sobol") and len(cfg.get("pattern", ())) > 1:
         problem(
             "pattern",

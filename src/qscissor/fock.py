@@ -6,11 +6,11 @@ of ints) and every state caps the *total* photon number at a configurable
 cutoff.  Amplitude maps are kept sparse because the experiments populate only
 a handful of occupations out of a combinatorially large basis.
 
-Operations return new states and never mutate their inputs; the only state
-kept between calls is an LRU cache of read-only basis layouts.  The
-containers are not frozen, though: a state's ``amplitudes`` is a plain dict,
-so a state shared between threads stays consistent only while no caller
-edits it.
+States drop exact zeros only, however small an amplitude is.  Operations
+return new states and never mutate their inputs; the only state kept between
+calls is an LRU cache of read-only basis layouts.  The containers are not
+frozen, though: a state's ``amplitudes`` is a plain dict, so a state shared
+between threads stays consistent only while no caller edits it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ import numpy as np
 
 #: Default cap on the total photon number of a state (two photon pairs).
 DEFAULT_CUTOFF = 4
-
-#: Amplitudes with magnitude below this are dropped when states are built.
-#: Purely numerical hygiene; retained amplitudes are never altered.
-PRUNE_THRESHOLD = 1e-15
 
 #: Tolerance used for normalization checks.
 NORM_TOL = 1e-12
@@ -100,9 +96,8 @@ class PureState:
         normalized; see :meth:`normalized`.
     cutoff:
         Maximum total photon number.  Keys exceeding it are rejected rather
-        than silently renormalized.
-    prune:
-        Magnitude below which amplitudes are dropped at construction.
+        than silently renormalized.  Exact zeros are dropped; every other
+        amplitude is kept, however small.
     """
 
     def __init__(
@@ -110,29 +105,33 @@ class PureState:
         modes: int,
         amplitudes: Mapping[tuple, complex],
         cutoff: int = DEFAULT_CUTOFF,
-        prune: float = PRUNE_THRESHOLD,
     ):
         if modes < 0:
             raise ValueError("modes must be non-negative")
         if cutoff < 0:
             raise ValueError("cutoff must be non-negative")
+        self.modes = modes
+        self.cutoff = cutoff
         amps: dict[tuple, complex] = {}
         for key, amp in amplitudes.items():
-            occ = _occupation(key)
-            if len(occ) != modes:
-                raise ValueError(
-                    f"occupation {occ} has {len(occ)} modes, expected {modes}"
-                )
+            occ = self._key(key)
             if sum(occ) > cutoff:
                 raise ValueError(
                     f"occupation {occ} exceeds the total-photon cutoff {cutoff}"
                 )
             amp = complex(amp)
-            if abs(amp) > prune:
+            if abs(amp) > 0.0:
                 amps[occ] = amps.get(occ, 0.0) + amp
-        self.modes = modes
-        self.cutoff = cutoff
         self.amplitudes = amps
+
+    def _key(self, values: Iterable[int]) -> OccupationVector:
+        """``values`` as an occupation of this state's modes (of its length)."""
+        occ = _occupation(values)
+        if len(occ) != self.modes:
+            raise ValueError(
+                f"occupation {occ} has {len(occ)} modes, expected {self.modes}"
+            )
+        return occ
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -146,11 +145,10 @@ class PureState:
             self.modes,
             {occ: a / n for occ, a in self.amplitudes.items()},
             cutoff=self.cutoff,
-            prune=0.0,
         )
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        return self.amplitudes.get(_occupation(occ), 0.0 + 0.0j)
+        return self.amplitudes.get(self._key(occ), 0.0 + 0.0j)
 
     def total_photon_weight(self, min_total: int) -> float:
         """Probability weight carried by components with >= min_total photons."""
@@ -191,7 +189,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         for occ_a, amp_a in a.amplitudes.items()
         for occ_b, amp_b in b.amplitudes.items()
     }
-    return PureState(a.modes + b.modes, amps, cutoff=a.cutoff + b.cutoff, prune=0.0)
+    return PureState(a.modes + b.modes, amps, cutoff=a.cutoff + b.cutoff)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -226,7 +224,7 @@ def project_photon_number(
     for occ, amp in state.amplitudes.items():
         if occ[mode] == n:
             kept[occ[:mode] + occ[mode + 1 :]] = amp
-    residual = PureState(state.modes - 1, kept, cutoff=state.cutoff, prune=0.0)
+    residual = PureState(state.modes - 1, kept, cutoff=state.cutoff)
     probability = sum(abs(a) ** 2 for a in kept.values())
     return residual, probability
 

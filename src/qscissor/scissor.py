@@ -129,13 +129,17 @@ def _resource_splitter() -> ModeUnitary:
     return embed_unitary(splitter, (_RESOURCE_MODE, _OUT_MODE), _MODES)
 
 
+@functools.lru_cache(maxsize=None)
 def _mixer_halves() -> tuple[ModeUnitary, ModeUnitary]:
-    """The tritter's two element halves, on the amplifier's mixer modes."""
+    """The tritter's two element halves on the mixer modes, shared (read-only)."""
     elements = tritter_elements()
-    return tuple(
+    halves = tuple(
         embed_unitary(compile_circuit(half, len(_QFT_MODES)), _QFT_MODES, _MODES)
         for half in (elements[:2], elements[2:])
     )
+    for half in halves:
+        half.matrix.setflags(write=False)
+    return halves
 
 
 def _gain_factor(g: float, transmitted, reflected):
@@ -190,8 +194,7 @@ def heralded_amplify(
         for occ, amp in state.amplitudes.items()
         if occ[signal_mode] <= _RESOURCE_PHOTONS
     }
-    # a rescaling, so no amplitude is pruned by size; exact zeros still drop
-    conditional = PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
+    conditional = PureState(state.modes, amps, cutoff=state.cutoff)
     return conditional, conditional.norm() ** 2
 
 

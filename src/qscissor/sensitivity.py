@@ -187,6 +187,11 @@ def default_loss_layout() -> LossLayout:
     )
 
 
+#: The layout every model call and sweep uses, and its role -> columns map.
+_LAYOUT = default_loss_layout()
+_ROLE_COLUMNS = _LAYOUT.role_columns()
+
+
 # ---------------------------------------------------------------------------
 # batched circuit engine
 #
@@ -458,9 +463,10 @@ def _pair_weights(transmission: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t * t])
 
 
-def _role_transmission(tr: np.ndarray, columns: dict, role: str) -> np.ndarray:
+def _role_transmission(tr: np.ndarray, role: str) -> np.ndarray:
+    """[samples]: the product of the transmissions of ``role``'s columns."""
     out = np.ones(tr.shape[1])
-    for c in columns.get(role, []):
+    for c in _ROLE_COLUMNS[role]:
         out = out * tr[c]
     return out
 
@@ -494,13 +500,18 @@ def _walk(pattern, roles: dict) -> np.ndarray:
     return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal)
 
 
-def _evaluate_batch(factors, tau, losses, layout: LossLayout, pattern: tuple) -> list:
-    """The measured gain at each of ``factors`` on a [samples, dims] batch."""
-    columns = layout.role_columns()
-    tr = _transmissions(losses)
-    roles = {role: _role_transmission(tr, columns, role) for role in LOSS_ROLES}
+def _stages(tau, tr: np.ndarray, pattern: tuple) -> tuple:
+    """(roles, walk weights, start weights, detector factors, POVM sums) of a
+    [dims, samples] block of transmissions."""
+    roles = {role: _role_transmission(tr, role) for role in LOSS_ROLES}
     weight, start = _walk(pattern, roles), _start_weights(tau, roles)
-    sums = _povm_sums(pattern, weight, start, _detector_factors(pattern, roles))
+    detector = _detector_factors(pattern, roles)
+    return roles, weight, start, detector, _povm_sums(pattern, weight, start, detector)
+
+
+def _evaluate_batch(factors, tau, losses, pattern: tuple) -> list:
+    """The measured gain at each of ``factors`` on a [samples, dims] batch."""
+    roles, *_, sums = _stages(tau, _transmissions(losses), pattern)
     return _measured_gains(tau, roles, sums, factors)
 
 
@@ -522,49 +533,35 @@ def lossy_gain_model(
     g: float,
     tau: float,
     losses: Sequence[float] | np.ndarray,
-    layout: LossLayout | None = None,
     pattern: Sequence[int] = (1, 1, 0),
 ) -> float | np.ndarray:
     """Measured two-photon gain with losses inserted across the setup.
 
-    ``losses`` is either a single loss vector (length = layout size, each
-    entry in [0, 1]) or a batch of them stacked along the first axis.  With
-    all losses zero this reduces exactly to the closed-form gain N g^4.
+    ``losses`` is either a single loss vector (an entry in [0, 1] per point of
+    ``default_loss_layout()``) or a batch of them stacked along the first
+    axis.  With all losses zero this reduces exactly to the closed-form gain.
     """
-    if layout is None:
-        layout = default_loss_layout()
     pattern = _check_model_arguments(g, tau, pattern)
-    arr = np.asarray(losses, dtype=float)
-    scalar = arr.ndim == 1
-    if scalar:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != layout.dims:
+    scalar = np.ndim(losses) == 1
+    arr = np.atleast_2d(np.asarray(losses, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != _LAYOUT.dims:
         raise ValueError(
-            f"loss vectors must have {layout.dims} entries, got shape {arr.shape}"
+            f"loss vectors must have {_LAYOUT.dims} entries, got shape {arr.shape}"
         )
     _check_losses(arr)
     factors = _class_factors(pattern, [g])
     out = np.empty(arr.shape[0])
     for start in range(0, arr.shape[0], _CHUNK):
         block = arr[start : start + _CHUNK]
-        (out[start : start + _CHUNK],) = _evaluate_batch(
-            factors, tau, block, layout, pattern
-        )
+        (out[start : start + _CHUNK],) = _evaluate_batch(factors, tau, block, pattern)
     return float(out[0]) if scalar else out
 
 
 def make_gain_model(
-    g: float,
-    tau: float,
-    layout: LossLayout | None = None,
-    pattern: Sequence[int] = (1, 1, 0),
+    g: float, tau: float, pattern: Sequence[int] = (1, 1, 0)
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Batched loss -> gain callable for the sensitivity estimator."""
-
-    def model(losses: np.ndarray) -> np.ndarray:
-        return lossy_gain_model(g, tau, losses, layout=layout, pattern=pattern)
-
-    return model
+    return functools.partial(lossy_gain_model, g, tau, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +623,6 @@ class SobolResult:
     evaluations: int
 
 
-def _evaluate_model(model, points: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        return np.asarray(model(points), dtype=float)
-    return np.array([float(model(p)) for p in points])
-
-
 def _check_resamples(bootstrap_resamples: int) -> None:
     if not bootstrap_resamples >= 2:
         raise ValueError(
@@ -645,12 +636,12 @@ def first_order_indices(
     seed: int,
     dims: int = 14,
     bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
-    vectorized: bool = False,
     bootstrap_resamples: int = 1000,
 ) -> SobolResult:
     """Estimate first-order Sobol indices of ``model`` by Saltelli sampling.
 
-    The estimator is V_i = mean(f(B) * (f(A_B^i) - f(A))), normalized by the
+    ``model`` is called on batches, mapping [n, dims] inputs to n outputs.  The
+    estimator is V_i = mean(f(B) * (f(A_B^i) - f(A))), normalized by the
     sample variance of all evaluations.  Confidence half-widths (95%) come
     from a paired bootstrap over sample rows.  Identical seeds give bitwise
     identical results.
@@ -658,10 +649,8 @@ def first_order_indices(
     _check_resamples(bootstrap_resamples)
     a, b, hybrids = saltelli_sample(n_base, dims, seed, bounds)
     values = np.empty((dims + 2, n_base))
-    values[0] = _evaluate_model(model, a, vectorized)
-    values[1] = _evaluate_model(model, b, vectorized)
-    for i in range(dims):
-        values[2 + i] = _evaluate_model(model, hybrids[i], vectorized)
+    for row, points in enumerate([a, b, *hybrids]):
+        values[row] = model(points)
     (result,) = _indices_from_values([values], seed, bootstrap_resamples)
     return result
 
@@ -767,7 +756,6 @@ def _design_block(
     tau: float,
     a: np.ndarray,
     b: np.ndarray,
-    layout: LossLayout,
     pattern: tuple,
 ) -> np.ndarray:
     """[gains, dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of
@@ -779,21 +767,15 @@ def _design_block(
     are folded into every gain.
     """
     factors = _class_factors(pattern, gains)
-    columns = layout.role_columns()
     tr_a, tr_b = _transmissions(a), _transmissions(b)
-    roles_a = {role: _role_transmission(tr_a, columns, role) for role in LOSS_ROLES}
-    weight_a = _walk(pattern, roles_a)
-    start_a = _start_weights(tau, roles_a)
-    detector_a = _detector_factors(pattern, roles_a)
-    sums_a = _povm_sums(pattern, weight_a, start_a, detector_a)
-
-    out = np.empty((len(factors), layout.dims + 2, a.shape[0]))
+    roles_a, weight_a, start_a, detector_a, sums_a = _stages(tau, tr_a, pattern)
+    out = np.empty((len(factors), _LAYOUT.dims + 2, a.shape[0]))
     out[:, 0] = _measured_gains(tau, roles_a, sums_a, factors)
-    out[:, 1] = _evaluate_batch(factors, tau, b, layout, pattern)
-    for i, point in enumerate(layout.points):
+    out[:, 1] = _evaluate_batch(factors, tau, b, pattern)
+    for i, point in enumerate(_LAYOUT.points):
         tr = tr_a.copy()
         tr[i] = tr_b[i]
-        roles = {**roles_a, point.role: _role_transmission(tr, columns, point.role)}
+        roles = {**roles_a, point.role: _role_transmission(tr, point.role)}
         weight, start, detector = weight_a, start_a, detector_a
         if point.role in _WALKED_ROLES:
             weight = _walk(pattern, roles)
@@ -808,12 +790,12 @@ def _design_block(
     return out
 
 
-def _design_values(gains, tau, a, b, layout: LossLayout, pattern: tuple) -> list:
+def _design_values(gains, tau, a, b, pattern: tuple) -> list:
     """Per gain, [dims + 2, n_base]: the whole design's values."""
-    values = [np.empty((layout.dims + 2, a.shape[0])) for _ in gains]
+    values = [np.empty((_LAYOUT.dims + 2, a.shape[0])) for _ in gains]
     for start in range(0, a.shape[0], _CHUNK):
         rows = slice(start, start + _CHUNK)
-        block = _design_block(gains, tau, a[rows], b[rows], layout, pattern)
+        block = _design_block(gains, tau, a[rows], b[rows], pattern)
         for design, gain_block in zip(values, block):
             design[:, rows] = gain_block
     return values
@@ -825,11 +807,11 @@ def sensitivity_sweep(
     n_base: int = 3840,
     seed: int = 0,
     bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
-    layout: LossLayout | None = None,
     pattern: Sequence[int] = (1, 1, 0),
     bootstrap_resamples: int = 1000,
 ) -> tuple[LossLayout, list[SweepEntry]]:
-    """First-order indices of the loss model at each gain on the grid.
+    """First-order indices of the loss model at each gain on the grid, and
+    the ``default_loss_layout()`` that names their points.
 
     The same seed (hence the same loss samples and bootstrap draws) is
     reused at every gain so the per-variable curves are directly comparable
@@ -838,25 +820,23 @@ def sensitivity_sweep(
     without forming its hybrids, and consecutive gains whose bootstrap
     inputs fit ``_BOOTSTRAP_BLOCK_BYTES`` share one bootstrap pass.
     """
-    if layout is None:
-        layout = default_loss_layout()
     _check_resamples(bootstrap_resamples)
     gains = [float(g) for g in g_grid]
     if not gains:
         raise ValueError("the gain grid holds no values")
     for g in gains:
         pattern = _check_model_arguments(g, tau, pattern)
-    a, b = _base_samples(n_base, layout.dims, seed, bounds)
+    a, b = _base_samples(n_base, _LAYOUT.dims, seed, bounds)
     _check_losses(a)
     _check_losses(b)
-    group = _gains_per_group(n_base, layout.dims, bootstrap_resamples)
+    group = _gains_per_group(n_base, _LAYOUT.dims, bootstrap_resamples)
     entries = []
     for first in range(0, len(gains), group):
         grouped = gains[first : first + group]
         results = _indices_from_values(
-            _design_values(grouped, tau, a, b, layout, pattern),
+            _design_values(grouped, tau, a, b, pattern),
             seed,
             bootstrap_resamples,
         )
         entries.extend(SweepEntry(g=g, result=r) for g, r in zip(grouped, results))
-    return layout, entries
+    return _LAYOUT, entries

@@ -91,7 +91,7 @@ def _apply_loss_pure(state: PureState, mode: int, transmission: float):
             if factor != 0.0:
                 lowered = occ[:mode] + (n - k,) + occ[mode + 1 :]
                 amps[lowered] = amps.get(lowered, 0.0) + amp * factor
-        branch = PureState(state.modes, amps, cutoff=state.cutoff, prune=0.0)
+        branch = PureState(state.modes, amps, cutoff=state.cutoff)
         weight = branch.norm() ** 2
         if weight > 0.0:
             yield weight, branch.normalized()

@@ -68,9 +68,7 @@ def test_criterion_1_scissor_oracle_equivalence():
         outcome = run_two_scissor(state, g, pattern)
         coeffs = ideal_scissor_transform([state.amplitude((k,)) for k in range(3)], g)
         phased = coeffs * np.exp(1j * herald_phase(pattern) * np.arange(3))
-        expected = PureState(
-            1, {(k,): phased[k] for k in range(3)}, cutoff=2, prune=0.0
-        )
+        expected = PureState(1, {(k,): phased[k] for k in range(3)}, cutoff=2)
         out = outcome.output.components[0][1]
         assert fidelity(out, expected) > 1.0 - 1e-9
     elapsed = time.monotonic() - started
@@ -248,7 +246,7 @@ def test_criterion_7_sobol_machinery():
     additive = lambda x: np.asarray(x) @ coeffs
     for seed in (10, 14, 30):
         res = first_order_indices(
-            additive, 4096, seed=seed, dims=4, bounds=(0.0, 1.0), vectorized=True
+            additive, 4096, seed=seed, dims=4, bounds=(0.0, 1.0)
         )
         assert np.max(np.abs(res.indices - expected)) < 0.02
 
@@ -268,7 +266,7 @@ def test_criterion_7_sobol_machinery():
     total = v1 + v2 + 8.0 * b**2 * math.pi**8 / 225.0
     ishigami_expected = np.array([v1 / total, v2 / total, 0.0])
     res = first_order_indices(
-        ishigami, 8192, seed=3, dims=3, bounds=(-math.pi, math.pi), vectorized=True
+        ishigami, 8192, seed=3, dims=3, bounds=(-math.pi, math.pi)
     )
     assert np.all(np.abs(res.indices - ishigami_expected) <= res.ci)
 
@@ -277,7 +275,7 @@ def test_criterion_7_sobol_machinery():
     a_mat, b_mat, hybrids = saltelli_sample(3840, 14, seed=1)
     assert a_mat.shape[0] + b_mat.shape[0] + hybrids.shape[0] * hybrids.shape[1] == 61440
     count_check = first_order_indices(
-        additive, 3840, seed=1, dims=4, bounds=(0.0, 1.0), vectorized=True
+        additive, 3840, seed=1, dims=4, bounds=(0.0, 1.0)
     )
     assert count_check.evaluations == 3840 * 6
 

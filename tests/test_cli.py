@@ -180,6 +180,19 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 1: g: 1e-300 is below the smallest nonzero gain 1e-25"),
         # a comma list with no values is an empty grid, not a header-only run
         ("sobol", "seed = 1\ng = ,\n", [], 2, "line 2: g: grid ',' holds no values"),
+        # the heralded weight of c0..c2, or the input's own norm, would underflow
+        ("scissor", "input_coeffs = 0, 0, 1e-200, 1\ng = 1\n", [], 2,
+         "line 1: input_coeffs: c0, c1, c2 too small to herald at g = 1.0"),
+        ("scissor", "input_coeffs = 1e-170, 0, 0, 1\ng = 1\n", [], 2,
+         "line 1: input_coeffs: c0, c1, c2 too small to herald at g = 1.0"),
+        ("scissor", "input_coeffs = 1e-200, 1, 1\ng = 0, 1\n", [], 2,
+         "line 1: input_coeffs: c0, c1, c2 too small to herald at g = 0.0"),
+        ("scissor", "input_coeffs = 1e-150, 0, 0, 1\ng = 1e6\n", [], 2,
+         "line 1: input_coeffs: c0, c1, c2 too small to herald at g = 1000000.0"),
+        ("scissor", "input_coeffs = 1e-200\n", [], 2,
+         "line 1: input_coeffs: max |c| = 1e-200 outside [1e-150, 1e+150]"),
+        ("scissor", "input_coeffs = 1e200, 1e200\n", [], 2,
+         "line 1: input_coeffs: max |c| = 1e+200 outside [1e-150, 1e+150]"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -285,6 +298,27 @@ def test_scissor_keeps_tiny_heralded_amplitudes(tmp_path):
             expected, rel=1e-12, abs=0.0
         )
         assert float(record["out_abs0"]) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        # each coefficient is below 1e-15, the three are equal after normalizing
+        ("input_coeffs = 1e-16, 1e-16, 1e-16\ng = 1\n", [3**-0.5] * 3),
+        # c0 is the only heraldable amplitude, 1e-150 of the input
+        ("input_coeffs = 1e-150, 0, 0, 1\ng = 1\n", [1.0, 0.0, 0.0]),
+    ],
+)
+def test_scissor_keeps_amplitudes_below_1e_15(tmp_path, text, expected):
+    path = write_config(tmp_path, text)
+    assert main(["scissor", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "scissor.csv")
+    assert len(rows) == 1 + 3
+    for row in rows[1:]:
+        record = dict(zip(rows[0], row))
+        assert float(record["success_probability"]) > 0.0
+        out = [float(record[f"out_abs{k}"]) for k in range(3)]
+        assert out == pytest.approx(expected, rel=1e-12)
 
 
 def test_scissor_pi_steps_read_plus_pi(tmp_path):

@@ -66,6 +66,12 @@ def test_pure_state_rejects_wrong_mode_count():
         PureState(2, {(1,): 1.0})
 
 
+@pytest.mark.parametrize("occ,length", [((1,), 1), ((1, 0, 0), 3)])
+def test_amplitude_rejects_wrong_mode_count(occ, length):
+    with pytest.raises(ValueError, match=f"has {length} modes, expected 2"):
+        fock_state((1, 0)).amplitude(occ)
+
+
 @pytest.mark.parametrize(
     "occ",
     [(1.5, 0.7), (1, 0.5), (1, float("nan")), (1, float("inf")), (-float("inf"), 1),
@@ -100,10 +106,10 @@ def test_pure_state_accepts_integral_occupations(occ):
     assert all(type(n) is int for n in next(iter(state.amplitudes)))
 
 
-def test_pruning_drops_tiny_amplitudes_and_keeps_others():
-    state = PureState(1, {(0,): 1.0, (1,): 1e-17}, cutoff=2)
-    assert (1,) not in state.amplitudes
-    assert state.amplitudes[(0,)] == 1.0
+def test_tiny_amplitudes_are_kept_and_exact_zeros_dropped():
+    state = PureState(1, {(0,): 1.0, (1,): 1e-300, (2,): 0.0}, cutoff=2)
+    assert state.amplitudes == {(0,): 1.0, (1,): 1e-300}
+    assert state.normalized().amplitude((1,)) == 1e-300
 
 
 def test_normalize_is_idempotent():

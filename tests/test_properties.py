@@ -165,6 +165,35 @@ def test_config_problems_raise_only_config_error(experiment, entries, junk, seed
         pass
 
 
+#: from below the smallest subnormal (read as 0) up to near overflow
+_COEFF = st.just(0.0) | st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-330.0, 305.0),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    coeffs=st.lists(_COEFF, min_size=1, max_size=5),
+    gains=st.lists(
+        st.sampled_from([0.0, _MIN_GAIN, 1.0, _MAX_GAIN]) | st.floats(_MIN_GAIN, _MAX_GAIN),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(coeffs=[1e-16, 1e-16, 1e-16], gains=[1.0])
+@example(coeffs=[1e-150, 0.0, 0.0, 1.0], gains=[1.0, _MAX_GAIN])
+def test_validated_scissor_inputs_always_herald(coeffs, gains):
+    text = f"input_coeffs = {', '.join(map(repr, coeffs))}\ng = {', '.join(map(repr, gains))}"
+    try:
+        cfg = resolve_config("scissor", parse_config_text(text), None)
+    except ConfigError:
+        return
+    header, columns = cli._run_scissor(cfg)
+    assert np.all(columns[header.index("success_probability")] > 0.0)
+
+
 _CELLS = {
     "float": st.floats(),  # every float: nan, +-inf, -0.0, subnormals, huge, tiny
     "int": st.integers(-(2**63), 2**63 - 1),

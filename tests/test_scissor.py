@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import full_circuit_amplify, qft_unitary
-from qscissor import analysis, circuit, fock, scissor
+from qscissor import analysis, circuit, fock, scissor, sensitivity
 from qscissor.circuit import compile_circuit, tritter_elements
 from qscissor.fock import MixedState, PureState, fidelity, fock_state, vacuum
 from qscissor.scissor import (
@@ -37,7 +37,7 @@ def expected_output(input_state, g, pattern):
     ideal = ideal_scissor_transform(coeffs, g)
     phase = herald_phase(pattern)
     phased = ideal * np.exp(1j * phase * np.arange(3))
-    return PureState(1, {(k,): phased[k] for k in range(3)}, cutoff=2, prune=0.0)
+    return PureState(1, {(k,): phased[k] for k in range(3)}, cutoff=2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,27 @@ def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
     )
     scan = analysis.fringe_scan(0.2, 2.0, (0, 1, 1), np.linspace(0.0, np.pi, 9))
     assert analysis.fit_visibility(scan).visibility == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mixer_halves_are_compiled_once(monkeypatch):
+    # every herald table and walk matrix shares one build of the two halves
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_circuit(*args)
+
+    monkeypatch.setattr(scissor, "compile_circuit", counted)
+    for table in (scissor._mixer_halves, scissor._herald_amplitudes):
+        table.cache_clear()
+    sensitivity._walk_matrix.cache_clear()
+    for pattern in SUCCESS_PATTERNS:
+        analysis.fringe_scan(0.2, 2.0, pattern, np.linspace(0.0, np.pi, 5))
+    sensitivity._walk_matrix((1, 1, 0))
+    assert len(calls) == 2
+    for half in scissor._mixer_halves():
+        with pytest.raises(ValueError):
+            half.matrix[0, 0] = 0.0
 
 
 def test_success_probability_symmetric_across_patterns():

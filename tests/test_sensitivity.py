@@ -18,7 +18,6 @@ from qscissor.scissor import (
     two_photon_gain,
 )
 from qscissor.sensitivity import (
-    LossLayout,
     LossPoint,
     default_loss_layout,
     first_order_indices,
@@ -53,16 +52,14 @@ def test_layout_rejects_unknown_tags():
 
 
 def test_layout_role_columns_compose():
-    layout = LossLayout(
-        (
-            LossPoint("a", "post_prep", "input_post_prep"),
-            LossPoint("b", "post_prep", "input_post_prep"),
-        )
-    )
-    assert layout.role_columns()["input_post_prep"] == [0, 1]
+    layout = default_loss_layout()
+    assert layout.role_columns()["input_pre_qft"] == [2, 6]  # L3 and L7
     # two losses sharing a role compose multiplicatively
-    combined = lossy_gain_model(2.0, 0.1, [0.2, 0.25], layout=layout)
-    single = lossy_gain_model(2.0, 0.1 * 0.8 * 0.75, [0.0, 0.0], layout=layout)
+    both, one = np.zeros(14), np.zeros(14)
+    both[[2, 6]] = 0.2, 0.25
+    one[2] = 1.0 - 0.8 * 0.75
+    combined = lossy_gain_model(2.0, 0.1, both)
+    single = lossy_gain_model(2.0, 0.1, one)
     assert combined == pytest.approx(single, rel=1e-12)
 
 
@@ -129,8 +126,7 @@ def test_additive_model_indices_match_analytic():
     expected = coeffs**2 / np.sum(coeffs**2)
     for seed in (10, 14, 30):
         res = first_order_indices(
-            additive_model(coeffs), 4096, seed=seed, dims=4, bounds=(0.0, 1.0),
-            vectorized=True,
+            additive_model(coeffs), 4096, seed=seed, dims=4, bounds=(0.0, 1.0)
         )
         assert np.max(np.abs(res.indices - expected)) < 0.02
         assert np.all(np.abs(res.indices - expected) <= 3.0 * res.ci)
@@ -157,7 +153,7 @@ def test_ishigami_indices_within_confidence():
     assert expected[1] == pytest.approx(0.4424, abs=5e-4)
 
     res = first_order_indices(
-        ishigami, 8192, seed=7, dims=3, bounds=(-math.pi, math.pi), vectorized=True
+        ishigami, 8192, seed=7, dims=3, bounds=(-math.pi, math.pi)
     )
     assert np.all(np.abs(res.indices - expected) <= 3.0 * res.ci)
     assert np.max(np.abs(res.indices - expected)) < 0.05
@@ -165,7 +161,7 @@ def test_ishigami_indices_within_confidence():
 
 def test_constant_model_raises():
     with pytest.raises(ValueError, match="zero variance"):
-        first_order_indices(lambda x: 1.0, 64, seed=0, dims=3)
+        first_order_indices(lambda x: np.ones(len(x)), 64, seed=0, dims=3)
 
 
 @pytest.mark.parametrize("resamples", [0, 1, -3])
@@ -175,7 +171,7 @@ def test_library_rejects_fewer_than_two_resamples(resamples):
     message = f"at least 2, got {resamples}"
     with pytest.raises(ValueError, match=message):
         first_order_indices(
-            additive_model([1.0, 2.0]), 64, seed=0, dims=2, vectorized=True,
+            additive_model([1.0, 2.0]), 64, seed=0, dims=2,
             bootstrap_resamples=resamples,
         )
     with pytest.raises(ValueError, match=message):
@@ -184,21 +180,10 @@ def test_library_rejects_fewer_than_two_resamples(resamples):
 
 def test_estimator_bitwise_deterministic():
     model = additive_model(np.array([1.0, 2.0, 3.0]))
-    r1 = first_order_indices(model, 256, seed=11, dims=3, vectorized=True)
-    r2 = first_order_indices(model, 256, seed=11, dims=3, vectorized=True)
+    r1 = first_order_indices(model, 256, seed=11, dims=3)
+    r2 = first_order_indices(model, 256, seed=11, dims=3)
     assert np.array_equal(r1.indices, r2.indices)
     assert np.array_equal(r1.ci, r2.ci)
-
-
-def test_scalar_model_path_matches_vectorized():
-    coeffs = np.array([1.0, -2.0, 0.5])
-    vec = first_order_indices(
-        additive_model(coeffs), 128, seed=5, dims=3, vectorized=True
-    )
-    scal = first_order_indices(
-        lambda x: float(np.dot(x, coeffs)), 128, seed=5, dims=3, vectorized=False
-    )
-    assert np.allclose(vec.indices, scal.indices)
 
 
 def reference_bootstrap_ci(model, n_base, seed, dims, bounds, resamples):
@@ -244,9 +229,7 @@ def test_blocked_bootstrap_matches_per_resample_loop(model, n_base, dims, blocks
     block = sensitivity._BOOTSTRAP_BLOCK_BYTES // (8 * n_base)
     assert -(-1000 // block) == blocks
     bounds = (0.0, 0.5)
-    res = first_order_indices(
-        model, n_base, seed=19, dims=dims, bounds=bounds, vectorized=True
-    )
+    res = first_order_indices(model, n_base, seed=19, dims=dims, bounds=bounds)
     expected = reference_bootstrap_ci(model, n_base, 19, dims, bounds, 1000)
     np.testing.assert_allclose(res.ci, expected, rtol=1e-12, atol=0.0)
 
@@ -505,25 +488,6 @@ def test_loss_model_validates_input():
 # ---------------------------------------------------------------------------
 
 
-def shuffled_layout():
-    """Nine points out of the default order, two pairs sharing a role and
-    four roles left out; four of its columns enter the Kraus-branch walk
-    (Q1, Q1b, R, Q0), one of them through the resource amplitudes (R)."""
-    return LossLayout(
-        (
-            LossPoint("D0", "detection", "detector_0"),
-            LossPoint("Q1", "within_qft", "qft_internal_1"),
-            LossPoint("S", "size_measurement", "input_size_path"),
-            LossPoint("Q1b", "within_qft", "qft_internal_1"),
-            LossPoint("R", "pre_qft", "ancilla_pre_qft"),
-            LossPoint("P", "post_prep", "ancilla_post_prep"),
-            LossPoint("I", "post_prep", "input_post_prep"),
-            LossPoint("Q0", "within_qft", "qft_internal_0"),
-            LossPoint("P2", "post_prep", "ancilla_post_prep"),
-        )
-    )
-
-
 def record_design_values(monkeypatch):
     """Capture the (f_a, f_b, f_hyb) every estimate is computed from."""
     seen = []
@@ -538,21 +502,19 @@ def record_design_values(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("layout_name", ["default", "shuffled"])
+@pytest.mark.parametrize("layout", [default_loss_layout()], ids=["default"])
 @pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
-def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout_name):
+def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout):
     # 1500 base rows: one full _CHUNK block and a partial one
-    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
     n_base, seed, g = 1500, 31, 2.0
     assert n_base % sensitivity._CHUNK != 0
     seen = record_design_values(monkeypatch)
     _, (entry,) = sensitivity_sweep(
-        [g], n_base=n_base, seed=seed, layout=layout, pattern=pattern,
-        bootstrap_resamples=200,
+        [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
     )
     expected = first_order_indices(
-        make_gain_model(g, 0.05, layout=layout, pattern=pattern),
-        n_base, seed, dims=layout.dims, vectorized=True, bootstrap_resamples=200,
+        make_gain_model(g, 0.05, pattern=pattern),
+        n_base, seed, dims=layout.dims, bootstrap_resamples=200,
     )
     (swept, generic) = seen
     for got, want in zip(swept, generic):
@@ -562,8 +524,7 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout_name):
     assert entry.result.evaluations == expected.evaluations == n_base * (layout.dims + 2)
 
     _, (rerun,) = sensitivity_sweep(
-        [g], n_base=n_base, seed=seed, layout=layout, pattern=pattern,
-        bootstrap_resamples=200,
+        [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
     )
     assert rerun.result.indices.tobytes() == entry.result.indices.tobytes()
     assert rerun.result.ci.tobytes() == entry.result.ci.tobytes()
@@ -571,12 +532,12 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout_name):
 
 
 @pytest.mark.parametrize(
-    "layout_name,walked",
+    "layout,walked",
     # walked: A, B and the hybrids on L5, L8, L9-L11
-    [("default", 7), ("shuffled", 6)],
+    [(default_loss_layout(), 7)],
+    ids=["default-7"],
 )
-def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout_name, walked):
-    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
+def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout, walked):
     rows = 0
     walk = sensitivity._branch_walk
 
@@ -599,7 +560,7 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout_name, walk
         monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", budget)
         rows = 0
         _, entries = sensitivity_sweep(
-            gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=resamples
+            gains, n_base=n_base, seed=4, bootstrap_resamples=resamples
         )
         # once per design block and bootstrap group, whatever the number of gains
         assert rows == walked * n_base * groups
@@ -625,18 +586,14 @@ def test_role_classes_partition_loss_roles():
 
 
 @pytest.mark.parametrize(
-    "layout_name,per_block",
-    # default: start weights of A, B and L1, L3, L4, L7; detector factors of
-    # A, B and L12-L14; POVM sums of every point but the L2 and L6 hybrids,
-    # which take A's sums whole.  shuffled: start weights of A, B, P, I, P2;
-    # detector factors of A, B, D0; sums of all but S.
-    [
-        ("default", {"weights": 6, "detector": 5, "sums": 14}),
-        ("shuffled", {"weights": 5, "detector": 3, "sums": 10}),
-    ],
+    "per_block",
+    # start weights of A, B and L1, L3, L4, L7; detector factors of A, B and
+    # L12-L14; POVM sums of every point but the L2 and L6 hybrids, which take
+    # A's sums whole
+    [{"weights": 6, "detector": 5, "sums": 14}],
+    ids=["default-per_block0"],
 )
-def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_block):
-    layout = default_loss_layout() if layout_name == "default" else shuffled_layout()
+def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, per_block):
     calls = dict.fromkeys(per_block, 0)
     pieces = {
         "weights": "_start_weights",
@@ -653,9 +610,7 @@ def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, layout_name, per_bl
     blocks = -(-n_base // sensitivity._CHUNK)
     for gains in ([2.0], [1.0, 3.0, 0.5]):  # per block, whatever the gains
         calls.update(dict.fromkeys(per_block, 0))
-        sensitivity_sweep(
-            gains, n_base=n_base, seed=4, layout=layout, bootstrap_resamples=20
-        )
+        sensitivity_sweep(gains, n_base=n_base, seed=4, bootstrap_resamples=20)
         assert calls == {key: count * blocks for key, count in per_block.items()}
 
 
