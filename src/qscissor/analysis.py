@@ -117,7 +117,6 @@ class FringeScan:
     phases: np.ndarray
     values: np.ndarray
     pattern: tuple
-    wavenumber: int = 2  # fringes oscillate in (wavenumber * phase)
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float)
@@ -173,40 +172,3 @@ def fringe_scan(
     coincidence = shifted @ _coincidence_row()
     values = coincidence.real**2 + coincidence.imag**2
     return FringeScan(phases=phases, values=values, pattern=pattern)
-
-
-@dataclass
-class VisibilityFit:
-    """Least-squares cosine fit of a fringe scan."""
-
-    visibility: float
-    offset: float
-    amplitude: float
-    mean: float
-    degenerate: bool = False
-
-
-def fit_visibility(scan: FringeScan) -> VisibilityFit:
-    """Fit a * cos(k phi + offset) + m with the model-fixed wavenumber k.
-
-    Visibility is the fitted contrast a / m clipped to [0, 1].  A constant
-    scan has no defined offset and is flagged as degenerate with zero
-    visibility.  The fit is linear least squares, hence deterministic.
-    """
-    if len(scan.phases) < 4:
-        raise ValueError("need at least 4 points to fit a fringe")
-    span = scan.phases[-1] - scan.phases[0]
-    if span * scan.wavenumber < 2.0 * np.pi - 1e-9:
-        raise ValueError("phase grid must span at least one fringe period")
-    k = scan.wavenumber
-    design = np.column_stack(
-        [np.ones_like(scan.phases), np.cos(k * scan.phases), np.sin(k * scan.phases)]
-    )
-    (mean, a_cos, a_sin), *_ = np.linalg.lstsq(design, scan.values, rcond=None)
-    amplitude = math.hypot(a_cos, a_sin)
-    scale = max(abs(mean), float(np.max(np.abs(scan.values))), 1e-300)
-    if amplitude < 1e-12 * scale:
-        return VisibilityFit(0.0, 0.0, 0.0, float(mean), degenerate=True)
-    offset = math.atan2(-a_sin, a_cos) % (2.0 * math.pi)
-    visibility = float(np.clip(amplitude / mean, 0.0, 1.0)) if mean > 0 else 0.0
-    return VisibilityFit(visibility, offset, float(amplitude), float(mean))

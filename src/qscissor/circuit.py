@@ -26,11 +26,11 @@ occupations, their local index and their place in the
 map one sector at a time: each sector follows from the one below by
 applying the transformed creation operator once, so no permanent is
 evaluated; every runtime path in the package evolves through these blocks.
-:func:`fock_transfer_matrix` places them into the dense matrix, which
-:func:`apply_mode_unitary` applies to a whole sparse state.  Both come
-from one LRU cache of fixed size keyed on the unitary's bytes, so memory
-stays bounded however many distinct unitaries a process sees; the arrays
-are shared between callers and therefore read-only.
+The blocks come from one LRU cache of fixed size keyed on the unitary's
+bytes, so memory stays bounded however many distinct unitaries a process
+sees; they are shared between callers and therefore read-only.
+:func:`fock_transfer_matrix` places them into a fresh dense matrix on each
+call, which :func:`apply_mode_unitary` applies to a whole sparse state.
 :func:`permanent` (Ryser's formula with Gray-code subset ordering,
 O(2^n n)) and :func:`fock_amplitude` stay as the single-amplitude API and
 as the test oracle for the transfer matrix.
@@ -226,8 +226,8 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
 #: (modes, max_total) basis layouts kept; basis-only, so few are ever needed
 _LAYOUT_CACHE_SIZE = 32
 
-#: unitaries whose Fock map is kept; a 4-mode, 4-photon entry (dense matrix
-#: plus sector blocks) holds about 106 KB
+#: unitaries whose Fock map is kept; a 4-mode, 4-photon entry (its sector
+#: blocks) holds about 28 KB
 _TRANSFER_CACHE_SIZE = 64
 
 
@@ -296,22 +296,16 @@ def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
 
 
 @functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
-def _transfer(
-    matrix_bytes: bytes, modes: int, max_total: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Sector blocks and dense Fock matrix of one mode unitary."""
+def _transfer(matrix_bytes: bytes, modes: int, max_total: int) -> tuple[np.ndarray, ...]:
+    """Read-only sector blocks of one mode unitary's Fock map."""
     u = np.frombuffer(matrix_bytes, dtype=complex).reshape(modes, modes)
     blocks = [np.ones((1, 1), dtype=complex)]
     for gather, sqrt_occ, first, inv_sqrt_first in _sector_steps(modes, max_total):
         coeff = u[:, first] * inv_sqrt_first
         blocks.append(np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, blocks[-1][gather]))
-    dim = basis_dimension(modes, max_total)
-    dense = np.zeros((dim, dim), dtype=complex)
-    for sector, block in zip(fock_sectors(modes, max_total), blocks):
-        dense[np.ix_(sector.positions, sector.positions)] = block
+    for block in blocks:
         block.setflags(write=False)
-    dense.setflags(write=False)
-    return tuple(blocks), dense
+    return tuple(blocks)
 
 
 def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, ...]:
@@ -325,17 +319,22 @@ def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, 
     (matrix bytes, max_total) for the last ``_TRANSFER_CACHE_SIZE``
     unitaries, because sweeps reuse the same interferometer many times.
     """
-    return _transfer(u.matrix.tobytes(), u.dim, max_total)[0]
+    return _transfer(u.matrix.tobytes(), u.dim, max_total)
 
 
 def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:
     """Dense Fock-space matrix of ``u`` on the canonical truncated basis.
 
     The blocks of :func:`sector_transfer_blocks` placed at their basis
-    positions, from the same cache; entries equal :func:`fock_amplitude` up
-    to rounding.  The array is shared between callers, hence read-only.
+    positions in a fresh array; entries equal :func:`fock_amplitude` up to
+    rounding.
     """
-    return _transfer(u.matrix.tobytes(), u.dim, max_total)[1]
+    dim = basis_dimension(u.dim, max_total)
+    dense = np.zeros((dim, dim), dtype=complex)
+    blocks = sector_transfer_blocks(u, max_total)
+    for sector, block in zip(fock_sectors(u.dim, max_total), blocks):
+        dense[np.ix_(sector.positions, sector.positions)] = block
+    return dense
 
 
 def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:

@@ -37,7 +37,7 @@ from .scissor import (
     run_two_scissor,
     two_photon_gain,
 )
-from .sensitivity import sensitivity_sweep
+from .sensitivity import LOSS_POINTS, sensitivity_sweep
 
 SCHEMA_VERSION = 1
 
@@ -462,17 +462,17 @@ def _run_hom(cfg: dict) -> tuple[list[str], list]:
 
 
 def _run_sobol(cfg: dict) -> tuple[list[str], list]:
-    layout, entries = sensitivity_sweep(
+    entries = sensitivity_sweep(
         cfg["g"], tau=cfg["tau"], n_base=cfg["n_base"], seed=cfg["seed"],
         bounds=(cfg["loss_min"], cfg["loss_max"]), pattern=cfg["pattern"][0],
         bootstrap_resamples=cfg["bootstrap"],
     )
     header = ["g", "variable", "region", "s1", "ci95", "evaluations"]
-    points = len(layout.points)
+    points = len(LOSS_POINTS)
     return header, [
         np.repeat([entry.g for entry in entries], points),
-        [point.name for point in layout.points] * len(entries),
-        [point.region for point in layout.points] * len(entries),
+        [point.name for point in LOSS_POINTS] * len(entries),
+        [point.region for point in LOSS_POINTS] * len(entries),
         np.concatenate([entry.result.indices for entry in entries]),
         np.concatenate([entry.result.ci for entry in entries]),
         np.repeat([entry.result.evaluations for entry in entries], points),

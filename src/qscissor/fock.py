@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -134,7 +135,16 @@ class PureState:
         return occ
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        """sqrt(sum |a|^2); amplitudes whose squares would underflow are
+        rescaled by the largest |a| first, so a nonzero state has a nonzero
+        norm."""
+        total = sum(abs(a) ** 2 for a in self.amplitudes.values())
+        if total < sys.float_info.min and self.amplitudes:
+            scale = max(map(abs, self.amplitudes.values()))
+            return scale * math.sqrt(
+                sum(abs(a / scale) ** 2 for a in self.amplitudes.values())
+            )
+        return math.sqrt(total)
 
     def normalized(self) -> "PureState":
         """Return the unit-norm version of this state."""
@@ -178,10 +188,6 @@ def fock_state(occ: Iterable[int], cutoff: int | None = None) -> PureState:
     return PureState(len(occ), {occ: 1.0}, cutoff=cutoff)
 
 
-def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> PureState:
-    return PureState(modes, {(0,) * modes: 1.0}, cutoff=cutoff)
-
-
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product; the cutoffs add so product states always fit."""
     amps = {
@@ -192,67 +198,43 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(a.modes + b.modes, amps, cutoff=a.cutoff + b.cutoff)
 
 
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b> over the shared occupation basis."""
-    if a.modes != b.modes:
-        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
-    if len(a.amplitudes) > len(b.amplitudes):
-        return complex(np.conj(inner_product(b, a)))
-    return sum(
-        np.conj(amp) * b.amplitudes.get(occ, 0.0) for occ, amp in a.amplitudes.items()
-    )
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 for normalized a, b (it is the caller's job to normalize)."""
-    return abs(inner_product(a, b)) ** 2
-
-
-def project_photon_number(
-    state: PureState, mode: int, n: int
-) -> tuple[PureState, float]:
-    """Project one mode onto a definite photon number and drop that mode.
-
-    Returns the unnormalized residual state on the remaining modes together
-    with the projection probability (squared norm of the kept amplitudes,
-    assuming the input was normalized).  Chaining over distinct modes is
-    order-independent.
-    """
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range for a {state.modes}-mode state")
-    kept: dict[tuple, complex] = {}
-    for occ, amp in state.amplitudes.items():
-        if occ[mode] == n:
-            kept[occ[:mode] + occ[mode + 1 :]] = amp
-    residual = PureState(state.modes - 1, kept, cutoff=state.cutoff)
-    probability = sum(abs(a) ** 2 for a in kept.values())
-    return residual, probability
+def _check_mode(mode: int, modes: int) -> None:
+    if not 0 <= mode < modes:
+        raise ValueError(f"mode {mode} out of range for a {modes}-mode state")
 
 
 def project_pattern(
     state: PureState, modes: Iterable[int], counts: Iterable[int]
 ) -> tuple[PureState, float]:
-    """Project several distinct modes at once (all removed from the labels)."""
-    modes = list(modes)
-    counts = list(counts)
+    """Project distinct modes onto definite photon numbers and drop them.
+
+    Returns the unnormalized residual state on the remaining modes together
+    with the projection probability (squared norm of the kept amplitudes,
+    assuming the input was normalized).
+    """
+    modes, counts = list(modes), list(counts)
+    if len(modes) != len(counts):
+        raise ValueError(f"{len(modes)} projection modes but {len(counts)} counts")
     if len(set(modes)) != len(modes):
         raise ValueError("projection modes must be distinct")
-    residual, probability = state, None
-    # project from the highest index down so earlier indices stay valid
-    for mode, count in sorted(zip(modes, counts), reverse=True):
-        residual, p = project_photon_number(residual, mode, count)
-        probability = p  # the last projection already accounts for all previous ones
-    if probability is None:
-        probability = state.norm() ** 2
-    return residual, probability
+    for mode in modes:
+        _check_mode(mode, state.modes)
+    rest = [m for m in range(state.modes) if m not in modes]
+    kept = {
+        tuple(occ[m] for m in rest): amp
+        for occ, amp in state.amplitudes.items()
+        if all(occ[m] == n for m, n in zip(modes, counts))
+    }
+    residual = PureState(len(rest), kept, cutoff=state.cutoff)
+    return residual, sum(abs(a) ** 2 for a in kept.values())
 
 
 class MixedState:
     """Convex mixture of pure states on a common mode count and cutoff.
 
-    The decomposition into pure components is not unique; all observables
-    computed here (projections, diagonal weights, density matrices) depend
-    only on the density operator the mixture represents.
+    The decomposition into pure components is not unique; the diagonal
+    weights computed here depend only on the density operator the mixture
+    represents.
     """
 
     def __init__(self, components: Iterable[tuple[float, PureState]]):
@@ -279,33 +261,9 @@ class MixedState:
     def from_pure(cls, state: PureState) -> "MixedState":
         return cls([(1.0, state)])
 
-    def trace(self) -> float:
-        return sum(w * s.norm() ** 2 for w, s in self.components)
-
-    def normalized(self) -> "MixedState":
-        """Normalize component states and rescale weights to sum to one."""
-        comps = []
-        for w, s in self.components:
-            n2 = s.norm() ** 2
-            if n2 > 0.0:
-                comps.append((w * n2, s.normalized()))
-        total = sum(w for w, _ in comps)
-        if total <= 0.0:
-            raise ValueError("cannot normalize a zero-trace mixture")
-        return MixedState([(w / total, s) for w, s in comps])
-
-    def density_matrix(self) -> np.ndarray:
-        """Dense density matrix over ``basis_enumerate(modes, cutoff)``, in
-        that canonical order."""
-        dim = basis_dimension(self.modes, self.cutoff)
-        rho = np.zeros((dim, dim), dtype=complex)
-        for w, s in self.components:
-            vec = s.to_vector()
-            rho += w * np.outer(vec, vec.conj())
-        return rho
-
     def photon_number_weights(self, mode: int, max_n: int | None = None) -> np.ndarray:
         """Diagonal photon-number distribution of one mode (modes traced out)."""
+        _check_mode(mode, self.modes)
         if max_n is None:
             max_n = self.cutoff
         weights = np.zeros(max_n + 1)

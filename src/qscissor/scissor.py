@@ -89,40 +89,6 @@ def _check_pattern(pattern: Sequence[int]) -> tuple:
     return tuple(map(int, p))
 
 
-def gain_to_transmittance(g: float) -> float:
-    """Splitter transmittance eta = 1 / (1 + g^2) that programs gain g."""
-    _check_gain(g)
-    return 1.0 / (1.0 + g * g)
-
-
-def herald_phase(pattern: Sequence[int]) -> float:
-    """Phase acquired per photon-number step for a given success pattern."""
-    return 2.0 * math.pi * SUCCESS_PATTERNS.index(_check_pattern(pattern)) / 3.0
-
-
-def ideal_scissor_transform(coefficients: Sequence[complex], g: float) -> np.ndarray:
-    """Closed-form amplifier action: keep c_0, c_1, c_2, scale c_k by g^k.
-
-    Components above the resource's two photons are cut off.  Returns the
-    renormalized coefficient vector of length 3; raises if nothing survives
-    the cut (a degenerate input for the protocol).
-    """
-    _check_gain(g)
-    size = _RESOURCE_PHOTONS + 1
-    kept = np.asarray(list(coefficients[:size]), dtype=complex)
-    if kept.size < size:
-        kept = np.concatenate([kept, np.zeros(size - kept.size)])
-    # 0^0 = 1 handles g = 0: only the vacuum component survives
-    kept = kept * np.array([g**k for k in range(size)], dtype=complex)
-    norm = np.linalg.norm(kept)
-    if norm == 0.0:
-        raise ValueError(
-            "input has no support on the retained photon numbers; the "
-            "amplifier output would be the zero state"
-        )
-    return kept / norm
-
-
 def _resource_splitter() -> ModeUnitary:
     """The g = 1 gain splitter on (resource, output) of the amplifier's modes."""
     splitter = beam_splitter_unitary(0.5)

@@ -64,7 +64,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,21 +85,40 @@ from .scissor import (
 # loss layout
 # ---------------------------------------------------------------------------
 
-#: Roles a loss variable can play, i.e. where its channel sits in the setup.
-LOSS_ROLES = (
-    "input_post_prep",  # input beam right after preparation (both configs)
-    "input_size_path",  # input path to the counting stage (amplifier off)
-    "input_pre_qft",  # input arm entering the mixer (amplifier on)
-    "ancilla_post_prep",  # resource beam before the gain splitter
-    "ancilla_pre_qft",  # transmitted resource arm entering the mixer
-    "output_post_amp",  # amplified output before the counting stage
-    "qft_internal_0",  # between the two halves of the mixer, per mode
-    "qft_internal_1",
-    "qft_internal_2",
-    "detector_0",  # herald detector efficiencies, per mixer output
-    "detector_1",
-    "detector_2",
+
+class LossPoint(NamedTuple):
+    """One sampled loss: its name, its report region and its role, i.e. where
+    its channel sits in the setup."""
+
+    name: str
+    region: str
+    role: str
+
+
+#: The fourteen loss points of the reported sensitivity analysis, in design
+#: column order.  Points that share a role compose multiplicatively.
+LOSS_POINTS = (
+    LossPoint("L1", "post_prep", "input_post_prep"),  # input beam after preparation
+    LossPoint("L2", "size_measurement", "input_size_path"),  # input to counting (off)
+    LossPoint("L3", "pre_qft", "input_pre_qft"),  # input arm entering the mixer (on)
+    LossPoint("L4", "post_prep", "ancilla_post_prep"),  # resource before the splitter
+    LossPoint("L5", "pre_qft", "ancilla_pre_qft"),  # resource arm entering the mixer
+    LossPoint("L6", "size_measurement", "output_post_amp"),  # output to counting
+    LossPoint("L7", "pre_qft", "input_pre_qft"),
+    LossPoint("L8", "pre_qft", "ancilla_pre_qft"),
+    LossPoint("L9", "within_qft", "qft_internal_0"),  # between the mixer halves
+    LossPoint("L10", "within_qft", "qft_internal_1"),
+    LossPoint("L11", "within_qft", "qft_internal_2"),
+    LossPoint("L12", "detection", "detector_0"),  # herald detector efficiencies
+    LossPoint("L13", "detection", "detector_1"),
+    LossPoint("L14", "detection", "detector_2"),
 )
+
+#: Each role's design columns.
+_ROLE_COLUMNS = {
+    role: [i for i, point in enumerate(LOSS_POINTS) if point.role == role]
+    for role in dict.fromkeys(point.role for point in LOSS_POINTS)
+}
 
 # Every role falls in exactly one of four classes, by the stage of one
 # evaluation its loss enters; a Saltelli hybrid that changes one role redoes
@@ -114,82 +133,6 @@ _START_WEIGHT_ROLES = ("input_post_prep", "input_pre_qft", "ancilla_post_prep")
 _DETECTOR_ROLES = ("detector_0", "detector_1", "detector_2")
 #: Roles that enter only the closed-form scalars of the measured ratio.
 _SCALAR_ROLES = ("input_size_path", "output_post_amp")
-
-#: Report regions, matching how the loss points group in the setup.
-LOSS_REGIONS = (
-    "post_prep",
-    "size_measurement",
-    "pre_qft",
-    "within_qft",
-    "detection",
-)
-
-
-@dataclass(frozen=True)
-class LossPoint:
-    name: str
-    region: str
-    role: str
-
-    def __post_init__(self):
-        if self.region not in LOSS_REGIONS:
-            raise ValueError(f"unknown region {self.region!r}")
-        if self.role not in LOSS_ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-
-
-@dataclass(frozen=True)
-class LossLayout:
-    """Ordered list of loss points; several points may share a role
-    (their transmissions then compose multiplicatively)."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-    @property
-    def dims(self) -> int:
-        return len(self.points)
-
-    def role_columns(self) -> dict[str, list[int]]:
-        columns: dict[str, list[int]] = {}
-        for i, point in enumerate(self.points):
-            columns.setdefault(point.role, []).append(i)
-        return columns
-
-
-def default_loss_layout() -> LossLayout:
-    """The fourteen-point layout used for the reported sensitivity analysis.
-
-    Two post-preparation points (input and resource), two on the paths to
-    the photon counting stage (input-side and output-side), four on the
-    arms entering the mixer, three inside the mixer, three on the herald
-    detectors.
-    """
-    return LossLayout(
-        (
-            LossPoint("L1", "post_prep", "input_post_prep"),
-            LossPoint("L2", "size_measurement", "input_size_path"),
-            LossPoint("L3", "pre_qft", "input_pre_qft"),
-            LossPoint("L4", "post_prep", "ancilla_post_prep"),
-            LossPoint("L5", "pre_qft", "ancilla_pre_qft"),
-            LossPoint("L6", "size_measurement", "output_post_amp"),
-            LossPoint("L7", "pre_qft", "input_pre_qft"),
-            LossPoint("L8", "pre_qft", "ancilla_pre_qft"),
-            LossPoint("L9", "within_qft", "qft_internal_0"),
-            LossPoint("L10", "within_qft", "qft_internal_1"),
-            LossPoint("L11", "within_qft", "qft_internal_2"),
-            LossPoint("L12", "detection", "detector_0"),
-            LossPoint("L13", "detection", "detector_1"),
-            LossPoint("L14", "detection", "detector_2"),
-        )
-    )
-
-
-#: The layout every model call and sweep uses, and its role -> columns map.
-_LAYOUT = default_loss_layout()
-_ROLE_COLUMNS = _LAYOUT.role_columns()
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +446,7 @@ def _walk(pattern, roles: dict) -> np.ndarray:
 def _stages(tau, tr: np.ndarray, pattern: tuple) -> tuple:
     """(roles, walk weights, start weights, detector factors, POVM sums) of a
     [dims, samples] block of transmissions."""
-    roles = {role: _role_transmission(tr, role) for role in LOSS_ROLES}
+    roles = {role: _role_transmission(tr, role) for role in _ROLE_COLUMNS}
     weight, start = _walk(pattern, roles), _start_weights(tau, roles)
     detector = _detector_factors(pattern, roles)
     return roles, weight, start, detector, _povm_sums(pattern, weight, start, detector)
@@ -538,15 +481,15 @@ def lossy_gain_model(
     """Measured two-photon gain with losses inserted across the setup.
 
     ``losses`` is either a single loss vector (an entry in [0, 1] per point of
-    ``default_loss_layout()``) or a batch of them stacked along the first
-    axis.  With all losses zero this reduces exactly to the closed-form gain.
+    ``LOSS_POINTS``) or a batch of them stacked along the first axis.  With
+    all losses zero this reduces exactly to the closed-form gain.
     """
     pattern = _check_model_arguments(g, tau, pattern)
     scalar = np.ndim(losses) == 1
     arr = np.atleast_2d(np.asarray(losses, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != _LAYOUT.dims:
+    if arr.ndim != 2 or arr.shape[1] != len(LOSS_POINTS):
         raise ValueError(
-            f"loss vectors must have {_LAYOUT.dims} entries, got shape {arr.shape}"
+            f"loss vectors must have {len(LOSS_POINTS)} entries, got shape {arr.shape}"
         )
     _check_losses(arr)
     factors = _class_factors(pattern, [g])
@@ -555,13 +498,6 @@ def lossy_gain_model(
         block = arr[start : start + _CHUNK]
         (out[start : start + _CHUNK],) = _evaluate_batch(factors, tau, block, pattern)
     return float(out[0]) if scalar else out
-
-
-def make_gain_model(
-    g: float, tau: float, pattern: Sequence[int] = (1, 1, 0)
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched loss -> gain callable for the sensitivity estimator."""
-    return functools.partial(lossy_gain_model, g, tau, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +705,10 @@ def _design_block(
     factors = _class_factors(pattern, gains)
     tr_a, tr_b = _transmissions(a), _transmissions(b)
     roles_a, weight_a, start_a, detector_a, sums_a = _stages(tau, tr_a, pattern)
-    out = np.empty((len(factors), _LAYOUT.dims + 2, a.shape[0]))
+    out = np.empty((len(factors), len(LOSS_POINTS) + 2, a.shape[0]))
     out[:, 0] = _measured_gains(tau, roles_a, sums_a, factors)
     out[:, 1] = _evaluate_batch(factors, tau, b, pattern)
-    for i, point in enumerate(_LAYOUT.points):
+    for i, point in enumerate(LOSS_POINTS):
         tr = tr_a.copy()
         tr[i] = tr_b[i]
         roles = {**roles_a, point.role: _role_transmission(tr, point.role)}
@@ -792,7 +728,7 @@ def _design_block(
 
 def _design_values(gains, tau, a, b, pattern: tuple) -> list:
     """Per gain, [dims + 2, n_base]: the whole design's values."""
-    values = [np.empty((_LAYOUT.dims + 2, a.shape[0])) for _ in gains]
+    values = [np.empty((len(LOSS_POINTS) + 2, a.shape[0])) for _ in gains]
     for start in range(0, a.shape[0], _CHUNK):
         rows = slice(start, start + _CHUNK)
         block = _design_block(gains, tau, a[rows], b[rows], pattern)
@@ -809,14 +745,14 @@ def sensitivity_sweep(
     bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
     pattern: Sequence[int] = (1, 1, 0),
     bootstrap_resamples: int = 1000,
-) -> tuple[LossLayout, list[SweepEntry]]:
-    """First-order indices of the loss model at each gain on the grid, and
-    the ``default_loss_layout()`` that names their points.
+) -> list[SweepEntry]:
+    """First-order indices of the loss model at each gain on the grid, one
+    per point of ``LOSS_POINTS``.
 
     The same seed (hence the same loss samples and bootstrap draws) is
     reused at every gain so the per-variable curves are directly comparable
     across g.  The values are those of ``first_order_indices`` on
-    ``make_gain_model``; the design is evaluated in blocks of base rows
+    ``lossy_gain_model`` at each gain; the design is evaluated in blocks of base rows
     without forming its hybrids, and consecutive gains whose bootstrap
     inputs fit ``_BOOTSTRAP_BLOCK_BYTES`` share one bootstrap pass.
     """
@@ -826,10 +762,10 @@ def sensitivity_sweep(
         raise ValueError("the gain grid holds no values")
     for g in gains:
         pattern = _check_model_arguments(g, tau, pattern)
-    a, b = _base_samples(n_base, _LAYOUT.dims, seed, bounds)
+    a, b = _base_samples(n_base, len(LOSS_POINTS), seed, bounds)
     _check_losses(a)
     _check_losses(b)
-    group = _gains_per_group(n_base, _LAYOUT.dims, bootstrap_resamples)
+    group = _gains_per_group(n_base, len(LOSS_POINTS), bootstrap_resamples)
     entries = []
     for first in range(0, len(gains), group):
         grouped = gains[first : first + group]
@@ -839,4 +775,4 @@ def sensitivity_sweep(
             bootstrap_resamples,
         )
         entries.extend(SweepEntry(g=g, result=r) for g, r in zip(grouped, results))
-    return _LAYOUT, entries
+    return entries

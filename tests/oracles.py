@@ -1,16 +1,19 @@
 """Reference implementations the tests check the package against.
 
-None of these run in the package: the three-mode Fourier interferometer is
-the textbook form of the amplifier's mixer (the package builds the tritter,
-which equals it up to diagonal phases), the dict loss channel is the
-Kraus-operator definition the Sobol engine's batched loss walk reproduces,
-and the per-branch walk is that loss walk one Kraus branch at a time on the
-dense Fock basis, which the engine composes into a single matrix product.
-They build on the circuit and state primitives only, never on the Sobol
-engine's own code.  The Schmidt shortcut is the pure-state closed form of
-the path state's log-negativity, the check on its partial transpose.  The
-row writer formats and writes one CSV row at a time, the reference for the
-CLI's blocked column writer.
+None of these run in the package.  The closed forms are the amplifier's
+ideal transform c_k -> g^k c_k, its herald phases and its gain setting;
+the state overlaps, the mixture trace and density matrix and the fringe
+fit are the definitions the package's results are checked against.  The
+three-mode Fourier interferometer is the textbook form of the amplifier's
+mixer (the package builds the tritter, which equals it up to diagonal
+phases), the dict loss channel is the Kraus-operator definition the Sobol
+engine's batched loss walk reproduces, and the per-branch walk is that loss
+walk one Kraus branch at a time on the dense Fock basis, which the engine
+composes into a single matrix product.  They build on the circuit and state
+primitives only, never on the Sobol engine's own code.  The Schmidt
+shortcut is the pure-state closed form of the path state's log-negativity,
+the check on its partial transpose.  The row writer formats and writes one
+CSV row at a time, the reference for the CLI's blocked column writer.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ from qscissor.circuit import (
     fock_transfer_matrix,
 )
 from qscissor.fock import (
+    DEFAULT_CUTOFF,
     MixedState,
     PureState,
+    basis_dimension,
     basis_enumerate,
     fock_state,
     project_pattern,
     tensor,
 )
-from qscissor.scissor import gain_to_transmittance
+from qscissor.scissor import SUCCESS_PATTERNS, _check_gain, _check_pattern
 
 #: The amplifier's four modes hold at most four photons: the input's and
 #: the resource's two each.
@@ -48,6 +53,92 @@ _MODES = _PHOTONS = 4
 _BASIS = basis_enumerate(_MODES, _PHOTONS)
 _OCCUPATIONS = np.array(_BASIS)
 _INDEX = {occ: i for i, occ in enumerate(_BASIS)}
+
+
+def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> PureState:
+    return PureState(modes, {(0,) * modes: 1.0}, cutoff=cutoff)
+
+
+def inner_product(a: PureState, b: PureState) -> complex:
+    """<a|b> over the shared occupation basis."""
+    if a.modes != b.modes:
+        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
+    return sum(np.conj(x) * b.amplitudes.get(occ, 0.0) for occ, x in a.amplitudes.items())
+
+
+def fidelity(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2 for normalized a, b."""
+    return abs(inner_product(a, b)) ** 2
+
+
+def mixture_trace(mix: MixedState) -> float:
+    return sum(w * s.norm() ** 2 for w, s in mix.components)
+
+
+def density_matrix(mix: MixedState) -> np.ndarray:
+    """Dense density matrix over ``basis_enumerate(modes, cutoff)``."""
+    dim = basis_dimension(mix.modes, mix.cutoff)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for w, s in mix.components:
+        vec = s.to_vector()
+        rho += w * np.outer(vec, vec.conj())
+    return rho
+
+
+def gain_to_transmittance(g: float) -> float:
+    """Splitter transmittance eta = 1 / (1 + g^2) that programs gain g."""
+    _check_gain(g)
+    return 1.0 / (1.0 + g * g)
+
+
+def herald_phase(pattern) -> float:
+    """Phase acquired per photon-number step for a given success pattern."""
+    return 2.0 * math.pi * SUCCESS_PATTERNS.index(_check_pattern(pattern)) / 3.0
+
+
+def ideal_scissor_transform(coefficients, g: float) -> np.ndarray:
+    """Closed-form amplifier action: keep c_0, c_1, c_2 and scale c_k by g^k.
+
+    Returns the renormalized length-3 vector; raises if nothing survives.
+    """
+    _check_gain(g)
+    kept = np.zeros(3, dtype=complex)
+    kept[: len(coefficients[:3])] = coefficients[:3]
+    kept *= np.array([g**k for k in range(3)])  # 0^0 = 1: g = 0 keeps c_0
+    norm = np.linalg.norm(kept)
+    if norm == 0.0:
+        raise ValueError("input has no support on the retained photon numbers")
+    return kept / norm
+
+
+@dataclass
+class VisibilityFit:
+    visibility: float
+    offset: float
+    amplitude: float
+    mean: float
+    degenerate: bool = False
+
+
+def fit_visibility(scan, wavenumber: int = 2) -> VisibilityFit:
+    """Least-squares fit of a * cos(k phi + offset) + m, k = ``wavenumber``
+    (a two-photon fringe oscillates at twice the phase).
+
+    Visibility is a / m clipped to [0, 1]; a constant scan is degenerate.
+    """
+    phases, values, k = scan.phases, scan.values, wavenumber
+    if len(phases) < 4:
+        raise ValueError("need at least 4 points to fit a fringe")
+    if (phases[-1] - phases[0]) * k < 2.0 * np.pi - 1e-9:
+        raise ValueError("phase grid must span at least one fringe period")
+    design = np.column_stack([phases**0, np.cos(k * phases), np.sin(k * phases)])
+    (mean, a_cos, a_sin), *_ = np.linalg.lstsq(design, values, rcond=None)
+    amplitude = math.hypot(a_cos, a_sin)
+    if amplitude < 1e-12 * max(abs(mean), float(np.max(np.abs(values))), 1e-300):
+        return VisibilityFit(0.0, 0.0, 0.0, float(mean), degenerate=True)
+    offset = math.atan2(-a_sin, a_cos) % (2.0 * math.pi)
+    visibility = float(np.clip(amplitude / mean, 0.0, 1.0)) if mean > 0 else 0.0
+    return VisibilityFit(visibility, offset, float(amplitude), float(mean))
 
 
 def qft_unitary(m: int) -> ModeUnitary:

@@ -14,9 +14,15 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    fidelity,
+    fit_visibility,
+    herald_phase,
+    ideal_scissor_transform,
+    vacuum,
+)
 from qscissor.analysis import (
     amplified_path_state,
-    fit_visibility,
     fringe_scan,
     hom_coincidence,
     log_negativity,
@@ -24,20 +30,17 @@ from qscissor.analysis import (
     path_entangled_state,
 )
 from qscissor.circuit import apply_mode_unitary, beam_splitter_unitary
-from qscissor.fock import PureState, fidelity, fock_state, vacuum
+from qscissor.fock import PureState, fock_state
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     amplified_mixture_closed_form,
-    herald_phase,
-    ideal_scissor_transform,
     measured_two_photon_gain,
     run_two_scissor,
     two_photon_gain,
 )
 from qscissor.sensitivity import (
-    default_loss_layout,
+    LOSS_POINTS,
     first_order_indices,
-    make_gain_model,
     saltelli_sample,
     sensitivity_sweep,
 )
@@ -280,17 +283,15 @@ def test_criterion_7_sobol_machinery():
     assert count_check.evaluations == 3840 * 6
 
     # loss model at the full design size
-    layout, entries = sensitivity_sweep(
-        [1.0, 2.0, 3.0], tau=0.05, n_base=3840, seed=2026
-    )
-    names = [p.name for p in layout.points]
-    regions = [p.region for p in layout.points]
+    entries = sensitivity_sweep([1.0, 2.0, 3.0], tau=0.05, n_base=3840, seed=2026)
+    names = [p.name for p in LOSS_POINTS]
+    regions = [p.region for p in LOSS_POINTS]
     for entry in entries:
         s, ci = entry.result.indices, entry.result.ci
         assert entry.result.evaluations == 61440
         assert np.all(s >= -3.0 * ci) and np.all(s <= 1.0 + 3.0 * ci)
         assert s.sum() <= 1.0 + 3.0 * ci.max()
-        detector = [s[i] for i in range(layout.dims) if regions[i] == "detection"]
+        detector = [s[i] for i in range(len(LOSS_POINTS)) if regions[i] == "detection"]
         assert max(detector) < 0.05
         if entry.g >= 2.0:
             top3 = {names[i] for i in np.argsort(s)[::-1][:3]}

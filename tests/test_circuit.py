@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import Loss, apply_loss, qft_unitary
+from oracles import Loss, apply_loss, density_matrix, mixture_trace, qft_unitary, vacuum
 from qscissor.circuit import (
     BeamSplitter,
     ModeUnitary,
@@ -19,13 +19,7 @@ from qscissor.circuit import (
     sector_transfer_blocks,
     tritter_elements,
 )
-from qscissor.fock import (
-    MixedState,
-    PureState,
-    basis_enumerate,
-    fock_state,
-    vacuum,
-)
+from qscissor.fock import MixedState, PureState, basis_enumerate, fock_state
 
 
 def haar_unitary(rng, m):
@@ -350,9 +344,11 @@ def test_transfer_cache_is_bounded_and_read_only():
         u = haar_unitary(rng, 3)
         t = fock_transfer_matrix(u, 3)
     assert circuit._transfer.cache_info().currsize <= maxsize
-    assert not t.flags.writeable
-    with pytest.raises(ValueError):
-        t[0, 0] = 0.0
+    # the dense matrix is a fresh array: writing to it leaves the cache alone
+    expected = t.copy()
+    t[:] = 0.0
+    t = fock_transfer_matrix(u, 3)
+    assert np.array_equal(t, expected)
     blocks = sector_transfer_blocks(u, 3)
     for sector, block in zip(fock_sectors(3, 3), blocks, strict=True):
         assert not block.flags.writeable
@@ -394,8 +390,8 @@ def test_loss_preserves_trace_and_composes():
     state = PureState(2, dict(zip(basis, amps)), cutoff=3).normalized()
     once = apply_loss(apply_loss(state, 0, 0.7), 0, 0.6)
     direct = apply_loss(state, 0, 0.42)
-    assert once.trace() == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(once.density_matrix() - direct.density_matrix())) < 1e-12
+    assert mixture_trace(once) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(density_matrix(once) - density_matrix(direct))) < 1e-12
 
 
 def test_loss_on_one_mode_leaves_other_marginal():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import density_matrix, inner_product, vacuum
 from qscissor.circuit import beam_splitter_unitary, fock_amplitude
 from qscissor.fock import (
     MixedState,
@@ -10,11 +11,8 @@ from qscissor.fock import (
     basis_dimension,
     basis_enumerate,
     fock_state,
-    inner_product,
     project_pattern,
-    project_photon_number,
     tensor,
-    vacuum,
 )
 
 
@@ -112,6 +110,13 @@ def test_tiny_amplitudes_are_kept_and_exact_zeros_dropped():
     assert state.normalized().amplitude((1,)) == 1e-300
 
 
+def test_norm_of_amplitudes_whose_squares_underflow():
+    state = PureState(1, {(0,): 1e-200, (1,): 1e-200}, cutoff=2)
+    assert state.norm() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    unit = state.normalized()
+    assert unit.amplitude((0,)) == unit.amplitude((1,)) == pytest.approx(2**-0.5)
+
+
 def test_normalize_is_idempotent():
     rng = np.random.default_rng(7)
     state = random_pure_state(rng, 3, 3)
@@ -142,14 +147,14 @@ def test_inner_product_mode_mismatch():
 
 
 def test_project_single_photon_trivial():
-    residual, p = project_photon_number(fock_state((1, 0)), 0, 1)
+    residual, p = project_pattern(fock_state((1, 0)), [0], [1])
     assert p == pytest.approx(1.0)
     assert residual.amplitudes == {(0,): 1.0}
 
 
 def test_project_symmetric_superposition():
     state = PureState(2, {(1, 0): 1 / np.sqrt(2), (0, 1): 1 / np.sqrt(2)})
-    residual, p = project_photon_number(state, 0, 1)
+    residual, p = project_pattern(state, [0], [1])
     assert p == pytest.approx(0.5)
     assert residual.amplitudes[(0,)] == pytest.approx(1 / np.sqrt(2))
 
@@ -183,15 +188,26 @@ def test_projection_completeness():
     rng = np.random.default_rng(13)
     state = random_pure_state(rng, 2, 4)
     total = sum(
-        project_photon_number(state, 0, n)[1] for n in range(state.cutoff + 1)
+        project_pattern(state, [0], [n])[1] for n in range(state.cutoff + 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empty_projection_gives_zero_probability():
-    residual, p = project_photon_number(fock_state((1,)), 0, 0)
+    residual, p = project_pattern(fock_state((1,)), [0], [0])
     assert p == 0.0
     assert residual.amplitudes == {}
+
+
+@pytest.mark.parametrize(
+    "modes,counts,message",
+    [([0, 1], [1], "2 projection modes but 1 counts"), ([0], [1, 1], "1 projection"),
+     ([2], [1], "mode 2 out of range"), ([-1], [1], "mode -1 out of range")],
+)
+def test_projection_rejects_mismatched_or_out_of_range_modes(modes, counts, message):
+    state = PureState(2, {(1, 0): 0.6, (1, 1): 0.8}, cutoff=2)
+    with pytest.raises(ValueError, match=message):
+        project_pattern(state, modes, counts)
 
 
 def test_tensor_product_amplitudes():
@@ -203,13 +219,6 @@ def test_tensor_product_amplitudes():
     assert prod.amplitude((0, 2)) == pytest.approx(0.6)
 
 
-def test_mixed_state_weights_and_normalization():
-    mix = MixedState([(0.5, fock_state((0,))), (1.5, fock_state((1,)))]).normalized()
-    weights = sorted(w for w, _ in mix.components)
-    assert weights == pytest.approx([0.25, 0.75])
-    assert mix.trace() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_mixed_state_rejects_mode_mismatch():
     with pytest.raises(ValueError):
         MixedState([(0.5, vacuum(1)), (0.5, vacuum(2))])
@@ -217,7 +226,7 @@ def test_mixed_state_rejects_mode_mismatch():
 
 def test_density_matrix_of_pure_superposition():
     state = PureState(1, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}, cutoff=1)
-    rho = MixedState.from_pure(state).density_matrix()
+    rho = density_matrix(MixedState.from_pure(state))
     assert rho.shape == (2, 2)
     assert np.allclose(rho, 0.5 * np.ones((2, 2)))
 
@@ -229,3 +238,10 @@ def test_photon_number_weights():
     weights = mix.photon_number_weights(0)
     assert weights[0] == pytest.approx(0.25)
     assert weights[2] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("mode", [-1, 1])
+def test_photon_number_weights_rejects_out_of_range_mode(mode):
+    mix = MixedState.from_pure(fock_state((2,), cutoff=2))
+    with pytest.raises(ValueError, match=f"mode {mode} out of range for a 1-mode"):
+        mix.photon_number_weights(mode)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -18,11 +19,9 @@ from qscissor.scissor import (
     two_photon_gain,
 )
 from qscissor.sensitivity import (
-    LossPoint,
-    default_loss_layout,
+    LOSS_POINTS,
     first_order_indices,
     lossy_gain_model,
-    make_gain_model,
     saltelli_sample,
     sensitivity_sweep,
 )
@@ -34,9 +33,8 @@ from qscissor.sensitivity import (
 
 
 def test_default_layout_has_fourteen_points():
-    layout = default_loss_layout()
-    assert layout.dims == 14
-    regions = [p.region for p in layout.points]
+    assert len(LOSS_POINTS) == 14
+    regions = [p.region for p in LOSS_POINTS]
     assert regions.count("post_prep") == 2
     assert regions.count("size_measurement") == 2
     assert regions.count("pre_qft") == 4
@@ -44,16 +42,8 @@ def test_default_layout_has_fourteen_points():
     assert regions.count("detection") == 3
 
 
-def test_layout_rejects_unknown_tags():
-    with pytest.raises(ValueError):
-        LossPoint("L1", "nowhere", "input_post_prep")
-    with pytest.raises(ValueError):
-        LossPoint("L1", "post_prep", "mystery_role")
-
-
 def test_layout_role_columns_compose():
-    layout = default_loss_layout()
-    assert layout.role_columns()["input_pre_qft"] == [2, 6]  # L3 and L7
+    assert sensitivity._ROLE_COLUMNS["input_pre_qft"] == [2, 6]  # L3 and L7
     # two losses sharing a role compose multiplicatively
     both, one = np.zeros(14), np.zeros(14)
     both[[2, 6]] = 0.2, 0.25
@@ -106,6 +96,11 @@ def test_saltelli_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 # first-order estimator on analytic benchmarks
 # ---------------------------------------------------------------------------
+
+
+def make_gain_model(g, tau, pattern=(1, 1, 0)):
+    """``lossy_gain_model`` at one gain as a batched model of the losses."""
+    return functools.partial(lossy_gain_model, g, tau, pattern=pattern)
 
 
 def additive_model(coeffs):
@@ -502,28 +497,28 @@ def record_design_values(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("layout", [default_loss_layout()], ids=["default"])
+@pytest.mark.parametrize("dims", [len(LOSS_POINTS)], ids=["default"])
 @pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
-def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout):
+def test_sweep_matches_generic_estimator(monkeypatch, pattern, dims):
     # 1500 base rows: one full _CHUNK block and a partial one
     n_base, seed, g = 1500, 31, 2.0
     assert n_base % sensitivity._CHUNK != 0
     seen = record_design_values(monkeypatch)
-    _, (entry,) = sensitivity_sweep(
+    (entry,) = sensitivity_sweep(
         [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
     )
     expected = first_order_indices(
         make_gain_model(g, 0.05, pattern=pattern),
-        n_base, seed, dims=layout.dims, bootstrap_resamples=200,
+        n_base, seed, dims=dims, bootstrap_resamples=200,
     )
     (swept, generic) = seen
     for got, want in zip(swept, generic):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(entry.result.indices, expected.indices, rtol=0, atol=1e-12)
     np.testing.assert_allclose(entry.result.ci, expected.ci, rtol=0, atol=1e-12)
-    assert entry.result.evaluations == expected.evaluations == n_base * (layout.dims + 2)
+    assert entry.result.evaluations == expected.evaluations == n_base * (dims + 2)
 
-    _, (rerun,) = sensitivity_sweep(
+    (rerun,) = sensitivity_sweep(
         [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
     )
     assert rerun.result.indices.tobytes() == entry.result.indices.tobytes()
@@ -532,12 +527,12 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, layout):
 
 
 @pytest.mark.parametrize(
-    "layout,walked",
+    "dims,walked",
     # walked: A, B and the hybrids on L5, L8, L9-L11
-    [(default_loss_layout(), 7)],
+    [(len(LOSS_POINTS), 7)],
     ids=["default-7"],
 )
-def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout, walked):
+def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, dims, walked):
     rows = 0
     walk = sensitivity._branch_walk
 
@@ -549,7 +544,7 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout, walked):
 
     monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
     n_base, resamples = 1100, 20
-    held = 8 * (n_base * (2 * layout.dims + 2) + resamples * layout.dims)
+    held = 8 * (n_base * (2 * dims + 2) + resamples * dims)
     budget = sensitivity._BOOTSTRAP_BLOCK_BYTES
     # (gains, bootstrap budget, groups): the last shares a pass two gains a time
     for gains, budget, groups in (
@@ -559,13 +554,13 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, layout, walked):
     ):
         monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", budget)
         rows = 0
-        _, entries = sensitivity_sweep(
+        entries = sensitivity_sweep(
             gains, n_base=n_base, seed=4, bootstrap_resamples=resamples
         )
         # once per design block and bootstrap group, whatever the number of gains
         assert rows == walked * n_base * groups
         assert len(entries) == len(gains)
-        assert all(e.result.evaluations == n_base * (layout.dims + 2) for e in entries)
+        assert all(e.result.evaluations == n_base * (dims + 2) for e in entries)
 
 
 def test_sweep_rejects_an_empty_gain_grid():
@@ -580,9 +575,9 @@ def test_role_classes_partition_loss_roles():
         sensitivity._DETECTOR_ROLES,
         sensitivity._SCALAR_ROLES,
     )
-    for role in sensitivity.LOSS_ROLES:
+    for role in sensitivity._ROLE_COLUMNS:
         assert sum(role in c for c in classes) == 1, role
-    assert sorted(r for c in classes for r in c) == sorted(sensitivity.LOSS_ROLES)
+    assert sorted(r for c in classes for r in c) == sorted(sensitivity._ROLE_COLUMNS)
 
 
 @pytest.mark.parametrize(
@@ -639,14 +634,14 @@ def test_shared_bootstrap_draws_match_single_gain_sweeps(
     sizes = record_group_sizes(monkeypatch)
     gains = [0.5, 1.0, 2.0, 3.0, 5.0]
     kwargs = dict(n_base=n_base, seed=8, bootstrap_resamples=resamples)
-    _, shared = sensitivity_sweep(gains, **kwargs)
+    shared = sensitivity_sweep(gains, **kwargs)
     assert sizes == expected_sizes
     for g, entry in zip(gains, shared):
-        _, (alone,) = sensitivity_sweep([g], **kwargs)
+        (alone,) = sensitivity_sweep([g], **kwargs)
         assert entry.g == alone.g == g
         assert entry.result.indices.tobytes() == alone.result.indices.tobytes()
         assert entry.result.ci.tobytes() == alone.result.ci.tobytes()
-    _, rerun = sensitivity_sweep(gains, **kwargs)
+    rerun = sensitivity_sweep(gains, **kwargs)
     for first, second in zip(shared, rerun):
         assert first.result.indices.tobytes() == second.result.indices.tobytes()
         assert first.result.ci.tobytes() == second.result.ci.tobytes()
@@ -660,7 +655,7 @@ def test_sweep_memory_is_bounded_by_one_group():
     def traced(gains):
         tracemalloc.start()
         try:
-            _, entries = sensitivity_sweep(gains, n_base=64, seed=3)
+            entries = sensitivity_sweep(gains, n_base=64, seed=3)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -675,11 +670,11 @@ def test_sweep_memory_is_bounded_by_one_group():
 
 
 def test_sweep_qualitative_structure():
-    layout, entries = sensitivity_sweep(
+    entries = sensitivity_sweep(
         [2.0, 3.0], tau=0.05, n_base=512, seed=2026, bootstrap_resamples=200
     )
-    names = [p.name for p in layout.points]
-    regions = [p.region for p in layout.points]
+    names = [p.name for p in LOSS_POINTS]
+    regions = [p.region for p in LOSS_POINTS]
     for entry in entries:
         s = entry.result.indices
         ci = entry.result.ci
