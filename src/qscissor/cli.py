@@ -2,11 +2,12 @@
 
 Experiments are described by a flat key = value config file (grids written
 as ``start:stop:step``, lists as comma-separated values) and produce a CSV
-plus a JSON sidecar holding the fully resolved configuration.  Outputs are
-byte identical for identical config and seed: floats are written in
-shortest round-trip form and no timestamps are recorded.  The CSV is
-written a row at a time from blocks of column values, and a failed write
-leaves neither file behind.
+plus a JSON sidecar holding the fully resolved configuration, where a
+``start:stop:step`` grid appears as the rule that rebuilds its values.
+Outputs are byte identical for identical config and seed: floats are
+written in shortest round-trip form and no timestamps are recorded.  The
+CSV is written a row at a time from blocks of column values, and a failed
+write leaves neither file behind.
 
 Exit codes: 0 success, 2 invalid configuration (messages carry the config
 line number), 3 output I/O failure.
@@ -39,7 +40,7 @@ from .scissor import (
 )
 from .sensitivity import LOSS_POINTS, sensitivity_sweep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAX_SEED = 2**64 - 1
 
@@ -140,6 +141,15 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
+class _Grid(list):
+    """The values of a ``start:stop:step`` grid, value i being
+    ``start + i * step``; the meta records the grid as that rule."""
+
+    def __init__(self, start: float, step: float, points: int):
+        super().__init__(start + i * step for i in range(points))
+        self.start, self.step = start, step
+
+
 def _parse_grid(raw: str) -> list[float]:
     """Grid syntax: 'start:stop:step' (inclusive ends) or 'a, b, c'."""
     if ":" in raw:
@@ -155,7 +165,7 @@ def _parse_grid(raw: str) -> list[float]:
         if span + 1.0 > _MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
         count = int(math.floor(span + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        return _Grid(start, step, count)
     values = [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {raw!r} holds no values")
@@ -546,6 +556,8 @@ def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_t
 
 
 def _jsonable(value):
+    if isinstance(value, _Grid):
+        return {"points": len(value), "start": value.start, "step": value.step}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

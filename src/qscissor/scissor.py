@@ -49,7 +49,7 @@ from .circuit import (
     sector_transfer_blocks,
     tritter_elements,
 )
-from .fock import MixedState, PureState, fock_state
+from .fock import MixedState, PureState, _check_mode, fock_state
 
 #: Herald patterns that flag a successful two-photon amplification.
 SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -150,8 +150,7 @@ def heralded_amplify(
     probability.
     """
     pattern = _check_pattern(pattern)
-    if not 0 <= signal_mode < state.modes:
-        raise ValueError(f"signal mode {signal_mode} out of range")
+    _check_mode(signal_mode, state.modes)
     _check_gain(g)
     k = np.arange(_RESOURCE_PHOTONS + 1)
     gains = _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)

@@ -226,8 +226,9 @@ def test_gain_sweep_outputs_match_closed_form(tmp_path):
         assert float(closed) == pytest.approx(expected, rel=1e-12)
         assert float(simulated) == pytest.approx(expected, rel=1e-9)
     meta = json.loads((tmp_path / "gain-sweep.meta.json").read_text())
-    assert meta["schema_version"] == 1
+    assert meta["schema_version"] == 2
     assert meta["resolved_config"]["tau"] == [0.05]
+    assert meta["resolved_config"]["g"] == {"points": 3, "start": 1.0, "step": 1.0}
 
 
 def test_fringes_offsets_step_by_two_thirds(tmp_path):
@@ -391,6 +392,15 @@ def test_byte_identical_reruns(tmp_path):
     ).read_bytes()
 
 
+def test_byte_identical_fringes_reruns(tmp_path):
+    path = write_config(tmp_path, "sigma = 0.2\ng = 2\nphi = 0:6.3:0.05\n")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["fringes", "--config", path, "--out", str(out_a)]) == 0
+    assert main(["fringes", "--config", path, "--out", str(out_b)]) == 0
+    for name in ("fringes.csv", "fringes.meta.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 def test_console_module_entry_point(tmp_path):
     path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
     # the child imports the package this test imported, installed or not
@@ -493,6 +503,55 @@ def test_fringes_dense_matches_benchmark_reference(tmp_path):
     got, want = np.array(numbers, dtype=float), np.array(ref_numbers, dtype=float)
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "experiment,text,key",
+    [
+        ("fringes", "sigma = 0.2\ng = 2\n", "phi"),  # the default 101 phases
+        ("fringes", "sigma = 0.2\ng = 2\nphi = 0:6.3:0.1\n", "phi"),
+        ("hom", "theta = 0.1:1.5:0.07\n", "theta"),
+        ("negativity", "g = 0.5:4:0.025\n", "g"),
+    ],
+)
+def test_grid_record_rebuilds_the_values(tmp_path, experiment, text, key):
+    """The meta records a start:stop:step grid as points, start and step,
+    and start + i * step rebuilds every value the run used, bit for bit."""
+    cfg = resolve_config(experiment, parse_config_text(text), None)
+    path = write_config(tmp_path, text)
+    assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / f"{experiment}.meta.json").read_text())
+    record = meta["resolved_config"][key]
+    assert sorted(record) == ["points", "start", "step"]
+    rebuilt = [record["start"] + i * record["step"] for i in range(record["points"])]
+    assert rebuilt == cfg[key]
+
+
+def test_comma_lists_stay_lists_and_validate_prints_the_meta_record(
+    tmp_path, capsys
+):
+    text = "experiment = gain-sweep\ntau = 0.05, 0.1\ng = 0.5, 1, 2\n"
+    path = write_config(tmp_path, text)
+    assert main(["gain-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "gain-sweep.meta.json").read_text())
+    assert meta["resolved_config"]["tau"] == [0.05, 0.1]
+    assert meta["resolved_config"]["g"] == [0.5, 1.0, 2.0]
+    path = write_config(tmp_path, "experiment = hom\ntheta = 0:1.6:0.4\n")
+    capsys.readouterr()
+    assert main(["validate", "--config", path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "theta = {'points': 5, 'start': 0.0, 'step': 0.4}" in printed
+
+
+def test_meta_of_the_largest_grid_stays_small(tmp_path):
+    text = f"theta = 0:{cli._MAX_GRID_POINTS - 1}:1\n"
+    cfg = resolve_config("hom", parse_config_text(text), None)
+    assert len(cfg["theta"]) == cli._MAX_GRID_POINTS
+    columns = [np.array([0.0]), np.array([1.0])]
+    _, meta_path = cli.write_results(
+        tmp_path, "hom", ["theta", "coincidence"], columns, cfg, text
+    )
+    assert meta_path.stat().st_size < 1024
 
 
 def _fail_json_dump(*args, **kwargs):

@@ -502,6 +502,24 @@ def test_every_pattern_entry_point_checks_the_pattern(entry, pattern, expected):
     assert all(type(n) is int for n in stored)
 
 
+_MODE_ENTRY_POINTS = {
+    "heralded_amplify": lambda state, mode: heralded_amplify(state, mode, 1.0, (1, 1, 0)),
+    "project_pattern": lambda state, mode: fock.project_pattern(state, [mode], [1]),
+    "photon_number_weights": lambda state, mode: MixedState.from_pure(
+        state
+    ).photon_number_weights(mode),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MODE_ENTRY_POINTS))
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_every_mode_entry_point_shares_the_range_message(entry, mode):
+    state = PureState(2, {(1, 0): 0.6, (1, 1): 0.8}, cutoff=2)
+    message = f"^mode {mode} out of range for a 2-mode state$"
+    with pytest.raises(ValueError, match=message):
+        _MODE_ENTRY_POINTS[entry](state, mode)
+
+
 def _int_tuple_sites(path: pathlib.Path) -> set:
     """"<module>.<function>" of every ``tuple(...)`` call that mentions ``int``."""
     sites = set()
