@@ -40,14 +40,14 @@ from .scissor import (
 )
 from .sensitivity import LOSS_POINTS, sensitivity_sweep
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MAX_SEED = 2**64 - 1
 
 #: size limits, so memory stays bounded by the work a config asks for (an
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
-_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.95 KB per base sample
+_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.72 KB per base sample
 #: resamples; a bootstrap pass holds 8 B per index per resample for each gain
 #: it shares, and takes one gain at a time once that passes 4 MiB
 _MAX_BOOTSTRAP = 10**5
@@ -143,11 +143,13 @@ def _parse_seed(raw: str) -> int:
 
 class _Grid(list):
     """The values of a ``start:stop:step`` grid, value i being
-    ``start + i * step``; the meta records the grid as that rule."""
+    ``start + i * step``, except that the last is clamped to ``stop`` where
+    rounding takes it past; the meta records the grid as that rule."""
 
-    def __init__(self, start: float, step: float, points: int):
+    def __init__(self, start: float, stop: float, step: float, points: int):
         super().__init__(start + i * step for i in range(points))
-        self.start, self.step = start, step
+        self[-1] = min(self[-1], stop)
+        self.start, self.stop, self.step = start, stop, step
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -165,7 +167,7 @@ def _parse_grid(raw: str) -> list[float]:
         if span + 1.0 > _MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
         count = int(math.floor(span + 1e-9)) + 1
-        return _Grid(start, step, count)
+        return _Grid(start, stop, step, count)
     values = [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {raw!r} holds no values")
@@ -557,7 +559,12 @@ def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_t
 
 def _jsonable(value):
     if isinstance(value, _Grid):
-        return {"points": len(value), "start": value.start, "step": value.step}
+        return {
+            "points": len(value),
+            "start": value.start,
+            "step": value.step,
+            "stop": value.stop,
+        }
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

@@ -49,6 +49,15 @@ for all the gains that share a bootstrap pass, folds each point's sums
 into every one of them, and never forms the hybrid matrices.  Per point
 the values are those ``lossy_gain_model`` returns on the full design.
 
+Each call of ``_design_values`` or ``lossy_gain_model`` makes one flat
+buffer, and ``_chunks`` views it as each chunk's ``_Work``: the working
+arrays its 7 walks, detector factors and 14 POVM sums write their
+monomials, matmul, squares, gathers and rows into, in place or through
+``out=``.  Arrays of a chunk's width are mapped fresh from the system
+and unmapped when freed, so a walk that allocated its own would spend
+much of its time in page faults.  The buffer is freed when the design is
+done, before the bootstrap pass.
+
 The bootstrap prices blocks of resamples with one matmul of draw counts
 per model.  The draws depend only on the seed, the number of base samples
 and the number of resamples, so the sweep makes them once per group of
@@ -148,7 +157,9 @@ _SCALAR_ROLES = ("input_size_path", "output_post_amp")
 
 _BEAM_PHOTONS = 2  # the input and the resource each start as |2>
 _PHOTONS = 2 * _BEAM_PHOTONS
-_CHUNK = 1024  # samples per pass: keeps its few [35, _CHUNK] complex arrays in cache
+#: samples per pass; a chunk's working arrays (``_Work``), the largest the
+#: walk's real [110, _CHUNK] matmul, take about 4 MB together
+_CHUNK = 1024
 _STARTS = (_BEAM_PHOTONS + 1) ** 2  # incoherent |a, b> starts, a * 3 + b
 
 #: Modes of the walked losses, one slot each in the order of ``_WALKED_ROLES``:
@@ -329,6 +340,45 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     return walk
 
 
+class _Work(NamedTuple):
+    """The working arrays of one chunk of samples, each [rows, samples].
+
+    Every walk, detector factor and POVM sum of a chunk writes its
+    intermediates into these instead of fresh arrays; what a chunk still
+    allocates holds at most 14 rows (transmissions, power tables, start
+    weights, class sums).  Each is a C-contiguous view of one flat buffer
+    (``_chunks``), so a partial last chunk gets exact-shape views too.  A
+    field sized for its largest use serves smaller ones with its leading
+    rows.
+    """
+
+    monomials: np.ndarray  # loss monomials of a walk or of the detector factors
+    factor: np.ndarray  # one gathered power-table factor of those monomials
+    amplitude: np.ndarray  # [2 rows]: the walk's real matmul, then its squares
+    gather: np.ndarray  # each walk row's lost-photon weight
+    povm: np.ndarray  # one point's POVM rows
+    weight_a: np.ndarray  # A's walk weights
+    weight: np.ndarray  # B's or a walked hybrid's
+    detector_a: np.ndarray  # A's detector factors
+    detector: np.ndarray  # B's or a detector hybrid's
+
+
+def _chunks(pattern, samples: int):
+    """Yield (slice, ``_Work``) for each chunk of up to ``_CHUNK`` of
+    ``samples``; every chunk's working arrays view one buffer, released
+    when the iteration ends."""
+    walk = _walk_matrix(pattern)
+    rows, columns = walk.parts.shape[1:]
+    products = max(columns, len(walk.lost), len(walk.detected))
+    # the rows of each field, in field order
+    offsets = np.cumsum([0, products, products, 2 * rows] + [rows] * 6)
+    buffer = np.empty(offsets[-1] * min(samples, _CHUNK))
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        fields = itertools.pairwise(offsets * n)
+        yield slice(start, start + n), _Work(*(buffer[i:j].reshape(-1, n) for i, j in fields))
+
+
 def _power_table(t: np.ndarray) -> np.ndarray:
     """[_PHOTONS + 1, samples] table of t^n."""
     table = np.empty((_PHOTONS + 1, t.shape[0]))
@@ -338,29 +388,33 @@ def _power_table(t: np.ndarray) -> np.ndarray:
     return table
 
 
-def _monomials(tables: list, powers: np.ndarray) -> np.ndarray:
-    """[len(powers), samples]: prod_i tables[i][powers[:, i]]."""
-    out = tables[0][powers[:, 0]]
+def _monomials(tables: list, powers: np.ndarray, work: _Work) -> np.ndarray:
+    """[len(powers), samples] in ``work.monomials``: prod_i
+    tables[i][powers[:, i]].  Gathers run with mode="clip" because "raise"
+    gathers through a fresh copy; every power indexes its table."""
+    out, factor = work.monomials[: len(powers)], work.factor[: len(powers)]
+    np.take(tables[0], powers[:, 0], axis=0, out=out, mode="clip")
     for table, power in zip(tables[1:], powers.T[1:]):
-        out *= table[power]
+        out *= np.take(table, power, axis=0, out=factor, mode="clip")
     return out
 
 
-def _branch_walk(pattern, t_anc, t_internal) -> np.ndarray:
-    """The Kraus-branch walk at g = 1: the [rows, samples] |amplitude|^2 of
-    every walk row times its lost photons' weight, for the resource-arm loss
-    ``t_anc`` and the in-mixer losses ``t_internal`` (per-sample
-    transmissions), as one product of the pattern's ``_WalkMatrix`` with
-    the samples' loss monomials."""
+def _branch_walk(pattern, t_anc, t_internal, work: _Work, out: np.ndarray) -> np.ndarray:
+    """The Kraus-branch walk at g = 1: ``out`` [rows, samples] set to the
+    |amplitude|^2 of every walk row times its lost photons' weight, for the
+    resource-arm loss ``t_anc`` and the in-mixer losses ``t_internal``
+    (per-sample transmissions), as one product of the pattern's
+    ``_WalkMatrix`` with the samples' loss monomials."""
     walk = _walk_matrix(pattern)
     t = [t_anc, *t_internal]
-    monomials = _monomials([_power_table(np.sqrt(x)) for x in t], walk.kept)
+    monomials = _monomials([_power_table(np.sqrt(x)) for x in t], walk.kept, work)
     rows = walk.parts.shape[1]
-    amplitude = walk.parts.reshape(2 * rows, -1) @ monomials
+    amplitude = np.matmul(walk.parts.reshape(2 * rows, -1), monomials, out=work.amplitude)
     amplitude *= amplitude
-    weight = amplitude[:rows] + amplitude[rows:]
-    weight *= _monomials([_power_table(1.0 - x) for x in t], walk.lost)[walk.lost_kind]
-    return weight
+    np.add(amplitude[:rows], amplitude[rows:], out=out)
+    lost = _monomials([_power_table(1.0 - x) for x in t], walk.lost, work)
+    out *= np.take(lost, walk.lost_kind, axis=0, out=work.gather, mode="clip")
+    return out
 
 
 def _start_weights(tau, roles: dict) -> np.ndarray:
@@ -374,22 +428,24 @@ def _start_weights(tau, roles: dict) -> np.ndarray:
     return (w_in[:, None, :] * w_res[None, :, :]).reshape(_STARTS, w_in.shape[1])
 
 
-def _detector_factors(pattern, roles: dict) -> np.ndarray:
-    """[rows, samples]: each walk row's detector factor prod_m t_m^p_m
-    (1 - t_m)^e_m, p_m photons heralded and e_m lost at detector m (its
-    count C(n, p) is in the walk's ``select``)."""
+def _detector_factors(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.ndarray:
+    """``out`` [rows, samples] set to each walk row's detector factor
+    prod_m t_m^p_m (1 - t_m)^e_m, p_m photons heralded and e_m lost at
+    detector m (its count C(n, p) is in the walk's ``select``)."""
     walk = _walk_matrix(pattern)
     t_detect = [roles[f"detector_{m}"] for m in range(3)]
     tables = [_power_table(t) for t in t_detect]
     tables += [_power_table(1.0 - t) for t in t_detect]
-    return _monomials(tables, walk.detected)[walk.povm_row]
+    monomials = _monomials(tables, walk.detected, work)
+    return np.take(monomials, walk.povm_row, axis=0, out=out, mode="clip")
 
 
-def _povm_sums(pattern, weight, start_weight, detector) -> np.ndarray:
+def _povm_sums(pattern, weight, start_weight, detector, work: _Work) -> np.ndarray:
     """[2 classes, samples]: per splitter class, the g-free pattern
     probability, then the conditional rho_22 numerator, amplifier on."""
     walk = _walk_matrix(pattern)
-    rows = weight * start_weight[walk.start]
+    rows = np.take(start_weight, walk.start, axis=0, out=work.povm, mode="clip")
+    np.multiply(weight, rows, out=rows)
     rows *= detector
     return walk.select @ rows
 
@@ -437,24 +493,27 @@ def _measured_gains(tau, roles: dict, sums: np.ndarray, factors) -> list:
     return [scale * (f @ rho22) / (f @ p2) / ratio_off for f in factors]
 
 
-def _walk(pattern, roles: dict) -> np.ndarray:
+def _walk(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.ndarray:
     """``_branch_walk`` on the walked roles' transmissions."""
     t_internal = [roles[f"qft_internal_{m}"] for m in range(3)]
-    return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal)
+    return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal, work, out)
 
 
-def _stages(tau, tr: np.ndarray, pattern: tuple) -> tuple:
-    """(roles, walk weights, start weights, detector factors, POVM sums) of a
-    [dims, samples] block of transmissions."""
+def _stages(tau, tr: np.ndarray, pattern: tuple, work: _Work, weight, detector) -> tuple:
+    """(roles, start weights, POVM sums) of a [dims, samples] block of
+    transmissions; its walk weights go to ``weight`` and its detector
+    factors to ``detector``."""
     roles = {role: _role_transmission(tr, role) for role in _ROLE_COLUMNS}
-    weight, start = _walk(pattern, roles), _start_weights(tau, roles)
-    detector = _detector_factors(pattern, roles)
-    return roles, weight, start, detector, _povm_sums(pattern, weight, start, detector)
+    _walk(pattern, roles, work, weight)
+    start = _start_weights(tau, roles)
+    _detector_factors(pattern, roles, work, detector)
+    return roles, start, _povm_sums(pattern, weight, start, detector, work)
 
 
-def _evaluate_batch(factors, tau, losses, pattern: tuple) -> list:
+def _evaluate_batch(factors, tau, losses, pattern: tuple, work: _Work) -> list:
     """The measured gain at each of ``factors`` on a [samples, dims] batch."""
-    roles, *_, sums = _stages(tau, _transmissions(losses), pattern)
+    tr = _transmissions(losses)
+    roles, _, sums = _stages(tau, tr, pattern, work, work.weight, work.detector)
     return _measured_gains(tau, roles, sums, factors)
 
 
@@ -494,9 +553,8 @@ def lossy_gain_model(
     _check_losses(arr)
     factors = _class_factors(pattern, [g])
     out = np.empty(arr.shape[0])
-    for start in range(0, arr.shape[0], _CHUNK):
-        block = arr[start : start + _CHUNK]
-        (out[start : start + _CHUNK],) = _evaluate_batch(factors, tau, block, pattern)
+    for rows, work in _chunks(pattern, arr.shape[0]):
+        (out[rows],) = _evaluate_batch(factors, tau, arr[rows], pattern, work)
     return float(out[0]) if scalar else out
 
 
@@ -616,12 +674,16 @@ def _point_estimate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # evaluations are centered on the overall mean first: the estimator is
     # shift invariant in expectation, and centering removes most of the
     # mean-level sampling noise from the cross products
-    diff = f_hyb - f_a[None, :]  # [dims, n], independent of the centering
-    cross = (f_b - mean_all)[None, :] * diff
-    stats = np.vstack(
-        [f_b[None, :] * diff, diff, design.sum(axis=0), (design**2).sum(axis=0)]
-    ).T
-    return cross.mean(axis=1) / variance, stats
+    # the statistics are built row by row into one [2 dims + 2, n] array,
+    # whose transpose the bootstrap's matmul takes as it took the stacked rows
+    dims = f_hyb.shape[0]
+    stats = np.empty((2 * dims + 2, design.shape[1]))
+    diff = np.subtract(f_hyb, f_a[None, :], out=stats[dims : 2 * dims])
+    np.multiply(f_b[None, :], diff, out=stats[:dims])
+    design.sum(axis=0, out=stats[2 * dims])
+    (design**2).sum(axis=0, out=stats[2 * dims + 1])
+    cross = (f_b - mean_all)[None, :] * diff  # independent of the centering
+    return cross.mean(axis=1) / variance, stats.T
 
 
 def _indices_from_values(
@@ -687,53 +749,50 @@ class SweepEntry:
     result: SobolResult
 
 
-def _design_block(
-    gains: list,
-    tau: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    pattern: tuple,
-) -> np.ndarray:
-    """[gains, dims + 2, rows]: f(A), f(B) and each f(A_B^i) on a block of
-    base rows, at each of ``gains``.
+def _design_block(factors, tau, a, b, pattern: tuple, work: _Work, out: list) -> None:
+    """Write f(A), f(B) and each f(A_B^i) on a block of base rows at each
+    gain's class ``factors`` into that gain's [dims + 2, rows] of ``out``.
 
     A hybrid shares every role but its column's with A and redoes only the
     stage that role enters: the walk, the start weights or the detector
     factors; a scalar column takes A's POVM sums.  Each point's g-free sums
     are folded into every gain.
     """
-    factors = _class_factors(pattern, gains)
+
+    def record(point: int, values: list) -> None:
+        for design, value in zip(out, values):
+            design[point] = value
+
     tr_a, tr_b = _transmissions(a), _transmissions(b)
-    roles_a, weight_a, start_a, detector_a, sums_a = _stages(tau, tr_a, pattern)
-    out = np.empty((len(factors), len(LOSS_POINTS) + 2, a.shape[0]))
-    out[:, 0] = _measured_gains(tau, roles_a, sums_a, factors)
-    out[:, 1] = _evaluate_batch(factors, tau, b, pattern)
+    roles_a, start_a, sums_a = _stages(
+        tau, tr_a, pattern, work, work.weight_a, work.detector_a
+    )
+    record(0, _measured_gains(tau, roles_a, sums_a, factors))
+    record(1, _evaluate_batch(factors, tau, b, pattern, work))
     for i, point in enumerate(LOSS_POINTS):
         tr = tr_a.copy()
         tr[i] = tr_b[i]
         roles = {**roles_a, point.role: _role_transmission(tr, point.role)}
-        weight, start, detector = weight_a, start_a, detector_a
+        weight, start, detector = work.weight_a, start_a, work.detector_a
         if point.role in _WALKED_ROLES:
-            weight = _walk(pattern, roles)
+            weight = _walk(pattern, roles, work, work.weight)
         elif point.role in _START_WEIGHT_ROLES:
             start = _start_weights(tau, roles)
         elif point.role in _DETECTOR_ROLES:
-            detector = _detector_factors(pattern, roles)
+            detector = _detector_factors(pattern, roles, work, work.detector)
         sums = sums_a
         if point.role not in _SCALAR_ROLES:
-            sums = _povm_sums(pattern, weight, start, detector)
-        out[:, 2 + i] = _measured_gains(tau, roles, sums, factors)
-    return out
+            sums = _povm_sums(pattern, weight, start, detector, work)
+        record(2 + i, _measured_gains(tau, roles, sums, factors))
 
 
 def _design_values(gains, tau, a, b, pattern: tuple) -> list:
     """Per gain, [dims + 2, n_base]: the whole design's values."""
+    factors = _class_factors(pattern, gains)
     values = [np.empty((len(LOSS_POINTS) + 2, a.shape[0])) for _ in gains]
-    for start in range(0, a.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        block = _design_block(gains, tau, a[rows], b[rows], pattern)
-        for design, gain_block in zip(values, block):
-            design[:, rows] = gain_block
+    for rows, work in _chunks(pattern, a.shape[0]):
+        out = [design[:, rows] for design in values]
+        _design_block(factors, tau, a[rows], b[rows], pattern, work, out)
     return values
 
 

@@ -105,7 +105,7 @@ def test_validate_ok_dumps_resolved_defaults(tmp_path, capsys):
     assert "pattern" in out and "g =" in out
     # the meta's resolved_config record: a start:stop:step grid as its rule
     lines = out.splitlines()
-    assert "g = {'points': 25, 'start': 0.0, 'step': 0.25}" in lines
+    assert "g = {'points': 25, 'start': 0.0, 'step': 0.25, 'stop': 6.0}" in lines
     assert "tau = [0.1]" in lines
 
 
@@ -230,9 +230,11 @@ def test_gain_sweep_outputs_match_closed_form(tmp_path):
         assert float(closed) == pytest.approx(expected, rel=1e-12)
         assert float(simulated) == pytest.approx(expected, rel=1e-9)
     meta = json.loads((tmp_path / "gain-sweep.meta.json").read_text())
-    assert meta["schema_version"] == 2
+    assert meta["schema_version"] == 3
     assert meta["resolved_config"]["tau"] == [0.05]
-    assert meta["resolved_config"]["g"] == {"points": 3, "start": 1.0, "step": 1.0}
+    assert meta["resolved_config"]["g"] == {
+        "points": 3, "start": 1.0, "step": 1.0, "stop": 3.0
+    }
 
 
 def test_fringes_offsets_step_by_two_thirds(tmp_path):
@@ -509,6 +511,26 @@ def test_fringes_dense_matches_benchmark_reference(tmp_path):
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12)
 
 
+def test_sobol_matches_benchmark_reference(tmp_path):
+    """The benchmark's sobol workload at seed 5 against its stored reference,
+    with the benchmark's own rule: labels exact, numbers within RTOL 1e-9 /
+    ATOL 1e-12."""
+    config = PERFBENCH / "configs" / "sobol.conf"
+    args = ["sobol", "--config", str(config), "--out", str(tmp_path), "--seed", "5"]
+    assert main(args) == 0
+    actual = read_csv(tmp_path / "sobol.csv")
+    reference = read_csv(PERFBENCH / "reference" / "sobol-seed-05.csv")
+    header = ["g", "variable", "region", "s1", "ci95", "evaluations"]
+    assert actual[0] == reference[0] == header
+    assert len(actual) == len(reference) == 1 + 3 * 14
+    body, ref_body = np.array(actual[1:]), np.array(reference[1:])
+    labels, numbers = [1, 2], [0, 3, 4, 5]
+    assert np.array_equal(body[:, labels], ref_body[:, labels])
+    got, want = body[:, numbers].astype(float), ref_body[:, numbers].astype(float)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12)
+
+
 @pytest.mark.parametrize(
     "experiment,text,key",
     [
@@ -519,16 +541,59 @@ def test_fringes_dense_matches_benchmark_reference(tmp_path):
     ],
 )
 def test_grid_record_rebuilds_the_values(tmp_path, experiment, text, key):
-    """The meta records a start:stop:step grid as points, start and step,
-    and start + i * step rebuilds every value the run used, bit for bit."""
+    """The meta records a start:stop:step grid as points, start, step and
+    stop, and start + i * step, the last clamped to stop, rebuilds every value
+    the run used, bit for bit."""
     cfg = resolve_config(experiment, parse_config_text(text), None)
     path = write_config(tmp_path, text)
     assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / f"{experiment}.meta.json").read_text())
     record = meta["resolved_config"][key]
-    assert sorted(record) == ["points", "start", "step"]
-    rebuilt = [record["start"] + i * record["step"] for i in range(record["points"])]
-    assert rebuilt == cfg[key]
+    assert sorted(record) == ["points", "start", "step", "stop"]
+    assert rebuild_grid(record) == cfg[key]
+
+
+def rebuild_grid(record):
+    """The README's rule for the values of a schema-3 grid record."""
+    values = [record["start"] + i * record["step"] for i in range(record["points"])]
+    values[-1] = min(values[-1], record["stop"])
+    return values
+
+
+# each start a/100 with each step: the one case that overshot 1 before the
+# last point was clamped is 0.09:1:0.07, which the examples below pin
+GRID_STEPS = ("0.01", "0.03", "0.07", "0.1", "0.13", "0.3", "0.7")
+
+
+@pytest.mark.parametrize("step", GRID_STEPS)
+def test_no_grid_point_passes_its_stop(step):
+    for a in range(100):
+        raw = f"{a / 100}:1:{step}"
+        values = cli._parse_grid(raw)
+        assert all(v <= 1.0 for v in values), raw
+        # the inclusive end: the last point is within a step of the stop
+        assert values[-1] > 1.0 - float(step), raw
+        assert rebuild_grid(cli._jsonable(values)) == values, raw
+
+
+@pytest.mark.parametrize(
+    "experiment,text,key,last",
+    [
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002 (g = 0 at tau = 1 is
+        # rejected on its own, so the gains start at 1)
+        ("gain-sweep", "tau = 0.09:1:0.07\ng = 1:3:1\n", "tau", 1.0),
+        # 3 * 0.1 rounds to 0.30000000000000004
+        ("fringes", "sigma = 0.2\ng = 2\nphi = 0:0.3:0.1\n", "phi", 0.3),
+    ],
+)
+def test_overshooting_grid_ends_on_its_stop(tmp_path, experiment, text, key, last):
+    cfg = resolve_config(experiment, parse_config_text(text), None)
+    assert cfg[key][-1] == last
+    path = write_config(tmp_path, text)
+    assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / f"{experiment}.meta.json").read_text())
+    assert meta["resolved_config"][key]["stop"] == last
+    assert rebuild_grid(meta["resolved_config"][key]) == cfg[key]
 
 
 def test_comma_lists_stay_lists_in_the_meta(tmp_path):

@@ -310,7 +310,8 @@ def test_walk_matches_per_branch_reference(pattern, g):
     t_anc, t_internal = tr[4] * tr[7], [tr[8], tr[9], tr[10]]
     walk = sensitivity._walk_matrix(pattern)
     split = walk.classes[walk.row_class]
-    rows = sensitivity._branch_walk(pattern, t_anc, t_internal)
+    ((_, work),) = sensitivity._chunks(pattern, 64)
+    rows = sensitivity._branch_walk(pattern, t_anc, t_internal, work, work.weight)
     rows = rows * (scissor._gain_factor(g, split[:, 0], split[:, 1]) ** 2)[:, None]
     # every row added to its start's share of its POVM row, as the oracle lays
     # them out: per sector, [starts, heraldable rows, samples]
@@ -536,11 +537,11 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, dims, walked):
     rows = 0
     walk = sensitivity._branch_walk
 
-    def counted_walk(pattern, t_anc, t_internal):
+    def counted_walk(pattern, t_anc, t_internal, *work_and_out):
         nonlocal rows
         rows += t_anc.shape[0]
         assert all(t.shape == t_anc.shape for t in t_internal)
-        return walk(pattern, t_anc, t_internal)
+        return walk(pattern, t_anc, t_internal, *work_and_out)
 
     monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
     n_base, resamples = 1100, 20
@@ -561,6 +562,22 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, dims, walked):
         assert rows == walked * n_base * groups
         assert len(entries) == len(gains)
         assert all(e.result.evaluations == n_base * (dims + 2) for e in entries)
+
+
+def test_reused_working_arrays_keep_no_state_between_sweeps(monkeypatch):
+    # three chunks, the last partial: its working arrays are narrower views
+    # of the buffer the full chunks used
+    n_base = 2 * sensitivity._CHUNK + 100
+    seen = record_design_values(monkeypatch)
+    kwargs = dict(n_base=n_base, bootstrap_resamples=20)
+    runs = [sensitivity_sweep([0.5, 2.0], seed=seed, **kwargs) for seed in (1, 2, 1)]
+    first, second, again = (seen[2 * i : 2 * i + 2] for i in range(3))
+    for before, after, other in zip(first, again, second):
+        assert all(b.tobytes() == a.tobytes() for b, a in zip(before, after))
+        assert not np.array_equal(before[0], other[0])
+    for before, after in zip(runs[0], runs[2]):
+        assert before.result.indices.tobytes() == after.result.indices.tobytes()
+        assert before.result.ci.tobytes() == after.result.ci.tobytes()
 
 
 def test_sweep_rejects_an_empty_gain_grid():
