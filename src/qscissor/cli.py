@@ -6,8 +6,9 @@ plus a JSON sidecar holding the fully resolved configuration, where a
 ``start:stop:step`` grid appears as the rule that rebuilds its values.
 Outputs are byte identical for identical config and seed: floats are
 written in shortest round-trip form and no timestamps are recorded.  The
-CSV is written a row at a time from blocks of column values, and a failed
-write leaves neither file behind.
+CSV is written a row at a time from blocks of column values; a column that
+repeats its cells is passed as its values plus a row index, and each of
+those values is formatted once.  A failed write leaves neither file behind.
 
 Exit codes: 0 success, 2 invalid configuration (messages carry the config
 line number), 3 output I/O failure.
@@ -427,18 +428,21 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list]:
         "g", "pattern", "success_probability", "truncation_weight",
         "out_abs0", "out_abs1", "out_abs2", "rel_phase_01", "rel_phase_12",
     ]
-    labels, rows = [], []
+    rows = []
     for g in cfg["g"]:
         for pattern in cfg["pattern"]:
             outcome = run_two_scissor(state, g, pattern)
             c = [outcome.output.components[0][1].amplitude((k,)) for k in range(3)]
-            labels.append(_pattern_label(pattern))
             rows.append([
                 g, outcome.success_probability, outcome.truncation_weight, *map(abs, c),
                 _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
             ])
     gains, *values = np.array(rows, dtype=float).T
-    return header, [gains, labels, *values]
+    patterns = (
+        [_pattern_label(p) for p in cfg["pattern"]],
+        np.tile(np.arange(len(cfg["pattern"])), len(cfg["g"])),
+    )
+    return header, [gains, patterns, *values]
 
 
 def _run_gain_sweep(cfg: dict) -> tuple[list[str], list]:
@@ -453,12 +457,11 @@ def _run_gain_sweep(cfg: dict) -> tuple[list[str], list]:
 
 def _run_fringes(cfg: dict) -> tuple[list[str], list]:
     scans = [fringe_scan(cfg["sigma"], cfg["g"], p, cfg["phi"]) for p in cfg["pattern"]]
-    labels = []
-    for scan in scans:
-        labels += [_pattern_label(scan.pattern)] * len(scan.phases)
+    labels = [_pattern_label(scan.pattern) for scan in scans]
+    points = len(cfg["phi"])  # every scan shares the one phase grid
     return ["pattern", "phi", "rate"], [
-        labels,
-        np.concatenate([scan.phases for scan in scans]),
+        (labels, np.repeat(np.arange(len(scans)), points)),
+        (scans[0].phases, np.tile(np.arange(points), len(scans))),
         np.concatenate([scan.values for scan in scans]),
     ]
 
@@ -480,14 +483,15 @@ def _run_sobol(cfg: dict) -> tuple[list[str], list]:
         bootstrap_resamples=cfg["bootstrap"],
     )
     header = ["g", "variable", "region", "s1", "ci95", "evaluations"]
-    points = len(LOSS_POINTS)
+    by_entry = np.repeat(np.arange(len(entries)), len(LOSS_POINTS))
+    by_point = np.tile(np.arange(len(LOSS_POINTS)), len(entries))
     return header, [
-        np.repeat([entry.g for entry in entries], points),
-        [point.name for point in LOSS_POINTS] * len(entries),
-        [point.region for point in LOSS_POINTS] * len(entries),
+        (np.array([entry.g for entry in entries]), by_entry),
+        ([point.name for point in LOSS_POINTS], by_point),
+        ([point.region for point in LOSS_POINTS], by_point),
         np.concatenate([entry.result.indices for entry in entries]),
         np.concatenate([entry.result.ci for entry in entries]),
-        np.repeat([entry.result.evaluations for entry in entries], points),
+        (np.array([entry.result.evaluations for entry in entries]), by_entry),
     ]
 
 
@@ -511,11 +515,36 @@ def _csv_cell(label, width: int) -> str:
     return buffer.getvalue()[:-1]
 
 
+def _row_count(column) -> int:
+    return len(column[1]) if isinstance(column, tuple) else len(column)
+
+
+def _formatted(values, width: int) -> np.ndarray:
+    """The cells of an indexed column's ``values``, as an object array to
+    gather from: numbers (an array) by ``repr`` of their Python items, never
+    of numpy scalars; labels by ``_csv_cell``."""
+    if isinstance(values, np.ndarray):
+        cells = list(map(repr, values.tolist()))
+    else:
+        cells = [_csv_cell(value, width) for value in values]
+    return np.array(cells, dtype=object)
+
+
 def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_text):
     """Write ``<experiment>.csv`` and ``.meta.json``, both or neither: each is
-    staged under a temporary name and renamed once both are whole.  Columns
-    (float or int arrays, or label lists) are read ``_BLOCK_ROWS`` rows at a
-    time; each row is written as its cells joined by commas."""
+    staged under a temporary name and renamed once both are whole.
+
+    A column is a float or int array, or an indexed pair ``(values, index)``
+    whose row i holds ``values[index[i]]``: ``values`` is a numeric array or
+    a list of labels, ``index`` an int array.  Each of an indexed column's
+    ``values`` is formatted once per call; every other column is formatted
+    ``_BLOCK_ROWS`` rows at a time.  Each row is written as its cells joined
+    by commas."""
+    rows = _row_count(columns[0])
+    formatted = [
+        _formatted(column[0], len(columns)) if isinstance(column, tuple) else None
+        for column in columns
+    ]
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{experiment}{suffix}" for suffix in (".csv", ".meta.json")]
     staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
@@ -523,15 +552,15 @@ def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_t
     try:
         with open(staged[0], "w", newline="\n") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
-            for start in range(0, len(columns[0]), _BLOCK_ROWS):
-                cells = []
-                for column in columns:
-                    block = column[start : start + _BLOCK_ROWS]
-                    if isinstance(block, np.ndarray):
-                        cells.append(map(repr, block.tolist()))
-                    else:
-                        quoted = {v: _csv_cell(v, len(columns)) for v in set(block)}
-                        cells.append(map(quoted.__getitem__, block))
+            for start in range(0, rows, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                # a generator, so no block's cells outlive its rows
+                cells = (
+                    map(repr, column[block].tolist())
+                    if strings is None
+                    else strings.take(column[1][block])
+                    for column, strings in zip(columns, formatted)
+                )
                 for row in zip(*cells):
                     fh.write(",".join(row) + "\n")
         meta = {
@@ -539,7 +568,7 @@ def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_t
             "package_version": __version__,
             "experiment": experiment,
             "columns": list(header),
-            "rows": len(columns[0]),
+            "rows": rows,
             "resolved_config": _jsonable(cfg),
             "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         }
@@ -658,7 +687,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {csv_path} ({len(columns[0])} rows) and {meta_path}")
+    print(f"wrote {csv_path} ({_row_count(columns[0])} rows) and {meta_path}")
     return 0
 
 

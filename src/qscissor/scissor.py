@@ -198,13 +198,21 @@ def run_two_scissor(
     components: list[tuple[float, PureState]] = []
     success_probability = 0.0
     truncation_weight = 0.0
+    underflows = False  # a nonzero conditional state whose probability is 0.0
     for weight, pure in input_state.components:
         truncation_weight += weight * pure.total_photon_weight(3)
         conditional, p = heralded_amplify(pure, 0, g, pattern)
         success_probability += weight * p
         if p > 0.0:
             components.append((weight * p, conditional.normalized()))
+        elif conditional.amplitudes:
+            underflows = True
     if not components:
+        if underflows:
+            raise ValueError(
+                "herald probability underflows to 0.0 for this input; the "
+                "conditional output state is nonzero but cannot be weighted"
+            )
         raise ValueError(
             "herald pattern has zero probability for this input; the "
             "conditional output state is undefined"

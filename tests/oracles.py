@@ -13,7 +13,8 @@ composes into a single matrix product.  They build on the circuit and state
 primitives only, never on the Sobol engine's own code.  The Schmidt
 shortcut is the pure-state closed form of the path state's log-negativity,
 the check on its partial transpose.  The row writer formats and writes one
-CSV row at a time, the reference for the CLI's blocked column writer.
+CSV row at a time, the reference for the CLI's blocked column writer, and
+takes its rows from columns whose indexed pairs are written out in full.
 """
 
 from __future__ import annotations
@@ -353,3 +354,12 @@ def write_rows(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_cell(v) for v in row])
+
+
+def expand_columns(columns) -> list:
+    """The columns with each indexed pair ``(values, index)`` written out as
+    its rows ``values[i]``, one for each ``i`` of ``index``."""
+    return [
+        [column[0][i] for i in column[1]] if isinstance(column, tuple) else column
+        for column in columns
+    ]

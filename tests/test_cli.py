@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qscissor
-from oracles import write_rows
+from oracles import expand_columns, write_rows
 from qscissor import cli
 from qscissor.cli import ConfigError, main, parse_config_text, resolve_config
 from qscissor.scissor import two_photon_gain
@@ -446,16 +446,37 @@ def test_column_writer_matches_row_writer(tmp_path, experiment):
     csv_path, meta_path = cli.write_results(
         tmp_path / "out", experiment, header, columns, cfg, text
     )
-    write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    expanded = expand_columns(columns)
+    write_rows(tmp_path / "rows.csv", header, zip(*expanded))
     assert csv_path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
     rows = len(read_csv(csv_path)) - 1
-    assert rows == len(columns[0]) == json.loads(meta_path.read_text())["rows"]
+    assert rows == len(expanded[0]) == json.loads(meta_path.read_text())["rows"]
+
+
+@pytest.mark.parametrize("name", [*_SMALL_CONFIGS, "fringes-dense"])
+def test_printed_meta_and_csv_row_counts_agree(tmp_path, capsys, name):
+    if name == "fringes-dense":
+        experiment = "fringes"
+        text = (PERFBENCH / "configs" / "fringes-dense.conf").read_text()
+    else:
+        experiment, text = name, _SMALL_CONFIGS[name]
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", path, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    rows = len(read_csv(out / f"{experiment}.csv")) - 1
+    meta = json.loads((out / f"{experiment}.meta.json").read_text())
+    assert f" ({rows} rows) " in printed
+    assert meta["rows"] == rows > 0
+
+
+_PATTERNS = ["110", "101", "011"]
 
 
 def _fringe_columns(rows):
     phases = np.linspace(0.0, 2.0 * np.pi, rows // 3)
     rates = 0.25 + 0.2 * np.cos(2.0 * phases)
-    labels = [label for label in ("110", "101", "011") for _ in phases]
+    labels = (_PATTERNS, np.repeat(np.arange(3), len(phases)))
     return ["pattern", "phi", "rate"], [labels, np.tile(phases, 3), np.tile(rates, 3)]
 
 
@@ -479,17 +500,45 @@ def test_writer_memory_is_one_block(tmp_path):
     assert peaks[1] < 0.5 * 2**20, peaks  # a block joined into one string: 0.69 MB
 
 
+def test_indexed_writer_memory_follows_distinct_values_not_rows(tmp_path):
+    """With one fixed set of 4,001 indexed phases, ten blocks of rows take
+    the memory of one: the writer holds each distinct value's cell once and
+    gathers a block of them, never a cell per row."""
+    phases = np.linspace(0.0, 2.0 * np.pi, 4001)
+    peaks = []
+    for rows in (cli._BLOCK_ROWS, 10 * cli._BLOCK_ROWS):
+        index = np.arange(rows) % len(phases)
+        columns = [
+            (_PATTERNS, np.arange(rows) * len(_PATTERNS) // rows),
+            (phases, index),
+            0.25 + 0.2 * np.cos(2.0 * phases[index]),
+        ]
+        cfg = {"experiment": "fringes", "sigma": 0.2, "g": 2.0, "phi": phases.tolist()}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.write_results(
+                tmp_path / str(rows), "fringes", ["pattern", "phi", "rate"], columns,
+                cfg, "",
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
+
 def test_fringes_dense_writer_matches_row_writer(tmp_path):
     """The benchmark's fringes config, three blocks with a partial last one,
     written byte for byte as the per-row reference writer writes it."""
     text = (PERFBENCH / "configs" / "fringes-dense.conf").read_text()
     cfg = resolve_config("fringes", parse_config_text(text), None)
     header, columns = cli._RUNNERS["fringes"](cfg)
-    assert 2 * cli._BLOCK_ROWS < len(columns[0]) < 3 * cli._BLOCK_ROWS
+    expanded = expand_columns(columns)
+    assert 2 * cli._BLOCK_ROWS < len(expanded[0]) < 3 * cli._BLOCK_ROWS
     csv_path, _ = cli.write_results(
         tmp_path / "out", "fringes", header, columns, cfg, text
     )
-    write_rows(tmp_path / "rows.csv", header, zip(*columns))
+    write_rows(tmp_path / "rows.csv", header, zip(*expanded))
     assert csv_path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_loss, density_matrix, mixture_trace, write_rows
+from oracles import (
+    apply_loss,
+    density_matrix,
+    expand_columns,
+    mixture_trace,
+    write_rows,
+)
 from qscissor import cli
 from qscissor.cli import (
     _MAX_GAIN,
@@ -194,26 +200,41 @@ def test_validated_scissor_inputs_always_herald(coeffs, gains):
     assert np.all(columns[header.index("success_probability")] > 0.0)
 
 
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]
+
 _CELLS = {
     "float": st.floats(),  # every float: nan, +-inf, -0.0, subnormals, huge, tiny
     "int": st.integers(-(2**63), 2**63 - 1),
     # csv quotes a cell holding a comma, a quote or a line break
     "label": st.text(string.ascii_letters + ' ,"\r\n\té', max_size=6),
 }
+#: the distinct values of an indexed column
+_VALUES = {**_CELLS, "float": st.sampled_from(_SPECIAL_FLOATS) | st.floats()}
 
 
 @st.composite
 def _columns(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3))
+    """Plain float and int columns and indexed ``(values, index)`` columns of
+    floats, ints or labels, whose indexes repeat, skip and reorder values."""
+    kinds = ["float", "int", "indexed float", "indexed int", "indexed label"]
     rows = draw(st.integers(0, 9))
-    columns = [draw(st.lists(_CELLS[k], min_size=rows, max_size=rows)) for k in kinds]
-    return [
-        column if kind == "label" else np.array(column, dtype=np.dtype(kind))
-        for kind, column in zip(kinds, columns)
-    ]
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        cell = kind.split()[-1]
+        if kind == cell:
+            cells = draw(st.lists(_CELLS[cell], min_size=rows, max_size=rows))
+            columns.append(np.array(cells, dtype=np.dtype(cell)))
+            continue
+        values = draw(st.lists(_VALUES[cell], min_size=1 if rows else 0, max_size=4))
+        index = st.integers(0, max(len(values) - 1, 0))
+        index = np.array(draw(st.lists(index, min_size=rows, max_size=rows)), dtype=int)
+        columns.append((values if cell == "label" else np.array(values, cell), index))
+    return columns
 
 
-_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5]
+def _labels(cells):
+    """One label column, each row its own value."""
+    return cells, np.arange(len(cells))
 
 
 @settings(PROPERTY, max_examples=30)
@@ -221,17 +242,24 @@ _SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16
 @example(columns=[np.array(_SPECIAL_FLOATS)], block=3)
 @example(columns=[np.array([0, -1, 2**63 - 1, -(2**63)])], block=2)
 @example(
-    columns=[["a,b", 'q"', "", "new\nline", "cr\r"], np.arange(5.0) / 3], block=2
+    columns=[_labels(["a,b", 'q"', "", "new\nline", "cr\r"]), np.arange(5.0) / 3],
+    block=2,
 )
-@example(columns=[[""]], block=1)  # a lone empty cell is written quoted
-@example(columns=[["", "a", ""]], block=2)  # so is every empty cell of one column
-@example(columns=[["", "x"], np.array([1.0, 2.0])], block=1)  # not in a wider row
-@example(columns=[['a,"b\n'] * 3, np.arange(3)], block=1)  # quoted in every block
+# a lone empty cell is written quoted, and so is every empty cell of one
+# column, but not in a wider row
+@example(columns=[_labels([""])], block=1)
+@example(columns=[_labels(["", "a", ""])], block=2)
+@example(columns=[_labels(["", "x"]), np.array([1.0, 2.0])], block=1)
+# one quoted label, gathered into every block
+@example(columns=[(['a,"b\n'], np.zeros(3, int)), np.arange(3)], block=1)
+# gathered by index, never by value: -0.0 and 0.0 stay apart
+@example(columns=[(np.array([0.0, -0.0]), np.array([0, 1, 1, 0]))], block=3)
+@example(columns=[(np.array([], float), np.array([], int))], block=1)
 def test_column_writer_matches_row_writer(columns, block):
     header = [f"c{i}" for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with mock.patch.object(cli, "_BLOCK_ROWS", block):
             cli.write_results(out / "out", "hom", header, columns, {}, "")
-        write_rows(out / "rows.csv", header, zip(*columns))
+        write_rows(out / "rows.csv", header, zip(*expand_columns(columns)))
         assert (out / "out" / "hom.csv").read_bytes() == (out / "rows.csv").read_bytes()

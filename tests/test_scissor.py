@@ -319,6 +319,16 @@ def test_three_photon_component_cannot_herald():
         run_two_scissor(fock_state((3,), cutoff=3), 2.0)
 
 
+def test_underflowing_herald_probability_is_not_called_zero():
+    # the conditional state ~1e-170 |0> is nonzero; only its squared norm
+    # (about 1e-341) falls below the smallest subnormal
+    psi = PureState(1, {(0,): 1e-170, (3,): 1.0}, cutoff=3).normalized()
+    with pytest.raises(ValueError, match="herald probability underflows"):
+        run_two_scissor(psi, 1.0)
+    with pytest.raises(ValueError, match="zero probability"):
+        run_two_scissor(PureState(1, {(3,): 1.0}, cutoff=3), 1.0)
+
+
 def test_truncation_weight_reported_and_output_clean():
     psi = PureState(
         1, {(0,): 1.0, (1,): 1.0, (3,): 1.0}, cutoff=3
