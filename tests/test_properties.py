@@ -208,7 +208,7 @@ _CELLS = {
     # csv quotes a cell holding a comma, a quote or a line break
     "label": st.text(string.ascii_letters + ' ,"\r\n\té', max_size=6),
 }
-#: the distinct values of an indexed column
+#: the values an indexed column's index picks from
 _VALUES = {**_CELLS, "float": st.sampled_from(_SPECIAL_FLOATS) | st.floats()}
 
 
@@ -226,8 +226,9 @@ def _columns(draw):
             columns.append(np.array(cells, dtype=np.dtype(cell)))
             continue
         values = draw(st.lists(_VALUES[cell], min_size=1 if rows else 0, max_size=4))
-        index = st.integers(0, max(len(values) - 1, 0))
-        index = np.array(draw(st.lists(index, min_size=rows, max_size=rows)), dtype=int)
+        position = st.integers(0, max(len(values) - 1, 0))
+        index = draw(st.lists(position, min_size=rows, max_size=rows))
+        index = np.array(index, dtype=int)
         columns.append((values if cell == "label" else np.array(values, cell), index))
     return columns
 

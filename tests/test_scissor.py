@@ -325,8 +325,6 @@ def test_underflowing_herald_probability_is_not_called_zero():
     psi = PureState(1, {(0,): 1e-170, (3,): 1.0}, cutoff=3).normalized()
     with pytest.raises(ValueError, match="herald probability underflows"):
         run_two_scissor(psi, 1.0)
-    with pytest.raises(ValueError, match="zero probability"):
-        run_two_scissor(PureState(1, {(3,): 1.0}, cutoff=3), 1.0)
 
 
 def test_truncation_weight_reported_and_output_clean():
