@@ -385,11 +385,16 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
             problem(
                 "bootstrap", f"{cfg['bootstrap']} is above the limit {_MAX_BOOTSTRAP}"
             )
-        lo, hi = cfg.get("loss_min", 0.0), cfg.get("loss_max", 0.5)
-        if not hi > lo:
-            problems.append(f"loss range [{lo}, {hi}] is empty")
-        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
-            problems.append("loss bounds must lie in [0, 1]")
+        keys = ("loss_min", "loss_max")
+        bounds = [cfg[k] for k in keys if k in cfg and not check_range(k, 0.0, 1.0)]
+        if len(bounds) == 2:  # both parsed and in [0, 1]; the range names both lines
+            lo, hi = bounds
+            where = ", ".join(sources[key] for key in keys)
+            if not hi > lo:
+                problems.append(f"{where}: loss range [{lo}, {hi}] is empty")
+            elif 1.0 - lo == 1.0 - hi:  # the model output would have no variance
+                why = f"every transmission 1 - loss rounds to {1.0 - lo}"
+                problems.append(f"{where}: loss range [{lo}, {hi}] is too narrow: {why}")
     return problems
 
 

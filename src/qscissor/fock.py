@@ -19,7 +19,7 @@ import functools
 import math
 import sys
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -85,6 +85,16 @@ def _occupation(values: Iterable[int]) -> OccupationVector:
     return occ
 
 
+def _norm(amplitudes: Collection[complex]) -> float:
+    """sqrt(sum |a|^2); amplitudes whose squares would underflow are rescaled
+    by the largest |a| first, so nonzero amplitudes have a nonzero norm."""
+    total = sum(abs(a) ** 2 for a in amplitudes)
+    if total < sys.float_info.min and any(amplitudes):
+        scale = max(map(abs, amplitudes))
+        return scale * math.sqrt(sum(abs(a / scale) ** 2 for a in amplitudes))
+    return math.sqrt(total)
+
+
 class PureState:
     """Sparse complex amplitude map over occupation vectors.
 
@@ -135,16 +145,8 @@ class PureState:
         return occ
 
     def norm(self) -> float:
-        """sqrt(sum |a|^2); amplitudes whose squares would underflow are
-        rescaled by the largest |a| first, so a nonzero state has a nonzero
-        norm."""
-        total = sum(abs(a) ** 2 for a in self.amplitudes.values())
-        if total < sys.float_info.min and self.amplitudes:
-            scale = max(map(abs, self.amplitudes.values()))
-            return scale * math.sqrt(
-                sum(abs(a / scale) ** 2 for a in self.amplitudes.values())
-            )
-        return math.sqrt(total)
+        """sqrt(sum |a|^2), by :func:`_norm`."""
+        return _norm(self.amplitudes.values())
 
     def normalized(self) -> "PureState":
         """Return the unit-norm version of this state."""
@@ -178,14 +180,6 @@ class PureState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amplitudes.items()))
         return f"PureState(modes={self.modes}, cutoff={self.cutoff}, {{{terms}}})"
-
-
-def fock_state(occ: Iterable[int], cutoff: int | None = None) -> PureState:
-    """Basis state |occ> with amplitude 1."""
-    occ = _occupation(occ)
-    if cutoff is None:
-        cutoff = max(DEFAULT_CUTOFF, sum(occ))
-    return PureState(len(occ), {occ: 1.0}, cutoff=cutoff)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -232,9 +226,7 @@ def project_pattern(
 class MixedState:
     """Convex mixture of pure states on a common mode count and cutoff.
 
-    The decomposition into pure components is not unique; the diagonal
-    weights computed here depend only on the density operator the mixture
-    represents.
+    The decomposition into pure components is not unique.
     """
 
     def __init__(self, components: Iterable[tuple[float, PureState]]):
@@ -260,18 +252,6 @@ class MixedState:
     @classmethod
     def from_pure(cls, state: PureState) -> "MixedState":
         return cls([(1.0, state)])
-
-    def photon_number_weights(self, mode: int, max_n: int | None = None) -> np.ndarray:
-        """Diagonal photon-number distribution of one mode (modes traced out)."""
-        _check_mode(mode, self.modes)
-        if max_n is None:
-            max_n = self.cutoff
-        weights = np.zeros(max_n + 1)
-        for w, s in self.components:
-            for occ, amp in s.amplitudes.items():
-                if occ[mode] <= max_n:
-                    weights[occ[mode]] += w * abs(amp) ** 2
-        return weights
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MixedState({len(self.components)} components, modes={self.modes})"

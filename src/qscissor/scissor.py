@@ -49,7 +49,7 @@ from .circuit import (
     sector_transfer_blocks,
     tritter_elements,
 )
-from .fock import MixedState, PureState, _check_mode, fock_state
+from .fock import MixedState, PureState, _check_mode, _norm
 
 #: Herald patterns that flag a successful two-photon amplification.
 SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -138,6 +138,12 @@ def _herald_amplitudes(pattern: tuple) -> np.ndarray:
     return amplitudes
 
 
+def _herald_gains(pattern: tuple, g: float) -> np.ndarray:
+    """The herald amplitudes ``<pattern, k| U |k, 2, 0, 0>`` at gain g, k = 0, 1, 2."""
+    k = np.arange(_RESOURCE_PHOTONS + 1)
+    return _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
+
+
 def heralded_amplify(
     state: PureState, signal_mode: int, g: float, pattern: Sequence[int]
 ) -> tuple[PureState, float]:
@@ -152,8 +158,7 @@ def heralded_amplify(
     pattern = _check_pattern(pattern)
     _check_mode(signal_mode, state.modes)
     _check_gain(g)
-    k = np.arange(_RESOURCE_PHOTONS + 1)
-    gains = _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
+    gains = _herald_gains(pattern, g)
     amps = {
         occ: gains[occ[signal_mode]] * amp
         for occ, amp in state.amplitudes.items()
@@ -161,6 +166,16 @@ def heralded_amplify(
     }
     conditional = PureState(state.modes, amps, cutoff=state.cutoff)
     return conditional, conditional.norm() ** 2
+
+
+#: The error of an input that no component heralds, by whether a nonzero
+#: conditional state had probability 0.0.
+_UNHERALDED = (
+    "herald pattern has zero probability for this input; the conditional "
+    "output state is undefined",
+    "herald probability underflows to 0.0 for this input; the conditional "
+    "output state is nonzero but cannot be weighted",
+)
 
 
 @dataclass
@@ -208,15 +223,7 @@ def run_two_scissor(
         elif conditional.amplitudes:
             underflows = True
     if not components:
-        if underflows:
-            raise ValueError(
-                "herald probability underflows to 0.0 for this input; the "
-                "conditional output state is nonzero but cannot be weighted"
-            )
-        raise ValueError(
-            "herald pattern has zero probability for this input; the "
-            "conditional output state is undefined"
-        )
+        raise ValueError(_UNHERALDED[underflows])
     total = sum(w for w, _ in components)
     output = MixedState([(w / total, s) for w, s in components])
     return ScissorOutcome(
@@ -230,21 +237,6 @@ def run_two_scissor(
 # ---------------------------------------------------------------------------
 # closed forms for the lossy two-photon input
 # ---------------------------------------------------------------------------
-
-
-def lossy_two_photon_input(tau: float) -> MixedState:
-    """|2> degraded by a channel with intensity transmission tau.
-
-    The result is the photon-number mixture with weights
-    ((1-tau)^2, 2 tau (1-tau), tau^2) on |0>, |1>, |2>.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmission {tau} outside [0, 1]")
-    weights = [(1 - tau) ** 2, 2 * tau * (1 - tau), tau**2]
-    components = [
-        (w, fock_state((n,), cutoff=2)) for n, w in enumerate(weights) if w > 0.0
-    ]
-    return MixedState(components)
 
 
 def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, float]:
@@ -292,22 +284,25 @@ def _coincidence_row() -> np.ndarray:
     return pair[fock_sectors(2, 2)[2].index[(1, 1)]]
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_separation() -> float:
+    """|<1, 1| B |2, 0>|^2 of the counting stage's balanced splitter B."""
+    return abs(_coincidence_row()[fock_sectors(2, 2)[2].index[(2, 0)]]) ** 2
+
+
 def pnr_coincidence_probability(state: MixedState | PureState) -> float:
     """Coincidence probability of the probabilistic photon-number stage.
 
     The single-mode state is split on a balanced splitter onto two click
-    detectors; a photon pair separates (and registers a coincidence) with
-    probability one half.  Only |2, 0> reaches the (1, 1) outcome, so the
-    probability is that splitter amplitude squared times the two-photon
-    weight.
+    detectors.  Only |2, 0> reaches the (1, 1) outcome, so the probability
+    is that splitter amplitude squared (one half) times the two-photon weight.
     """
     if isinstance(state, PureState):
         state = MixedState.from_pure(state)
     if state.modes != 1:
         raise ValueError("the counting stage takes a single-mode state")
-    separated = _coincidence_row()[fock_sectors(2, 2)[2].index[(2, 0)]]
-    two_photon = state.photon_number_weights(0, max_n=2)[2]
-    return abs(separated) ** 2 * two_photon
+    weights = (w * abs(s.amplitudes.get((2,), 0.0)) ** 2 for w, s in state.components)
+    return _pair_separation() * sum(weights)
 
 
 @dataclass
@@ -319,15 +314,41 @@ class GainMeasurement:
     rho22_estimate: float
 
 
+def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, float]:
+    """(herald probability, output two-photon weight) of the amplifier on the
+    mixture of |0>, |1>, |2> with ``weights``: ``run_two_scissor`` with one
+    amplitude per component, in its order and with its norms and sums."""
+    _check_gain(g)
+    gains = _herald_gains(pattern, g)
+    # (n, weight * p, |a / norm|^2) of each component that heralds
+    herald, heralded, underflows = 0.0, [], False
+    for n, weight in enumerate(weights):
+        if not weight > 0.0:  # a mixture drops its empty components
+            continue
+        a = complex(gains[n])
+        norm = _norm((a,))
+        p = norm**2
+        herald += weight * p
+        if p > 0.0:
+            heralded.append((n, weight * p, abs(a / norm) ** 2))
+        elif a:
+            underflows = True
+    if not heralded:
+        raise ValueError(_UNHERALDED[underflows])
+    total = sum(w for _, w, _ in heralded)
+    return herald, sum(w / total * q for n, w, q in heralded if n == 2)
+
+
 def simulate_gain_measurement(
     tau: float, g: float, with_amplifier: bool, pattern: Sequence[int] = (1, 1, 0)
 ) -> GainMeasurement:
     """Expected coincidence rates of the intensity-gain measurement.
 
-    With the amplifier on, the attenuated two-photon input is amplified and
-    the output mode is counted; four-fold rates normalized by the herald
-    rate estimate the output two-photon population.  With the amplifier off
-    the input goes straight to the counting stage while the resource alone
+    The input, |2> after loss tau, has photon-number weights ((1-tau)^2,
+    2 tau (1-tau), tau^2).  With the amplifier on, it is amplified and the
+    output mode is counted; four-fold rates normalized by the herald rate
+    estimate the output two-photon population.  With the amplifier off the
+    input goes straight to the counting stage while the resource alone
     (full transmittance, no interference) still fires the heralds, so the
     same conditioning applies but the heralds carry no information about
     the input and cancel from the normalized estimate; their probability is
@@ -336,17 +357,15 @@ def simulate_gain_measurement(
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
     pattern = _check_pattern(pattern)
-    input_mixture = lossy_two_photon_input(tau)
+    weights = ((1 - tau) ** 2, 2 * tau * (1 - tau), tau**2)
+    if not _RESOURCE_ONLY_HERALD * (_pair_separation() * weights[2]) > 0.0:
+        raise ValueError(f"tau = {tau}: the two-photon coincidence rate underflows")
     if with_amplifier:
-        outcome = run_two_scissor(input_mixture, g, pattern)
-        herald = outcome.success_probability
-        coincidence = pnr_coincidence_probability(outcome.output)
-        fourfold = herald * coincidence
+        herald, two_photon = _amplified_two_photon(weights, g, pattern)
     else:
         # the input is diverted to the counting stage and never interferes
-        herald = _RESOURCE_ONLY_HERALD
-        coincidence = pnr_coincidence_probability(input_mixture)
-        fourfold = herald * coincidence
+        herald, two_photon = _RESOURCE_ONLY_HERALD, weights[2]
+    fourfold = herald * (_pair_separation() * two_photon)
     return GainMeasurement(
         herald_probability=herald,
         fourfold_probability=fourfold,

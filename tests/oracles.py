@@ -2,7 +2,9 @@
 
 None of these run in the package.  The closed forms are the amplifier's
 ideal transform c_k -> g^k c_k, its herald phases and its gain setting;
-the state overlaps, the mixture trace and density matrix and the fringe
+the Fock states, the lossy two-photon input and the gain measurement on
+them are the dict-state path the weights-only measurement reproduces bit
+for bit; the state overlaps, the mixture trace and density matrix and the fringe
 fit are the definitions the package's results are checked against.  The
 three-mode Fourier interferometer is the textbook form of the amplifier's
 mixer (the package builds the tritter, which equals it up to diagonal
@@ -40,13 +42,22 @@ from qscissor.fock import (
     DEFAULT_CUTOFF,
     MixedState,
     PureState,
+    _check_mode,
+    _occupation,
     basis_dimension,
     basis_enumerate,
-    fock_state,
     project_pattern,
     tensor,
 )
-from qscissor.scissor import SUCCESS_PATTERNS, _check_gain, _check_pattern
+from qscissor.scissor import (
+    _RESOURCE_ONLY_HERALD,
+    SUCCESS_PATTERNS,
+    GainMeasurement,
+    _check_gain,
+    _check_pattern,
+    pnr_coincidence_probability,
+    run_two_scissor,
+)
 
 #: The amplifier's four modes hold at most four photons: the input's and
 #: the resource's two each.
@@ -54,6 +65,14 @@ _MODES = _PHOTONS = 4
 _BASIS = basis_enumerate(_MODES, _PHOTONS)
 _OCCUPATIONS = np.array(_BASIS)
 _INDEX = {occ: i for i, occ in enumerate(_BASIS)}
+
+
+def fock_state(occ, cutoff: int | None = None) -> PureState:
+    """Basis state |occ> with amplitude 1."""
+    occ = _occupation(occ)
+    if cutoff is None:
+        cutoff = max(DEFAULT_CUTOFF, sum(occ))
+    return PureState(len(occ), {occ: 1.0}, cutoff=cutoff)
 
 
 def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> PureState:
@@ -84,6 +103,55 @@ def density_matrix(mix: MixedState) -> np.ndarray:
         vec = s.to_vector()
         rho += w * np.outer(vec, vec.conj())
     return rho
+
+
+def photon_number_weights(mix: MixedState, mode: int, max_n: int | None = None) -> np.ndarray:
+    """Diagonal photon-number distribution of one mode (modes traced out)."""
+    _check_mode(mode, mix.modes)
+    if max_n is None:
+        max_n = mix.cutoff
+    weights = np.zeros(max_n + 1)
+    for w, s in mix.components:
+        for occ, amp in s.amplitudes.items():
+            if occ[mode] <= max_n:
+                weights[occ[mode]] += w * abs(amp) ** 2
+    return weights
+
+
+def lossy_two_photon_input(tau: float) -> MixedState:
+    """|2> degraded by a channel with intensity transmission tau.
+
+    The result is the photon-number mixture with weights
+    ((1-tau)^2, 2 tau (1-tau), tau^2) on |0>, |1>, |2>.
+    """
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"transmission {tau} outside [0, 1]")
+    weights = [(1 - tau) ** 2, 2 * tau * (1 - tau), tau**2]
+    components = [
+        (w, fock_state((n,), cutoff=2)) for n, w in enumerate(weights) if w > 0.0
+    ]
+    return MixedState(components)
+
+
+def dict_gain_measurement(
+    tau: float, g: float, with_amplifier: bool, pattern=(1, 1, 0)
+) -> GainMeasurement:
+    """``simulate_gain_measurement`` through the dict states: the lossy input
+    as a mixture of Fock states, amplified by ``run_two_scissor`` and counted
+    by ``pnr_coincidence_probability``."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"transmission must be in (0, 1], got {tau}")
+    pattern = _check_pattern(pattern)
+    input_mixture = lossy_two_photon_input(tau)
+    if with_amplifier:
+        outcome = run_two_scissor(input_mixture, g, pattern)
+        herald = outcome.success_probability
+        coincidence = pnr_coincidence_probability(outcome.output)
+    else:
+        herald = _RESOURCE_ONLY_HERALD
+        coincidence = pnr_coincidence_probability(input_mixture)
+    fourfold = herald * coincidence
+    return GainMeasurement(herald, fourfold, 2.0 * fourfold / herald)
 
 
 def gain_to_transmittance(g: float) -> float:

@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     fidelity,
     fit_visibility,
+    fock_state,
     herald_phase,
     ideal_scissor_transform,
     vacuum,
@@ -30,7 +31,7 @@ from qscissor.analysis import (
     path_entangled_state,
 )
 from qscissor.circuit import apply_mode_unitary, beam_splitter_unitary
-from qscissor.fock import PureState, fock_state
+from qscissor.fock import PureState
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     amplified_mixture_closed_form,

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fit_visibility, herald_phase, log_negativity_schmidt, vacuum
+from oracles import (
+    fit_visibility,
+    fock_state,
+    herald_phase,
+    log_negativity_schmidt,
+    vacuum,
+)
 from qscissor.analysis import (
     FringeScan,
     QutritPathState,
@@ -21,7 +27,7 @@ from qscissor.circuit import (
     beam_splitter_unitary,
     compile_circuit,
 )
-from qscissor.fock import fock_state, project_pattern, tensor
+from qscissor.fock import project_pattern, tensor
 from qscissor.scissor import SUCCESS_PATTERNS, heralded_amplify
 
 

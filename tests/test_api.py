@@ -18,7 +18,6 @@ OPTIONS = {
     "first_order_indices.bootstrap_resamples",
     "first_order_indices.bounds",
     "first_order_indices.dims",
-    "fock_state.cutoff",
     "fringe_scan.pattern",
     "fringe_scan.phases",
     "lossy_gain_model.pattern",
@@ -58,7 +57,8 @@ REMOVED = (
     "fock.MixedState.normalized", "fock.MixedState.density_matrix",
     "sensitivity.make_gain_model", "sensitivity.LossLayout",
     "sensitivity.default_loss_layout", "sensitivity.LOSS_REGIONS",
-    "sensitivity.LOSS_ROLES",
+    "sensitivity.LOSS_ROLES", "scissor.lossy_two_photon_input", "fock.fock_state",
+    "fock.MixedState.photon_number_weights",
 )
 
 
@@ -77,6 +77,7 @@ def test_removed_names_are_gone(path):
 NEVER_RUN = {
     "fock.tensor": "traced by the benchmark",
     "fock.project_pattern": "traced by the benchmark",
+    "scissor.pnr_coincidence_probability": "traced by the benchmark",
     "circuit.fock_transfer_matrix": "traced by the benchmark",
     "circuit.apply_mode_unitary": "traced by the benchmark",
     "sensitivity.saltelli_sample": "traced by the benchmark",

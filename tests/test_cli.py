@@ -1,4 +1,6 @@
 import csv
+import functools
+import hashlib
 import json
 import lzma
 import math
@@ -13,7 +15,7 @@ import pytest
 
 import qscissor
 from oracles import expand_columns, write_rows
-from qscissor import cli
+from qscissor import cli, fock, scissor
 from qscissor.cli import ConfigError, main, parse_config_text, resolve_config
 from qscissor.scissor import two_photon_gain
 
@@ -197,6 +199,18 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 1: input_coeffs: max |c| = 1e-200 outside [1e-150, 1e+150]"),
         ("scissor", "input_coeffs = 1e200, 1e200\n", [], 2,
          "line 1: input_coeffs: max |c| = 1e+200 outside [1e-150, 1e+150]"),
+        # a loss range names both of its lines, a bound only its own
+        ("sobol", "seed = 1\nloss_min = 0.6\n", [], 2,
+         "line 2: loss_min, default for loss_max: loss range [0.6, 0.5] is empty"),
+        ("sobol", "seed = 1\nloss_max = 2\n", [], 2,
+         "line 2: loss_max: 2.0 outside [0.0, 1.0]"),
+        # every transmission 1 - loss rounds to 1.0: the model has no variance
+        ("sobol", "seed = 3\nloss_max = 1e-17\n", [], 2,
+         "default for loss_min, line 2: loss_max: loss range [0.0, 1e-17] is too "
+         "narrow: every transmission 1 - loss rounds to 1.0"),
+        ("sobol", "seed = 3\nloss_min = 0\nloss_max = 1e-300\n", [], 2,
+         "line 2: loss_min, line 3: loss_max: loss range [0.0, 1e-300] is too narrow"),
+        ("validate", "experiment = sobol\nseed = 3\nloss_max = 1e-16\n", [], 0, ""),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -235,6 +249,65 @@ def test_gain_sweep_outputs_match_closed_form(tmp_path):
     assert meta["resolved_config"]["g"] == {
         "points": 3, "start": 1.0, "step": 1.0, "stop": 3.0
     }
+
+
+#: sha256 of the gain-sweep CSV and meta, recorded from the dict-state
+#: measurement before it was computed from photon-number weights
+_GAIN_SWEEP_SHA256 = {
+    "": (
+        "f887ac726ef4f517f514fa7bc2105234f84b555ed16afb5a1cc49f1abefcfe3d",
+        "2369e78d016c1150b6767cac38101efe8a521de4b97360c331f6af0d15daa1d9",
+    ),
+    "tau = 1e-100, 0.05, 1\ng = 1e-25, 1, 1e6\n": (
+        "6496e5d9538152385180284700c828c549140793400d9502e2c98fb4a9bf11c8",
+        "cdb808d7dc1585785250c444ed1c798bddbba0cb1a7b066a201872871a0b65ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(_GAIN_SWEEP_SHA256), ids=["default", "edges"])
+def test_gain_sweep_bytes_are_pinned(tmp_path, text):
+    path = write_config(tmp_path, text)
+    assert main(["gain-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("gain-sweep.csv", "gain-sweep.meta.json")
+    )
+    assert digests == _GAIN_SWEEP_SHA256[text]
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of ``owner.name`` through every qscissor module that
+    holds it; returns the list that grows by one per call."""
+    original, calls = getattr(owner, name), []
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("qscissor.") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_gain_sweep_builds_no_state(tmp_path, monkeypatch):
+    counts = {
+        "PureState": _count_calls(monkeypatch, fock.PureState, "__init__"),
+        "heralded_amplify": _count_calls(monkeypatch, scissor, "heralded_amplify"),
+        "run_two_scissor": _count_calls(monkeypatch, scissor, "run_two_scissor"),
+    }
+    path = write_config(tmp_path, "")
+    assert main(["gain-sweep", "--config", path, "--out", str(tmp_path / "g")]) == 0
+    assert len(read_csv(tmp_path / "g" / "gain-sweep.csv")) == 51
+    assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
+    # the counters do see the calls of the experiment that runs the dict states
+    assert main(["scissor", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    assert all(counts.values())
 
 
 def test_fringes_offsets_step_by_two_thirds(tmp_path):

@@ -9,21 +9,23 @@ from oracles import (
     density_matrix,
     fidelity,
     fit_visibility,
+    fock_state,
     full_circuit_amplify,
     gain_to_transmittance,
     herald_phase,
     ideal_scissor_transform,
+    lossy_two_photon_input,
+    photon_number_weights,
     qft_unitary,
     vacuum,
 )
 from qscissor import analysis, circuit, fock, scissor, sensitivity
 from qscissor.circuit import compile_circuit, tritter_elements
-from qscissor.fock import MixedState, PureState, fock_state
+from qscissor.fock import MixedState, PureState
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     amplified_mixture_closed_form,
     heralded_amplify,
-    lossy_two_photon_input,
     measured_two_photon_gain,
     pnr_coincidence_probability,
     run_two_scissor,
@@ -381,7 +383,7 @@ def test_g_zero_edge_truncates_to_vacuum():
 
 def test_lossy_input_weights():
     mix = lossy_two_photon_input(0.3)
-    weights = mix.photon_number_weights(0)
+    weights = photon_number_weights(mix, 0)
     assert weights == pytest.approx([0.49, 0.42, 0.09])
 
 
@@ -435,7 +437,7 @@ def test_purification_two_photon_weight_monotone():
 def test_simulated_mixture_matches_closed_form():
     tau, g = 0.05, 2.0
     outcome = run_two_scissor(lossy_two_photon_input(tau), g)
-    simulated = outcome.output.photon_number_weights(0, max_n=2)
+    simulated = photon_number_weights(outcome.output, 0, max_n=2)
     expected, _ = amplified_mixture_closed_form(tau, g)
     assert simulated == pytest.approx(list(expected), abs=1e-12)
 
@@ -460,6 +462,16 @@ def test_measured_gain_matches_closed_form():
             assert measured_two_photon_gain(tau, g, pattern) == pytest.approx(
                 two_photon_gain(tau, g), abs=1e-9 * two_photon_gain(tau, g)
             )
+
+
+@pytest.mark.parametrize("with_amplifier", [True, False])
+def test_gain_measurement_names_an_underflowing_two_photon_rate(with_amplifier):
+    # tau^2 = 1e-400 underflows to 0.0, which would make the gain 0/0 = nan
+    message = "tau = 1e-200: the two-photon coincidence rate underflows"
+    with pytest.raises(ValueError, match=message):
+        simulate_gain_measurement(1e-200, 1.0, with_amplifier)
+    with pytest.raises(ValueError, match=message):
+        measured_two_photon_gain(1e-200, 1.0)
 
 
 def test_gain_measurement_off_normalization_cancels_heralds():
@@ -513,9 +525,9 @@ def test_every_pattern_entry_point_checks_the_pattern(entry, pattern, expected):
 _MODE_ENTRY_POINTS = {
     "heralded_amplify": lambda state, mode: heralded_amplify(state, mode, 1.0, (1, 1, 0)),
     "project_pattern": lambda state, mode: fock.project_pattern(state, [mode], [1]),
-    "photon_number_weights": lambda state, mode: MixedState.from_pure(
-        state
-    ).photon_number_weights(mode),
+    "photon_number_weights": lambda state, mode: photon_number_weights(
+        MixedState.from_pure(state), mode
+    ),
 }
 
 

@@ -8,13 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import Loss, apply_loss, branch_walk, gain_splitter, mixer_halves
+from oracles import (
+    Loss,
+    apply_loss,
+    branch_walk,
+    fock_state,
+    gain_splitter,
+    lossy_two_photon_input,
+    mixer_halves,
+)
 from qscissor import circuit, scissor, sensitivity
 from qscissor.circuit import apply_mode_unitary
-from qscissor.fock import MixedState, fock_state, project_pattern
+from qscissor.fock import MixedState, project_pattern
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
-    lossy_two_photon_input,
     pnr_coincidence_probability,
     two_photon_gain,
 )
