@@ -2,8 +2,6 @@
 
 from .analysis import (
     FringeScan,
-    QutritPathState,
-    amplified_path_state,
     fringe_scan,
     hom_coincidence,
     log_negativity,
@@ -61,12 +59,10 @@ __all__ = [
     "ModeUnitary",
     "PhaseShift",
     "PureState",
-    "QutritPathState",
     "ScissorOutcome",
     "SobolResult",
     "SUCCESS_PATTERNS",
     "amplified_mixture_closed_form",
-    "amplified_path_state",
     "apply_mode_unitary",
     "basis_dimension",
     "basis_enumerate",

@@ -3,7 +3,9 @@
 Covers the coherence-fringe interferometer (a photon pair split unevenly
 into a reference arm and an amplified arm, then recombined with a scanned
 phase), path-entanglement quantified by logarithmic negativity, and the
-polarization Hong-Ou-Mandel curve of the mixer's internal splitters.
+polarization Hong-Ou-Mandel curve of the mixer's internal splitters.  The
+path state is held as its three coefficients on |2-k, k>, k photons in the
+amplified arm, and amplified by the scissor's amplitude-array helper.
 """
 
 from __future__ import annotations
@@ -15,70 +17,43 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import fock_sectors
-from .fock import PureState
-from .scissor import _check_gain, _check_pattern, _coincidence_row, heralded_amplify
+from .scissor import SUCCESS_PATTERNS, _amplify, _check_pattern, _coincidence_row
 
 
-@dataclass(frozen=True)
-class QutritPathState:
-    """Two-photon path state: coefficients on (|2,0>, |1,1>, |0,2>)."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        if len(coeffs) != 3:
-            raise ValueError("a two-photon path state has three coefficients")
-        norm2 = sum(abs(c) ** 2 for c in coeffs)
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"coefficients are not normalized (|c|^2 = {norm2})")
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-def path_entangled_state(sigma: float) -> QutritPathState:
+def path_entangled_state(sigma: float) -> tuple[float, float, float]:
     """Photon pair split on a beam splitter with transmission ``sigma``.
 
-    The reflected/transmitted amplitudes are ((1-sigma), sqrt(2 sigma
-    (1-sigma)), sigma), which is already unit norm for every sigma.
+    Returns the coefficients on |2-k, k> (k photons transmitted), ((1-sigma),
+    sqrt(2 sigma (1-sigma)), sigma), which are already unit norm for every
+    sigma.
     """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"splitting ratio {sigma} outside [0, 1]")
-    return QutritPathState(
-        (
-            1.0 - sigma,
-            math.sqrt(2.0) * math.sqrt(sigma) * math.sqrt(1.0 - sigma),
-            sigma,
-        )
-    )
+    shared = math.sqrt(2.0) * math.sqrt(sigma) * math.sqrt(1.0 - sigma)
+    return 1.0 - sigma, shared, sigma
 
 
-def amplified_path_state(sigma: float, g: float) -> QutritPathState:
-    """Path state after amplifying the transmitted arm with gain ``g``.
-
-    The transmitted-arm photon number k picks up g^k, so the state becomes
-    balanced (maximally entangled) exactly when g^2 = (1 - sigma) / sigma.
-    """
-    base = path_entangled_state(sigma).coefficients
-    _check_gain(g)
-    raw = np.array([base[k] * g**k for k in range(3)], dtype=complex)
-    return QutritPathState(tuple(raw / np.linalg.norm(raw)))
-
-
-def _path_density_matrix(state: QutritPathState) -> np.ndarray:
+def _path_density_matrix(coefficients) -> np.ndarray:
     """Density matrix on the (mode r) x (mode t) product space, 0..2 each."""
     vec = np.zeros(9, dtype=complex)
-    for k, c in enumerate(state.coefficients):
+    for k, c in enumerate(coefficients):
         vec[(2 - k) * 3 + k] = c  # index = n_r * 3 + n_t
     return np.outer(vec, vec.conj()).reshape(3, 3, 3, 3)
 
 
-def log_negativity(state: QutritPathState) -> float:
+def log_negativity(coefficients) -> float:
     """Logarithmic negativity E_N = log2 of the partial-transpose trace norm.
 
-    Computed by explicit partial transpose of the two-mode density matrix
-    and summing the absolute eigenvalues.
+    ``coefficients`` are the unit-norm path state's on |2-k, k>.  Computed by
+    explicit partial transpose of the two-mode density matrix and summing
+    the absolute eigenvalues.
     """
-    rho = _path_density_matrix(state)
+    if len(coefficients) != 3:
+        raise ValueError("a two-photon path state has three coefficients")
+    norm2 = sum(abs(c) ** 2 for c in coefficients)
+    if abs(norm2 - 1.0) > 1e-12:
+        raise ValueError(f"coefficients are not normalized (|c|^2 = {norm2})")
+    rho = _path_density_matrix(coefficients)
     rho_pt = rho.transpose(0, 3, 2, 1).reshape(9, 9)  # transpose the t factor
     eigenvalues = np.linalg.eigvalsh(rho_pt)
     return float(np.log2(np.sum(np.abs(eigenvalues))))
@@ -87,12 +62,14 @@ def log_negativity(state: QutritPathState) -> float:
 def negativity_curve(
     sigma: float, g_grid: Sequence[float]
 ) -> list[tuple[float, float, float]]:
-    """(g, E_N before amplification, E_N after) over a gain grid."""
+    """(g, E_N before amplification, E_N after) over a gain grid, heralded on
+    (1, 1, 0): every pattern's herald phases are local and leave E_N alone."""
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"splitting ratio {sigma} outside (0, 1)")
-    before = log_negativity(path_entangled_state(sigma))
+    path = path_entangled_state(sigma)
+    before = log_negativity(path)
     return [
-        (float(g), before, log_negativity(amplified_path_state(sigma, g)))
+        (float(g), before, log_negativity(_amplify(path, g, SUCCESS_PATTERNS[0])[0]))
         for g in g_grid
     ]
 
@@ -153,21 +130,14 @@ def fringe_scan(
         phases = np.linspace(0.0, 2.0 * np.pi, 101)
     phases = np.asarray(list(phases), dtype=float)
 
-    # modes: 0 = reference (reflected), 1 = transmitted -> amplified
-    coefficients = path_entangled_state(sigma).coefficients
-    path_state = PureState(
-        2, {(2 - k, k): c for k, c in enumerate(coefficients)}, cutoff=2
-    )
+    # k = photons in the transmitted arm, which is amplified
     pattern = _check_pattern(pattern)
-    amplified, herald_probability = heralded_amplify(path_state, 1, g, pattern)
-    if herald_probability <= 0.0:
-        raise ValueError("herald pattern has zero probability in this setup")
-    amplified = amplified.normalized()
+    amplified, _ = _amplify(path_entangled_state(sigma), g, pattern)
 
     # the scanned phase is diagonal in Fock space, e^{i n_1 phase}, so every
     # phase shares the fixed recombiner's coincidence row on the pair sector
-    pair = fock_sectors(2, 2)[2].occupations
-    vector = np.array([amplified.amplitude(occ) for occ in pair])
+    pair = fock_sectors(2, 2)[2].occupations  # (reference, transmitted)
+    vector = np.array(amplified)[pair[:, 1]]
     shifted = np.exp(1j * np.outer(phases, pair[:, 1])) * vector
     coincidence = shifted @ _coincidence_row()
     values = coincidence.real**2 + coincidence.imag**2

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import fringe_scan, hom_coincidence, negativity_curve
-from .fock import PureState
 from .scissor import (
     SUCCESS_PATTERNS,
     measured_two_photon_gain,
@@ -395,6 +394,9 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
             elif 1.0 - lo == 1.0 - hi:  # the model output would have no variance
                 why = f"every transmission 1 - loss rounds to {1.0 - lo}"
                 problems.append(f"{where}: loss range [{lo}, {hi}] is too narrow: {why}")
+            elif lo + (hi - lo) * (1.0 - 2.0**-53) == 1.0:  # uniform's largest draw
+                why = "a draw can round to loss 1.0, a zero transmission"
+                problems.append(f"{where}: loss range [{lo}, {hi}] reaches loss 1: {why}")
     return problems
 
 
@@ -425,10 +427,6 @@ def _relative_phase(amplitude: complex, reference: complex) -> float:
 
 
 def _run_scissor(cfg: dict) -> tuple[list[str], list]:
-    coeffs = cfg["input_coeffs"]
-    state = PureState(
-        1, {(k,): c for k, c in enumerate(coeffs)}, cutoff=max(2, len(coeffs) - 1)
-    ).normalized()
     header = [
         "g", "pattern", "success_probability", "truncation_weight",
         "out_abs0", "out_abs1", "out_abs2", "rel_phase_01", "rel_phase_12",
@@ -436,8 +434,8 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list]:
     rows = []
     for g in cfg["g"]:
         for pattern in cfg["pattern"]:
-            outcome = run_two_scissor(state, g, pattern)
-            c = [outcome.output.components[0][1].amplitude((k,)) for k in range(3)]
+            outcome = run_two_scissor(cfg["input_coeffs"], g, pattern)
+            c = outcome.output.tolist()  # Python complex; numpy divides them differently
             rows.append([
                 g, outcome.success_probability, outcome.truncation_weight, *map(abs, c),
                 _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),

@@ -3,8 +3,10 @@
 States live in a truncated multimode Fock space: every basis label is an
 occupation vector (one photon count per optical mode, stored as a plain tuple
 of ints) and every state caps the *total* photon number at a configurable
-cutoff.  Amplitude maps are kept sparse because the experiments populate only
-a handful of occupations out of a combinatorially large basis.
+cutoff.  Amplitude maps are kept sparse.  No experiment builds these states
+(the runners hold photon-number amplitude arrays); they are the inputs of
+``tensor``, ``project_pattern``, ``circuit.apply_mode_unitary`` and
+``scissor.heralded_amplify``, the dict-state path the tests check against.
 
 States drop exact zeros only, however small an amplitude is.  Operations
 return new states and never mutate their inputs; the only state kept between
@@ -103,8 +105,8 @@ class PureState:
     modes:
         Number of optical modes; every key must have this length.
     amplitudes:
-        Mapping occupation vector -> complex amplitude.  Not necessarily
-        normalized; see :meth:`normalized`.
+        Mapping occupation vector -> complex amplitude, not necessarily
+        normalized.
     cutoff:
         Maximum total photon number.  Keys exceeding it are rejected rather
         than silently renormalized.  Exact zeros are dropped; every other
@@ -147,26 +149,6 @@ class PureState:
     def norm(self) -> float:
         """sqrt(sum |a|^2), by :func:`_norm`."""
         return _norm(self.amplitudes.values())
-
-    def normalized(self) -> "PureState":
-        """Return the unit-norm version of this state."""
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return PureState(
-            self.modes,
-            {occ: a / n for occ, a in self.amplitudes.items()},
-            cutoff=self.cutoff,
-        )
-
-    def amplitude(self, occ: Iterable[int]) -> complex:
-        return self.amplitudes.get(self._key(occ), 0.0 + 0.0j)
-
-    def total_photon_weight(self, min_total: int) -> float:
-        """Probability weight carried by components with >= min_total photons."""
-        return sum(
-            abs(a) ** 2 for occ, a in self.amplitudes.items() if sum(occ) >= min_total
-        )
 
     def to_vector(self) -> np.ndarray:
         """Dense amplitude vector over ``basis_enumerate(modes, cutoff)``, in

@@ -28,7 +28,8 @@ three-mode Fourier interferometer up to diagonal phases, which shift each
 pattern's amplitudes by one global phase and leave these steps alone.
 The counting stage's balanced splitter registers a coincidence only from
 two photons, so its probability is the two-photon weight times one fixed
-factor.
+factor.  The runners hold the signal's photon-number amplitudes as a plain
+array; ``heralded_amplify`` applies the same table to a dict ``PureState``.
 """
 
 from __future__ import annotations
@@ -178,59 +179,63 @@ _UNHERALDED = (
 )
 
 
+def _amplify(amplitudes, g: float, pattern: tuple) -> tuple[list[complex], float]:
+    """(normalized output amplitudes on k = 0, 1, 2, herald probability) of the
+    signal photon-number amplitudes ``amplitudes`` (c_0, c_1, ...).
+
+    Each c_k with k <= 2 is scaled by its herald amplitude, with the scalar
+    arithmetic, norm and division of ``heralded_amplify`` and a normalization,
+    so the results are their bits.  ``pattern`` must be checked already.
+    """
+    _check_gain(g)
+    gains = _herald_gains(pattern, g)
+    kept = [complex(gain * c) for gain, c in zip(gains, amplitudes)]
+    kept += [0j] * (len(gains) - len(kept))
+    norm = _norm(kept)
+    if not norm**2 > 0.0:
+        raise ValueError(_UNHERALDED[any(kept)])
+    return [a / norm for a in kept], norm**2
+
+
 @dataclass
 class ScissorOutcome:
     """Post-herald output of the amplifier, conditioned on one pattern."""
 
-    output: MixedState
+    output: np.ndarray  # normalized amplitudes on |0>, |1>, |2>
     success_probability: float
     pattern: tuple
     truncation_weight: float
 
 
 def run_two_scissor(
-    input_state: MixedState | PureState,
-    g: float,
-    pattern: Sequence[int] = (1, 1, 0),
+    amplitudes, g: float, pattern: Sequence[int] = (1, 1, 0)
 ) -> ScissorOutcome:
-    """Full circuit simulation of the amplifier on a single-mode input.
+    """Full circuit simulation of the amplifier on a single-mode pure input.
 
-    The input's cutoff may be at most ``MAX_INPUT_CUTOFF``.  The output
-    mixture is normalized (trace one); ``success_probability`` is the raw
-    herald-pattern probability; ``truncation_weight`` reports how much input
-    probability sat above two photons and therefore could not be heralded.
+    ``amplitudes`` holds the input's photon-number amplitudes c_0, c_1, ...,
+    at most ``MAX_INPUT_CUTOFF + 1`` of them; they are normalized first.
+    ``success_probability`` is the raw herald-pattern probability;
+    ``truncation_weight`` reports how much input probability sat above two
+    photons and therefore could not be heralded.
     """
-    if isinstance(input_state, PureState):
-        input_state = MixedState.from_pure(input_state)
-    if input_state.modes != 1:
-        raise ValueError("the amplifier acts on a single-mode input")
-    if input_state.cutoff > MAX_INPUT_CUTOFF:
+    array = np.asarray(amplitudes, dtype=complex)
+    if array.ndim != 1 or not 1 <= array.size <= MAX_INPUT_CUTOFF + 1:
         raise ValueError(
-            f"input cutoff {input_state.cutoff} exceeds the supported maximum "
-            f"{MAX_INPUT_CUTOFF}; truncate the state first"
+            f"the input takes 1 to {MAX_INPUT_CUTOFF + 1} photon-number amplitudes "
+            f"(cutoff {MAX_INPUT_CUTOFF}), got an array of shape {array.shape}"
         )
     pattern = _check_pattern(pattern)
-    components: list[tuple[float, PureState]] = []
-    success_probability = 0.0
-    truncation_weight = 0.0
-    underflows = False  # a nonzero conditional state whose probability is 0.0
-    for weight, pure in input_state.components:
-        truncation_weight += weight * pure.total_photon_weight(3)
-        conditional, p = heralded_amplify(pure, 0, g, pattern)
-        success_probability += weight * p
-        if p > 0.0:
-            components.append((weight * p, conditional.normalized()))
-        elif conditional.amplitudes:
-            underflows = True
-    if not components:
-        raise ValueError(_UNHERALDED[underflows])
-    total = sum(w for w, _ in components)
-    output = MixedState([(w / total, s) for w, s in components])
+    amplitudes = array.tolist()
+    norm = _norm(amplitudes)
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    state = [c / norm for c in amplitudes]
+    output, success_probability = _amplify(state, g, pattern)
     return ScissorOutcome(
-        output=output,
+        output=np.array(output),
         success_probability=success_probability,
         pattern=pattern,
-        truncation_weight=truncation_weight,
+        truncation_weight=sum((abs(c) ** 2 for c in state[3:]), 0.0),
     )
 
 
@@ -249,9 +254,11 @@ def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, flo
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmission {tau} outside [0, 1]")
     _check_gain(g)
-    raw = np.array(
-        [(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2]
-    )
+    try:
+        g4 = g**4
+    except OverflowError:
+        raise ValueError(f"gain {g}: g^4 overflows") from None
+    raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g4 * tau**2])
     normalization = 1.0 / raw.sum()
     return raw * normalization, normalization
 
@@ -316,8 +323,9 @@ class GainMeasurement:
 
 def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, float]:
     """(herald probability, output two-photon weight) of the amplifier on the
-    mixture of |0>, |1>, |2> with ``weights``: ``run_two_scissor`` with one
-    amplitude per component, in its order and with its norms and sums."""
+    mixture of |0>, |1>, |2> with ``weights``: each component through
+    ``heralded_amplify``, in order, with the dict-state mixture's norms and
+    sums (``dict_run_two_scissor`` in the test oracles)."""
     _check_gain(g)
     gains = _herald_gains(pattern, g)
     # (n, weight * p, |a / norm|^2) of each component that heralds

@@ -1,10 +1,12 @@
 """Reference implementations the tests check the package against.
 
 None of these run in the package.  The closed forms are the amplifier's
-ideal transform c_k -> g^k c_k, its herald phases and its gain setting;
-the Fock states, the lossy two-photon input and the gain measurement on
-them are the dict-state path the weights-only measurement reproduces bit
-for bit; the state overlaps, the mixture trace and density matrix and the fringe
+ideal transform c_k -> g^k c_k, its herald phases, its gain setting and
+the amplified path state; the Fock states, their normalization and
+amplitudes, the dict-state scissor run, the lossy two-photon input and the
+gain measurement on them are the dict-state path that the amplitude-array
+runners and the weights-only measurement reproduce bit for bit; the state
+overlaps, the mixture trace and density matrix and the fringe
 fit are the definitions the package's results are checked against.  The
 three-mode Fourier interferometer is the textbook form of the amplifier's
 mixer (the package builds the tritter, which equals it up to diagonal
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qscissor.analysis import path_entangled_state
 from qscissor.circuit import (
     BeamSplitter,
     ModeUnitary,
@@ -51,12 +54,15 @@ from qscissor.fock import (
 )
 from qscissor.scissor import (
     _RESOURCE_ONLY_HERALD,
+    _UNHERALDED,
+    MAX_INPUT_CUTOFF,
     SUCCESS_PATTERNS,
     GainMeasurement,
+    ScissorOutcome,
     _check_gain,
     _check_pattern,
+    heralded_amplify,
     pnr_coincidence_probability,
-    run_two_scissor,
 )
 
 #: The amplifier's four modes hold at most four photons: the input's and
@@ -77,6 +83,70 @@ def fock_state(occ, cutoff: int | None = None) -> PureState:
 
 def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> PureState:
     return PureState(modes, {(0,) * modes: 1.0}, cutoff=cutoff)
+
+
+def normalized(state: PureState) -> PureState:
+    """The unit-norm version of ``state``."""
+    n = state.norm()
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    return PureState(
+        state.modes,
+        {occ: a / n for occ, a in state.amplitudes.items()},
+        cutoff=state.cutoff,
+    )
+
+
+def amplitude(state: PureState, occ) -> complex:
+    return state.amplitudes.get(state._key(occ), 0.0 + 0.0j)
+
+
+def total_photon_weight(state: PureState, min_total: int) -> float:
+    """Probability weight carried by components with >= min_total photons."""
+    return sum(
+        abs(a) ** 2 for occ, a in state.amplitudes.items() if sum(occ) >= min_total
+    )
+
+
+def dict_run_two_scissor(
+    input_state: MixedState | PureState, g: float, pattern=(1, 1, 0)
+) -> ScissorOutcome:
+    """``run_two_scissor`` on dict states: a single-mode pure state or
+    mixture, each component through ``heralded_amplify``.  The output is the
+    normalized heralded mixture; for a pure input whose amplitudes are
+    ``run_two_scissor``'s normalized input, every result is its bits."""
+    if isinstance(input_state, PureState):
+        input_state = MixedState.from_pure(input_state)
+    if input_state.modes != 1:
+        raise ValueError("the amplifier acts on a single-mode input")
+    if input_state.cutoff > MAX_INPUT_CUTOFF:
+        raise ValueError(
+            f"input cutoff {input_state.cutoff} exceeds the supported maximum "
+            f"{MAX_INPUT_CUTOFF}; truncate the state first"
+        )
+    pattern = _check_pattern(pattern)
+    components: list[tuple[float, PureState]] = []
+    success_probability = 0.0
+    truncation_weight = 0.0
+    underflows = False  # a nonzero conditional state whose probability is 0.0
+    for weight, pure in input_state.components:
+        truncation_weight += weight * total_photon_weight(pure, 3)
+        conditional, p = heralded_amplify(pure, 0, g, pattern)
+        success_probability += weight * p
+        if p > 0.0:
+            components.append((weight * p, normalized(conditional)))
+        elif conditional.amplitudes:
+            underflows = True
+    if not components:
+        raise ValueError(_UNHERALDED[underflows])
+    total = sum(w for w, _ in components)
+    output = MixedState([(w / total, s) for w, s in components])
+    return ScissorOutcome(
+        output=output,
+        success_probability=success_probability,
+        pattern=pattern,
+        truncation_weight=truncation_weight,
+    )
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -137,14 +207,14 @@ def dict_gain_measurement(
     tau: float, g: float, with_amplifier: bool, pattern=(1, 1, 0)
 ) -> GainMeasurement:
     """``simulate_gain_measurement`` through the dict states: the lossy input
-    as a mixture of Fock states, amplified by ``run_two_scissor`` and counted
+    as a mixture of Fock states, amplified by ``dict_run_two_scissor`` and counted
     by ``pnr_coincidence_probability``."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {tau}")
     pattern = _check_pattern(pattern)
     input_mixture = lossy_two_photon_input(tau)
     if with_amplifier:
-        outcome = run_two_scissor(input_mixture, g, pattern)
+        outcome = dict_run_two_scissor(input_mixture, g, pattern)
         herald = outcome.success_probability
         coincidence = pnr_coincidence_probability(outcome.output)
     else:
@@ -254,7 +324,7 @@ def _apply_loss_pure(state: PureState, mode: int, transmission: float):
         branch = PureState(state.modes, amps, cutoff=state.cutoff)
         weight = branch.norm() ** 2
         if weight > 0.0:
-            yield weight, branch.normalized()
+            yield weight, normalized(branch)
 
 
 def apply_loss(
@@ -396,13 +466,41 @@ def branch_walk(pattern, g, t_anc, t_internal):
     ]
 
 
-def log_negativity_schmidt(state) -> float:
+@dataclass(frozen=True)
+class QutritPathState:
+    """Two-photon path state: coefficients on (|2,0>, |1,1>, |0,2>)."""
+
+    coefficients: tuple
+
+    def __post_init__(self):
+        coeffs = tuple(complex(c) for c in self.coefficients)
+        if len(coeffs) != 3:
+            raise ValueError("a two-photon path state has three coefficients")
+        norm2 = sum(abs(c) ** 2 for c in coeffs)
+        if abs(norm2 - 1.0) > 1e-12:
+            raise ValueError(f"coefficients are not normalized (|c|^2 = {norm2})")
+        object.__setattr__(self, "coefficients", coeffs)
+
+
+def amplified_path_state(sigma: float, g: float) -> QutritPathState:
+    """Path state after amplifying the transmitted arm with gain ``g``.
+
+    The transmitted-arm photon number k picks up g^k, so the state becomes
+    balanced (maximally entangled) exactly when g^2 = (1 - sigma) / sigma.
+    """
+    base = path_entangled_state(sigma)
+    _check_gain(g)
+    raw = np.array([base[k] * g**k for k in range(3)], dtype=complex)
+    return QutritPathState(tuple(raw / np.linalg.norm(raw)))
+
+
+def log_negativity_schmidt(coefficients) -> float:
     """Pure-state shortcut: E_N = log2((sum of Schmidt coefficients)^2).
 
-    A ``QutritPathState`` is already Schmidt-diagonal in the photon-number
-    basis, so the Schmidt coefficients are just the coefficient magnitudes.
+    The path state is already Schmidt-diagonal in the photon-number basis,
+    so the Schmidt coefficients are just the coefficient magnitudes.
     """
-    return float(2.0 * np.log2(sum(abs(c) for c in state.coefficients)))
+    return float(2.0 * np.log2(sum(abs(c) for c in coefficients)))
 
 
 def format_cell(value) -> str:

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import (
+    QutritPathState,
+    amplified_path_state,
     fit_visibility,
     fock_state,
     herald_phase,
     log_negativity_schmidt,
+    normalized,
     vacuum,
 )
+from qscissor import scissor
 from qscissor.analysis import (
     FringeScan,
-    QutritPathState,
-    amplified_path_state,
     fringe_scan,
     hom_coincidence,
     log_negativity,
@@ -41,23 +43,23 @@ def wrapped_angle_difference(a, b):
 
 
 def test_path_state_extremes():
-    assert path_entangled_state(0.0).coefficients == (1.0, 0.0, 0.0)
-    assert path_entangled_state(1.0).coefficients[2] == 1.0
+    assert path_entangled_state(0.0) == (1.0, 0.0, 0.0)
+    assert path_entangled_state(1.0)[2] == 1.0
 
 
 def test_path_state_balanced_split():
-    c = path_entangled_state(0.5).coefficients
+    c = path_entangled_state(0.5)
     assert np.allclose(np.abs(c), [0.5, math.sqrt(0.5), 0.5])
 
 
 def test_path_state_ninety_ten():
-    c = path_entangled_state(0.1).coefficients
+    c = path_entangled_state(0.1)
     assert np.allclose(np.abs(c), [0.9, 0.42426406871192845, 0.1])
 
 
 def test_path_state_is_normalized_for_all_sigma():
     for sigma in np.linspace(0.0, 1.0, 21):
-        c = path_entangled_state(sigma).coefficients
+        c = path_entangled_state(sigma)
         assert sum(abs(x) ** 2 for x in c) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -65,7 +67,7 @@ def test_amplified_path_state_unit_gain():
     for sigma in (0.1, 0.25, 0.5):
         assert np.allclose(
             amplified_path_state(sigma, 1.0).coefficients,
-            path_entangled_state(sigma).coefficients,
+            path_entangled_state(sigma),
         )
 
 
@@ -79,6 +81,15 @@ def test_amplified_path_state_balanced_at_matched_gain(sigma, g):
 def test_qutrit_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         QutritPathState((1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "coefficients, message",
+    [((1.0, 1.0, 0.0), "not normalized"), ((1.0, 0.0), "three coefficients")],
+)
+def test_log_negativity_rejects_a_bad_path_state(coefficients, message):
+    with pytest.raises(ValueError, match=message):
+        log_negativity(coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +106,7 @@ def test_negativity_reference_values():
     assert log_negativity(path_entangled_state(0.1)) == pytest.approx(
         1.0204, abs=5e-4
     )
-    assert log_negativity(amplified_path_state(0.1, 3.0)) == pytest.approx(
+    assert log_negativity(amplified_path_state(0.1, 3.0).coefficients) == pytest.approx(
         1.5431, abs=5e-4
     )
 
@@ -105,19 +116,15 @@ def test_partial_transpose_matches_schmidt_shortcut():
     for _ in range(25):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         c = c / np.linalg.norm(c)
-        state = QutritPathState(tuple(c))
-        assert log_negativity(state) == pytest.approx(
-            log_negativity_schmidt(state), abs=1e-10
-        )
+        assert log_negativity(c) == pytest.approx(log_negativity_schmidt(c), abs=1e-10)
 
 
 def test_balanced_peak_value_is_sigma_independent():
     expected = 2.0 * np.log2(1.0 + math.sqrt(0.5))
     for sigma in (0.1, 0.2, 0.5):
         g_star = math.sqrt((1 - sigma) / sigma)
-        assert log_negativity(amplified_path_state(sigma, g_star)) == pytest.approx(
-            expected, abs=1e-12
-        )
+        state = amplified_path_state(sigma, g_star)
+        assert log_negativity(state.coefficients) == pytest.approx(expected, abs=1e-12)
 
 
 def test_negativity_curve_peaks_at_matched_gain():
@@ -141,8 +148,36 @@ def test_negativity_curve_sigma_half_peaks_at_unit_gain():
 def test_negativity_monotone_below_matched_gain():
     sigma = 0.1
     grid = np.linspace(1.0, 3.0, 50)
-    values = [log_negativity(amplified_path_state(sigma, g)) for g in grid]
+    values = [log_negativity(amplified_path_state(sigma, g).coefficients) for g in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+_DEFAULT_GAINS = [0.5 + 0.025 * i for i in range(141)]  # the CLI's 0.5:4:0.025
+
+
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_amplified_negativity_is_the_closed_form_for_every_pattern(pattern):
+    # each pattern's herald phases are local, so they cannot change E_N
+    for sigma in (0.1, 0.2, 0.5):
+        path = path_entangled_state(sigma)
+        for g in [0.0, 1e-25, *_DEFAULT_GAINS, 1e6]:
+            expected = log_negativity(amplified_path_state(sigma, g).coefficients)
+            amplified, _ = scissor._amplify(path, g, pattern)
+            assert log_negativity(amplified) == pytest.approx(expected, rel=0, abs=1e-13)
+
+
+def test_negativity_curve_is_the_closed_form():
+    for sigma in (0.1, 0.2, 0.5):
+        for g, _, post in negativity_curve(sigma, _DEFAULT_GAINS):
+            expected = log_negativity(amplified_path_state(sigma, g).coefficients)
+            assert post == pytest.approx(expected, rel=0, abs=1e-13)
+
+
+def test_negativity_curve_is_finite_at_any_finite_gain():
+    # g^k overflows at g = 1e300, the herald gain factor never does
+    ((g, before, after),) = negativity_curve(0.5, [1e300])
+    assert math.isfinite(before) and math.isfinite(after)
+    assert after == pytest.approx(0.0, abs=1e-12)  # all weight on |0, 2>
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +248,7 @@ def test_fringe_scan_matches_per_phase_evolution(pattern):
     phases = np.linspace(0.0, 2 * np.pi, 37)
     pair = tensor(fock_state((2,), cutoff=2), vacuum(1, cutoff=0))
     path = apply_mode_unitary(pair, beam_splitter_unitary(1.0 - sigma))
-    amplified = heralded_amplify(path, 1, g, pattern)[0].normalized()
+    amplified = normalized(heralded_amplify(path, 1, g, pattern)[0])
     expected = [
         project_pattern(
             apply_mode_unitary(

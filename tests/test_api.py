@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +51,8 @@ def test_public_options_are_pinned():
 
 #: Names taken out of the package, as "<module>.<name>": moved to the test
 #: oracles, folded into ``project_pattern``, or replaced by ``LOSS_POINTS``.
+#: ``run_two_scissor`` stays, on amplitude arrays; its dict-state form is the
+#: oracle ``dict_run_two_scissor``.
 REMOVED = (
     "analysis.fit_visibility", "analysis.VisibilityFit",
     "scissor.ideal_scissor_transform", "scissor.herald_phase",
@@ -58,7 +62,9 @@ REMOVED = (
     "sensitivity.make_gain_model", "sensitivity.LossLayout",
     "sensitivity.default_loss_layout", "sensitivity.LOSS_REGIONS",
     "sensitivity.LOSS_ROLES", "scissor.lossy_two_photon_input", "fock.fock_state",
-    "fock.MixedState.photon_number_weights",
+    "fock.MixedState.photon_number_weights", "analysis.QutritPathState",
+    "analysis.amplified_path_state", "fock.PureState.normalized",
+    "fock.PureState.amplitude", "fock.PureState.total_photon_weight",
 )
 
 
@@ -77,6 +83,7 @@ def test_removed_names_are_gone(path):
 NEVER_RUN = {
     "fock.tensor": "traced by the benchmark",
     "fock.project_pattern": "traced by the benchmark",
+    "scissor.heralded_amplify": "traced by the benchmark",
     "scissor.pnr_coincidence_probability": "traced by the benchmark",
     "circuit.fock_transfer_matrix": "traced by the benchmark",
     "circuit.apply_mode_unitary": "traced by the benchmark",
@@ -86,6 +93,8 @@ NEVER_RUN = {
     "circuit.fock_amplitude": "the documented single-amplitude API",
     "sensitivity.lossy_gain_model": "the public single-model entry",
     "fock.PureState.to_vector": "only apply_mode_unitary calls it",
+    "fock.PureState.norm": "only heralded_amplify calls it",
+    "fock.MixedState.from_pure": "only pnr_coincidence_probability calls it",
     "fock.basis_dimension": "only fock_transfer_matrix calls it",
 }
 
@@ -138,3 +147,26 @@ def test_only_the_allowed_public_functions_never_run():
         capture_output=True, text=True, check=True,
     )
     assert set(json.loads(child.stdout.splitlines()[-1])) == set(NEVER_RUN)
+
+
+def _traced_layers() -> set:
+    """``LAYERS`` of the benchmark's tracer, read from its source unimported."""
+    tracer = Path(qscissor.__file__).parents[2] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"{tracer} assigns no LAYERS")
+
+
+def test_never_run_reasons_hold():
+    # a name the tracer stops wrapping can then leave the package, and so can
+    # whatever only that name calls
+    layers = _traced_layers()
+    for name, reason in NEVER_RUN.items():
+        if reason == "traced by the benchmark":
+            assert name in layers, name
+        caller = re.fullmatch(r"only (\w+) calls it", reason)
+        if caller:
+            assert any(
+                other.endswith("." + caller[1]) for other in NEVER_RUN if other != name
+            ), name

@@ -211,6 +211,15 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
         ("sobol", "seed = 3\nloss_min = 0\nloss_max = 1e-300\n", [], 2,
          "line 2: loss_min, line 3: loss_max: loss range [0.0, 1e-300] is too narrow"),
         ("validate", "experiment = sobol\nseed = 3\nloss_max = 1e-16\n", [], 0, ""),
+        # uniform's largest draw, lo + (hi - lo)(1 - 2^-53), rounds to loss 1:
+        # a zero transmission that the amplifier-off ratio divides by
+        ("sobol", "seed = 3\nloss_min = 0.9999999999999999\nloss_max = 1\n", [], 2,
+         "line 2: loss_min, line 3: loss_max: loss range [0.9999999999999999, 1.0] "
+         "reaches loss 1: a draw can round to loss 1.0, a zero transmission"),
+        ("sobol", "seed = 3\nloss_min = 0.5\nloss_max = 1\n", [], 2,
+         "line 2: loss_min, line 3: loss_max: loss range [0.5, 1.0] reaches loss 1"),
+        ("validate", "experiment = sobol\nseed = 3\nloss_min = 0\nloss_max = 1\n", [],
+         0, ""),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -295,19 +304,73 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def test_gain_sweep_builds_no_state(tmp_path, monkeypatch):
+#: one small run of each experiment, and the rows of its CSV with the header
+_RUNS = {
+    "scissor": ("", 13),
+    "gain-sweep": ("", 51),
+    "fringes": ("sigma = 0.2\ng = 2\n", 304),
+    "negativity": ("", 424),
+    "hom": ("", 202),
+    "sobol": ("n_base = 64\nbootstrap = 20\nseed = 5\n", 43),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_RUNS))
+def test_experiment_builds_no_state(tmp_path, monkeypatch, experiment):
     counts = {
         "PureState": _count_calls(monkeypatch, fock.PureState, "__init__"),
+        "MixedState": _count_calls(monkeypatch, fock.MixedState, "__init__"),
         "heralded_amplify": _count_calls(monkeypatch, scissor, "heralded_amplify"),
-        "run_two_scissor": _count_calls(monkeypatch, scissor, "run_two_scissor"),
     }
-    path = write_config(tmp_path, "")
-    assert main(["gain-sweep", "--config", path, "--out", str(tmp_path / "g")]) == 0
-    assert len(read_csv(tmp_path / "g" / "gain-sweep.csv")) == 51
+    runs = _count_calls(monkeypatch, scissor, "run_two_scissor")
+    text, rows = _RUNS[experiment]
+    path = write_config(tmp_path, text)
+    assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / f"{experiment}.csv")) == rows
     assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
-    # the counters do see the calls of the experiment that runs the dict states
-    assert main(["scissor", "--config", path, "--out", str(tmp_path / "s")]) == 0
+    assert len(runs) == (rows - 1 if experiment == "scissor" else 0)
+    # the counters do see the dict states and the dict-state amplifier
+    state = fock.PureState(1, {(1,): 1.0})
+    scissor.heralded_amplify(state, 0, 1.0, (1, 1, 0))
+    fock.MixedState.from_pure(state)
     assert all(counts.values())
+
+
+#: sha256 of the scissor and fringes CSV and meta, recorded from the
+#: dict-state runners before they held amplitude arrays
+_DICT_STATE_SHA256 = {
+    ("scissor", ""): (
+        "b85d9b6e164418032fd823020a5146b469bd69441e7fc46fe1a65558ee96e518",
+        "a37e02284e8b98a842b859ae8e1ab706a36ddfb5f50d763984ac4fc632d844d0",
+    ),
+    ("scissor", "g = 0, 1e-25, 1e6\ninput_coeffs = 1e150, -3e149, 2e149, 0, 1e149\n"): (
+        "a88ef328cb43145d2894e038bce0345752cc90dbdc64f9a22e66cf85630fe166",
+        "060e6a6cb2d2e61422e1c17df319e8184279a3967f4abf5808d57937054a0d1a",
+    ),
+    ("fringes", "sigma = 0.2\ng = 2\n"): (
+        "e6bdb753f5da1db8bd9b946ecbdd3304f19a05c9e22af61bfd819fe55612cc4b",
+        "c2b162a4cd656507973cbb59b84c5085566ccb65e55b8c6c6e6164ff20db8ad6",
+    ),
+    ("fringes", "sigma = 1e-12\ng = 1e6\npattern = all\nphi = 0:3.2:0.8\n"): (
+        "579fd1659f83dae6ef7c5f7f6dea88056fbc9d365df7ba1b78f8ba2192f9111e",
+        "a63dd9c21a4cc28ddb259aee5c7f3446e15d1cc56cfe81f3dfa41e406c14dc01",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, text",
+    list(_DICT_STATE_SHA256),
+    ids=["scissor-default", "scissor-edges", "fringes-default", "fringes-edges"],
+)
+def test_scissor_and_fringes_bytes_are_pinned(tmp_path, experiment, text):
+    path = write_config(tmp_path, text)
+    assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"{experiment}{suffix}").read_bytes()).hexdigest()
+        for suffix in (".csv", ".meta.json")
+    )
+    assert digests == _DICT_STATE_SHA256[experiment, text]
 
 
 def test_fringes_offsets_step_by_two_thirds(tmp_path):

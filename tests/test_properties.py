@@ -16,11 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    amplitude,
     apply_loss,
     density_matrix,
     dict_gain_measurement,
+    dict_run_two_scissor,
     expand_columns,
     mixture_trace,
+    normalized,
     write_rows,
 )
 from qscissor import cli
@@ -34,11 +37,12 @@ from qscissor.cli import (
     parse_config_text,
     resolve_config,
 )
-from qscissor.fock import PureState, basis_enumerate
+from qscissor.fock import MixedState, PureState, basis_enumerate
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     heralded_amplify,
     measured_two_photon_gain,
+    run_two_scissor,
     simulate_gain_measurement,
     two_photon_gain,
 )
@@ -57,10 +61,9 @@ _COEFFICIENTS = st.lists(
 @PROPERTY
 @given(coeffs=_COEFFICIENTS, g=_GAIN, pattern=st.sampled_from(SUCCESS_PATTERNS))
 def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
-    state = PureState(
-        1, {(k,): c for k, c in enumerate(coeffs)}, cutoff=max(2, len(coeffs) - 1)
-    ).normalized()
-    c = [state.amplitude((k,)) for k in range(3)]
+    amplitudes = {(k,): c for k, c in enumerate(coeffs)}
+    state = normalized(PureState(1, amplitudes, cutoff=max(2, len(coeffs) - 1)))
+    c = [amplitude(state, (k,)) for k in range(3)]
     _, probability = heralded_amplify(state, 0, g, pattern)
     expected = (2.0 / 9.0) / (1.0 + g * g) ** 2
     expected *= sum(abs(g**k * c[k]) ** 2 for k in range(3))
@@ -126,6 +129,77 @@ def test_gain_measurement_is_the_dict_path_on_a_log_grid():
                 ) == _result(lambda: dict_gain_measurement(tau, g, True, pattern))
 
 
+def _scissor_bits(call):
+    """``call()``'s outcome as bits, or the type of the exception it raises.
+
+    The bits are those of the output amplitudes, of the relative phases the
+    scissor CLI writes from them, of the success probability and of the
+    truncation weight.  An amplitude's exact-zero part counts as 0.0 whatever
+    its sign: a dict state adds each amplitude it stores to 0.0, which turns
+    -0.0 into 0.0.
+    """
+    outcome = _result(call)
+    if isinstance(outcome, type):
+        return outcome
+    if isinstance(outcome.output, MixedState):  # the dict path's one component
+        ((_, state),) = outcome.output.components
+        c = [amplitude(state, (k,)) for k in range(3)]
+    else:
+        c = outcome.output.tolist()
+    floats = [part for z in c for part in ((0.0 + z).real, (0.0 + z).imag)]
+    floats += [cli._relative_phase(c[1], c[0]), cli._relative_phase(c[2], c[1])]
+    floats += [outcome.success_probability, outcome.truncation_weight]
+    return [float(x).hex() for x in floats]
+
+
+def _dict_scissor(coeffs, g, pattern):
+    """The dict-state scissor run on ``coeffs`` as the scissor CLI ran it."""
+    amplitudes = {(k,): c for k, c in enumerate(coeffs)}
+    state = normalized(PureState(1, amplitudes, cutoff=max(2, len(coeffs) - 1)))
+    return dict_run_two_scissor(state, g, pattern)
+
+
+def _assert_scissor_is_the_dict_path(coeffs, g, pattern):
+    assert _scissor_bits(lambda: run_two_scissor(coeffs, g, pattern)) == _scissor_bits(
+        lambda: _dict_scissor(coeffs, g, pattern)
+    )
+
+
+@st.composite
+def _scissor_inputs(draw):
+    """1-5 complex coefficients, some of them zero, scaled so that max |c| is
+    10^e for e in [-150, 150]."""
+    coeffs = draw(
+        st.lists(st.just(0j) | st.builds(complex, _UNIT, _UNIT), min_size=1, max_size=5)
+    )
+    size = max(map(abs, coeffs))
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    return [c / size * scale for c in coeffs] if size else coeffs
+
+
+@PROPERTY
+@given(
+    coeffs=_scissor_inputs(),
+    g=_CLI_GAIN,
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+)
+@example(coeffs=[0j, 0j], g=1.0, pattern=(1, 1, 0))  # the zero state
+@example(coeffs=[0.0, 1.0], g=0.0, pattern=(1, 0, 1))  # nothing heralds
+@example(coeffs=[1e-170, 0.0, 0.0, 1.0], g=1.0, pattern=(0, 1, 1))  # p underflows
+@example(coeffs=[1e150, -3e149, 2e149, 0.0, 1e149], g=_MAX_GAIN, pattern=(1, 0, 1))
+def test_scissor_is_the_dict_path_to_the_bit(coeffs, g, pattern):
+    _assert_scissor_is_the_dict_path(coeffs, g, pattern)
+
+
+def test_scissor_is_the_dict_path_on_a_log_grid():
+    inputs = [[1.0], [1.0, 1.0, 1.0], [0.3, -0.5j, 0.2 + 0.1j, 0.0, -0.4],
+              [0.0, 1e150, -3e149, 2e149], [1e-150, 0.0, -1e-150, 1e-150, 5e-151]]
+    for coeffs in inputs:
+        for g in [0.0, *np.logspace(-25, 6, 32).tolist()]:
+            for pattern in SUCCESS_PATTERNS:
+                _assert_scissor_is_the_dict_path(coeffs, g, pattern)
+
+
 @PROPERTY
 @given(g=_GAIN, tau=st.floats(0.01, 1.0), pattern=st.sampled_from(SUCCESS_PATTERNS))
 def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
@@ -168,7 +242,7 @@ def _pure_states(draw):
     parts = draw(st.lists(_UNIT, min_size=2 * len(basis), max_size=2 * len(basis)))
     amps = [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
     assume(any(abs(a) > 1e-3 for a in amps))
-    return PureState(modes, dict(zip(basis, amps)), cutoff=cutoff).normalized()
+    return normalized(PureState(modes, dict(zip(basis, amps)), cutoff=cutoff))
 
 
 @PROPERTY

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    amplified_path_state,
     density_matrix,
-    fidelity,
+    dict_run_two_scissor,
     fit_visibility,
     fock_state,
     full_circuit_amplify,
@@ -15,9 +16,9 @@ from oracles import (
     herald_phase,
     ideal_scissor_transform,
     lossy_two_photon_input,
+    normalized,
     photon_number_weights,
     qft_unitary,
-    vacuum,
 )
 from qscissor import analysis, circuit, fock, scissor, sensitivity
 from qscissor.circuit import compile_circuit, tritter_elements
@@ -37,16 +38,22 @@ from qscissor.sensitivity import lossy_gain_model, sensitivity_sweep
 
 def random_qutrit_input(rng):
     amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    return PureState(1, {(k,): amps[k] for k in range(3)}, cutoff=2).normalized()
+    return amps / np.linalg.norm(amps)
 
 
-def expected_output(input_state, g, pattern):
+def expected_output(coeffs, g, pattern):
     """Closed-form prediction with the pattern's herald phase applied."""
-    coeffs = np.array([input_state.amplitude((k,)) for k in range(3)])
     ideal = ideal_scissor_transform(coeffs, g)
     phase = herald_phase(pattern)
-    phased = ideal * np.exp(1j * phase * np.arange(3))
-    return PureState(1, {(k,): phased[k] for k in range(3)}, cutoff=2)
+    return ideal * np.exp(1j * phase * np.arange(3))
+
+
+def fidelity(a, b) -> float:
+    """|<a|b>|^2 of two amplitude arrays."""
+    return abs(np.vdot(a, b)) ** 2
+
+
+EQUAL = np.ones(3) / math.sqrt(3.0)  # (|0> + |1> + |2>) / sqrt(3)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +82,7 @@ def test_gain_to_transmittance_rejects_negative():
         lambda g: ideal_scissor_transform([1.0, 1.0, 1.0], g),
         lambda g: amplified_mixture_closed_form(0.05, g),
         lambda g: two_photon_gain(0.05, g),
-        lambda g: analysis.amplified_path_state(0.2, g),
+        lambda g: amplified_path_state(0.2, g),
     ],
     ids=[
         "gain_to_transmittance",
@@ -120,11 +127,8 @@ def wrapped_angle_difference(a, b):
 
 
 def test_simulated_herald_phases_match_table():
-    psi = PureState(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, cutoff=2).normalized()
     for pattern in SUCCESS_PATTERNS:
-        outcome = run_two_scissor(psi, 2.0, pattern)
-        out = outcome.output.components[0][1]
-        c = [out.amplitude((k,)) for k in range(3)]
+        c = run_two_scissor(EQUAL, 2.0, pattern).output
         step = herald_phase(pattern)
         assert abs(wrapped_angle_difference(np.angle(c[1] / c[0]), step)) < 1e-9
         assert abs(wrapped_angle_difference(np.angle(c[2] / c[1]), step)) < 1e-9
@@ -170,19 +174,16 @@ def test_ideal_transform_zero_gain_keeps_vacuum_only():
 
 
 def test_vacuum_is_fixed_point():
-    outcome = run_two_scissor(vacuum(1, cutoff=2), 2.0)
-    out = outcome.output.components[0][1]
-    assert abs(out.amplitude((0,))) == pytest.approx(1.0)
+    outcome = run_two_scissor([1.0, 0.0, 0.0], 2.0)
+    assert abs(outcome.output[0]) == pytest.approx(1.0)
     assert outcome.truncation_weight == 0.0
 
 
 def test_equal_superposition_gain_two():
-    psi = PureState(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, cutoff=2).normalized()
-    outcome = run_two_scissor(psi, 2.0, (1, 1, 0))
-    out = outcome.output.components[0][1]
-    mags = np.array([abs(out.amplitude((k,))) for k in range(3)])
+    out = run_two_scissor(EQUAL, 2.0, (1, 1, 0)).output
+    mags = np.abs(out)
     assert mags / mags[0] == pytest.approx([1.0, 2.0, 4.0], abs=1e-10)
-    assert fidelity(out, expected_output(psi, 2.0, (1, 1, 0))) > 1 - 1e-10
+    assert fidelity(out, expected_output(EQUAL, 2.0, (1, 1, 0))) > 1 - 1e-10
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 2.0, 3.0])
@@ -191,15 +192,14 @@ def test_oracle_equivalence_random_inputs(g):
     for _ in range(25):
         psi = random_qutrit_input(rng)
         for pattern in SUCCESS_PATTERNS:
-            outcome = run_two_scissor(psi, g, pattern)
-            out = outcome.output.components[0][1]
+            out = run_two_scissor(psi, g, pattern).output
             assert fidelity(out, expected_output(psi, g, pattern)) > 1 - 1e-9
 
 
 def random_state(rng, modes, cutoff):
     basis = [occ for occ in np.ndindex(*(cutoff + 1,) * modes) if sum(occ) <= cutoff]
     amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    return PureState(modes, dict(zip(basis, amps)), cutoff=cutoff).normalized()
+    return normalized(PureState(modes, dict(zip(basis, amps)), cutoff=cutoff))
 
 
 TRITTER = compile_circuit(tritter_elements(), 3)
@@ -261,10 +261,8 @@ def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
     for module in (circuit, fock, scissor, analysis):
         for name in ("apply_mode_unitary", "fock_transfer_matrix", "tensor"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    psi = PureState(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0}, cutoff=2).normalized()
-    outcome = run_two_scissor(psi, 2.0, (1, 0, 1))
-    out = outcome.output.components[0][1]
-    assert fidelity(out, expected_output(psi, 2.0, (1, 0, 1))) > 1 - 1e-10
+    out = run_two_scissor(EQUAL, 2.0, (1, 0, 1)).output
+    assert fidelity(out, expected_output(EQUAL, 2.0, (1, 0, 1))) > 1 - 1e-10
     assert measured_two_photon_gain(0.05, 3.0) == pytest.approx(
         two_photon_gain(0.05, 3.0), rel=1e-9
     )
@@ -299,58 +297,61 @@ def test_success_probability_symmetric_across_patterns():
     probs = [run_two_scissor(psi, 1.7, p).success_probability for p in SUCCESS_PATTERNS]
     assert probs[0] == pytest.approx(probs[1], abs=1e-12)
     assert probs[0] == pytest.approx(probs[2], abs=1e-12)
-    mags = [
-        [abs(run_two_scissor(psi, 1.7, p).output.components[0][1].amplitude((k,)))
-         for k in range(3)]
-        for p in SUCCESS_PATTERNS
-    ]
+    mags = [np.abs(run_two_scissor(psi, 1.7, p).output) for p in SUCCESS_PATTERNS]
     assert np.allclose(mags[0], mags[1], atol=1e-10)
     assert np.allclose(mags[0], mags[2], atol=1e-10)
 
 
 def test_rejects_failure_pattern_and_bad_cutoff():
     with pytest.raises(ValueError, match="success pattern"):
-        run_two_scissor(vacuum(1, cutoff=2), 1.0, (2, 0, 0))
+        run_two_scissor([1.0, 0.0, 0.0], 1.0, (2, 0, 0))
     with pytest.raises(ValueError, match="cutoff"):
-        run_two_scissor(vacuum(1, cutoff=6), 1.0)
+        run_two_scissor([1.0] + [0.0] * 6, 1.0)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [([], r"shape \(0,\)"), ([[1.0, 0.0]], r"shape \(1, 2\)"), ([0.0, 0.0], "zero state")],
+)
+def test_rejects_empty_nested_or_zero_inputs(amplitudes, message):
+    with pytest.raises(ValueError, match=message):
+        run_two_scissor(amplitudes, 1.0)
 
 
 def test_three_photon_component_cannot_herald():
     # a pure |3> can never satisfy a two-photon herald
     with pytest.raises(ValueError, match="zero probability"):
-        run_two_scissor(fock_state((3,), cutoff=3), 2.0)
+        run_two_scissor([0.0, 0.0, 0.0, 1.0], 2.0)
 
 
 def test_underflowing_herald_probability_is_not_called_zero():
     # the conditional state ~1e-170 |0> is nonzero; only its squared norm
     # (about 1e-341) falls below the smallest subnormal
-    psi = PureState(1, {(0,): 1e-170, (3,): 1.0}, cutoff=3).normalized()
     with pytest.raises(ValueError, match="herald probability underflows"):
-        run_two_scissor(psi, 1.0)
+        run_two_scissor([1e-170, 0.0, 0.0, 1.0], 1.0)
 
 
 def test_truncation_weight_reported_and_output_clean():
-    psi = PureState(
-        1, {(0,): 1.0, (1,): 1.0, (3,): 1.0}, cutoff=3
-    ).normalized()
-    outcome = run_two_scissor(psi, 1.5)
+    outcome = run_two_scissor([1.0, 1.0, 0.0, 1.0], 1.5)
     assert outcome.truncation_weight == pytest.approx(1.0 / 3.0)
-    out = outcome.output.components[0][1]
-    assert out.amplitude((3,)) == 0.0
+    assert outcome.output.shape == (3,)  # nothing above two photons
     # the conditional output is the renormalized amplified 0..2 part
     expected = ideal_scissor_transform([1.0, 1.0, 0.0], 1.5)
-    mags = [abs(out.amplitude((k,))) for k in range(3)]
+    mags = list(np.abs(outcome.output))
     assert mags == pytest.approx(list(np.abs(expected)), abs=1e-10)
 
 
 def test_mixture_linearity():
+    # the dict-state scissor run takes mixtures, component by component
     rng = np.random.default_rng(71)
-    pure_a = random_qutrit_input(rng)
-    pure_b = random_qutrit_input(rng)
+    pure_a, pure_b = (
+        PureState(1, {(k,): c for k, c in enumerate(random_qutrit_input(rng))}, cutoff=2)
+        for _ in range(2)
+    )
     mix = MixedState([(0.3, pure_a), (0.7, pure_b)])
-    outcome = run_two_scissor(mix, 2.0)
-    pa = run_two_scissor(pure_a, 2.0)
-    pb = run_two_scissor(pure_b, 2.0)
+    outcome = dict_run_two_scissor(mix, 2.0)
+    pa = dict_run_two_scissor(pure_a, 2.0)
+    pb = dict_run_two_scissor(pure_b, 2.0)
     assert outcome.success_probability == pytest.approx(
         0.3 * pa.success_probability + 0.7 * pb.success_probability, abs=1e-12
     )
@@ -363,17 +364,15 @@ def test_mixture_linearity():
 
 def test_success_probability_prefactor_scales_as_inverse_g4():
     # the vacuum success probability carries the protocol's g^-4 price tag
-    p20 = run_two_scissor(vacuum(1, cutoff=2), 20.0).success_probability
-    p40 = run_two_scissor(vacuum(1, cutoff=2), 40.0).success_probability
+    p20 = run_two_scissor([1.0], 20.0).success_probability
+    p40 = run_two_scissor([1.0], 40.0).success_probability
     assert p20 * 20.0**4 == pytest.approx(2.0 / 9.0, rel=2e-2)
     assert abs(p40 * 40.0**4 - p20 * 20.0**4) / (p20 * 20.0**4) < 0.01
 
 
 def test_g_zero_edge_truncates_to_vacuum():
-    psi = PureState(1, {(0,): 0.6, (1,): 0.8}, cutoff=2)
-    outcome = run_two_scissor(psi, 0.0)
-    out = outcome.output.components[0][1]
-    assert abs(out.amplitude((0,))) == pytest.approx(1.0)
+    outcome = run_two_scissor([0.6, 0.8], 0.0)
+    assert abs(outcome.output[0]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +417,12 @@ def test_two_photon_gain_rejects_tau_zero():
         two_photon_gain(0.0, 2.0)
 
 
+@pytest.mark.parametrize("closed_form", [amplified_mixture_closed_form, two_photon_gain])
+def test_closed_forms_name_an_overflowing_fourth_power(closed_form):
+    with pytest.raises(ValueError, match=r"gain 1e\+200: g\^4 overflows"):
+        closed_form(0.5, 1e200)
+
+
 def test_gain_monotone_in_g():
     gains = [two_photon_gain(0.05, g) for g in np.linspace(0.0, 50.0, 200)]
     assert all(b >= a - 1e-12 for a, b in zip(gains, gains[1:]))
@@ -436,7 +441,7 @@ def test_purification_two_photon_weight_monotone():
 
 def test_simulated_mixture_matches_closed_form():
     tau, g = 0.05, 2.0
-    outcome = run_two_scissor(lossy_two_photon_input(tau), g)
+    outcome = dict_run_two_scissor(lossy_two_photon_input(tau), g)
     simulated = photon_number_weights(outcome.output, 0, max_n=2)
     expected, _ = amplified_mixture_closed_form(tau, g)
     assert simulated == pytest.approx(list(expected), abs=1e-12)
@@ -486,7 +491,7 @@ def test_gain_measurement_off_normalization_cancels_heralds():
 
 _PATTERN_ENTRY_POINTS = {
     "heralded_amplify": lambda p: heralded_amplify(fock_state((1,), cutoff=2), 0, 1.5, p),
-    "run_two_scissor": lambda p: run_two_scissor(fock_state((1,), cutoff=2), 1.5, p),
+    "run_two_scissor": lambda p: run_two_scissor([0.0, 1.0], 1.5, p),
     "herald_phase": herald_phase,
     "simulate_gain_measurement": lambda p: simulate_gain_measurement(0.3, 1.5, True, p),
     "measured_two_photon_gain": lambda p: measured_two_photon_gain(0.3, 1.5, p),
