@@ -16,19 +16,44 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import fock_sectors
+from .circuit import beam_splitter_unitary, fock_sectors, sector_transfer_blocks
 from .scissor import SUCCESS_PATTERNS, _amplify, _check_pattern, _coincidence_row
+
+
+#: Largest phase or angle magnitude: the fringe scan takes e^{i n phase} for
+#: n <= 2 photons and the wave plate cos(2 theta), so twice it must be finite.
+_MAX_PHASE = 1e307
+
+
+def _check_split(sigma: float) -> None:
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"{sigma} outside (0.0, 1.0)")
+
+
+def _check_angle(theta: float) -> None:
+    if not abs(theta) <= _MAX_PHASE:
+        raise ValueError(f"{theta} outside [-{_MAX_PHASE}, {_MAX_PHASE}]")
+
+
+def _check_phases(phases) -> np.ndarray:
+    """A 1-d, strictly increasing phase grid as a float array."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 1 or not np.all(np.abs(phases) <= _MAX_PHASE):
+        span = f"[-{_MAX_PHASE}, {_MAX_PHASE}]"
+        raise ValueError(f"phase grid must be 1-d, each phase in {span}")
+    if np.any(np.diff(phases) <= 0):
+        raise ValueError("phase grid must be strictly increasing")
+    return phases
 
 
 def path_entangled_state(sigma: float) -> tuple[float, float, float]:
     """Photon pair split on a beam splitter with transmission ``sigma``.
 
     Returns the coefficients on |2-k, k> (k photons transmitted), ((1-sigma),
-    sqrt(2 sigma (1-sigma)), sigma), which are already unit norm for every
-    sigma.
+    sqrt(2 sigma (1-sigma)), sigma), which are already unit norm.  ``sigma``
+    lies in (0, 1), so both arms can hold photons.
     """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"splitting ratio {sigma} outside [0, 1]")
+    _check_split(sigma)
     shared = math.sqrt(2.0) * math.sqrt(sigma) * math.sqrt(1.0 - sigma)
     return 1.0 - sigma, shared, sigma
 
@@ -64,8 +89,6 @@ def negativity_curve(
 ) -> list[tuple[float, float, float]]:
     """(g, E_N before amplification, E_N after) over a gain grid, heralded on
     (1, 1, 0): every pattern's herald phases are local and leave E_N alone."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"splitting ratio {sigma} outside (0, 1)")
     path = path_entangled_state(sigma)
     before = log_negativity(path)
     return [
@@ -78,13 +101,14 @@ def hom_coincidence(theta: float) -> float:
     """Two-fold coincidence after a half-wave-plate splitter at angle theta.
 
     A wave plate rotated by theta acts as a splitter with transmittance
-    cos^2(2 theta); for an incident photon pair the coincidence probability
-    is |sin^2(2 theta) - cos^2(2 theta)|^2, i.e. cos^2(4 theta), with the
-    deepest interference dip at 22.5 degrees.
+    cos^2(2 theta); the coincidence probability of an incident photon pair
+    is |<1, 1| U |1, 1>|^2, read from the splitter's two-photon sector.  It
+    equals cos^2(4 theta), with the deepest interference dip at 22.5 degrees.
     """
-    s = math.sin(2.0 * theta) ** 2
-    c = math.cos(2.0 * theta) ** 2
-    return abs(s - c) ** 2
+    _check_angle(theta)
+    splitter = beam_splitter_unitary(math.cos(2.0 * theta) ** 2)
+    one_each = fock_sectors(2, 2)[2].index[(1, 1)]
+    return abs(complex(sector_transfer_blocks(splitter, 2)[2][one_each, one_each])) ** 2
 
 
 @dataclass
@@ -96,12 +120,10 @@ class FringeScan:
     pattern: tuple
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.phases.ndim != 1 or self.phases.shape != self.values.shape:
-            raise ValueError("phase grid and values must be 1-d and equal length")
-        if np.any(np.diff(self.phases) <= 0):
-            raise ValueError("phase grid must be strictly increasing")
+        self.phases = _check_phases(self.phases)
+        if self.phases.shape != self.values.shape:
+            raise ValueError("phase grid and values must be equal length")
         if np.any(self.values < -1e-12):
             raise ValueError("coincidence rates must be non-negative")
 
@@ -124,11 +146,9 @@ def fringe_scan(
     (the |1,1> part bunches), so the fringe oscillates at twice the scanned
     phase and its visibility measures the |2,0| / |0,2| balance.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"splitting ratio {sigma} outside (0, 1)")
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 101)
-    phases = np.asarray(list(phases), dtype=float)
+    phases = _check_phases(list(phases))
 
     # k = photons in the transmitted arm, which is amplified
     pattern = _check_pattern(pattern)

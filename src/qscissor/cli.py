@@ -21,6 +21,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analysis, scissor, sensitivity
 from .analysis import fringe_scan, hom_coincidence, negativity_curve
 from .scissor import (
     SUCCESS_PATTERNS,
@@ -44,29 +45,9 @@ SCHEMA_VERSION = 3
 
 _MAX_SEED = 2**64 - 1
 
-#: size limits, so memory stays bounded by the work a config asks for (an
+#: size limit, so memory stays bounded by the work a config asks for (an
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
-_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.72 KB per base sample
-#: resamples; a bootstrap pass holds 8 B per index per resample for each gain
-#: it shares, and takes one gain at a time once that passes 4 MiB
-_MAX_BOOTSTRAP = 10**5
-
-#: value limits, well inside where the arithmetic breaks: the closed forms
-#: take g^4, which overflows above g = 1.2e77, and the gain model squares
-#: tau, which turns subnormal below tau = 1.5e-154
-_MAX_GAIN = 1e6
-_MIN_TAU = 1e-100
-#: smallest nonzero gain: the heralded two-photon weight goes as g^4 tau^2,
-#: and (1e-25)^4 (1e-100)^2 = 1e-300 stays a normal float at the smallest tau
-_MIN_GAIN = 1e-25
-#: scissor input floor.  The runner divides c by |c| = sqrt(sum |c_k|^2), so
-#: max |c| in [1e-150, 1e150] keeps |c|^2 a finite normal float.  At gain g
-#: c_k heralds with amplitude c_k / |c| 2 g^k / (1 + g^2) times a mixer
-#: amplitude of modulus 1/sqrt(18), and |c| <= sqrt(5) max |c|; so a weight
-#: max_{k <= 2} |c_k| g^k 2 / (1 + g^2) / max |c| >= 1e-150 keeps the herald
-#: probability above 1e-300 / 90, a normal float
-_MIN_COEFF = 1e-150
 
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
@@ -187,6 +168,14 @@ def _parse_pattern(raw: str):
     raise ValueError(f"{raw!r} is not a herald pattern (one of {valid}, or 'all')")
 
 
+def _parse_one_pattern(raw: str, experiment: str):
+    """``_parse_pattern`` for an experiment that runs one herald pattern."""
+    patterns = _parse_pattern(raw)
+    if len(patterns) > 1:
+        raise ValueError(f"{experiment} takes one herald pattern, got {len(patterns)}")
+    return patterns
+
+
 @dataclass
 class Field:
     parse: object
@@ -195,7 +184,7 @@ class Field:
 
 
 _PHI_DEFAULT = "0:6.283185307179586:0.06283185307179587"
-_GAIN_RANGE = f"0 or [{_MIN_GAIN:g}, {_MAX_GAIN:g}]"
+_GAIN_RANGE = f"0 or [{scissor._MIN_GAIN:g}, {scissor._MAX_GAIN:g}]"
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "scissor": {
@@ -212,7 +201,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "gain-sweep": {
         "tau": Field(_parse_grid, "0.05, 0.1", "channel transmissions in [1e-100, 1]"),
         "g": Field(_parse_grid, "0:6:0.25", f"gain grid, each {_GAIN_RANGE}"),
-        "pattern": Field(_parse_pattern, "110", "herald pattern"),
+        "pattern": Field(
+            lambda raw: _parse_one_pattern(raw, "gain-sweep"), "110", "herald pattern"
+        ),
     },
     "fringes": {
         "sigma": Field(_parse_float, None, "reference split ratio in (0, 1)"),
@@ -232,14 +223,17 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "sobol": {
         "g": Field(
-            _parse_grid, "1, 2, 3", f"gain values in [{_MIN_GAIN:g}, {_MAX_GAIN:g}]"
+            _parse_grid, "1, 2, 3",
+            f"gain values in [{scissor._MIN_GAIN:g}, {scissor._MAX_GAIN:g}]",
         ),
         "tau": Field(_parse_float, "0.05", "channel transmission in [1e-100, 1]"),
         "n_base": Field(_parse_int, "3840", "base sample count, >= 2"),
         "seed": Field(_parse_seed, None, "RNG seed (required; may come from --seed)"),
         "loss_min": Field(_parse_float, "0", "lower loss-sampling bound"),
         "loss_max": Field(_parse_float, "0.5", "upper loss-sampling bound"),
-        "pattern": Field(_parse_pattern, "110", "herald pattern"),
+        "pattern": Field(
+            lambda raw: _parse_one_pattern(raw, "sobol"), "110", "herald pattern"
+        ),
         "bootstrap": Field(_parse_int, "1000", "bootstrap resamples, >= 2"),
     },
 }
@@ -295,8 +289,6 @@ def resolve_config(
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
 
-    # semantic checks run on whatever parsed, so one bad key does not hide
-    # range violations elsewhere
     problems.extend(_semantic_checks(experiment, resolved, sources))
     if problems:
         raise ConfigError(problems)
@@ -304,99 +296,75 @@ def resolve_config(
     return resolved
 
 
+#: the library's checks of each experiment's values, in reporting order.  A
+#: check takes one value per argument: for a key, each value of a
+#: ``_VALUE_GRIDS`` grid in turn or the key's whole value; for a tuple of
+#: keys, the tuple of their values
+_CHECKS = {
+    "scissor": [
+        (scissor._check_gain, "g"),
+        (scissor._check_amplitudes, "input_coeffs"),
+        (scissor._check_herald_weight, "input_coeffs", "g"),
+    ],
+    "gain-sweep": [
+        (scissor._check_transmission, "tau"),
+        (scissor._check_gain, "g"),
+        (scissor._check_mixture_heralds, "tau", "g"),  # one call per row of the run
+    ],
+    "fringes": [
+        (analysis._check_split, "sigma"),
+        (scissor._check_gain, "g"),
+        (analysis._check_phases, "phi"),
+    ],
+    "negativity": [(analysis._check_split, "sigma"), (scissor._check_gain, "g")],
+    "hom": [(analysis._check_angle, "theta")],
+    "sobol": [
+        (sensitivity._check_sweep_gain, "g"),
+        (scissor._check_transmission, "tau"),
+        (sensitivity._check_n_base, "n_base"),
+        (sensitivity._check_resamples, "bootstrap"),
+        (sensitivity._check_loss_bound, "loss_min"),
+        (sensitivity._check_loss_bound, "loss_max"),
+        (sensitivity._check_loss_range, ("loss_min", "loss_max")),
+    ],
+}
+_VALUE_GRIDS = ("g", "tau", "sigma", "theta")
+
+
 def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
-    """Range checks over whatever keys parsed successfully.
+    """The ``ValueError`` of each library check's first failure, reported on
+    the source (config line, ``--seed`` or default) of each of its arguments.
 
-    ``sources`` maps each parsed key to where its value came from (its
-    config line, ``--seed`` or the default); a problem with one key's value
-    is reported there.
+    A check is skipped once one of its keys failed to parse or failed an
+    earlier check, so one bad key does not hide problems elsewhere.
     """
-    problems = []
 
-    def problem(key, message):
-        problems.append(f"{sources[key]}: {message}")
+    def keys(arg) -> tuple:
+        return arg if isinstance(arg, tuple) else (arg,)
 
-    def values(key) -> list:
-        return cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+    def values(arg) -> list:
+        if isinstance(arg, tuple):
+            return [tuple(cfg[key] for key in arg)]
+        return cfg[arg] if arg in _VALUE_GRIDS and isinstance(cfg[arg], list) else [cfg[arg]]
 
-    def check_range(key, lo, hi, open_lo=False, open_hi=False) -> bool:
-        """Report the first value of ``key`` outside the range; True if any."""
-        for v in values(key):
-            if (v <= lo if open_lo else v < lo) or (v >= hi if open_hi else v > hi):
-                left = "(" if open_lo else "["
-                right = ")" if open_hi else "]"
-                problem(key, f"{v} outside {left}{lo}, {hi}{right}")
-                return True
-        return False
-
-    # g = 0 makes the sobol model identically 0, so its variance vanishes
-    if "g" in cfg and not check_range(
-        "g", 0.0, _MAX_GAIN, open_lo=experiment == "sobol"
-    ):
-        tiny = [v for v in values("g") if 0.0 < v < _MIN_GAIN]
-        if tiny:
-            problem("g", f"{tiny[0]} is below the smallest nonzero gain {_MIN_GAIN}")
-    if "tau" in cfg and experiment in ("gain-sweep", "sobol"):
-        if not check_range("tau", 0.0, 1.0, open_lo=True):
-            check_range("tau", _MIN_TAU, 1.0)
-    if experiment == "gain-sweep":
-        if 0.0 in cfg.get("g", ()) and 1.0 in cfg.get("tau", ()):
-            problem("g", "g = 0 keeps only the vacuum, which tau = 1 never holds")
-    if "sigma" in cfg:
-        check_range("sigma", 0.0, 1.0, open_lo=True, open_hi=True)
+    problems, failed = [], set()
+    for check, *arguments in _CHECKS[experiment]:
+        named = {key for arg in arguments for key in keys(arg)}
+        if not named <= cfg.keys() or named & failed:
+            continue
+        for point in itertools.product(*map(values, arguments)):
+            try:
+                check(*point)
+            except ValueError as exc:
+                for arg in arguments:
+                    where = ", ".join(sources[key] for key in keys(arg))
+                    problems.append(f"{where}: {exc}")
+                failed |= named
+                break
+    # the CLI's own rule, which protects only the visibility fit of the test
+    # oracles (tests/oracles.py); the library scans a grid of any length
     if experiment == "fringes" and "phi" in cfg and len(cfg["phi"]) < 4:
-        problem("phi", "grid needs at least 4 points")
-    if experiment == "scissor" and "input_coeffs" in cfg:
-        coeffs = cfg["input_coeffs"]
-        size = max(map(abs, coeffs))
-        # gains outside their range are reported on the g line
-        gains = [g for g in cfg.get("g", ()) if g == 0 or _MIN_GAIN <= g <= _MAX_GAIN]
-        if not 1 <= len(coeffs) <= 5:
-            problem("input_coeffs", f"needs 1..5 entries, got {len(coeffs)}")
-        elif size == 0:
-            problem("input_coeffs", "must not all be zero")
-        elif not any(abs(c) > 0 for c in coeffs[:3]):
-            problem("input_coeffs", "c0, c1, c2 are all zero: nothing can be heralded")
-        elif coeffs[0] == 0 and 0.0 in gains:
-            problem("g", "g = 0 keeps only c0, which input_coeffs sets to zero")
-        elif not _MIN_COEFF <= size <= 1 / _MIN_COEFF:
-            message = f"max |c| = {size} outside [{_MIN_COEFF}, {1 / _MIN_COEFF}]"
-            problem("input_coeffs", message)
-        else:
-            for g in gains:
-                weight = max(abs(c) / size * g**k for k, c in enumerate(coeffs[:3]))
-                if weight * 2.0 / (1.0 + g * g) < _MIN_COEFF:
-                    problem("input_coeffs", f"c0, c1, c2 too small to herald at g = {g}")
-                    break
-    if experiment in ("gain-sweep", "sobol") and len(cfg.get("pattern", ())) > 1:
-        problem(
-            "pattern",
-            f"{experiment} takes one herald pattern, got {len(cfg['pattern'])}",
-        )
-    if experiment == "sobol":
-        if cfg.get("n_base", 2) < 2:
-            problem("n_base", f"{cfg['n_base']} is below 2")
-        if cfg.get("n_base", 2) > _MAX_N_BASE:
-            problem("n_base", f"{cfg['n_base']} is above the limit {_MAX_N_BASE}")
-        if cfg.get("bootstrap", 2) < 2:
-            problem("bootstrap", f"{cfg['bootstrap']} is below 2")
-        if cfg.get("bootstrap", 2) > _MAX_BOOTSTRAP:
-            problem(
-                "bootstrap", f"{cfg['bootstrap']} is above the limit {_MAX_BOOTSTRAP}"
-            )
-        keys = ("loss_min", "loss_max")
-        bounds = [cfg[k] for k in keys if k in cfg and not check_range(k, 0.0, 1.0)]
-        if len(bounds) == 2:  # both parsed and in [0, 1]; the range names both lines
-            lo, hi = bounds
-            where = ", ".join(sources[key] for key in keys)
-            if not hi > lo:
-                problems.append(f"{where}: loss range [{lo}, {hi}] is empty")
-            elif 1.0 - lo == 1.0 - hi:  # the model output would have no variance
-                why = f"every transmission 1 - loss rounds to {1.0 - lo}"
-                problems.append(f"{where}: loss range [{lo}, {hi}] is too narrow: {why}")
-            elif lo + (hi - lo) * (1.0 - 2.0**-53) == 1.0:  # uniform's largest draw
-                why = "a draw can round to loss 1.0, a zero transmission"
-                problems.append(f"{where}: loss range [{lo}, {hi}] reaches loss 1: {why}")
+        problems.append(f"{sources['phi']}: grid needs at least 4 points")
     return problems
 
 

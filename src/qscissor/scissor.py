@@ -34,6 +34,7 @@ array; ``heralded_amplify`` applies the same table to a dict ``PureState``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -73,9 +74,41 @@ _RESOURCE_ONLY_HERALD = 2.0 / 9.0
 MAX_INPUT_CUTOFF = 4
 
 
+#: Value limits, well inside where the arithmetic breaks.  The closed forms
+#: take g^4, which overflows above g = 1.2e77, and the gain model squares
+#: tau, which turns subnormal below tau = 1.5e-154.
+_MAX_GAIN = 1e6
+_MIN_TAU = 1e-100
+#: Smallest nonzero gain: the heralded two-photon weight goes as g^4 tau^2,
+#: and (1e-25)^4 (1e-100)^2 = 1e-300 stays a normal float at the smallest tau.
+_MIN_GAIN = 1e-25
+#: Input floor.  ``run_two_scissor`` divides c by |c| = sqrt(sum |c_k|^2), so
+#: max |c| in [1e-150, 1e150] keeps |c|^2 a finite normal float.  At gain g
+#: c_k heralds with amplitude c_k / |c| 2 g^k / (1 + g^2) times a mixer
+#: amplitude of modulus 1/sqrt(18), and |c| <= sqrt(5) max |c|; so a weight
+#: max_{k <= 2} |c_k| g^k 2 / (1 + g^2) / max |c| >= 1e-150 keeps the herald
+#: probability above 1e-300 / 90, a normal float.
+_MIN_COEFF = 1e-150
+
+
 def _check_gain(g: float) -> None:
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"gain must be non-negative and finite, got {g}")
+    if not 0.0 <= g <= _MAX_GAIN:
+        raise ValueError(f"{g} outside [0.0, {_MAX_GAIN}]")
+    if 0.0 < g < _MIN_GAIN:
+        raise ValueError(f"{g} is below the smallest nonzero gain {_MIN_GAIN}")
+
+
+def _check_transmission(tau: float) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"{tau} outside (0.0, 1.0]")
+    if tau < _MIN_TAU:
+        raise ValueError(f"{tau} outside [{_MIN_TAU}, 1.0]")
+
+
+def _check_mixture_heralds(tau: float, g: float) -> None:
+    """The lossy two-photon input at transmission tau heralds at gain g."""
+    if g == 0.0 and tau == 1.0:
+        raise ValueError("g = 0 keeps only the vacuum, which tau = 1 never holds")
 
 
 def _check_pattern(pattern: Sequence[int]) -> tuple:
@@ -169,32 +202,52 @@ def heralded_amplify(
     return conditional, conditional.norm() ** 2
 
 
-#: The error of an input that no component heralds, by whether a nonzero
-#: conditional state had probability 0.0.
-_UNHERALDED = (
-    "herald pattern has zero probability for this input; the conditional "
-    "output state is undefined",
-    "herald probability underflows to 0.0 for this input; the conditional "
-    "output state is nonzero but cannot be weighted",
-)
-
-
 def _amplify(amplitudes, g: float, pattern: tuple) -> tuple[list[complex], float]:
     """(normalized output amplitudes on k = 0, 1, 2, herald probability) of the
     signal photon-number amplitudes ``amplitudes`` (c_0, c_1, ...).
 
     Each c_k with k <= 2 is scaled by its herald amplitude, with the scalar
     arithmetic, norm and division of ``heralded_amplify`` and a normalization,
-    so the results are their bits.  ``pattern`` must be checked already.
+    so the results are their bits.  ``pattern`` must be checked already and
+    the amplitudes must herald at g (``_check_herald_weight``).
     """
     _check_gain(g)
     gains = _herald_gains(pattern, g)
     kept = [complex(gain * c) for gain, c in zip(gains, amplitudes)]
     kept += [0j] * (len(gains) - len(kept))
     norm = _norm(kept)
-    if not norm**2 > 0.0:
-        raise ValueError(_UNHERALDED[any(kept)])
     return [a / norm for a in kept], norm**2
+
+
+def _check_amplitudes(amplitudes) -> list[complex]:
+    """The input's photon-number amplitudes c_0, c_1, ... as Python complexes."""
+    array = np.asarray(amplitudes, dtype=complex)
+    if array.ndim != 1 or not 1 <= array.size <= MAX_INPUT_CUTOFF + 1:
+        raise ValueError(
+            f"the input takes 1 to {MAX_INPUT_CUTOFF + 1} photon-number amplitudes "
+            f"(cutoff {MAX_INPUT_CUTOFF}), got an array of shape {array.shape}"
+        )
+    values = array.tolist()
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"the input amplitudes must be finite, got {values}")
+    size = max(map(abs, values))
+    if size == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    if not any(values[:3]):
+        raise ValueError("c0, c1, c2 are all zero: nothing can be heralded")
+    if not _MIN_COEFF <= size <= 1 / _MIN_COEFF:
+        raise ValueError(f"max |c| = {size} outside [{_MIN_COEFF}, {1 / _MIN_COEFF}]")
+    return values
+
+
+def _check_herald_weight(amplitudes, g: float) -> None:
+    """Checked input amplitudes herald at gain g (see ``_MIN_COEFF``)."""
+    if g == 0.0 and amplitudes[0] == 0:
+        raise ValueError("g = 0 keeps only c0, which input_coeffs sets to zero")
+    size = max(map(abs, amplitudes))
+    weight = max(abs(c) / size * g**k for k, c in enumerate(amplitudes[:3]))
+    if weight * 2.0 / (1.0 + g * g) < _MIN_COEFF:
+        raise ValueError(f"c0, c1, c2 too small to herald at g = {g}")
 
 
 @dataclass
@@ -218,17 +271,11 @@ def run_two_scissor(
     ``truncation_weight`` reports how much input probability sat above two
     photons and therefore could not be heralded.
     """
-    array = np.asarray(amplitudes, dtype=complex)
-    if array.ndim != 1 or not 1 <= array.size <= MAX_INPUT_CUTOFF + 1:
-        raise ValueError(
-            f"the input takes 1 to {MAX_INPUT_CUTOFF + 1} photon-number amplitudes "
-            f"(cutoff {MAX_INPUT_CUTOFF}), got an array of shape {array.shape}"
-        )
+    amplitudes = _check_amplitudes(amplitudes)
     pattern = _check_pattern(pattern)
-    amplitudes = array.tolist()
+    _check_gain(g)
+    _check_herald_weight(amplitudes, g)
     norm = _norm(amplitudes)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero state")
     state = [c / norm for c in amplitudes]
     output, success_probability = _amplify(state, g, pattern)
     return ScissorOutcome(
@@ -251,14 +298,10 @@ def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, flo
     constant N = 1 / [(1-tau)^2 + 2 g^2 tau (1-tau) + g^4 tau^2]; the
     two-photon intensity gain is N g^4.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmission {tau} outside [0, 1]")
+    _check_transmission(tau)
     _check_gain(g)
-    try:
-        g4 = g**4
-    except OverflowError:
-        raise ValueError(f"gain {g}: g^4 overflows") from None
-    raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g4 * tau**2])
+    _check_mixture_heralds(tau, g)
+    raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2])
     normalization = 1.0 / raw.sum()
     return raw * normalization, normalization
 
@@ -269,11 +312,6 @@ def two_photon_gain(tau: float, g: float) -> float:
     Monotone non-decreasing in g and saturating at 1 / tau^2 because of the
     output normalization.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(
-            f"transmission must be in (0, 1], got {tau}; at tau = 0 the input "
-            "has no two-photon component and the gain is undefined"
-        )
     _, normalization = amplified_mixture_closed_form(tau, g)
     return normalization * g**4
 
@@ -325,11 +363,12 @@ def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, flo
     """(herald probability, output two-photon weight) of the amplifier on the
     mixture of |0>, |1>, |2> with ``weights``: each component through
     ``heralded_amplify``, in order, with the dict-state mixture's norms and
-    sums (``dict_run_two_scissor`` in the test oracles)."""
+    sums (``dict_run_two_scissor`` in the test oracles).  The mixture must
+    herald at g (``_check_mixture_heralds``)."""
     _check_gain(g)
     gains = _herald_gains(pattern, g)
     # (n, weight * p, |a / norm|^2) of each component that heralds
-    herald, heralded, underflows = 0.0, [], False
+    herald, heralded = 0.0, []
     for n, weight in enumerate(weights):
         if not weight > 0.0:  # a mixture drops its empty components
             continue
@@ -339,10 +378,6 @@ def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, flo
         herald += weight * p
         if p > 0.0:
             heralded.append((n, weight * p, abs(a / norm) ** 2))
-        elif a:
-            underflows = True
-    if not heralded:
-        raise ValueError(_UNHERALDED[underflows])
     total = sum(w for _, w, _ in heralded)
     return herald, sum(w / total * q for n, w, q in heralded if n == 2)
 
@@ -362,13 +397,11 @@ def simulate_gain_measurement(
     the input and cancel from the normalized estimate; their probability is
     the closed form 2/9.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {tau}")
+    _check_transmission(tau)
     pattern = _check_pattern(pattern)
     weights = ((1 - tau) ** 2, 2 * tau * (1 - tau), tau**2)
-    if not _RESOURCE_ONLY_HERALD * (_pair_separation() * weights[2]) > 0.0:
-        raise ValueError(f"tau = {tau}: the two-photon coincidence rate underflows")
     if with_amplifier:
+        _check_mixture_heralds(tau, g)
         herald, two_photon = _amplified_two_photon(weights, g, pattern)
     else:
         # the input is diverted to the counting stage and never interferes

@@ -79,12 +79,15 @@ import numpy as np
 
 from .circuit import fock_sectors, sector_transfer_blocks
 from .scissor import (
+    _MAX_GAIN,
     _MODES,
     _OUT_MODE,
     _QFT_MODES,
     _RESOURCE_MODE,
     _check_gain,
+    _check_mixture_heralds,
     _check_pattern,
+    _check_transmission,
     _gain_factor,
     _mixer_halves,
     _resource_splitter,
@@ -517,18 +520,10 @@ def _evaluate_batch(factors, tau, losses, pattern: tuple, work: _Work) -> list:
     return _measured_gains(tau, roles, sums, factors)
 
 
-def _check_model_arguments(g: float, tau: float, pattern) -> tuple:
-    """Validate the gain, the channel and the pattern; return the pattern."""
-    pattern = _check_pattern(pattern)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {tau}")
-    _check_gain(g)
-    return pattern
-
-
 def _check_losses(arr: np.ndarray) -> None:
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):  # NaN fails both
-        raise ValueError("loss fractions must lie in [0, 1]")
+    # a loss of 1 at an input or a detector point zeroes a rate the gain divides by
+    if np.any(~((arr >= 0.0) & (arr < 1.0))):  # NaN fails both
+        raise ValueError("loss fractions must lie in [0, 1)")
 
 
 def lossy_gain_model(
@@ -539,11 +534,14 @@ def lossy_gain_model(
 ) -> float | np.ndarray:
     """Measured two-photon gain with losses inserted across the setup.
 
-    ``losses`` is either a single loss vector (an entry in [0, 1] per point of
+    ``losses`` is either a single loss vector (an entry in [0, 1) per point of
     ``LOSS_POINTS``) or a batch of them stacked along the first axis.  With
     all losses zero this reduces exactly to the closed-form gain.
     """
-    pattern = _check_model_arguments(g, tau, pattern)
+    pattern = _check_pattern(pattern)
+    _check_transmission(tau)
+    _check_gain(g)
+    _check_mixture_heralds(tau, g)
     scalar = np.ndim(losses) == 1
     arr = np.atleast_2d(np.asarray(losses, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != len(LOSS_POINTS):
@@ -568,13 +566,62 @@ DEFAULT_LOSS_RANGE = (0.0, 0.5)
 #: and of the bootstrap inputs the gains sharing one pass hold together
 _BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
+#: size limits, so memory is bounded by the work asked for
+_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.72 KB per base sample
+#: resamples; a bootstrap pass holds 8 B per index per resample for each gain
+#: it shares, and takes one gain at a time once that passes 4 MiB
+_MAX_BOOTSTRAP = 10**5
+
+
+def _check_n_base(n_base: int) -> None:
+    if n_base < 2:
+        raise ValueError(f"{n_base} is below 2")
+    if n_base > _MAX_N_BASE:
+        raise ValueError(f"{n_base} is above the limit {_MAX_N_BASE}")
+
+
+def _check_resamples(bootstrap_resamples: int) -> None:
+    if not bootstrap_resamples >= 2:
+        raise ValueError(
+            f"bootstrap_resamples must be at least 2, got {bootstrap_resamples}"
+        )
+    if bootstrap_resamples > _MAX_BOOTSTRAP:
+        raise ValueError(f"{bootstrap_resamples} is above the limit {_MAX_BOOTSTRAP}")
+
+
+def _check_sweep_gain(g: float) -> None:
+    """A sweep's gain: at g = 0 the model is identically 0, with no variance."""
+    if g <= 0.0:
+        raise ValueError(f"{g} outside (0.0, {_MAX_GAIN}]")
+    _check_gain(g)
+
+
+def _check_loss_bound(loss: float) -> None:
+    if not 0.0 <= loss <= 1.0:
+        raise ValueError(f"{loss} outside [0.0, 1.0]")
+
+
+def _check_loss_range(bounds: tuple[float, float]) -> None:
+    """A sweep's loss range: uniform draws on it differ in transmission and
+    never round to loss 1, a zero transmission the gain divides by."""
+    lo, hi = bounds
+    _check_loss_bound(lo)
+    _check_loss_bound(hi)
+    if not hi > lo:
+        raise ValueError(f"loss range [{lo}, {hi}] is empty")
+    if 1.0 - lo == 1.0 - hi:  # the model output would have no variance
+        why = f"every transmission 1 - loss rounds to {1.0 - lo}"
+        raise ValueError(f"loss range [{lo}, {hi}] is too narrow: {why}")
+    if lo + (hi - lo) * (1.0 - 2.0**-53) == 1.0:  # uniform's largest draw
+        why = "a draw can round to loss 1.0, a zero transmission"
+        raise ValueError(f"loss range [{lo}, {hi}] reaches loss 1: {why}")
+
 
 def _base_samples(
     n_base: int, dims: int, seed: int, bounds: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The design's base matrices A and B, each (n_base, dims)."""
-    if n_base < 2:
-        raise ValueError("need at least 2 base samples")
+    _check_n_base(n_base)
     if dims < 1:
         raise ValueError("need at least one input dimension")
     lo, hi = bounds
@@ -615,13 +662,6 @@ class SobolResult:
     ci: np.ndarray
     n_base: int
     evaluations: int
-
-
-def _check_resamples(bootstrap_resamples: int) -> None:
-    if not bootstrap_resamples >= 2:
-        raise ValueError(
-            f"bootstrap_resamples must be at least 2, got {bootstrap_resamples}"
-        )
 
 
 def first_order_indices(
@@ -820,10 +860,11 @@ def sensitivity_sweep(
     if not gains:
         raise ValueError("the gain grid holds no values")
     for g in gains:
-        pattern = _check_model_arguments(g, tau, pattern)
+        _check_sweep_gain(g)
+    _check_transmission(tau)
+    pattern = _check_pattern(pattern)
+    _check_loss_range(bounds)
     a, b = _base_samples(n_base, len(LOSS_POINTS), seed, bounds)
-    _check_losses(a)
-    _check_losses(b)
     group = _gains_per_group(n_base, len(LOSS_POINTS), bootstrap_resamples)
     entries = []
     for first in range(0, len(gains), group):

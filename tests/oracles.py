@@ -54,7 +54,6 @@ from qscissor.fock import (
 )
 from qscissor.scissor import (
     _RESOURCE_ONLY_HERALD,
-    _UNHERALDED,
     MAX_INPUT_CUTOFF,
     SUCCESS_PATTERNS,
     GainMeasurement,
@@ -63,6 +62,15 @@ from qscissor.scissor import (
     _check_pattern,
     heralded_amplify,
     pnr_coincidence_probability,
+)
+
+#: The error of an input that no component heralds, by whether a nonzero
+#: conditional state had probability 0.0.
+_UNHERALDED = (
+    "herald pattern has zero probability for this input; the conditional "
+    "output state is undefined",
+    "herald probability underflows to 0.0 for this input; the conditional "
+    "output state is nonzero but cannot be weighted",
 )
 
 #: The amplifier's four modes hold at most four photons: the input's and
@@ -492,6 +500,15 @@ def amplified_path_state(sigma: float, g: float) -> QutritPathState:
     _check_gain(g)
     raw = np.array([base[k] * g**k for k in range(3)], dtype=complex)
     return QutritPathState(tuple(raw / np.linalg.norm(raw)))
+
+
+def hom_closed_form(theta: float) -> float:
+    """Two-fold coincidence of a photon pair on a wave-plate splitter of
+    transmittance cos^2(2 theta): |sin^2(2 theta) - cos^2(2 theta)|^2, i.e.
+    cos^2(4 theta)."""
+    s = math.sin(2.0 * theta) ** 2
+    c = math.cos(2.0 * theta) ** 2
+    return abs(s - c) ** 2
 
 
 def log_negativity_schmidt(coefficients) -> float:

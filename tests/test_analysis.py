@@ -9,6 +9,7 @@ from oracles import (
     fit_visibility,
     fock_state,
     herald_phase,
+    hom_closed_form,
     log_negativity_schmidt,
     normalized,
     vacuum,
@@ -30,7 +31,7 @@ from qscissor.circuit import (
     compile_circuit,
 )
 from qscissor.fock import project_pattern, tensor
-from qscissor.scissor import SUCCESS_PATTERNS, heralded_amplify
+from qscissor.scissor import _MAX_GAIN, SUCCESS_PATTERNS, heralded_amplify
 
 
 def wrapped_angle_difference(a, b):
@@ -43,8 +44,12 @@ def wrapped_angle_difference(a, b):
 
 
 def test_path_state_extremes():
-    assert path_entangled_state(0.0) == (1.0, 0.0, 0.0)
-    assert path_entangled_state(1.0)[2] == 1.0
+    # a ratio of 0 or 1 does not split the pair; the ratios next to them do
+    for sigma in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"outside \(0\.0, 1\.0\)"):
+            path_entangled_state(sigma)
+    assert path_entangled_state(5e-324)[0] == 1.0
+    assert path_entangled_state(1.0 - 2**-53)[2] == 1.0 - 2**-53
 
 
 def test_path_state_balanced_split():
@@ -58,7 +63,7 @@ def test_path_state_ninety_ten():
 
 
 def test_path_state_is_normalized_for_all_sigma():
-    for sigma in np.linspace(0.0, 1.0, 21):
+    for sigma in [5e-324, *np.linspace(0.0, 1.0, 21)[1:-1], 1.0 - 2**-53]:
         c = path_entangled_state(sigma)
         assert sum(abs(x) ** 2 for x in c) == pytest.approx(1.0, abs=1e-12)
 
@@ -98,8 +103,8 @@ def test_log_negativity_rejects_a_bad_path_state(coefficients, message):
 
 
 def test_negativity_zero_for_product_states():
-    assert log_negativity(path_entangled_state(0.0)) == pytest.approx(0.0, abs=1e-12)
-    assert log_negativity(path_entangled_state(1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert log_negativity((1.0, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert log_negativity((0.0, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negativity_reference_values():
@@ -173,11 +178,14 @@ def test_negativity_curve_is_the_closed_form():
             assert post == pytest.approx(expected, rel=0, abs=1e-13)
 
 
-def test_negativity_curve_is_finite_at_any_finite_gain():
-    # g^k overflows at g = 1e300, the herald gain factor never does
-    ((g, before, after),) = negativity_curve(0.5, [1e300])
+def test_negativity_curve_is_finite_over_the_gain_range():
+    # the largest gain puts nearly all the weight on |0, 2>; beyond it g^4
+    # heads for overflow, and the gain check says so
+    ((g, before, after),) = negativity_curve(0.5, [_MAX_GAIN])
     assert math.isfinite(before) and math.isfinite(after)
-    assert after == pytest.approx(0.0, abs=1e-12)  # all weight on |0, 2>
+    assert 0.0 < after < 1e-5
+    with pytest.raises(ValueError, match=r"1e\+300 outside \[0\.0, 1000000\.0\]"):
+        negativity_curve(0.5, [1e300])
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +197,14 @@ def test_hom_values():
     assert hom_coincidence(0.0) == pytest.approx(1.0)
     assert hom_coincidence(math.pi / 8) == pytest.approx(0.0, abs=1e-15)
     assert hom_coincidence(math.pi / 16) == pytest.approx(0.5)
+
+
+def test_hom_is_the_closed_form():
+    # the default theta grid, and a wider one; the two differ in at most the
+    # last bit or two
+    thetas = [i * 0.007853981633974483 for i in range(200)] + [math.pi / 2]
+    for theta in thetas + np.linspace(-10.0, 10.0, 1001).tolist():
+        assert abs(hom_coincidence(theta) - hom_closed_form(theta)) <= 1e-15
 
 
 def test_hom_identity_on_grid():

@@ -220,6 +220,16 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 2: loss_min, line 3: loss_max: loss range [0.5, 1.0] reaches loss 1"),
         ("validate", "experiment = sobol\nseed = 3\nloss_min = 0\nloss_max = 1\n", [],
          0, ""),
+        # the library's phase-grid check, reported on the phi line
+        ("fringes", "sigma = 0.2\ng = 2\nphi = 1, 0, 2, 3\n", [], 2,
+         "line 3: phi: phase grid must be strictly increasing"),
+        ("fringes", "sigma = 0.2\ng = 2\nphi = 0, 0, 1, 2\n", [], 2,
+         "line 3: phi: phase grid must be strictly increasing"),
+        # twice the phase or the angle must stay finite
+        ("fringes", "sigma = 0.2\ng = 2\nphi = 0, 1, 2, 1e308\n", [], 2,
+         "line 3: phi: phase grid must be 1-d, each phase in [-1e+307, 1e+307]"),
+        ("hom", "theta = 0, 1e308\n", [], 2,
+         "line 1: theta: 1e+308 outside [-1e+307, 1e+307]"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

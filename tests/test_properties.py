@@ -4,7 +4,13 @@ Every property runs a fixed, derandomized set of examples, so the suite
 stays reproducible and fast.
 """
 
+import cmath
+import contextlib
+import dataclasses
 import functools
+import io
+import math
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -28,9 +34,6 @@ from oracles import (
 )
 from qscissor import cli
 from qscissor.cli import (
-    _MAX_GAIN,
-    _MIN_GAIN,
-    _MIN_TAU,
     EXPERIMENTS,
     SCHEMAS,
     ConfigError,
@@ -38,8 +41,13 @@ from qscissor.cli import (
     resolve_config,
 )
 from qscissor.fock import MixedState, PureState, basis_enumerate
+from qscissor.analysis import fringe_scan, negativity_curve
 from qscissor.scissor import (
+    _MAX_GAIN,
+    _MIN_GAIN,
+    _MIN_TAU,
     SUCCESS_PATTERNS,
+    amplified_mixture_closed_form,
     heralded_amplify,
     measured_two_photon_gain,
     run_two_scissor,
@@ -391,3 +399,205 @@ def test_column_writer_matches_row_writer(columns, block):
             cli.write_results(out / "out", "hom", header, columns, {}, "")
         write_rows(out / "rows.csv", header, zip(*expand_columns(columns)))
         assert (out / "out" / "hom.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract, end to end
+# ---------------------------------------------------------------------------
+
+
+def _next(x: float, toward: float) -> str:
+    return repr(math.nextafter(x, toward))
+
+
+#: (valid, invalid) values of each key: its limits, values just outside them
+#: and ordinary ones
+_KEY_VALUES = {
+    "g": (["0", "-0", "1e-25", "1e6", "0.5", "2"],
+          ["-1", _next(1e-25, 0), _next(1e6, math.inf)]),
+    "tau": (["1e-100", "1", "0.05"], ["0", "-0", _next(1e-100, 0), _next(1.0, 2)]),
+    "sigma": (["5e-324", "0.9999999999999999", "0.2"], ["0", "-0", "1"]),
+    "phi": (["0", "1", "3.14", "6.28", "1e307", "-1e307"], ["1e308", "-1e308"]),
+    "theta": (["0", "-0", "0.4", "1.57", "1e307", "-1e307"], ["1e308", "-1e308"]),
+    "input_coeffs": (["0", "1", "-1", "0.5", "1e-150", "1e150"],
+                     ["1e-200", _next(1e-150, 0), _next(1e150, math.inf)]),
+    "n_base": (["2", "17", "64"], ["-1", "1", "100001"]),
+    "bootstrap": (["2", "20"], ["0", "1", "100001"]),
+    "loss_min": (["0", "-0", "1e-17", "0.25", "0.5", "0.9999999999999999"],
+                 ["-5e-324", _next(1.0, 2)]),
+    "loss_max": (["1", "0.9999999999999999", "0.5", "0.25", "1e-16"],
+                 ["-5e-324", _next(1.0, 2)]),
+    "seed": (["0", "5", str(2**64 - 1)], ["-1", str(2**64)]),
+    "pattern": (["all", "110", "101", "011", "(0, 1, 1)"], ["200"]),
+}
+_SPECIAL_TEXTS = ["nan", "inf", "-inf", "-0"]
+#: start:stop:step grids of 1 to 49 points
+_GRIDS = st.builds(
+    lambda start, step, points: f"{start!r}:{start + (points - 1) * step!r}:{step!r}",
+    st.sampled_from([0.0, 1e-25, 0.5, 1.0, -1.0]),
+    st.sampled_from([0.25, 0.5, 1e-6, 1e-25]),
+    st.integers(1, 49),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """(experiment, config text, extra argv) over every key of the schema,
+    with values at and beyond the limits; the work stays small (n_base <= 64,
+    bootstrap <= 20, grids of at most 49 points)."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    schema = SCHEMAS[experiment]
+    argv = draw(st.sampled_from([[], ["--seed", "3"], ["--seed", "-1"]]))
+    rarely = st.sampled_from([False, False, False, True])
+    lines = []
+    for key, field in schema.items():
+        required = field.default is None and not (key == "seed" and argv)
+        if not required and draw(st.booleans()):
+            continue
+        valid, invalid = _KEY_VALUES[key]
+        value = st.sampled_from(invalid + _SPECIAL_TEXTS if draw(rarely) else valid)
+        if field.parse is cli._parse_grid or key == "input_coeffs":
+            value = st.lists(value, min_size=1, max_size=6).map(", ".join) | _GRIDS
+        lines.append(f"{key} = {draw(value)}")
+    if lines and draw(rarely):
+        lines.append(draw(st.sampled_from(lines)))  # a duplicated key
+    if draw(rarely):
+        lines.append("bogus = 1")  # an unknown key
+    if draw(rarely):
+        declared = draw(st.sampled_from([experiment, *EXPERIMENTS]))
+        lines.append(f"experiment = {declared}")
+    lines = draw(st.permutations(lines))
+    return experiment, "".join(f"{line}\n" for line in lines), argv
+
+
+def _main(experiment, text, argv, out: Path) -> tuple[int, str]:
+    """``cli.main`` on ``text``, in-process: (exit code, stderr)."""
+    out.mkdir()
+    config = out / "config.txt"
+    config.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([experiment, "--config", str(config), "--out", str(out), *argv])
+    return code, err.getvalue()
+
+
+def _outputs(out: Path) -> dict:
+    """The files a run wrote into ``out``, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "config.txt"}
+
+
+@settings(PROPERTY, max_examples=120)
+@given(case=_config_texts())
+@example(case=("fringes", "sigma = 0.2\ng = 2\nphi = 1, 0, 2, 3\n", []))
+@example(case=("fringes", "sigma = 0.2\ng = 2\nphi = 0, 0, 1, 2\n", []))
+@example(case=("hom", "theta = 0, 1e308\n", []))
+@example(case=("sobol", "seed = 3\nloss_max = 1e-17\n", []))
+@example(case=("sobol", "seed = 3\nloss_min = 0.9999999999999999\nloss_max = 1\n", []))
+def test_cli_keeps_its_contract(case):
+    experiment, text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _main(experiment, text, argv, Path(tmp) / "first")
+        assert code in (0, 2, 3), err
+        where = r"error: (line \d+: |--seed: |default for )"
+        for line in err.splitlines():
+            assert line.startswith("note: ") or re.match(where, line), line
+        outputs = _outputs(Path(tmp) / "first")
+        if code != 0:
+            assert not outputs
+            return
+        again = _main(experiment, text, argv, Path(tmp) / "again")
+        assert again == (code, err)
+        assert _outputs(Path(tmp) / "again") == outputs
+
+
+# ---------------------------------------------------------------------------
+# the library's numeric domain
+# ---------------------------------------------------------------------------
+
+#: numbers across every limit of the public entry points, and beyond them
+_NUMBERS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, _MIN_TAU, 1e-25, _MIN_GAIN, 1e-16, 0.05, 0.5,
+     1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, _MAX_GAIN, 1e150, 1e200, 1e307, 1e308,
+     1.7976931348623157e308, -1.0, math.nan, math.inf, -math.inf,
+     math.nextafter(_MIN_TAU, 0.0), math.nextafter(_MIN_GAIN, 0.0),
+     math.nextafter(_MAX_GAIN, math.inf)]
+) | st.floats()
+_LOSS = st.sampled_from([0.0, 0.5, 0.99, 1.0 - 2**-53, 1.0, -0.0, -5e-324, math.nan])
+
+
+def _numbers_in(result) -> list:
+    """Every number in a result: its fields, items and array entries."""
+    if dataclasses.is_dataclass(result):
+        fields = dataclasses.fields(result)
+        return _numbers_in([getattr(result, field.name) for field in fields])
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _numbers_in(item)]
+    return np.asarray(result).ravel().tolist()
+
+
+_ENTRY_POINTS = {
+    "run_two_scissor": lambda x, y, z, p: run_two_scissor([x, y], z, p),
+    "two_photon_gain": lambda x, y, z, p: two_photon_gain(x, y),
+    "amplified_mixture_closed_form": lambda x, y, z, p: (
+        amplified_mixture_closed_form(x, y)
+    ),
+    "simulate_gain_measurement": lambda x, y, z, p: simulate_gain_measurement(
+        x, y, z > 0.5, p
+    ),
+    "measured_two_photon_gain": lambda x, y, z, p: measured_two_photon_gain(x, y, p),
+    "fringe_scan": lambda x, y, z, p: fringe_scan(x, y, p, [0.0, z]),
+    "negativity_curve": lambda x, y, z, p: negativity_curve(x, [y, z]),
+}
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    entry=st.sampled_from(sorted(_ENTRY_POINTS)),
+    x=_NUMBERS,
+    y=_NUMBERS,
+    z=_NUMBERS,
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+)
+@example(entry="run_two_scissor", x=1e308, y=1e308, z=1.0, pattern=(1, 1, 0))
+@example(entry="fringe_scan", x=0.2, y=2.0, z=1e308, pattern=(1, 1, 0))
+@example(entry="negativity_curve", x=0.5, y=1e300, z=1.0, pattern=(1, 1, 0))
+@example(entry="simulate_gain_measurement", x=1e-120, y=1.0, z=1.0, pattern=(1, 1, 0))
+@example(entry="measured_two_photon_gain", x=1e-300, y=1.0, z=1.0, pattern=(1, 1, 0))
+@example(entry="two_photon_gain", x=0.5, y=1e200, z=1.0, pattern=(1, 1, 0))
+@example(entry="two_photon_gain", x=1.0, y=0.0, z=1.0, pattern=(1, 1, 0))
+def test_public_calls_return_finite_numbers_or_raise_value_error(
+    entry, x, y, z, pattern
+):
+    try:
+        result = _ENTRY_POINTS[entry](x, y, z, pattern)
+    except ValueError:
+        return
+    assert all(cmath.isfinite(v) for v in _numbers_in(result)), result
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    g=_NUMBERS,
+    tau=_NUMBERS,
+    losses=st.lists(_LOSS, min_size=14, max_size=14),
+    bounds=st.tuples(_LOSS, _LOSS),
+    n_base=st.sampled_from([-1, 1, 2, 8, 10**5 + 1]),
+    resamples=st.sampled_from([0, 1, 2, 4, 10**5 + 1]),
+)
+@example(g=0.0, tau=1.0, losses=[0.0] * 14, bounds=(0.0, 0.5), n_base=8, resamples=2)
+@example(g=2.0, tau=0.05, losses=[1.0] * 14, bounds=(0.5, 1.0), n_base=8, resamples=2)
+def test_loss_model_and_sweep_return_finite_numbers_or_raise_value_error(
+    g, tau, losses, bounds, n_base, resamples
+):
+    calls = [
+        lambda: lossy_gain_model(g, tau, losses),
+        lambda: sensitivity_sweep(
+            [g], tau, n_base=n_base, bounds=bounds, bootstrap_resamples=resamples
+        ),
+    ]
+    for call in calls:
+        try:
+            result = call()
+        except ValueError:
+            continue
+        assert all(cmath.isfinite(v) for v in _numbers_in(result)), result

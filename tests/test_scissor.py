@@ -93,7 +93,7 @@ def test_gain_to_transmittance_rejects_negative():
     ],
 )
 def test_closed_forms_reject_bad_gain(closed_form, g):
-    with pytest.raises(ValueError, match="gain must be non-negative and finite"):
+    with pytest.raises(ValueError, match=r"outside \[0\.0, 1000000\.0\]"):
         closed_form(g)
 
 
@@ -320,15 +320,31 @@ def test_rejects_empty_nested_or_zero_inputs(amplitudes, message):
 
 def test_three_photon_component_cannot_herald():
     # a pure |3> can never satisfy a two-photon herald
-    with pytest.raises(ValueError, match="zero probability"):
+    with pytest.raises(ValueError, match="c0, c1, c2 are all zero: nothing can be"):
         run_two_scissor([0.0, 0.0, 0.0, 1.0], 2.0)
 
 
 def test_underflowing_herald_probability_is_not_called_zero():
-    # the conditional state ~1e-170 |0> is nonzero; only its squared norm
-    # (about 1e-341) falls below the smallest subnormal
-    with pytest.raises(ValueError, match="herald probability underflows"):
+    # the conditional state ~1e-170 |0> is nonzero, but its squared norm
+    # (about 1e-341) would fall below the smallest subnormal; the input check
+    # says so before the amplifier runs
+    with pytest.raises(ValueError, match="c0, c1, c2 too small to herald at g = 1.0"):
         run_two_scissor([1e-170, 0.0, 0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ([math.nan], r"must be finite, got \[\(nan\+0j\)\]"),
+        ([math.inf, 1.0], r"must be finite, got \[\(inf\+0j\), \(1\+0j\)\]"),
+        # |c|^2 would overflow
+        ([1e308, 1e308], r"max \|c\| = 1e\+308 outside \[1e-150, 1e\+150\]"),
+    ],
+    ids=["nan", "inf", "huge"],
+)
+def test_rejects_non_finite_or_huge_inputs(amplitudes, message):
+    with pytest.raises(ValueError, match=message):
+        run_two_scissor(amplitudes, 1.0)
 
 
 def test_truncation_weight_reported_and_output_clean():
@@ -413,13 +429,14 @@ def test_two_photon_gain_values():
 
 
 def test_two_photon_gain_rejects_tau_zero():
-    with pytest.raises(ValueError, match="two-photon"):
+    with pytest.raises(ValueError, match=r"0\.0 outside \(0\.0, 1\.0\]"):
         two_photon_gain(0.0, 2.0)
 
 
 @pytest.mark.parametrize("closed_form", [amplified_mixture_closed_form, two_photon_gain])
 def test_closed_forms_name_an_overflowing_fourth_power(closed_form):
-    with pytest.raises(ValueError, match=r"gain 1e\+200: g\^4 overflows"):
+    # g^4 would overflow; the gain check rejects g above 1e6 first
+    with pytest.raises(ValueError, match=r"1e\+200 outside \[0\.0, 1000000\.0\]"):
         closed_form(0.5, 1e200)
 
 
@@ -471,8 +488,9 @@ def test_measured_gain_matches_closed_form():
 
 @pytest.mark.parametrize("with_amplifier", [True, False])
 def test_gain_measurement_names_an_underflowing_two_photon_rate(with_amplifier):
-    # tau^2 = 1e-400 underflows to 0.0, which would make the gain 0/0 = nan
-    message = "tau = 1e-200: the two-photon coincidence rate underflows"
+    # tau^2 = 1e-400 would underflow to 0.0 and make the gain 0/0 = nan; the
+    # transmission check rejects tau below 1e-100 first
+    message = r"1e-200 outside \[1e-100, 1\.0\]"
     with pytest.raises(ValueError, match=message):
         simulate_gain_measurement(1e-200, 1.0, with_amplifier)
     with pytest.raises(ValueError, match=message):

@@ -420,7 +420,7 @@ def test_library_rejects_bad_gain_and_nan_loss(g, loss):
     with pytest.raises(ValueError):
         lossy_gain_model(g, 0.05, np.full(14, loss))
     if not math.isnan(loss):
-        with pytest.raises(ValueError, match="gain"):
+        with pytest.raises(ValueError, match=r"outside \[0\.0, 1000000\.0\]"):
             scissor.heralded_amplify(fock_state((1,), cutoff=2), 0, g, (1, 1, 0))
 
 
@@ -475,7 +475,7 @@ def test_batch_matches_scalar_calls():
 def test_loss_model_validates_input():
     with pytest.raises(ValueError, match="14"):
         lossy_gain_model(2.0, 0.05, np.zeros(5))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
         lossy_gain_model(2.0, 0.05, np.full(14, 1.2))
     with pytest.raises(ValueError):
         lossy_gain_model(-1.0, 0.05, np.zeros(14))
