@@ -148,7 +148,9 @@ def fringe_scan(
     """
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 101)
-    phases = _check_phases(list(phases))
+    # a copy, so the scan never shares the caller's array
+    is_array = isinstance(phases, np.ndarray)
+    phases = _check_phases(np.array(phases, dtype=float) if is_array else list(phases))
 
     # k = photons in the transmitted arm, which is amplified
     pattern = _check_pattern(pattern)

@@ -280,6 +280,21 @@ def test_fringe_scan_matches_per_phase_evolution(pattern):
     np.testing.assert_allclose(scan.values, expected, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
+def test_fringe_scan_bits_do_not_depend_on_the_grid_container(pattern):
+    """One phase grid as a list, a float array or a generator scans to the
+    same bits, and the scan keeps a copy of an array it is passed."""
+    grid = np.linspace(0.0, 2 * np.pi, 37)
+    reference = fringe_scan(0.2, 2.0, pattern, grid.tolist())
+    from_array = fringe_scan(0.2, 2.0, pattern, grid)
+    from_generator = fringe_scan(0.2, 2.0, pattern, (phi for phi in grid.tolist()))
+    for scan in (from_array, from_generator):
+        assert scan.phases.tobytes() == reference.phases.tobytes()
+        assert scan.values.tobytes() == reference.values.tobytes()
+    grid += 1.0
+    assert from_array.phases.tobytes() == reference.phases.tobytes()
+
+
 def test_fringe_values_nonnegative_and_periodic():
     scan = fringe_scan(0.3, 1.0)
     assert np.all(scan.values >= -1e-12)

@@ -15,7 +15,7 @@ import pytest
 
 import qscissor
 from oracles import expand_columns, write_rows
-from qscissor import cli, fock, scissor
+from qscissor import cli, fock, scissor, sensitivity
 from qscissor.cli import ConfigError, main, parse_config_text, resolve_config
 from qscissor.scissor import two_photon_gain
 
@@ -643,7 +643,7 @@ def test_writer_memory_is_one_block(tmp_path):
             tracemalloc.stop()
     assert max(peaks) < 3 * 2**20, peaks
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
-    assert peaks[1] < 0.5 * 2**20, peaks  # a block joined into one string: 0.69 MB
+    assert peaks[1] < 0.5 * 2**20, peaks  # a block joined into one string: 0.21 MiB
 
 
 def test_indexed_writer_memory_follows_distinct_values_not_rows(tmp_path):
@@ -673,14 +673,43 @@ def test_indexed_writer_memory_follows_distinct_values_not_rows(tmp_path):
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
 
 
+def test_indexed_values_are_formatted_a_block_at_a_time():
+    """Formatting 2 x 10^5 indexed values holds their cells and one block of
+    intermediates, not a Python float and a string list for every value."""
+    values = np.linspace(0.0, 2.0 * np.pi, 200_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cells = cli._formatted(values, 3)
+        kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert cells.tolist() == list(map(repr, values.tolist()))
+    assert peak - kept < 2**20, (peak, kept)  # all values at once: 6.1 MiB
+
+
+_DOC_BOUNDS = {
+    ("gain-sweep", "tau"): f"[{scissor._MIN_TAU:g}, 1]",
+    ("sobol", "tau"): f"[{scissor._MIN_TAU:g}, 1]",
+    ("sobol", "n_base"): f"[2, {sensitivity._MAX_N_BASE}]",
+    ("sobol", "bootstrap"): f"[2, {sensitivity._MAX_BOOTSTRAP}]",
+}
+
+
+@pytest.mark.parametrize("experiment, key", _DOC_BOUNDS)
+def test_schema_docs_state_the_library_bounds(experiment, key):
+    assert _DOC_BOUNDS[experiment, key] in cli.SCHEMAS[experiment][key].doc
+
+
 def test_fringes_dense_writer_matches_row_writer(tmp_path):
-    """The benchmark's fringes config, three blocks with a partial last one,
-    written byte for byte as the per-row reference writer writes it."""
+    """The benchmark's fringes config, more than two blocks and a partial last
+    one, written byte for byte as the per-row reference writer writes it."""
     text = (PERFBENCH / "configs" / "fringes-dense.conf").read_text()
     cfg = resolve_config("fringes", parse_config_text(text), None)
     header, columns = cli._RUNNERS["fringes"](cfg)
     expanded = expand_columns(columns)
-    assert 2 * cli._BLOCK_ROWS < len(expanded[0]) < 3 * cli._BLOCK_ROWS
+    rows = len(expanded[0])
+    assert rows > 2 * cli._BLOCK_ROWS and rows % cli._BLOCK_ROWS
     csv_path, _ = cli.write_results(
         tmp_path / "out", "fringes", header, columns, cfg, text
     )
