@@ -131,23 +131,21 @@ class FringeScan:
 def fringe_scan(
     sigma: float,
     g: float,
-    pattern: Sequence[int] = (1, 1, 0),
-    phases: Sequence[float] | None = None,
+    pattern: Sequence[int],
+    phases: Sequence[float],
 ) -> FringeScan:
     """Simulate the coherence interferometer end to end.
 
     A photon pair is split with transmission ``sigma``; the transmitted arm
     is amplified (conditioned on ``pattern``), then reference and output
     are recombined on a balanced splitter after the output arm picks up a
-    variable phase.  The value at each phase is the conditional probability
-    of a coincidence across the two recombiner outputs.
+    variable phase.  The value at each of ``phases`` is the conditional
+    probability of a coincidence across the two recombiner outputs.
 
     Only the |2,0> and |0,2> path components reach the coincidence outcome
     (the |1,1> part bunches), so the fringe oscillates at twice the scanned
     phase and its visibility measures the |2,0| / |0,2| balance.
     """
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 101)
     # a copy, so the scan never shares the caller's array
     is_array = isinstance(phases, np.ndarray)
     phases = _check_phases(np.array(phases, dtype=float) if is_array else list(phases))

@@ -6,10 +6,10 @@ Conventions used throughout the package:
   single-photon amplitude ``U[j, i]`` (columns are inputs, rows outputs).
   In the Heisenberg picture creation operators transform as
   ``a_i^dag -> sum_j U[j, i] a_j^dag``.
-* A beam splitter with transmittance ``eta`` and phase ``phi`` is
+* A beam splitter with transmittance ``eta`` is
 
-      [[ sqrt(eta),            sqrt(1-eta) e^{+i phi}],
-       [ sqrt(1-eta) e^{-i phi},  -sqrt(eta)         ]]
+      [[ sqrt(eta),    sqrt(1-eta)],
+       [ sqrt(1-eta),  -sqrt(eta) ]]
 
   so ``|U00|^2 = eta``.  All herald-phase statements elsewhere in the
   package are relative to this fixed convention.
@@ -107,14 +107,12 @@ class BeamSplitter:
     mode_a: int
     mode_b: int
     transmittance: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError(f"transmittance {self.transmittance} outside [0, 1]")
         if self.mode_a == self.mode_b:
             raise ValueError("beam splitter needs two distinct modes")
-        object.__setattr__(self, "phase", self.phase % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -129,18 +127,13 @@ class PhaseShift:
 CircuitElement = BeamSplitter | PhaseShift
 
 
-def beam_splitter_unitary(transmittance: float, phase: float = 0.0) -> ModeUnitary:
+def beam_splitter_unitary(transmittance: float) -> ModeUnitary:
     """2x2 splitter matrix in the package convention (see module docstring)."""
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance {transmittance} outside [0, 1]")
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
-    return ModeUnitary(
-        np.array(
-            [[t, r * np.exp(1j * phase)], [r * np.exp(-1j * phase), -t]],
-            dtype=complex,
-        )
-    )
+    return ModeUnitary(np.array([[t, r], [r, -t]], dtype=complex))
 
 
 def embed_unitary(u: ModeUnitary, target_modes: Sequence[int], modes: int) -> ModeUnitary:
@@ -167,7 +160,7 @@ def compile_circuit(elements: Iterable[CircuitElement], modes: int) -> ModeUnita
     total = np.eye(modes, dtype=complex)
     for element in elements:
         if isinstance(element, BeamSplitter):
-            local = beam_splitter_unitary(element.transmittance, element.phase)
+            local = beam_splitter_unitary(element.transmittance)
             targets = (element.mode_a, element.mode_b)
         elif isinstance(element, PhaseShift):
             local = ModeUnitary([[np.exp(1j * element.angle)]])

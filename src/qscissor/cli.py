@@ -53,9 +53,6 @@ _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
 
 EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
 
-#: experiments whose outputs involve random sampling and need a seed
-STOCHASTIC_EXPERIMENTS = ("sobol",)
-
 
 class ConfigError(Exception):
     """Invalid configuration; carries one message per violated constraint."""
@@ -585,8 +582,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
@@ -615,9 +610,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_entries(path: str) -> tuple[dict, str]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise ConfigError(f"line {line}: config {path} is not UTF-8 text: {exc.reason}")
     return parse_config_text(text), text
 
 
@@ -652,9 +650,8 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 2
 
-    if experiment not in STOCHASTIC_EXPERIMENTS and (
-        args.seed is not None or "seed" in entries
-    ):
+    # resolve_config already rejected a seed key in a deterministic experiment's file
+    if "seed" not in SCHEMAS[experiment] and args.seed is not None:
         print(
             f"note: experiment {experiment!r} is deterministic; ignoring seed",
             file=sys.stderr,

@@ -260,9 +260,7 @@ class ScissorOutcome:
     truncation_weight: float
 
 
-def run_two_scissor(
-    amplitudes, g: float, pattern: Sequence[int] = (1, 1, 0)
-) -> ScissorOutcome:
+def run_two_scissor(amplitudes, g: float, pattern: Sequence[int]) -> ScissorOutcome:
     """Full circuit simulation of the amplifier on a single-mode pure input.
 
     ``amplitudes`` holds the input's photon-number amplitudes c_0, c_1, ...,
@@ -383,7 +381,7 @@ def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, flo
 
 
 def simulate_gain_measurement(
-    tau: float, g: float, with_amplifier: bool, pattern: Sequence[int] = (1, 1, 0)
+    tau: float, g: float, with_amplifier: bool, pattern: Sequence[int]
 ) -> GainMeasurement:
     """Expected coincidence rates of the intensity-gain measurement.
 
@@ -414,9 +412,7 @@ def simulate_gain_measurement(
     )
 
 
-def measured_two_photon_gain(
-    tau: float, g: float, pattern: Sequence[int] = (1, 1, 0)
-) -> float:
+def measured_two_photon_gain(tau: float, g: float, pattern: Sequence[int]) -> float:
     """Gain estimate from the counting model: on/off ratio of rho_22."""
     on = simulate_gain_measurement(tau, g, with_amplifier=True, pattern=pattern)
     off = simulate_gain_measurement(tau, g, with_amplifier=False, pattern=pattern)

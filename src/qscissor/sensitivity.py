@@ -530,7 +530,7 @@ def lossy_gain_model(
     g: float,
     tau: float,
     losses: Sequence[float] | np.ndarray,
-    pattern: Sequence[int] = (1, 1, 0),
+    pattern: Sequence[int],
 ) -> float | np.ndarray:
     """Measured two-photon gain with losses inserted across the setup.
 
@@ -559,8 +559,6 @@ def lossy_gain_model(
 # ---------------------------------------------------------------------------
 # Saltelli sampling and first-order index estimation
 # ---------------------------------------------------------------------------
-
-DEFAULT_LOSS_RANGE = (0.0, 0.5)
 
 #: bytes of one block of bootstrap draw counts (float64 [resamples, n_base]),
 #: and of the bootstrap inputs the gains sharing one pass hold together
@@ -637,7 +635,7 @@ def saltelli_sample(
     n_base: int,
     dims: int,
     seed: int,
-    bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
+    bounds: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample matrices A, B and the column-swapped hybrids A_B^(i).
 
@@ -668,9 +666,9 @@ def first_order_indices(
     model: Callable,
     n_base: int,
     seed: int,
-    dims: int = 14,
-    bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
-    bootstrap_resamples: int = 1000,
+    dims: int,
+    bounds: tuple[float, float],
+    bootstrap_resamples: int,
 ) -> SobolResult:
     """Estimate first-order Sobol indices of ``model`` by Saltelli sampling.
 
@@ -838,12 +836,12 @@ def _design_values(gains, tau, a, b, pattern: tuple) -> list:
 
 def sensitivity_sweep(
     g_grid: Sequence[float],
-    tau: float = 0.05,
-    n_base: int = 3840,
-    seed: int = 0,
-    bounds: tuple[float, float] = DEFAULT_LOSS_RANGE,
-    pattern: Sequence[int] = (1, 1, 0),
-    bootstrap_resamples: int = 1000,
+    tau: float,
+    n_base: int,
+    seed: int,
+    bounds: tuple[float, float],
+    pattern: Sequence[int],
+    bootstrap_resamples: int,
 ) -> list[SweepEntry]:
     """First-order indices of the loss model at each gain on the grid, one
     per point of ``LOSS_POINTS``.

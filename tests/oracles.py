@@ -369,11 +369,11 @@ def full_circuit_amplify(state, signal_mode, g, pattern, mixer, splitter_phase=0
     """
     total = state.modes + 3
     res, out, aux = state.modes, state.modes + 1, state.modes + 2
-    splitter = embed_unitary(
-        beam_splitter_unitary(gain_to_transmittance(g), splitter_phase),
-        (res, out),
-        total,
-    )
+    # [[t, r e^{i phase}], [r e^{-i phase}, -t]]: the package's splitter
+    # between phase shifts of the output port
+    turn = np.diag([1.0, np.exp(1j * splitter_phase)])
+    phased = turn.conj() @ beam_splitter_unitary(gain_to_transmittance(g)).matrix @ turn
+    splitter = embed_unitary(ModeUnitary(phased), (res, out), total)
     mixing = embed_unitary(mixer, (signal_mode, res, aux), total)
     extended = tensor(state, fock_state((2, 0, 0), cutoff=2))
     evolved = apply_mode_unitary(extended, mixing @ splitter)

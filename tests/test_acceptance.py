@@ -45,6 +45,14 @@ from qscissor.sensitivity import (
 )
 
 
+#: the CLI's defaults: the one herald pattern of gain-sweep and sobol, the
+#: fringes phi grid, and sobol's loss range and bootstrap resamples
+PATTERN = (1, 1, 0)
+PHASES = np.linspace(0.0, 2.0 * np.pi, 101)
+LOSS_RANGE = (0.0, 0.5)
+RESAMPLES = 1000
+
+
 def report(number, label):
     print(f"\n[acceptance] criterion {number} ({label}): PASS")
 
@@ -87,7 +95,7 @@ def test_criterion_2_gain_closed_form():
         assert two_photon_gain(0.05, g) == pytest.approx(
             normalization * g**4, abs=1e-15
         )
-        assert measured_two_photon_gain(0.05, g) == pytest.approx(
+        assert measured_two_photon_gain(0.05, g, PATTERN) == pytest.approx(
             two_photon_gain(0.05, g), rel=1e-9
         )
 
@@ -165,7 +173,7 @@ def test_criterion_3_negativity_values():
 
 def test_criterion_4_herald_phases_and_visibility():
     offsets = [
-        fit_visibility(fringe_scan(0.1, 3.0, pattern)).offset
+        fit_visibility(fringe_scan(0.1, 3.0, pattern, PHASES)).offset
         for pattern in SUCCESS_PATTERNS
     ]
     pairwise = [
@@ -178,7 +186,7 @@ def test_criterion_4_herald_phases_and_visibility():
                    abs(abs(delta) - 4 * np.pi / 3)) < 1e-6
 
     for sigma, g in ((0.5, 1.0), (0.2, 2.0), (0.1, 3.0)):
-        fit = fit_visibility(fringe_scan(sigma, g))
+        fit = fit_visibility(fringe_scan(sigma, g, PATTERN, PHASES))
         assert fit.visibility == pytest.approx(1.0, abs=1e-9)
     report(4, "herald phases and balanced-gain visibility")
 
@@ -209,8 +217,8 @@ def test_criterion_6_success_scaling():
     and for any other fixed input it is recovered by dividing out the
     amplified norm."""
     # vacuum input: herald probability * g^4 converges (to 2/9)
-    p20 = run_two_scissor([1.0], 20.0).success_probability
-    p40 = run_two_scissor([1.0], 40.0).success_probability
+    p20 = run_two_scissor([1.0], 20.0, PATTERN).success_probability
+    p40 = run_two_scissor([1.0], 40.0, PATTERN).success_probability
     v20, v40 = p20 * 20.0**4, p40 * 40.0**4
     assert abs(v40 - v20) / v20 < 0.01
 
@@ -219,7 +227,7 @@ def test_criterion_6_success_scaling():
     coeffs = np.ones(3) / math.sqrt(3.0)
 
     def prefactor(g):
-        p = run_two_scissor(coeffs, g).success_probability
+        p = run_two_scissor(coeffs, g, PATTERN).success_probability
         scaled_norm_sq = float(np.sum(np.abs(coeffs) ** 2 * g ** (2 * np.arange(3))))
         return p / scaled_norm_sq
 
@@ -244,7 +252,8 @@ def test_criterion_7_sobol_machinery():
     additive = lambda x: np.asarray(x) @ coeffs
     for seed in (10, 14, 30):
         res = first_order_indices(
-            additive, 4096, seed=seed, dims=4, bounds=(0.0, 1.0)
+            additive, 4096, seed=seed, dims=4, bounds=(0.0, 1.0),
+            bootstrap_resamples=RESAMPLES,
         )
         assert np.max(np.abs(res.indices - expected)) < 0.02
 
@@ -264,21 +273,26 @@ def test_criterion_7_sobol_machinery():
     total = v1 + v2 + 8.0 * b**2 * math.pi**8 / 225.0
     ishigami_expected = np.array([v1 / total, v2 / total, 0.0])
     res = first_order_indices(
-        ishigami, 8192, seed=3, dims=3, bounds=(-math.pi, math.pi)
+        ishigami, 8192, seed=3, dims=3, bounds=(-math.pi, math.pi),
+        bootstrap_resamples=RESAMPLES,
     )
     assert np.all(np.abs(res.indices - ishigami_expected) <= res.ci)
 
     # the published design size: 3840 base samples over 14 loss variables
     # cost exactly 61440 model evaluations
-    a_mat, b_mat, hybrids = saltelli_sample(3840, 14, seed=1)
+    a_mat, b_mat, hybrids = saltelli_sample(3840, 14, seed=1, bounds=LOSS_RANGE)
     assert a_mat.shape[0] + b_mat.shape[0] + hybrids.shape[0] * hybrids.shape[1] == 61440
     count_check = first_order_indices(
-        additive, 3840, seed=1, dims=4, bounds=(0.0, 1.0)
+        additive, 3840, seed=1, dims=4, bounds=(0.0, 1.0),
+        bootstrap_resamples=RESAMPLES,
     )
     assert count_check.evaluations == 3840 * 6
 
     # loss model at the full design size
-    entries = sensitivity_sweep([1.0, 2.0, 3.0], tau=0.05, n_base=3840, seed=2026)
+    entries = sensitivity_sweep(
+        [1.0, 2.0, 3.0], tau=0.05, n_base=3840, seed=2026, bounds=LOSS_RANGE,
+        pattern=PATTERN, bootstrap_resamples=RESAMPLES,
+    )
     names = [p.name for p in LOSS_POINTS]
     regions = [p.region for p in LOSS_POINTS]
     for entry in entries:

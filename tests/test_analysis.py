@@ -217,10 +217,13 @@ def test_hom_identity_on_grid():
 # fringes
 # ---------------------------------------------------------------------------
 
+#: the CLI's default phi grid, 101 points over one turn
+_PHASES = np.linspace(0.0, 2.0 * np.pi, 101)
+
 
 @pytest.mark.parametrize("sigma,g", [(0.5, 1.0), (0.2, 2.0), (0.1, 3.0)])
 def test_balanced_gain_gives_unit_visibility(sigma, g):
-    fit = fit_visibility(fringe_scan(sigma, g))
+    fit = fit_visibility(fringe_scan(sigma, g, (1, 1, 0), _PHASES))
     assert not fit.degenerate
     assert fit.visibility == pytest.approx(1.0, abs=1e-9)
 
@@ -230,14 +233,14 @@ def test_under_amplified_visibility_matches_imbalance():
     # so the expected contrast is 2ab / (a^2 + b^2)
     a, b = 0.9, 4.0 * 0.1
     expected = 2 * a * b / (a**2 + b**2)
-    fit = fit_visibility(fringe_scan(0.1, 2.0))
+    fit = fit_visibility(fringe_scan(0.1, 2.0, (1, 1, 0), _PHASES))
     assert fit.visibility == pytest.approx(expected, abs=1e-9)
     assert fit.visibility < 1.0
 
 
 def test_fringe_offsets_step_by_two_thirds_pi():
     offsets = [
-        fit_visibility(fringe_scan(0.1, 3.0, pattern)).offset
+        fit_visibility(fringe_scan(0.1, 3.0, pattern, _PHASES)).offset
         for pattern in SUCCESS_PATTERNS
     ]
     d01 = wrapped_angle_difference(offsets[1], offsets[0])
@@ -252,9 +255,9 @@ def test_fringe_offsets_step_by_two_thirds_pi():
 
 def test_fringe_scan_validates_arguments():
     with pytest.raises(ValueError):
-        fringe_scan(0.0, 1.0)
+        fringe_scan(0.0, 1.0, (1, 1, 0), _PHASES)
     with pytest.raises(ValueError):
-        fringe_scan(0.5, 1.0, (1, 1, 1))
+        fringe_scan(0.5, 1.0, (1, 1, 1), _PHASES)
 
 
 @pytest.mark.parametrize("pattern", SUCCESS_PATTERNS)
@@ -296,7 +299,7 @@ def test_fringe_scan_bits_do_not_depend_on_the_grid_container(pattern):
 
 
 def test_fringe_values_nonnegative_and_periodic():
-    scan = fringe_scan(0.3, 1.0)
+    scan = fringe_scan(0.3, 1.0, (1, 1, 0), _PHASES)
     assert np.all(scan.values >= -1e-12)
     assert scan.values[0] == pytest.approx(scan.values[-1], abs=1e-10)
 

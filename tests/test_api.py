@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import json
 import re
 import subprocess
@@ -13,27 +14,7 @@ import qscissor
 
 #: Every parameter with a default of a public callable, as "callable.parameter".
 #: A new option changes this set, so it is added here on purpose or not at all.
-OPTIONS = {
-    "BeamSplitter.phase",
-    "PureState.cutoff",
-    "beam_splitter_unitary.phase",
-    "first_order_indices.bootstrap_resamples",
-    "first_order_indices.bounds",
-    "first_order_indices.dims",
-    "fringe_scan.pattern",
-    "fringe_scan.phases",
-    "lossy_gain_model.pattern",
-    "measured_two_photon_gain.pattern",
-    "run_two_scissor.pattern",
-    "saltelli_sample.bounds",
-    "sensitivity_sweep.bootstrap_resamples",
-    "sensitivity_sweep.bounds",
-    "sensitivity_sweep.n_base",
-    "sensitivity_sweep.pattern",
-    "sensitivity_sweep.seed",
-    "sensitivity_sweep.tau",
-    "simulate_gain_measurement.pattern",
-}
+OPTIONS = {"PureState.cutoff"}
 
 
 def test_public_options_are_pinned():
@@ -50,7 +31,8 @@ def test_public_options_are_pinned():
 
 
 #: Names taken out of the package, as "<module>.<name>": moved to the test
-#: oracles, folded into ``project_pattern``, or replaced by ``LOSS_POINTS``.
+#: oracles, folded into ``project_pattern``, replaced by ``LOSS_POINTS``, or
+#: deleted with a default or an option that no caller set.
 #: ``run_two_scissor`` stays, on amplitude arrays; its dict-state form is the
 #: oracle ``dict_run_two_scissor``.
 REMOVED = (
@@ -65,6 +47,8 @@ REMOVED = (
     "fock.MixedState.photon_number_weights", "analysis.QutritPathState",
     "analysis.amplified_path_state", "fock.PureState.normalized",
     "fock.PureState.amplitude", "fock.PureState.total_photon_weight",
+    "circuit.BeamSplitter.phase", "sensitivity.DEFAULT_LOSS_RANGE",
+    "cli.STOCHASTIC_EXPERIMENTS",
 )
 
 
@@ -170,3 +154,16 @@ def test_never_run_reasons_hold():
             assert any(
                 other.endswith("." + caller[1]) for other in NEVER_RUN if other != name
             ), name
+
+
+def test_readme_entry_point_table_matches_the_signatures():
+    # each `name(arg, ...)` cell of the domain table lists the function's
+    # parameters, so the table cannot go stale when a signature changes
+    readme = (Path(qscissor.__file__).parents[2] / "README.md").read_text()
+    section = readme.split("Each public entry point checks its own domain", 1)[1]
+    rows = re.search(r"\n((?:\|.*\n)+)", section)[1].splitlines()[2:]
+    cells = [re.findall(r"`(\w+)\(([^)]*)\)`", row.split("|")[1]) for row in rows]
+    assert all(cells), rows
+    for name, arguments in itertools.chain.from_iterable(cells):
+        listed = [argument.strip() for argument in arguments.split(",")]
+        assert listed == list(inspect.signature(getattr(qscissor, name)).parameters), name

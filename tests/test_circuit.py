@@ -102,13 +102,13 @@ def test_permanent_rejects_non_square():
 
 
 def test_beam_splitter_full_transmission():
-    u = beam_splitter_unitary(1.0, 0.0).matrix
+    u = beam_splitter_unitary(1.0).matrix
     assert abs(u[0, 0]) ** 2 == pytest.approx(1.0)
     assert np.allclose(u, np.diag([1.0, -1.0]))
 
 
 def test_beam_splitter_balanced_magnitudes():
-    u = beam_splitter_unitary(0.5, 0.0).matrix
+    u = beam_splitter_unitary(0.5).matrix
     assert np.allclose(np.abs(u), 1 / np.sqrt(2))
 
 
@@ -116,8 +116,7 @@ def test_beam_splitter_unitarity_random():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         eta = rng.uniform(0.0, 1.0)
-        phase = rng.uniform(0.0, 2 * np.pi)
-        u = beam_splitter_unitary(eta, phase).matrix
+        u = beam_splitter_unitary(eta).matrix
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
@@ -197,9 +196,6 @@ def test_compile_tritter_equals_hand_embedded_product():
 
 def test_phase_angles_reduced_mod_two_pi():
     assert PhaseShift(0, 5 * np.pi).angle == pytest.approx(np.pi)
-    assert BeamSplitter(0, 1, 0.5, phase=-np.pi / 2).phase == pytest.approx(
-        3 * np.pi / 2
-    )
 
 
 def test_tritter_equals_qft_up_to_diagonal_phases():
@@ -226,7 +222,7 @@ def test_fock_amplitude_photon_number_conservation():
 
 
 def test_hom_cancellation_and_bunching():
-    u = beam_splitter_unitary(0.5, 0.0)
+    u = beam_splitter_unitary(0.5)
     assert fock_amplitude(u, (1, 1), (1, 1)) == pytest.approx(0.0, abs=1e-15)
     assert fock_amplitude(u, (1, 1), (2, 0)) == pytest.approx(1 / np.sqrt(2))
     assert fock_amplitude(u, (1, 1), (0, 2)) == pytest.approx(-1 / np.sqrt(2))

@@ -28,6 +28,19 @@ def write_config(tmp_path, text, name="config.txt"):
     return str(path)
 
 
+def run_module(tmp_path, *args):
+    """``python -m qscissor *args --out tmp_path`` in a child that imports the
+    package this test imported, installed or not."""
+    source = str(Path(qscissor.__file__).parents[1])
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, "-m", "qscissor", *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -230,6 +243,8 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 3: phi: phase grid must be 1-d, each phase in [-1e+307, 1e+307]"),
         ("hom", "theta = 0, 1e308\n", [], 2,
          "line 1: theta: 1e+308 outside [-1e+307, 1e+307]"),
+        # a deterministic experiment's schema has no seed key
+        ("hom", "seed = 3\n", [], 2, "line 1: unknown key 'seed'"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -246,6 +261,27 @@ def test_non_finite_values_and_bad_seeds_exit_2(
 def test_missing_config_file(tmp_path, capsys):
     assert main(["hom", "--config", str(tmp_path / "nope.txt")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2_on_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"g = 1\xff\n")
+    result = run_module(tmp_path, "scissor", "--config", str(path))
+    assert result.returncode == 2
+    assert "error: line 1: " in result.stderr
+    assert "Traceback" not in result.stderr
+    # a truncated multi-byte character, after two CRLF line ends
+    path.write_bytes(b"g = 1\r\n\r\ninput_coeffs = 1, \xe2\x88\r\n")
+    assert main(["scissor", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: line 3: " in capsys.readouterr().err
+
+
+def test_crlf_config_hashes_as_its_lf_text(tmp_path):
+    path = tmp_path / "crlf.conf"
+    path.write_bytes(b"theta = 0:1.6:0.4\r\n")
+    assert main(["hom", "--config", str(path), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "hom.meta.json").read_text())
+    assert meta["config_sha256"] == hashlib.sha256(b"theta = 0:1.6:0.4\n").hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +591,7 @@ def test_byte_identical_fringes_reruns(tmp_path):
 
 def test_console_module_entry_point(tmp_path):
     path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
-    # the child imports the package this test imported, installed or not
-    source = str(Path(qscissor.__file__).parents[1])
-    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
-    result = subprocess.run(
-        [sys.executable, "-m", "qscissor", "hom", "--config", path,
-         "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-    )
+    result = run_module(tmp_path, "hom", "--config", path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "hom.csv").exists()
 

@@ -216,7 +216,10 @@ def test_zero_loss_gain_model_is_two_photon_gain(g, tau, pattern):
     assert measured == pytest.approx(two_photon_gain(tau, g), rel=1e-12, abs=0.0)
 
 
-_SWEEP = dict(n_base=32, seed=5, bootstrap_resamples=10)
+_SWEEP = dict(
+    tau=0.05, n_base=32, seed=5, bounds=(0.0, 0.5), pattern=(1, 1, 0),
+    bootstrap_resamples=10,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,9 +593,10 @@ def test_loss_model_and_sweep_return_finite_numbers_or_raise_value_error(
     g, tau, losses, bounds, n_base, resamples
 ):
     calls = [
-        lambda: lossy_gain_model(g, tau, losses),
+        lambda: lossy_gain_model(g, tau, losses, (1, 1, 0)),
         lambda: sensitivity_sweep(
-            [g], tau, n_base=n_base, bounds=bounds, bootstrap_resamples=resamples
+            [g], tau, n_base=n_base, seed=0, bounds=bounds, pattern=(1, 1, 0),
+            bootstrap_resamples=resamples,
         ),
     ]
     for call in calls:

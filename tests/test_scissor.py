@@ -54,6 +54,7 @@ def fidelity(a, b) -> float:
 
 
 EQUAL = np.ones(3) / math.sqrt(3.0)  # (|0> + |1> + |2>) / sqrt(3)
+HERALD = (1, 1, 0)  # the CLI default of gain-sweep and sobol
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def test_ideal_transform_zero_gain_keeps_vacuum_only():
 
 
 def test_vacuum_is_fixed_point():
-    outcome = run_two_scissor([1.0, 0.0, 0.0], 2.0)
+    outcome = run_two_scissor([1.0, 0.0, 0.0], 2.0, HERALD)
     assert abs(outcome.output[0]) == pytest.approx(1.0)
     assert outcome.truncation_weight == 0.0
 
@@ -263,7 +264,7 @@ def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     out = run_two_scissor(EQUAL, 2.0, (1, 0, 1)).output
     assert fidelity(out, expected_output(EQUAL, 2.0, (1, 0, 1))) > 1 - 1e-10
-    assert measured_two_photon_gain(0.05, 3.0) == pytest.approx(
+    assert measured_two_photon_gain(0.05, 3.0, HERALD) == pytest.approx(
         two_photon_gain(0.05, 3.0), rel=1e-9
     )
     scan = analysis.fringe_scan(0.2, 2.0, (0, 1, 1), np.linspace(0.0, np.pi, 9))
@@ -306,7 +307,7 @@ def test_rejects_failure_pattern_and_bad_cutoff():
     with pytest.raises(ValueError, match="success pattern"):
         run_two_scissor([1.0, 0.0, 0.0], 1.0, (2, 0, 0))
     with pytest.raises(ValueError, match="cutoff"):
-        run_two_scissor([1.0] + [0.0] * 6, 1.0)
+        run_two_scissor([1.0] + [0.0] * 6, 1.0, HERALD)
 
 
 @pytest.mark.parametrize(
@@ -315,13 +316,13 @@ def test_rejects_failure_pattern_and_bad_cutoff():
 )
 def test_rejects_empty_nested_or_zero_inputs(amplitudes, message):
     with pytest.raises(ValueError, match=message):
-        run_two_scissor(amplitudes, 1.0)
+        run_two_scissor(amplitudes, 1.0, HERALD)
 
 
 def test_three_photon_component_cannot_herald():
     # a pure |3> can never satisfy a two-photon herald
     with pytest.raises(ValueError, match="c0, c1, c2 are all zero: nothing can be"):
-        run_two_scissor([0.0, 0.0, 0.0, 1.0], 2.0)
+        run_two_scissor([0.0, 0.0, 0.0, 1.0], 2.0, HERALD)
 
 
 def test_underflowing_herald_probability_is_not_called_zero():
@@ -329,7 +330,7 @@ def test_underflowing_herald_probability_is_not_called_zero():
     # (about 1e-341) would fall below the smallest subnormal; the input check
     # says so before the amplifier runs
     with pytest.raises(ValueError, match="c0, c1, c2 too small to herald at g = 1.0"):
-        run_two_scissor([1e-170, 0.0, 0.0, 1.0], 1.0)
+        run_two_scissor([1e-170, 0.0, 0.0, 1.0], 1.0, HERALD)
 
 
 @pytest.mark.parametrize(
@@ -344,11 +345,11 @@ def test_underflowing_herald_probability_is_not_called_zero():
 )
 def test_rejects_non_finite_or_huge_inputs(amplitudes, message):
     with pytest.raises(ValueError, match=message):
-        run_two_scissor(amplitudes, 1.0)
+        run_two_scissor(amplitudes, 1.0, HERALD)
 
 
 def test_truncation_weight_reported_and_output_clean():
-    outcome = run_two_scissor([1.0, 1.0, 0.0, 1.0], 1.5)
+    outcome = run_two_scissor([1.0, 1.0, 0.0, 1.0], 1.5, HERALD)
     assert outcome.truncation_weight == pytest.approx(1.0 / 3.0)
     assert outcome.output.shape == (3,)  # nothing above two photons
     # the conditional output is the renormalized amplified 0..2 part
@@ -380,14 +381,14 @@ def test_mixture_linearity():
 
 def test_success_probability_prefactor_scales_as_inverse_g4():
     # the vacuum success probability carries the protocol's g^-4 price tag
-    p20 = run_two_scissor([1.0], 20.0).success_probability
-    p40 = run_two_scissor([1.0], 40.0).success_probability
+    p20 = run_two_scissor([1.0], 20.0, HERALD).success_probability
+    p40 = run_two_scissor([1.0], 40.0, HERALD).success_probability
     assert p20 * 20.0**4 == pytest.approx(2.0 / 9.0, rel=2e-2)
     assert abs(p40 * 40.0**4 - p20 * 20.0**4) / (p20 * 20.0**4) < 0.01
 
 
 def test_g_zero_edge_truncates_to_vacuum():
-    outcome = run_two_scissor([0.6, 0.8], 0.0)
+    outcome = run_two_scissor([0.6, 0.8], 0.0, HERALD)
     assert abs(outcome.output[0]) == pytest.approx(1.0)
 
 
@@ -475,7 +476,7 @@ def test_pnr_pair_separates_half_the_time():
 
 
 def test_measured_gain_unit_gain_is_one():
-    assert measured_two_photon_gain(0.2, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert measured_two_photon_gain(0.2, 1.0, HERALD) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measured_gain_matches_closed_form():
@@ -492,13 +493,13 @@ def test_gain_measurement_names_an_underflowing_two_photon_rate(with_amplifier):
     # transmission check rejects tau below 1e-100 first
     message = r"1e-200 outside \[1e-100, 1\.0\]"
     with pytest.raises(ValueError, match=message):
-        simulate_gain_measurement(1e-200, 1.0, with_amplifier)
+        simulate_gain_measurement(1e-200, 1.0, with_amplifier, HERALD)
     with pytest.raises(ValueError, match=message):
-        measured_two_photon_gain(1e-200, 1.0)
+        measured_two_photon_gain(1e-200, 1.0, HERALD)
 
 
 def test_gain_measurement_off_normalization_cancels_heralds():
-    off = simulate_gain_measurement(0.3, 2.0, with_amplifier=False)
+    off = simulate_gain_measurement(0.3, 2.0, False, HERALD)
     assert off.rho22_estimate == pytest.approx(0.09, abs=1e-12)
     assert off.herald_probability == pytest.approx(2.0 / 9.0, abs=1e-12)
 
@@ -516,7 +517,8 @@ _PATTERN_ENTRY_POINTS = {
     "fringe_scan": lambda p: analysis.fringe_scan(0.2, 2.0, p, [0.0, 1.0]),
     "lossy_gain_model": lambda p: lossy_gain_model(1.5, 0.3, np.zeros(14), pattern=p),
     "sensitivity_sweep": lambda p: sensitivity_sweep(
-        [1.5], 0.3, n_base=8, pattern=p, bootstrap_resamples=2
+        [1.5], 0.3, n_base=8, seed=0, bounds=(0.0, 0.5), pattern=p,
+        bootstrap_resamples=2,
     ),
 }
 

@@ -33,6 +33,12 @@ from qscissor.sensitivity import (
     sensitivity_sweep,
 )
 
+#: the CLI's sobol defaults, passed wherever a test does not vary them
+TAU = 0.05
+PATTERN = (1, 1, 0)
+LOSS_RANGE = (0.0, 0.5)
+RESAMPLES = 1000
+
 
 # ---------------------------------------------------------------------------
 # layout
@@ -55,8 +61,8 @@ def test_layout_role_columns_compose():
     both, one = np.zeros(14), np.zeros(14)
     both[[2, 6]] = 0.2, 0.25
     one[2] = 1.0 - 0.8 * 0.75
-    combined = lossy_gain_model(2.0, 0.1, both)
-    single = lossy_gain_model(2.0, 0.1, one)
+    combined = lossy_gain_model(2.0, 0.1, both, pattern=PATTERN)
+    single = lossy_gain_model(2.0, 0.1, one, pattern=PATTERN)
     assert combined == pytest.approx(single, rel=1e-12)
 
 
@@ -66,7 +72,7 @@ def test_layout_role_columns_compose():
 
 
 def test_saltelli_shapes_and_evaluation_count():
-    a, b, hybrids = saltelli_sample(3840, 14, seed=1)
+    a, b, hybrids = saltelli_sample(3840, 14, seed=1, bounds=LOSS_RANGE)
     assert a.shape == (3840, 14)
     assert b.shape == (3840, 14)
     assert hybrids.shape == (14, 3840, 14)
@@ -75,7 +81,7 @@ def test_saltelli_shapes_and_evaluation_count():
 
 
 def test_saltelli_hybrid_differs_only_in_one_column():
-    a, b, hybrids = saltelli_sample(64, 5, seed=3)
+    a, b, hybrids = saltelli_sample(64, 5, seed=3, bounds=LOSS_RANGE)
     for i in range(5):
         assert np.array_equal(hybrids[i][:, i], b[:, i])
         mask = np.ones(5, dtype=bool)
@@ -93,9 +99,9 @@ def test_saltelli_deterministic_and_in_bounds():
 
 def test_saltelli_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        saltelli_sample(1, 3, seed=0)
+        saltelli_sample(1, 3, seed=0, bounds=LOSS_RANGE)
     with pytest.raises(ValueError):
-        saltelli_sample(8, 0, seed=0)
+        saltelli_sample(8, 0, seed=0, bounds=LOSS_RANGE)
     with pytest.raises(ValueError):
         saltelli_sample(8, 3, seed=0, bounds=(1.0, 0.0))
 
@@ -128,7 +134,8 @@ def test_additive_model_indices_match_analytic():
     expected = coeffs**2 / np.sum(coeffs**2)
     for seed in (10, 14, 30):
         res = first_order_indices(
-            additive_model(coeffs), 4096, seed=seed, dims=4, bounds=(0.0, 1.0)
+            additive_model(coeffs), 4096, seed=seed, dims=4, bounds=(0.0, 1.0),
+            bootstrap_resamples=RESAMPLES,
         )
         assert np.max(np.abs(res.indices - expected)) < 0.02
         assert np.all(np.abs(res.indices - expected) <= 3.0 * res.ci)
@@ -155,7 +162,8 @@ def test_ishigami_indices_within_confidence():
     assert expected[1] == pytest.approx(0.4424, abs=5e-4)
 
     res = first_order_indices(
-        ishigami, 8192, seed=7, dims=3, bounds=(-math.pi, math.pi)
+        ishigami, 8192, seed=7, dims=3, bounds=(-math.pi, math.pi),
+        bootstrap_resamples=RESAMPLES,
     )
     assert np.all(np.abs(res.indices - expected) <= 3.0 * res.ci)
     assert np.max(np.abs(res.indices - expected)) < 0.05
@@ -163,7 +171,10 @@ def test_ishigami_indices_within_confidence():
 
 def test_constant_model_raises():
     with pytest.raises(ValueError, match="zero variance"):
-        first_order_indices(lambda x: np.ones(len(x)), 64, seed=0, dims=3)
+        first_order_indices(
+            lambda x: np.ones(len(x)), 64, seed=0, dims=3, bounds=LOSS_RANGE,
+            bootstrap_resamples=RESAMPLES,
+        )
 
 
 @pytest.mark.parametrize("resamples", [0, 1, -3])
@@ -173,17 +184,21 @@ def test_library_rejects_fewer_than_two_resamples(resamples):
     message = f"at least 2, got {resamples}"
     with pytest.raises(ValueError, match=message):
         first_order_indices(
-            additive_model([1.0, 2.0]), 64, seed=0, dims=2,
+            additive_model([1.0, 2.0]), 64, seed=0, dims=2, bounds=LOSS_RANGE,
             bootstrap_resamples=resamples,
         )
     with pytest.raises(ValueError, match=message):
-        sensitivity_sweep([1.0], n_base=64, bootstrap_resamples=resamples)
+        sensitivity_sweep(
+            [1.0], TAU, n_base=64, seed=0, bounds=LOSS_RANGE, pattern=PATTERN,
+            bootstrap_resamples=resamples,
+        )
 
 
 def test_estimator_bitwise_deterministic():
     model = additive_model(np.array([1.0, 2.0, 3.0]))
-    r1 = first_order_indices(model, 256, seed=11, dims=3)
-    r2 = first_order_indices(model, 256, seed=11, dims=3)
+    kwargs = dict(seed=11, dims=3, bounds=LOSS_RANGE, bootstrap_resamples=RESAMPLES)
+    r1 = first_order_indices(model, 256, **kwargs)
+    r2 = first_order_indices(model, 256, **kwargs)
     assert np.array_equal(r1.indices, r2.indices)
     assert np.array_equal(r1.ci, r2.ci)
 
@@ -231,8 +246,10 @@ def test_blocked_bootstrap_matches_per_resample_loop(model, n_base, dims, blocks
     block = sensitivity._BOOTSTRAP_BLOCK_BYTES // (8 * n_base)
     assert -(-1000 // block) == blocks
     bounds = (0.0, 0.5)
-    res = first_order_indices(model, n_base, seed=19, dims=dims, bounds=bounds)
-    expected = reference_bootstrap_ci(model, n_base, 19, dims, bounds, 1000)
+    res = first_order_indices(
+        model, n_base, seed=19, dims=dims, bounds=bounds, bootstrap_resamples=RESAMPLES
+    )
+    expected = reference_bootstrap_ci(model, n_base, 19, dims, bounds, RESAMPLES)
     np.testing.assert_allclose(res.ci, expected, rtol=1e-12, atol=0.0)
 
 
@@ -418,7 +435,7 @@ def test_distinct_gains_build_no_tables():
 )
 def test_library_rejects_bad_gain_and_nan_loss(g, loss):
     with pytest.raises(ValueError):
-        lossy_gain_model(g, 0.05, np.full(14, loss))
+        lossy_gain_model(g, 0.05, np.full(14, loss), pattern=PATTERN)
     if not math.isnan(loss):
         with pytest.raises(ValueError, match=r"outside \[0\.0, 1000000\.0\]"):
             scissor.heralded_amplify(fock_state((1,), cutoff=2), 0, g, (1, 1, 0))
@@ -437,7 +454,7 @@ def test_zero_loss_fixed_point_over_grid():
 def test_input_post_prep_loss_composes_with_channel():
     losses = np.zeros(14)
     losses[0] = 0.25
-    assert lossy_gain_model(2.0, 0.1, losses) == pytest.approx(
+    assert lossy_gain_model(2.0, 0.1, losses, pattern=PATTERN) == pytest.approx(
         two_photon_gain(0.1 * 0.75, 2.0), rel=1e-10
     )
 
@@ -445,7 +462,7 @@ def test_input_post_prep_loss_composes_with_channel():
 def test_size_estimation_loss_inflates_gain():
     losses = np.zeros(14)
     losses[1] = 0.3  # input-side counting path (amplifier off)
-    inflated = lossy_gain_model(3.0, 0.05, losses)
+    inflated = lossy_gain_model(3.0, 0.05, losses, pattern=PATTERN)
     assert inflated > two_photon_gain(0.05, 3.0)
     # the input state only looks weaker: the bias is exactly (1 - L2)^-2
     assert inflated == pytest.approx(two_photon_gain(0.05, 3.0) / 0.7**2, rel=1e-10)
@@ -454,33 +471,33 @@ def test_size_estimation_loss_inflates_gain():
 def test_output_loss_reduces_gain():
     losses = np.zeros(14)
     losses[5] = 0.3  # output arm after amplification
-    reduced = lossy_gain_model(3.0, 0.05, losses)
+    reduced = lossy_gain_model(3.0, 0.05, losses, pattern=PATTERN)
     assert reduced == pytest.approx(two_photon_gain(0.05, 3.0) * 0.7**2, rel=1e-10)
 
 
 def test_ancilla_loss_reduces_gain():
     losses = np.zeros(14)
     losses[3] = 0.2  # resource beam after preparation
-    assert lossy_gain_model(3.0, 0.05, losses) < two_photon_gain(0.05, 3.0)
+    assert lossy_gain_model(3.0, 0.05, losses, PATTERN) < two_photon_gain(0.05, 3.0)
 
 
 def test_batch_matches_scalar_calls():
     rng = np.random.default_rng(9)
     batch = rng.uniform(0.0, 0.5, size=(8, 14))
-    batched = lossy_gain_model(2.0, 0.05, batch)
-    single = np.array([lossy_gain_model(2.0, 0.05, row) for row in batch])
+    batched = lossy_gain_model(2.0, 0.05, batch, pattern=PATTERN)
+    single = np.array([lossy_gain_model(2.0, 0.05, row, PATTERN) for row in batch])
     assert np.allclose(batched, single, rtol=1e-12)
 
 
 def test_loss_model_validates_input():
     with pytest.raises(ValueError, match="14"):
-        lossy_gain_model(2.0, 0.05, np.zeros(5))
+        lossy_gain_model(2.0, 0.05, np.zeros(5), pattern=PATTERN)
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        lossy_gain_model(2.0, 0.05, np.full(14, 1.2))
+        lossy_gain_model(2.0, 0.05, np.full(14, 1.2), pattern=PATTERN)
     with pytest.raises(ValueError):
-        lossy_gain_model(-1.0, 0.05, np.zeros(14))
+        lossy_gain_model(-1.0, 0.05, np.zeros(14), pattern=PATTERN)
     with pytest.raises(ValueError):
-        lossy_gain_model(2.0, 0.0, np.zeros(14))
+        lossy_gain_model(2.0, 0.0, np.zeros(14), pattern=PATTERN)
     with pytest.raises(ValueError, match="success pattern"):
         lossy_gain_model(2.0, 0.05, np.zeros(14), pattern=(2, 0, 0))
 
@@ -513,11 +530,12 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, dims):
     assert n_base % sensitivity._CHUNK != 0
     seen = record_design_values(monkeypatch)
     (entry,) = sensitivity_sweep(
-        [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
+        [g], TAU, n_base=n_base, seed=seed, bounds=LOSS_RANGE, pattern=pattern,
+        bootstrap_resamples=200,
     )
     expected = first_order_indices(
         make_gain_model(g, 0.05, pattern=pattern),
-        n_base, seed, dims=dims, bootstrap_resamples=200,
+        n_base, seed, dims=dims, bounds=LOSS_RANGE, bootstrap_resamples=200,
     )
     (swept, generic) = seen
     for got, want in zip(swept, generic):
@@ -527,7 +545,8 @@ def test_sweep_matches_generic_estimator(monkeypatch, pattern, dims):
     assert entry.result.evaluations == expected.evaluations == n_base * (dims + 2)
 
     (rerun,) = sensitivity_sweep(
-        [g], n_base=n_base, seed=seed, pattern=pattern, bootstrap_resamples=200
+        [g], TAU, n_base=n_base, seed=seed, bounds=LOSS_RANGE, pattern=pattern,
+        bootstrap_resamples=200,
     )
     assert rerun.result.indices.tobytes() == entry.result.indices.tobytes()
     assert rerun.result.ci.tobytes() == entry.result.ci.tobytes()
@@ -563,7 +582,8 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, dims, walked):
         monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", budget)
         rows = 0
         entries = sensitivity_sweep(
-            gains, n_base=n_base, seed=4, bootstrap_resamples=resamples
+            gains, TAU, n_base=n_base, seed=4, bounds=LOSS_RANGE, pattern=PATTERN,
+            bootstrap_resamples=resamples,
         )
         # once per design block and bootstrap group, whatever the number of gains
         assert rows == walked * n_base * groups
@@ -576,7 +596,9 @@ def test_reused_working_arrays_keep_no_state_between_sweeps(monkeypatch):
     # of the buffer the full chunks used
     n_base = 2 * sensitivity._CHUNK + 100
     seen = record_design_values(monkeypatch)
-    kwargs = dict(n_base=n_base, bootstrap_resamples=20)
+    kwargs = dict(
+        tau=TAU, n_base=n_base, bounds=LOSS_RANGE, pattern=PATTERN, bootstrap_resamples=20
+    )
     runs = [sensitivity_sweep([0.5, 2.0], seed=seed, **kwargs) for seed in (1, 2, 1)]
     first, second, again = (seen[2 * i : 2 * i + 2] for i in range(3))
     for before, after, other in zip(first, again, second):
@@ -589,7 +611,10 @@ def test_reused_working_arrays_keep_no_state_between_sweeps(monkeypatch):
 
 def test_sweep_rejects_an_empty_gain_grid():
     with pytest.raises(ValueError, match="gain grid"):
-        sensitivity_sweep([], tau=5.0, pattern=(2, 0, 0))
+        sensitivity_sweep(
+            [], tau=5.0, n_base=3840, seed=0, bounds=LOSS_RANGE, pattern=(2, 0, 0),
+            bootstrap_resamples=RESAMPLES,
+        )
 
 
 def test_role_classes_partition_loss_roles():
@@ -629,7 +654,10 @@ def test_sweep_prices_povm_pieces_by_role_class(monkeypatch, per_block):
     blocks = -(-n_base // sensitivity._CHUNK)
     for gains in ([2.0], [1.0, 3.0, 0.5]):  # per block, whatever the gains
         calls.update(dict.fromkeys(per_block, 0))
-        sensitivity_sweep(gains, n_base=n_base, seed=4, bootstrap_resamples=20)
+        sensitivity_sweep(
+            gains, TAU, n_base=n_base, seed=4, bounds=LOSS_RANGE, pattern=PATTERN,
+            bootstrap_resamples=20,
+        )
         assert calls == {key: count * blocks for key, count in per_block.items()}
 
 
@@ -657,7 +685,10 @@ def test_shared_bootstrap_draws_match_single_gain_sweeps(
     monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", group * held)
     sizes = record_group_sizes(monkeypatch)
     gains = [0.5, 1.0, 2.0, 3.0, 5.0]
-    kwargs = dict(n_base=n_base, seed=8, bootstrap_resamples=resamples)
+    kwargs = dict(
+        tau=TAU, n_base=n_base, seed=8, bounds=LOSS_RANGE, pattern=PATTERN,
+        bootstrap_resamples=resamples,
+    )
     shared = sensitivity_sweep(gains, **kwargs)
     assert sizes == expected_sizes
     for g, entry in zip(gains, shared):
@@ -674,12 +705,15 @@ def test_shared_bootstrap_draws_match_single_gain_sweeps(
 def test_sweep_memory_is_bounded_by_one_group():
     # at n_base 64 a gain holds about 125 KB through its bootstrap pass, so
     # 32 gains fill one budget and 40 gains take two passes
-    sensitivity_sweep([1.0], n_base=64, bootstrap_resamples=10)  # warm tables
+    kwargs = dict(n_base=64, bounds=LOSS_RANGE, pattern=PATTERN)
+    sensitivity_sweep([1.0], TAU, seed=0, bootstrap_resamples=10, **kwargs)  # warm tables
 
     def traced(gains):
         tracemalloc.start()
         try:
-            entries = sensitivity_sweep(gains, n_base=64, seed=3)
+            entries = sensitivity_sweep(
+                gains, TAU, seed=3, bootstrap_resamples=RESAMPLES, **kwargs
+            )
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -695,7 +729,8 @@ def test_sweep_memory_is_bounded_by_one_group():
 
 def test_sweep_qualitative_structure():
     entries = sensitivity_sweep(
-        [2.0, 3.0], tau=0.05, n_base=512, seed=2026, bootstrap_resamples=200
+        [2.0, 3.0], tau=0.05, n_base=512, seed=2026, bounds=LOSS_RANGE, pattern=PATTERN,
+        bootstrap_resamples=200,
     )
     names = [p.name for p in LOSS_POINTS]
     regions = [p.region for p in LOSS_POINTS]
