@@ -159,7 +159,7 @@ def test_never_run_reasons_hold():
 def test_readme_entry_point_table_matches_the_signatures():
     # each `name(arg, ...)` cell of the domain table lists the function's
     # parameters, so the table cannot go stale when a signature changes
-    readme = (Path(qscissor.__file__).parents[2] / "README.md").read_text()
+    readme = (Path(qscissor.__file__).parents[2] / "README.md").read_text("utf-8")
     section = readme.split("Each public entry point checks its own domain", 1)[1]
     rows = re.search(r"\n((?:\|.*\n)+)", section)[1].splitlines()[2:]
     cells = [re.findall(r"`(\w+)\(([^)]*)\)`", row.split("|")[1]) for row in rows]
