@@ -1,16 +1,17 @@
 """Batch experiment runner.
 
 Experiments are described by a flat key = value config file (grids written
-as ``start:stop:step``, lists as comma-separated values) and produce a CSV
-plus a JSON sidecar holding the fully resolved configuration, where a
-``start:stop:step`` grid appears as the rule that rebuilds its values.
-Outputs are byte identical for identical config and seed: floats are
-written in shortest round-trip form and no timestamps are recorded.  The
-CSV is written 1,024 rows at a time, each block joined into one string
-(about 0.2 MiB for three numeric columns).  A column that repeats its cells
-is passed as its values plus a row index; each of those values is formatted
-once and held for the whole write (about 70 MiB for a 10^6-point phase
-grid).  A failed write leaves neither file behind.
+as ``start:stop:step`` or comma lists, each held once as one float64 array)
+and produce a CSV plus a JSON sidecar holding the resolved configuration,
+where a ``start:stop:step`` grid appears as the rule that rebuilds its
+values.  A run's rows are the product of its grids; its checks cost work in
+proportion to grid points.  Outputs are byte identical for identical config
+and seed: floats are written in shortest round-trip form and no timestamps
+are recorded.  The CSV is written 1,024 rows at a time, each block joined
+into one string (about 0.2 MiB for three numeric columns).  A column that
+repeats its cells is passed as its values plus a row index; each value is
+formatted once and held for the whole write (about 70 MiB for a 10^6-point
+phase grid, beside its 8 MB array).  A failed write leaves neither file.
 
 Exit codes: 0 success, 2 invalid configuration (messages carry the config
 line number), 3 output I/O failure.
@@ -51,9 +52,6 @@ _MAX_SEED = 2**64 - 1
 #: explicit comma list is already bounded by the length of the config text)
 _MAX_GRID_POINTS = 10**6  # points of one start:stop:step grid
 
-EXPERIMENTS = ("scissor", "gain-sweep", "fringes", "negativity", "hom", "sobol")
-
-
 class ConfigError(Exception):
     """Invalid configuration; carries one message per violated constraint."""
 
@@ -70,10 +68,11 @@ class ConfigError(Exception):
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
-    """Parse flat ``key = value`` lines into {key: (raw value, line number)}."""
+    """Parse flat ``key = value`` lines, each ended by a line feed alone (a
+    form feed or U+2028 is part of its line), into {key: (value, line)}."""
     entries: dict[str, tuple[str, int]] = {}
     problems = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -121,19 +120,14 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
-class _Grid(list):
-    """The values of a ``start:stop:step`` grid, value i being
-    ``start + i * step``, except that the last is clamped to ``stop`` where
-    rounding takes it past; the meta records the grid as that rule."""
+class _Grid(np.ndarray):
+    """A ``start:stop:step`` grid's values; the meta records its ``rule``."""
 
-    def __init__(self, start: float, stop: float, step: float, points: int):
-        super().__init__(start + i * step for i in range(points))
-        self[-1] = min(self[-1], stop)
-        self.start, self.stop, self.step = start, stop, step
+    rule: dict
 
 
-def _parse_grid(raw: str) -> list[float]:
-    """Grid syntax: 'start:stop:step' (inclusive ends) or 'a, b, c'."""
+def _parse_grid(raw: str) -> np.ndarray:
+    """'start:stop:step' (inclusive ends) or 'a, b, c' as a float64 array."""
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
@@ -146,12 +140,15 @@ def _parse_grid(raw: str) -> list[float]:
         span = (stop - start) / step  # inf for a step far below the range
         if span + 1.0 > _MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
-        count = int(math.floor(span + 1e-9)) + 1
-        return _Grid(start, stop, step, count)
+        points = int(math.floor(span + 1e-9)) + 1
+        grid = (start + np.arange(points) * step).view(_Grid)
+        grid[-1] = min(grid[-1], stop)  # where rounding takes it past the stop
+        grid.rule = {"points": points, "start": start, "step": step, "stop": stop}
+        return grid
     values = [_parse_float(p.strip()) for p in raw.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {raw!r} holds no values")
-    return values
+    return np.array(values)
 
 
 def _parse_pattern(raw: str):
@@ -244,6 +241,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         ),
     },
 }
+EXPERIMENTS = tuple(SCHEMAS)
 
 
 def resolve_config(
@@ -304,9 +302,9 @@ def resolve_config(
 
 
 #: the library's checks of each experiment's values, in reporting order.  A
-#: check takes one value per argument: for a key, each value of a
-#: ``_VALUE_GRIDS`` grid in turn or the key's whole value; for a tuple of
-#: keys, the tuple of their values
+#: check takes one value per argument: for a grid key, each grid point in
+#: turn, or the whole grid for a check in ``_WHOLE_GRID_CHECKS``; for any
+#: other key, its value; for a tuple of keys, the tuple of their values
 _CHECKS = {
     "scissor": [
         (scissor._check_gain, "g"),
@@ -316,7 +314,7 @@ _CHECKS = {
     "gain-sweep": [
         (scissor._check_transmission, "tau"),
         (scissor._check_gain, "g"),
-        (scissor._check_mixture_heralds, "tau", "g"),  # one call per row of the run
+        (scissor._check_mixture_heralds, "tau", "g"),
     ],
     "fringes": [
         (analysis._check_split, "sigma"),
@@ -335,7 +333,7 @@ _CHECKS = {
         (sensitivity._check_loss_range, ("loss_min", "loss_max")),
     ],
 }
-_VALUE_GRIDS = ("g", "tau", "sigma", "theta")
+_WHOLE_GRID_CHECKS = (analysis._check_phases, scissor._check_mixture_heralds)
 
 
 def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
@@ -349,17 +347,20 @@ def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
     def keys(arg) -> tuple:
         return arg if isinstance(arg, tuple) else (arg,)
 
-    def values(arg) -> list:
+    def values(check, arg) -> list:
         if isinstance(arg, tuple):
             return [tuple(cfg[key] for key in arg)]
-        return cfg[arg] if arg in _VALUE_GRIDS and isinstance(cfg[arg], list) else [cfg[arg]]
+        if check in _WHOLE_GRID_CHECKS or schema[arg].parse is not _parse_grid:
+            return [cfg[arg]]
+        return cfg[arg].tolist()
 
+    schema = SCHEMAS[experiment]
     problems, failed = [], set()
     for check, *arguments in _CHECKS[experiment]:
         named = {key for arg in arguments for key in keys(arg)}
         if not named <= cfg.keys() or named & failed:
             continue
-        for point in itertools.product(*map(values, arguments)):
+        for point in itertools.product(*(values(check, arg) for arg in arguments)):
             try:
                 check(*point)
             except ValueError as exc:
@@ -406,53 +407,54 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list]:
         "g", "pattern", "success_probability", "truncation_weight",
         "out_abs0", "out_abs1", "out_abs2", "rel_phase_01", "rel_phase_12",
     ]
+    gains, patterns = cfg["g"], cfg["pattern"]
     rows = []
-    for g in cfg["g"]:
-        for pattern in cfg["pattern"]:
+    for g in gains.tolist():
+        for pattern in patterns:
             outcome = run_two_scissor(cfg["input_coeffs"], g, pattern)
             c = outcome.output.tolist()  # Python complex; numpy divides them differently
             rows.append([
-                g, outcome.success_probability, outcome.truncation_weight, *map(abs, c),
+                outcome.success_probability, outcome.truncation_weight, *map(abs, c),
                 _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
             ])
-    gains, *values = np.array(rows, dtype=float).T
-    patterns = (
-        [_pattern_label(p) for p in cfg["pattern"]],
-        np.tile(np.arange(len(cfg["pattern"])), len(cfg["g"])),
-    )
-    return header, [gains, patterns, *values]
+    by_pattern = np.tile(np.arange(len(patterns)), len(gains))
+    labels = ([_pattern_label(p) for p in patterns], by_pattern)
+    computed = np.array(rows, dtype=float).T
+    return header, [np.repeat(gains, len(patterns)), labels, *computed]
 
 
 def _run_gain_sweep(cfg: dict) -> tuple[list[str], list]:
     header = ["tau", "g", "G2_closed_form", "G2_simulated"]
-    pattern = cfg["pattern"][0]
+    taus, gains, pattern = cfg["tau"], cfg["g"], cfg["pattern"][0]
     rows = [
-        (tau, g, two_photon_gain(tau, g), measured_two_photon_gain(tau, g, pattern))
-        for tau in cfg["tau"] for g in cfg["g"]
+        (two_photon_gain(tau, g), measured_two_photon_gain(tau, g, pattern))
+        for tau in taus.tolist() for g in gains.tolist()
     ]
-    return header, list(np.array(rows, dtype=float).T)
+    grid = [np.repeat(taus, len(gains)), np.tile(gains, len(taus))]
+    return header, [*grid, *np.array(rows, dtype=float).T]
 
 
 def _run_fringes(cfg: dict) -> tuple[list[str], list]:
-    phases = np.array(cfg["phi"], dtype=float)  # every scan shares the one grid
+    phases = cfg["phi"]  # every scan shares the one grid
     scans = [fringe_scan(cfg["sigma"], cfg["g"], p, phases) for p in cfg["pattern"]]
     labels = [_pattern_label(scan.pattern) for scan in scans]
-    points = len(phases)
     return ["pattern", "phi", "rate"], [
-        (labels, np.repeat(np.arange(len(scans)), points)),
-        (scans[0].phases, np.tile(np.arange(points), len(scans))),
+        (labels, np.repeat(np.arange(len(scans)), len(phases))),
+        (phases, np.tile(np.arange(len(phases)), len(scans))),
         np.concatenate([scan.values for scan in scans]),
     ]
 
 
 def _run_negativity(cfg: dict) -> tuple[list[str], list]:
-    rows = [(s, *p) for s in cfg["sigma"] for p in negativity_curve(s, cfg["g"])]
-    return ["sigma", "g", "EN_pre", "EN_post"], list(np.array(rows, dtype=float).T)
+    splits, gains = cfg["sigma"], cfg["g"]
+    rows = [p[1:] for s in splits.tolist() for p in negativity_curve(s, gains.tolist())]
+    grid = [np.repeat(splits, len(gains)), np.tile(gains, len(splits))]
+    return ["sigma", "g", "EN_pre", "EN_post"], [*grid, *np.array(rows, dtype=float).T]
 
 
 def _run_hom(cfg: dict) -> tuple[list[str], list]:
-    coincidence = [hom_coincidence(theta) for theta in cfg["theta"]]
-    return ["theta", "coincidence"], [np.array(cfg["theta"]), np.array(coincidence)]
+    coincidence = [hom_coincidence(theta) for theta in cfg["theta"].tolist()]
+    return ["theta", "coincidence"], [cfg["theta"], np.array(coincidence)]
 
 
 def _run_sobol(cfg: dict) -> tuple[list[str], list]:
@@ -465,7 +467,7 @@ def _run_sobol(cfg: dict) -> tuple[list[str], list]:
     by_entry = np.repeat(np.arange(len(entries)), len(LOSS_POINTS))
     by_point = np.tile(np.arange(len(LOSS_POINTS)), len(entries))
     return header, [
-        (np.array([entry.g for entry in entries]), by_entry),
+        (cfg["g"], by_entry),
         ([point.name for point in LOSS_POINTS], by_point),
         ([point.region for point in LOSS_POINTS], by_point),
         np.concatenate([entry.result.indices for entry in entries]),
@@ -572,12 +574,9 @@ def write_results(out_dir: Path, experiment: str, header, columns, cfg, config_t
 
 def _jsonable(value):
     if isinstance(value, _Grid):
-        return {
-            "points": len(value),
-            "start": value.start,
-            "step": value.step,
-            "stop": value.stop,
-        }
+        return value.rule
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
@@ -614,7 +613,7 @@ def _load_entries(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        line = len(exc.object[: exc.start + 1].splitlines())  # read_text's lines
         raise ConfigError(f"line {line}: config {path} is not UTF-8 text: {exc.reason}")
     return parse_config_text(text), text
 

@@ -105,9 +105,9 @@ def _check_transmission(tau: float) -> None:
         raise ValueError(f"{tau} outside [{_MIN_TAU}, 1.0]")
 
 
-def _check_mixture_heralds(tau: float, g: float) -> None:
-    """The lossy two-photon input at transmission tau heralds at gain g."""
-    if g == 0.0 and tau == 1.0:
+def _check_mixture_heralds(tau, g) -> None:
+    """The lossy two-photon input heralds at each tau and g (numbers or arrays)."""
+    if np.count_nonzero(g == 0.0) and np.count_nonzero(tau == 1.0):
         raise ValueError("g = 0 keeps only the vacuum, which tau = 1 never holds")
 
 

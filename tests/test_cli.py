@@ -28,9 +28,9 @@ def write_config(tmp_path, text, name="config.txt"):
     return str(path)
 
 
-def run_module(tmp_path, *args):
+def run_module(tmp_path, *args, timeout=None):
     """``python -m qscissor *args --out tmp_path`` in a child that imports the
-    package this test imported, installed or not."""
+    package this test imported, installed or not, killed after ``timeout`` s."""
     source = str(Path(qscissor.__file__).parents[1])
     paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
@@ -38,6 +38,7 @@ def run_module(tmp_path, *args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        timeout=timeout,
     )
 
 
@@ -245,6 +246,9 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
          "line 1: theta: 1e+308 outside [-1e+307, 1e+307]"),
         # a deterministic experiment's schema has no seed key
         ("hom", "seed = 3\n", [], 2, "line 1: unknown key 'seed'"),
+        # a line ends at a line feed only: a form feed is part of the value
+        ("hom", "theta = 0, 1\f2\n", [], 2, r"line 1: theta: '1\x0c2' is not a number"),
+        ("hom", "theta = 0, 1\f\nbogus = 1\n", [], 2, "line 2: unknown key 'bogus'"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -274,6 +278,17 @@ def test_config_that_is_not_utf8_exits_2_on_its_line(tmp_path, capsys):
     path.write_bytes(b"g = 1\r\n\r\ninput_coeffs = 1, \xe2\x88\r\n")
     assert main(["scissor", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error: line 3: " in capsys.readouterr().err
+    # lines end as the parser's do: at \r too, never at a form feed
+    path.write_bytes(b"g = 1\r\x0c\rinput_coeffs = 1, \xff\n")
+    assert main(["scissor", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: line 3: " in capsys.readouterr().err
+
+
+def test_a_line_separator_in_a_comment_stays_in_the_comment(tmp_path):
+    path = tmp_path / "sep.conf"
+    path.write_bytes("theta = 0:1.6:0.4  # step\u2028seed = 3".encode())
+    assert main(["hom", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "hom.csv")) == 1 + 5
 
 
 def test_crlf_config_hashes_as_its_lf_text(tmp_path):
@@ -626,6 +641,15 @@ def test_column_writer_matches_row_writer(tmp_path, experiment):
     assert rows == len(expanded[0]) == json.loads(meta_path.read_text())["rows"]
 
 
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_grid_is_one_float64_array(experiment):
+    cfg = resolve_config(experiment, parse_config_text(_SMALL_CONFIGS[experiment]), None)
+    schema = cli.SCHEMAS[experiment]
+    grids = [cfg[key] for key, field in schema.items() if field.parse is cli._parse_grid]
+    assert grids and all(isinstance(grid, np.ndarray) for grid in grids)
+    assert all(grid.dtype == np.float64 and grid.ndim == 1 for grid in grids)
+
+
 @pytest.mark.parametrize("name", [*_SMALL_CONFIGS, "fringes-dense"])
 def test_printed_meta_and_csv_row_counts_agree(tmp_path, capsys, name):
     if name == "fringes-dense":
@@ -801,7 +825,7 @@ def test_grid_record_rebuilds_the_values(tmp_path, experiment, text, key):
     meta = json.loads((tmp_path / f"{experiment}.meta.json").read_text())
     record = meta["resolved_config"][key]
     assert sorted(record) == ["points", "start", "step", "stop"]
-    assert rebuild_grid(record) == cfg[key]
+    assert rebuild_grid(record) == cfg[key].tolist()
 
 
 def rebuild_grid(record):
@@ -824,7 +848,7 @@ def test_no_grid_point_passes_its_stop(step):
         assert all(v <= 1.0 for v in values), raw
         # the inclusive end: the last point is within a step of the stop
         assert values[-1] > 1.0 - float(step), raw
-        assert rebuild_grid(cli._jsonable(values)) == values, raw
+        assert rebuild_grid(cli._jsonable(values)) == values.tolist(), raw
 
 
 @pytest.mark.parametrize(
@@ -844,7 +868,49 @@ def test_overshooting_grid_ends_on_its_stop(tmp_path, experiment, text, key, las
     assert main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / f"{experiment}.meta.json").read_text())
     assert meta["resolved_config"][key]["stop"] == last
-    assert rebuild_grid(meta["resolved_config"][key]) == cfg[key]
+    assert rebuild_grid(meta["resolved_config"][key]) == cfg[key].tolist()
+
+
+def _random_grids(count, max_points, seed):
+    """``start:stop:step`` texts whose stop is ``start + (points - 1) * step``
+    as Python rounds it, so some last points land past their stop."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        start = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        step = float(10.0 ** rng.uniform(-6.0, 1.0))
+        points = int(rng.integers(1, max_points + 1))
+        yield f"{start!r}:{start + (points - 1) * step!r}:{step!r}"
+
+
+def test_array_grid_is_the_readme_rule_bit_for_bit():
+    defaults = [
+        field.default
+        for schema in cli.SCHEMAS.values()
+        for field in schema.values()
+        if field.parse is cli._parse_grid and ":" in field.default
+    ]
+    assert len(defaults) == 4
+    fixed = [*defaults, "0.09:1:0.07", "0:6.283185307179586:6.2832e-06"]
+    for raw in [*fixed, *_random_grids(300, 20_000, seed=26)]:
+        grid = cli._parse_grid(raw)
+        assert grid.dtype == np.float64, raw
+        rebuilt = np.array(rebuild_grid(cli._jsonable(grid)))
+        assert np.array_equal(grid.view(np.uint64), rebuilt.view(np.uint64)), raw
+
+
+def test_validate_costs_grid_points_not_rows(tmp_path):
+    """Two 10^5-point grids, 10^10 rows, validate well inside 10 s, and g = 0
+    with tau = 1 is still found on both lines."""
+    path = write_config(
+        tmp_path, "experiment = gain-sweep\ntau = 0.00001:1:0.00001\ng = 1:100000:1\n"
+    )
+    result = run_module(tmp_path, "validate", "--config", path, timeout=10)
+    assert result.returncode == 0 and result.stdout.startswith("ok\n"), result.stderr
+    path = write_config(tmp_path, "tau = 0.00001:1:0.00001\ng = 0:99999:1\n")
+    result = run_module(tmp_path, "gain-sweep", "--config", path, timeout=10)
+    assert result.returncode == 2
+    why = "g = 0 keeps only the vacuum, which tau = 1 never holds"
+    assert result.stderr == f"error: line 1: tau: {why}\nerror: line 2: g: {why}\n"
 
 
 def test_comma_lists_stay_lists_in_the_meta(tmp_path):

@@ -443,10 +443,17 @@ _GRIDS = st.builds(
 )
 
 
+#: characters that ``str.splitlines`` ends a line at, but a config line holds
+_SEPARATORS = st.sampled_from(
+    ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
 @st.composite
 def _config_texts(draw):
     """(experiment, config text, extra argv) over every key of the schema,
-    with values at and beyond the limits; the work stays small (n_base <= 64,
+    with values at and beyond the limits, and line separators other than a
+    line feed in values and comments; the work stays small (n_base <= 64,
     bootstrap <= 20, grids of at most 49 points)."""
     experiment = draw(st.sampled_from(EXPERIMENTS))
     schema = SCHEMAS[experiment]
@@ -461,7 +468,13 @@ def _config_texts(draw):
         value = st.sampled_from(invalid + _SPECIAL_TEXTS if draw(rarely) else valid)
         if field.parse is cli._parse_grid or key == "input_coeffs":
             value = st.lists(value, min_size=1, max_size=6).map(", ".join) | _GRIDS
-        lines.append(f"{key} = {draw(value)}")
+        text = draw(value)
+        if draw(rarely):  # a separator inside the value
+            cut = draw(st.integers(0, len(text)))
+            text = text[:cut] + draw(_SEPARATORS) + text[cut:]
+        if draw(rarely):  # a comment that would end in a key, were it cut there
+            text += f"  # note{draw(_SEPARATORS)}seed = 3"
+        lines.append(f"{key} = {text}")
     if lines and draw(rarely):
         lines.append(draw(st.sampled_from(lines)))  # a duplicated key
     if draw(rarely):
@@ -477,7 +490,7 @@ def _main(experiment, text, argv, out: Path) -> tuple[int, str]:
     """``cli.main`` on ``text``, in-process: (exit code, stderr)."""
     out.mkdir()
     config = out / "config.txt"
-    config.write_text(text)
+    config.write_text(text, encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([experiment, "--config", str(config), "--out", str(out), *argv])
@@ -496,6 +509,7 @@ def _outputs(out: Path) -> dict:
 @example(case=("hom", "theta = 0, 1e308\n", []))
 @example(case=("sobol", "seed = 3\nloss_max = 1e-17\n", []))
 @example(case=("sobol", "seed = 3\nloss_min = 0.9999999999999999\nloss_max = 1\n", []))
+@example(case=("hom", "theta = 0:1.6:0.4  # step\u2028seed = 3\n", []))
 def test_cli_keeps_its_contract(case):
     experiment, text, argv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -504,6 +518,8 @@ def test_cli_keeps_its_contract(case):
         where = r"error: (line \d+: |--seed: |default for )"
         for line in err.splitlines():
             assert line.startswith("note: ") or re.match(where, line), line
+        lines = text.count("\n") + (not text.endswith("\n"))
+        assert all(int(n) <= lines for n in re.findall(r"\bline (\d+)", err)), err
         outputs = _outputs(Path(tmp) / "first")
         if code != 0:
             assert not outputs
