@@ -38,10 +38,14 @@ def _check_angle(theta: float) -> None:
 def _check_phases(phases) -> np.ndarray:
     """A 1-d, strictly increasing phase grid as a float array."""
     phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 1 or not np.all(np.abs(phases) <= _MAX_PHASE):
+    # reductions and one bool array, not full-size float temporaries; min and
+    # max return a NaN the grid holds, which fails the bounds
+    if phases.ndim != 1 or not (
+        -_MAX_PHASE <= phases.min(initial=0.0) and phases.max(initial=0.0) <= _MAX_PHASE
+    ):
         span = f"[-{_MAX_PHASE}, {_MAX_PHASE}]"
         raise ValueError(f"phase grid must be 1-d, each phase in {span}")
-    if np.any(np.diff(phases) <= 0):
+    if np.any(phases[1:] <= phases[:-1]):
         raise ValueError("phase grid must be strictly increasing")
     return phases
 

@@ -141,7 +141,10 @@ def _parse_grid(raw: str) -> np.ndarray:
         if span + 1.0 > _MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
         points = int(math.floor(span + 1e-9)) + 1
-        grid = (start + np.arange(points) * step).view(_Grid)
+        # in place on one array: the bits of start + np.arange(points) * step
+        grid = np.arange(points, dtype=float).view(_Grid)
+        grid *= step
+        grid += start
         grid[-1] = min(grid[-1], stop)  # where rounding takes it past the stop
         grid.rule = {"points": points, "start": start, "step": step, "stop": stop}
         return grid
@@ -244,6 +247,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 EXPERIMENTS = tuple(SCHEMAS)
 
 
+def _source(key: str, entries: dict[str, tuple[str, int]]) -> str:
+    """Where a file key's value comes from: its config line, or its default."""
+    return f"line {entries[key][1]}: {key}" if key in entries else f"default for {key}"
+
+
 def resolve_config(
     experiment: str, entries: dict[str, tuple[str, int]], seed: int | None
 ) -> dict:
@@ -278,15 +286,14 @@ def resolve_config(
     for key, field in schema.items():
         given = []
         if key in entries:
-            raw, lineno = entries[key]
-            given.append((raw, f"line {lineno}: {key}"))
+            given.append((entries[key][0], _source(key, entries)))
         if key == "seed" and seed is not None:
             given.append((str(seed), "--seed"))  # command line wins over the file
         if not given:
             if field.default is None:
                 problems.append(f"missing required key {key!r} ({field.doc})")
                 continue
-            given.append((field.default, f"default for {key}"))
+            given.append((field.default, _source(key, entries)))
         for raw, where in given:
             try:
                 resolved[key] = field.parse(raw)
@@ -334,6 +341,11 @@ _CHECKS = {
     ],
 }
 _WHOLE_GRID_CHECKS = (analysis._check_phases, scissor._check_mixture_heralds)
+#: the keys a ``sobol`` run's ``ValueError`` is reported on: a limit the
+#: library finds only in the design values it computes.  Every one can
+#: underflow to 0.0 (the smallest g and tau with losses near 1), and the
+#: sweep rejects a model output with no variance
+_SOBOL_JOINT_KEYS = ("g", "tau", "loss_min", "loss_max")
 
 
 def _semantic_checks(experiment: str, cfg: dict, sources: dict) -> list[str]:
@@ -662,7 +674,14 @@ def main(argv=None) -> int:
             print(f"{key} = {_jsonable(cfg[key])}")
         return 0
 
-    header, columns = _RUNNERS[experiment](cfg)
+    try:
+        header, columns = _RUNNERS[experiment](cfg)
+    except ValueError as exc:
+        if experiment != "sobol":
+            raise
+        for key in _SOBOL_JOINT_KEYS:
+            print(f"error: {_source(key, entries)}: {exc}", file=sys.stderr)
+        return 2
     try:
         csv_path, meta_path = write_results(
             Path(args.out), experiment, header, columns, cfg, config_text

@@ -105,9 +105,10 @@ def _check_transmission(tau: float) -> None:
         raise ValueError(f"{tau} outside [{_MIN_TAU}, 1.0]")
 
 
-def _check_mixture_heralds(tau, g) -> None:
-    """The lossy two-photon input heralds at each tau and g (numbers or arrays)."""
-    if np.count_nonzero(g == 0.0) and np.count_nonzero(tau == 1.0):
+def _check_mixture_heralds(taus, gains) -> None:
+    """The lossy two-photon input heralds at every tau of ``taus`` and g of
+    ``gains``, two collections (a whole grid, or one value in a tuple)."""
+    if 0.0 in gains and 1.0 in taus:
         raise ValueError("g = 0 keeps only the vacuum, which tau = 1 never holds")
 
 
@@ -298,7 +299,7 @@ def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, flo
     """
     _check_transmission(tau)
     _check_gain(g)
-    _check_mixture_heralds(tau, g)
+    _check_mixture_heralds((tau,), (g,))
     raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2])
     normalization = 1.0 / raw.sum()
     return raw * normalization, normalization
@@ -399,7 +400,7 @@ def simulate_gain_measurement(
     pattern = _check_pattern(pattern)
     weights = ((1 - tau) ** 2, 2 * tau * (1 - tau), tau**2)
     if with_amplifier:
-        _check_mixture_heralds(tau, g)
+        _check_mixture_heralds((tau,), (g,))
         herald, two_photon = _amplified_two_photon(weights, g, pattern)
     else:
         # the input is diverted to the counting stage and never interferes

@@ -62,9 +62,13 @@ The bootstrap prices blocks of resamples with one matmul of draw counts
 per model.  The draws depend only on the seed, the number of base samples
 and the number of resamples, so the sweep makes them once per group of
 gains: consecutive gains whose bootstrap inputs fit one fixed budget share
-a pass, which bounds its memory by the group, not by the grid.  All
-reductions run in a fixed order, which makes the estimates bitwise
-reproducible for a given seed, whichever gains share a pass.
+a pass, which bounds its memory by the group, not by the grid.  One helper
+thread makes every draw of a pass, in order, a block ahead of the matmuls,
+into one compact block of counts (uint16 up to 65,535 base samples: at
+most 1 MiB, a quarter of the float64 block the matmuls copy it into); no
+bit depends on the thread, and it ends with the pass.  All reductions run
+in a fixed order, which makes the estimates bitwise reproducible for a
+given seed, whichever gains share a pass.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -541,7 +546,7 @@ def lossy_gain_model(
     pattern = _check_pattern(pattern)
     _check_transmission(tau)
     _check_gain(g)
-    _check_mixture_heralds(tau, g)
+    _check_mixture_heralds((tau,), (g,))
     scalar = np.ndim(losses) == 1
     arr = np.atleast_2d(np.asarray(losses, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != len(LOSS_POINTS):
@@ -724,6 +729,30 @@ def _point_estimate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cross.mean(axis=1) / variance, stats.T
 
 
+def _draw_counts(rng: np.random.Generator, counts: np.ndarray) -> None:
+    """Fill each row of ``counts`` [resamples, n_base] with one resample's
+    per-row draw counts: one ``rng.integers`` call per row, in row order."""
+    n_base = counts.shape[1]
+    for row in counts:
+        row[:] = np.bincount(rng.integers(0, n_base, size=n_base), minlength=n_base)
+
+
+def _resample_indices(counts, stats, total: int, out: np.ndarray) -> None:
+    """``out`` [resamples, dims] set to one model's first-order indices on
+    each resample of ``counts`` [resamples, n_base], from its per-row
+    ``stats``; a resample with no variance gets 0."""
+    dims, n_base = out.shape[1], counts.shape[1]
+    sums = counts @ stats
+    mean_r = sums[:, 2 * dims] / total
+    mean_sq_r = sums[:, 2 * dims + 1] / total
+    var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
+    keep = ~(var_r <= 0.0)  # a degenerate resample contributes 0
+    out[keep] = (
+        sums[keep, :dims] / n_base
+        - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
+    ) / var_r[keep, None]
+
+
 def _indices_from_values(
     values: Iterable[np.ndarray], seed: int, bootstrap_resamples: int
 ) -> list[SobolResult]:
@@ -746,29 +775,52 @@ def _indices_from_values(
     # paired bootstrap over rows.  A resample's sums are its per-row draw
     # counts times the per-row statistics, so a block of resamples costs one
     # matmul per model; the draws are the same rng.integers call per
-    # resample, in the same order, as a resample-at-a-time loop
+    # resample, in the same order, as a resample-at-a-time loop.  One helper
+    # thread makes every draw, a block ahead of the matmuls (which release
+    # the GIL), into one compact block of counts that the matmuls' float64
+    # buffer copies; no bit depends on the thread
     rng = np.random.default_rng([int(seed), 0xB00])
     total = (dims + 2) * n_base
     block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_base))
+    starts = range(0, bootstrap_resamples, block)
     boots = [np.zeros((bootstrap_resamples, dims)) for _ in estimates]
     # one buffer for every block: a fresh one per block left the pass with
     # about 2 MB more resident memory than the evaluation before it
     buffer = np.empty((min(block, bootstrap_resamples), n_base))
-    for start in range(0, bootstrap_resamples, block):
-        counts = buffer[: min(block, bootstrap_resamples - start)]
-        for row in counts:
-            draw = rng.integers(0, n_base, size=n_base)
-            row[:] = np.bincount(draw, minlength=n_base)
-        for (_, stats), boot in zip(estimates, boots):
-            sums = counts @ stats
-            mean_r = sums[:, 2 * dims] / total
-            mean_sq_r = sums[:, 2 * dims + 1] / total
-            var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
-            keep = ~(var_r <= 0.0)  # a degenerate resample contributes 0
-            boot[start : start + counts.shape[0]][keep] = (
-                sums[keep, :dims] / n_base
-                - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
-            ) / var_r[keep, None]
+    # the helper's block: the smallest type that holds a count, at most n_base
+    drawn = np.empty(buffer.shape, dtype=np.min_scalar_type(n_base))
+    full, free = threading.Semaphore(0), threading.Semaphore(1)
+    stop, failed = threading.Event(), []
+
+    def draw() -> None:
+        try:
+            for start in starts:
+                free.acquire()
+                if stop.is_set():
+                    return
+                _draw_counts(rng, drawn[: min(block, bootstrap_resamples - start)])
+                full.release()
+        except BaseException as exc:  # handed to the caller, which raises it
+            failed.append(exc)
+            full.release()
+
+    helper = threading.Thread(target=draw, name="qscissor-bootstrap-draws")
+    helper.start()
+    try:
+        for start in starts:
+            full.acquire()
+            if failed:
+                raise failed[0]
+            counts = buffer[: min(block, bootstrap_resamples - start)]
+            np.copyto(counts, drawn[: counts.shape[0]])
+            free.release()
+            for (_, stats), boot in zip(estimates, boots):
+                out = boot[start : start + len(counts)]
+                _resample_indices(counts, stats, total, out)
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
 
     return [
         SobolResult(

@@ -16,7 +16,10 @@ walk one Kraus branch at a time on the dense Fock basis, which the engine
 composes into a single matrix product.  They build on the circuit and state
 primitives only, never on the Sobol engine's own code.  The Schmidt
 shortcut is the pure-state closed form of the path state's log-negativity,
-the check on its partial transpose.  The row writer formats and writes one
+the check on its partial transpose.  The serial bootstrap is the Sobol
+estimator's blocked bootstrap pass with every draw and matmul on one
+thread, the reference its helper-thread draws reproduce bit for bit.  The
+row writer formats and writes one
 CSV row at a time, the reference for the CLI's blocked column writer, and
 takes its rows from columns whose indexed pairs are written out in full.
 """
@@ -518,6 +521,46 @@ def log_negativity_schmidt(coefficients) -> float:
     so the Schmidt coefficients are just the coefficient magnitudes.
     """
     return float(2.0 * np.log2(sum(abs(c) for c in coefficients)))
+
+
+def serial_bootstrap_ci(designs, seed: int, resamples: int, block_bytes: int) -> list:
+    """The 95% half-width of each design's first-order indices by the
+    paired bootstrap, on one thread: each design [f(A); f(B); f(A_B^1); ...]
+    gives per-row statistics [n_base, 2 dims + 2], built as the estimator
+    builds them, and every block of ``block_bytes // (8 n_base)`` resamples
+    draws its float64 counts, then takes one matmul per design."""
+    estimates = []
+    for design in designs:
+        f_a, f_b, f_hyb = design[0], design[1], design[2:]
+        dims = f_hyb.shape[0]
+        stats = np.empty((2 * dims + 2, design.shape[1]))
+        diff = np.subtract(f_hyb, f_a[None, :], out=stats[dims : 2 * dims])
+        np.multiply(f_b[None, :], diff, out=stats[:dims])
+        design.sum(axis=0, out=stats[2 * dims])
+        (design**2).sum(axis=0, out=stats[2 * dims + 1])
+        estimates.append(stats.T)
+    n_base = estimates[0].shape[0]
+    rng = np.random.default_rng([int(seed), 0xB00])
+    total = (dims + 2) * n_base
+    block = max(1, block_bytes // (8 * n_base))
+    boots = [np.zeros((resamples, dims)) for _ in estimates]
+    buffer = np.empty((min(block, resamples), n_base))
+    for start in range(0, resamples, block):
+        counts = buffer[: min(block, resamples - start)]
+        for row in counts:
+            draw = rng.integers(0, n_base, size=n_base)
+            row[:] = np.bincount(draw, minlength=n_base)
+        for stats, boot in zip(estimates, boots):
+            sums = counts @ stats
+            mean_r = sums[:, 2 * dims] / total
+            mean_sq_r = sums[:, 2 * dims + 1] / total
+            var_r = (mean_sq_r - mean_r**2) * total / (total - 1)
+            keep = ~(var_r <= 0.0)
+            boot[start : start + counts.shape[0]][keep] = (
+                sums[keep, :dims] / n_base
+                - mean_r[keep, None] * (sums[keep, dims : 2 * dims] / n_base)
+            ) / var_r[keep, None]
+    return [1.96 * boot.std(axis=0, ddof=1) for boot in boots]
 
 
 def format_cell(value) -> str:

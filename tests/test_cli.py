@@ -140,6 +140,14 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+#: a sobol config whose values each pass their own check, yet the smallest g
+#: and tau with losses near 1 take every design value below the smallest float
+JOINT_UNDERFLOW = (
+    "seed = 1\ng = 1e-25\ntau = 1e-100\nloss_min = 0.99\nloss_max = 0.9999\n"
+    "n_base = 16\nbootstrap = 2\n"
+)
+
+
 @pytest.mark.parametrize(
     "experiment,text,extra,code,message",
     [
@@ -249,6 +257,9 @@ def test_unknown_experiment_exit_code(tmp_path, capsys):
         # a line ends at a line feed only: a form feed is part of the value
         ("hom", "theta = 0, 1\f2\n", [], 2, r"line 1: theta: '1\x0c2' is not a number"),
         ("hom", "theta = 0, 1\f\nbogus = 1\n", [], 2, "line 2: unknown key 'bogus'"),
+        # each value inside its limit, but every design value underflows to 0.0
+        ("sobol", JOINT_UNDERFLOW, [], 2,
+         "line 5: loss_max: model output has zero variance over the sampled inputs"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(
@@ -260,6 +271,21 @@ def test_non_finite_values_and_bad_seeds_exit_2(
     err = capsys.readouterr().err
     assert message in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sobol_design_underflow_exits_2_on_its_four_lines(tmp_path, capsys):
+    path = write_config(tmp_path, JOINT_UNDERFLOW)
+    assert main(["sobol", "--config", path, "--out", str(tmp_path)]) == 2
+    why = (
+        "model output has zero variance over the sampled inputs; "
+        "first-order indices are undefined"
+    )
+    sources = ["line 2: g", "line 3: tau", "line 4: loss_min", "line 5: loss_max"]
+    assert capsys.readouterr().err == "".join(f"error: {s}: {why}\n" for s in sources)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt"]
+    # at the default gains the same losses run
+    path = write_config(tmp_path, JOINT_UNDERFLOW.replace("g = 1e-25\n", ""))
+    assert main(["sobol", "--config", path, "--out", str(tmp_path)]) == 0
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -896,6 +922,41 @@ def test_array_grid_is_the_readme_rule_bit_for_bit():
         assert grid.dtype == np.float64, raw
         rebuilt = np.array(rebuild_grid(cli._jsonable(grid)))
         assert np.array_equal(grid.view(np.uint64), rebuilt.view(np.uint64)), raw
+
+
+def test_grid_is_the_array_expression_bit_for_bit():
+    """The grid built in place on one array is ``start + np.arange(points) *
+    step`` with the last point clamped, bit for bit."""
+    defaults = [
+        field.default
+        for schema in cli.SCHEMAS.values()
+        for field in schema.values()
+        if field.parse is cli._parse_grid and ":" in field.default
+    ]
+    fixed = [*defaults, "0.09:1:0.07", "0:6.283185307179586:6.2832e-06"]
+    for raw in fixed:
+        grid = cli._parse_grid(raw)
+        rule = grid.rule
+        expected = rule["start"] + np.arange(rule["points"]) * rule["step"]
+        expected[-1] = min(expected[-1], rule["stop"])
+        assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64)), raw
+    assert len(grid) == 999_998
+
+
+def test_largest_grid_resolves_in_one_array():
+    """The 999,998-point ``phi`` grid is built and checked with one 8 MB array
+    and no other array of its length wider than a bool."""
+    text = "sigma = 0.2\ng = 2\nphi = 0:6.283185307179586:6.2832e-06\n"
+    entries = parse_config_text(text)
+    tracemalloc.start()
+    try:
+        cfg = resolve_config("fringes", entries, None)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = cfg["phi"].nbytes
+    assert grid == 8 * 999_998
+    assert kept < grid + 2**16 and peak < grid + 2**20 + 2**16, (kept, peak)
 
 
 def test_validate_costs_grid_points_not_rows(tmp_path):

@@ -510,6 +510,10 @@ def _outputs(out: Path) -> dict:
 @example(case=("sobol", "seed = 3\nloss_max = 1e-17\n", []))
 @example(case=("sobol", "seed = 3\nloss_min = 0.9999999999999999\nloss_max = 1\n", []))
 @example(case=("hom", "theta = 0:1.6:0.4  # step\u2028seed = 3\n", []))
+@example(case=("sobol", (
+    "seed = 1\ng = 1e-25\ntau = 1e-100\nloss_min = 0.99\nloss_max = 0.9999\n"
+    "n_base = 16\nbootstrap = 2\n"
+), []))
 def test_cli_keeps_its_contract(case):
     experiment, text, argv = case
     with tempfile.TemporaryDirectory() as tmp:

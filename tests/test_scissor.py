@@ -592,3 +592,36 @@ def test_int_tuples_are_built_only_by_the_two_checks():
     package = pathlib.Path(scissor.__file__).parent
     sites = set().union(*map(_int_tuple_sites, package.glob("*.py")))
     assert sites == {"fock._occupation", "scissor._check_pattern", "cli._parse_pattern"}
+
+
+@pytest.mark.parametrize(
+    "taus,gains,rejected",
+    [
+        ((1.0,), (0.0,), True),
+        ((1.0,), (-0.0,), True),
+        ((0.5,), (0.0,), False),
+        ((1.0,), (math.nan,), False),
+        (np.array([0.5, 1.0]), np.array([0.0, 2.0]), True),
+        (np.array([0.5, 0.9]), np.array([0.0, 2.0]), False),
+        (np.array([1.0]), np.array([1e-25, 2.0]), False),
+    ],
+)
+def test_mixture_herald_check_takes_one_value_or_a_grid(taus, gains, rejected):
+    """One membership test over a one-value tuple (the library's scalar
+    calls) or a whole grid (the CLI's check of two grids)."""
+    if rejected:
+        with pytest.raises(ValueError, match="never holds"):
+            scissor._check_mixture_heralds(taus, gains)
+    else:
+        scissor._check_mixture_heralds(taus, gains)
+
+
+def test_public_calls_reject_zero_gain_at_full_transmission():
+    for call in (
+        lambda: two_photon_gain(1.0, 0.0),
+        lambda: measured_two_photon_gain(1.0, -0.0, HERALD),
+        lambda: lossy_gain_model(0.0, 1.0, [0.0] * 14, HERALD),
+    ):
+        with pytest.raises(ValueError, match="never holds"):
+            call()
+    assert two_photon_gain(1.0, 2.0) == 1.0

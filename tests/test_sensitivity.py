@@ -3,6 +3,8 @@ import functools
 import itertools
 import math
 import pathlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from oracles import (
     gain_splitter,
     lossy_two_photon_input,
     mixer_halves,
+    serial_bootstrap_ci,
 )
 from qscissor import circuit, scissor, sensitivity
 from qscissor.circuit import apply_mode_unitary
@@ -251,6 +254,128 @@ def test_blocked_bootstrap_matches_per_resample_loop(model, n_base, dims, blocks
     )
     expected = reference_bootstrap_ci(model, n_base, 19, dims, bounds, RESAMPLES)
     np.testing.assert_allclose(res.ci, expected, rtol=1e-12, atol=0.0)
+
+
+#: base sample counts of the bitwise bootstrap checks: at 3,000 the 1,000
+#: resamples take five blocks of 174 and one of 130
+BITWISE_N_BASE = [16, 32, 3000]
+
+
+@pytest.mark.parametrize("n_base", BITWISE_N_BASE)
+def test_bootstrap_is_the_serial_loop_bit_for_bit(n_base):
+    model, dims, seed = additive_model([1.0, -0.5, 2.0, 0.25]), 4, 23
+    res = first_order_indices(
+        model, n_base, seed=seed, dims=dims, bounds=LOSS_RANGE,
+        bootstrap_resamples=RESAMPLES,
+    )
+    a, b, hybrids = saltelli_sample(n_base, dims, seed, LOSS_RANGE)
+    design = np.stack([model(points) for points in [a, b, *hybrids]])
+    block_bytes = sensitivity._BOOTSTRAP_BLOCK_BYTES
+    (expected,) = serial_bootstrap_ci([design], seed, RESAMPLES, block_bytes)
+    assert np.array_equal(res.ci, expected)
+
+
+@pytest.mark.parametrize("n_base", BITWISE_N_BASE)
+def test_shared_sweep_bootstrap_is_the_serial_loop_bit_for_bit(n_base):
+    gains, seed = [0.5, 1.0, 2.0], 6
+    assert sensitivity._gains_per_group(n_base, len(LOSS_POINTS), RESAMPLES) >= 3
+    entries = sensitivity_sweep(
+        gains, TAU, n_base=n_base, seed=seed, bounds=LOSS_RANGE, pattern=PATTERN,
+        bootstrap_resamples=RESAMPLES,
+    )
+    a, b = sensitivity._base_samples(n_base, len(LOSS_POINTS), seed, LOSS_RANGE)
+    designs = sensitivity._design_values(gains, TAU, a, b, PATTERN)
+    block_bytes = sensitivity._BOOTSTRAP_BLOCK_BYTES
+    expected = serial_bootstrap_ci(designs, seed, RESAMPLES, block_bytes)
+    for entry, ci in zip(entries, expected, strict=True):
+        assert np.array_equal(entry.result.ci, ci)
+
+
+def _bootstrap_pass(n_base=64, resamples=RESAMPLES):
+    """One ``_indices_from_values`` pass over two models' designs."""
+    rng = np.random.default_rng(2)
+    designs = [rng.uniform(size=(6, n_base)) for _ in range(2)]
+    return sensitivity._indices_from_values(designs, 4, resamples)
+
+
+def test_bootstrap_draw_thread_ends_with_the_pass(monkeypatch):
+    before = threading.active_count()
+    assert len(_bootstrap_pass()) == 2
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="zero variance"):
+        sensitivity._indices_from_values([np.ones((6, 64))], 4, RESAMPLES)
+    assert threading.active_count() == before
+    # blocks of 8 resamples: the pass spans many hand-overs
+    monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 64)
+    assert len(_bootstrap_pass()) == 2
+    assert threading.active_count() == before
+
+
+def test_failed_resample_block_stops_the_draw_thread(monkeypatch):
+    before, alive = threading.active_count(), []
+    resample = sensitivity._resample_indices
+
+    def failing(*args):
+        alive.append(threading.active_count())
+        if len(alive) == 3:
+            raise RuntimeError("resample failed")
+        return resample(*args)
+
+    monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 64)
+    monkeypatch.setattr(sensitivity, "_resample_indices", failing)
+    with pytest.raises(RuntimeError, match="resample failed"):
+        _bootstrap_pass()
+    assert alive == [before + 1] * 3  # the draws ran beside the matmuls
+    assert threading.active_count() == before
+
+
+def test_bootstrap_hand_over_holds_under_fast_thread_switching(monkeypatch):
+    # four passes at once, each with its draw thread: more threads than cores,
+    # switching every microsecond, and each pass still the serial bits
+    block_bytes = 8 * 8 * 64  # 25 blocks of 8 resamples
+    monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(5)
+    designs = [[rng.uniform(size=(6, 64)) for _ in range(2)] for _ in range(4)]
+    expected = [
+        serial_bootstrap_ci(d, seed, 200, block_bytes) for seed, d in enumerate(designs)
+    ]
+    results = [None] * len(designs)
+
+    def run(seed):
+        results[seed] = sensitivity._indices_from_values(designs[seed], seed, 200)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(designs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected, strict=True):
+        assert [r.ci.tobytes() for r in got] == [ci.tobytes() for ci in want]
+
+
+@pytest.mark.parametrize("failing_block", [0, 2])
+def test_failed_draw_reaches_the_caller(monkeypatch, failing_block):
+    before, blocks = threading.active_count(), []
+    draw = sensitivity._draw_counts
+
+    def failing(rng, counts):
+        blocks.append(threading.current_thread())
+        if len(blocks) > failing_block:
+            raise RuntimeError("draw failed")
+        draw(rng, counts)
+
+    monkeypatch.setattr(sensitivity, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 64)
+    monkeypatch.setattr(sensitivity, "_draw_counts", failing)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _bootstrap_pass()
+    assert threading.main_thread() not in blocks
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
