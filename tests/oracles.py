@@ -19,9 +19,9 @@ shortcut is the pure-state closed form of the path state's log-negativity,
 the check on its partial transpose.  The serial bootstrap is the Sobol
 estimator's blocked bootstrap pass with every draw and matmul on one
 thread, the reference its helper-thread draws reproduce bit for bit.  The
-row writer formats and writes one
-CSV row at a time, the reference for the CLI's blocked column writer, and
-takes its rows from columns whose indexed pairs are written out in full.
+row writer formats and writes one CSV row at a time, the reference for the
+CLI's blocked column writer, and takes its rows from columns whose indexed
+pairs are written out in full.
 """
 
 from __future__ import annotations

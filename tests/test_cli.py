@@ -260,6 +260,9 @@ JOINT_UNDERFLOW = (
         # each value inside its limit, but every design value underflows to 0.0
         ("sobol", JOINT_UNDERFLOW, [], 2,
          "line 5: loss_max: model output has zero variance over the sampled inputs"),
+        ("sobol", "seed = 1\ng = 1e6\ntau = 1e-100\nloss_min = 0.9999999999999998\n"
+         "loss_max = 0.9999999999999999\nn_base = 16\nbootstrap = 2\n", [], 2,
+         "line 2: g: model output has zero variance over the sampled inputs"),
     ],
 )
 def test_non_finite_values_and_bad_seeds_exit_2(

@@ -291,11 +291,11 @@ def test_shared_sweep_bootstrap_is_the_serial_loop_bit_for_bit(n_base):
         assert np.array_equal(entry.result.ci, ci)
 
 
-def _bootstrap_pass(n_base=64, resamples=RESAMPLES):
+def _bootstrap_pass():
     """One ``_indices_from_values`` pass over two models' designs."""
     rng = np.random.default_rng(2)
-    designs = [rng.uniform(size=(6, n_base)) for _ in range(2)]
-    return sensitivity._indices_from_values(designs, 4, resamples)
+    designs = [rng.uniform(size=(6, 64)) for _ in range(2)]
+    return sensitivity._indices_from_values(designs, 4, RESAMPLES)
 
 
 def test_bootstrap_draw_thread_ends_with_the_pass(monkeypatch):
