@@ -159,11 +159,10 @@ def _parse_pattern(raw: str):
     if raw == "all":
         return list(SUCCESS_PATTERNS)
     cleaned = raw.replace(",", "").replace(" ", "").replace("(", "").replace(")", "")
-    if len(cleaned) == 3 and set(cleaned) <= {"0", "1"}:
-        pattern = tuple(int(c) for c in cleaned)
-        if pattern in SUCCESS_PATTERNS:
-            return [pattern]
-    valid = ", ".join("".join(map(str, p)) for p in SUCCESS_PATTERNS)
+    patterns = {_pattern_label(p): p for p in SUCCESS_PATTERNS}
+    if cleaned in patterns:
+        return [patterns[cleaned]]
+    valid = ", ".join(patterns)
     raise ValueError(f"{raw!r} is not a herald pattern (one of {valid}, or 'all')")
 
 
@@ -415,9 +414,10 @@ def _relative_phase(amplitude: complex, reference: complex) -> float:
 
 
 def _run_scissor(cfg: dict) -> tuple[list[str], list]:
+    kept = range(scissor._RESOURCE_PHOTONS + 1)  # the output's photon numbers
     header = [
         "g", "pattern", "success_probability", "truncation_weight",
-        "out_abs0", "out_abs1", "out_abs2", "rel_phase_01", "rel_phase_12",
+        *(f"out_abs{k}" for k in kept), *(f"rel_phase_{k - 1}{k}" for k in kept[1:]),
     ]
     gains, patterns = cfg["g"], cfg["pattern"]
     rows = []
@@ -427,7 +427,7 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list]:
             c = outcome.output.tolist()  # Python complex; numpy divides them differently
             rows.append([
                 outcome.success_probability, outcome.truncation_weight, *map(abs, c),
-                _relative_phase(c[1], c[0]), _relative_phase(c[2], c[1]),
+                *(_relative_phase(c[k], c[k - 1]) for k in kept[1:]),
             ])
     by_pattern = np.tile(np.arange(len(patterns)), len(gains))
     labels = ([_pattern_label(p) for p in patterns], by_pattern)

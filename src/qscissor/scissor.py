@@ -1,35 +1,36 @@
-"""The two-photon quantum-scissor heralded amplifier.
+"""The quantum-scissor heralded amplifier on an N-photon resource.
 
-The amplifier teleports a single-mode field onto the reflected arm of a
-two-photon resource state while multiplying every photon-number amplitude
-by a programmable gain: ``c_k -> g^k c_k`` for k = 0, 1, 2 (components above
-two photons cannot satisfy the herald and are cut off).  The circuit, on
-modes signal 0, resource 1, output 2 and vacuum port 3, is
+The amplifier teleports a single-mode field onto the reflected arm of an
+N-photon resource while multiplying every photon-number amplitude by a
+programmable gain, ``c_k -> g^k c_k`` for k <= N; components above N
+photons cannot satisfy the herald and are cut off.  N is the one constant
+``_RESOURCE_PHOTONS``, the patterns, modes and limits follow from it, and
+the amplifier shipped has N = 2.  N = 1 is the single-photon scissor of
+Pegg, Phillips & Barnett (PRL 81, 1604, 1998); the N-photon form follows
+Ralph & Lund (arXiv:0809.0326).  The resource |N> is split on a beam
+splitter of transmittance ``eta(g)`` whose reflected arm is the output; its
+transmitted arm, the input and N - 1 vacuum ports meet in an (N + 1)-mode
+mixer, at N = 2 the tritter (:func:`circuit.tritter_elements`, in two
+halves that the loss model in ``sensitivity`` puts its in-mixer losses
+between); success is one photon on each of N of the N + 1 mixer detectors.
 
-* resource |2> split on a beam splitter with transmittance ``eta(g)``;
-  the reflected arm becomes the output mode,
-* transmitted arm, the input field, and the vacuum port mixed in the
-  tritter (:func:`circuit.tritter_elements`: 1/2 and 1/3 splitters and a
-  3pi/2 shift, in two halves that the loss model in ``sensitivity`` puts
-  its in-mixer losses between),
-* success heralded by detecting exactly two photons across the three
-  interferometer outputs in one of the patterns (1,1,0), (1,0,1), (0,1,1).
-
-The resource brings two photons and the herald takes two, so the heralded
-map is diagonal in the signal's photon number k and leaves every other mode
-alone: three amplitudes ``<pattern, k| U |k, 2, 0, 0>`` read from the
-circuit's Fock map.  The gain only sets the splitter's t = 1/sqrt(1+g^2)
-and r = g t, and the heralded branch has k resource photons reflected, of
-amplitude sqrt(C(2,k)) t^(2-k) r^k times a g-free phase; so the amplitudes
-are read once per pattern at g = 1 and scaled by g^k 2/(1+g^2).  Each
-success pattern imprints a fixed extra phase per photon-number step (0,
-2pi/3 or 4pi/3) that a receiver can undo locally; the tritter equals the
-three-mode Fourier interferometer up to diagonal phases, which shift each
-pattern's amplitudes by one global phase and leave these steps alone.
-The counting stage's balanced splitter registers a coincidence only from
-two photons, so its probability is the two-photon weight times one fixed
-factor.  The runners hold the signal's photon-number amplitudes as a plain
-array; ``heralded_amplify`` applies the same table to a dict ``PureState``.
+The herald takes the N photons the resource brings, so the heralded map is
+diagonal in the signal's photon number k: N + 1 amplitudes
+``<pattern, k| U |k, N, 0, ...>``, read from the circuit's Fock map once
+at g = 1.  The gain only sets the splitter's t = 1/sqrt(1+g^2) and r = g t,
+and the heralded branch reflects k resource photons with amplitude
+sqrt(C(N,k)) t^(N-k) r^k times a g-free phase, which scales them.  Through
+the Fourier mixer a pattern heralds c_k with probability (N!/(N+1)^N)
+g^2k / (1+g^2)^N and adds a fixed phase per photon, which a receiver can
+undo locally; the patterns' phases are spaced 2pi/(N+1).  The tritter is
+the three-mode Fourier mixer up to diagonal phases, which add one phase
+per pattern and one per photon shared by all, so the spacing stays.  The
+pair experiments (``analysis`` and ``hom``), the counting stage (its
+splitter registers a coincidence only from two photons), the 14-point loss
+layout and the ``two_photon_*`` closed forms stay at two photons: each is a
+choice of probe state, not a limit of the amplifier.  The runners hold the
+signal's amplitudes as a plain array; ``heralded_amplify`` applies the same
+table to a dict ``PureState``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,22 +56,29 @@ from .circuit import (
 )
 from .fock import MixedState, PureState, _check_mode, _norm
 
-#: Herald patterns that flag a successful two-photon amplification.
-SUCCESS_PATTERNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-
-#: The amplifier's mode layout.  The gain splitter couples the resource to
-#: the output; the mixer and its herald detectors take the signal, the
-#: resource's transmitted arm and the vacuum port, in that order.
+#: N, the resource's photon number; also the most photons the output can hold.
+_RESOURCE_PHOTONS = 2
 _SIGNAL_MODE, _RESOURCE_MODE, _OUT_MODE = 0, 1, 2
-_QFT_MODES = (_SIGNAL_MODE, _RESOURCE_MODE, 3)
-_MODES = max(*_QFT_MODES, _OUT_MODE) + 1
-_RESOURCE_PHOTONS = 2  # also the most photons the output can hold
 
-#: Herald probability of the resource alone.  With the amplifier off
-#: (g = 0) both resource photons enter the mixer and leave on any two
-#: distinct ports with amplitude of modulus sqrt(2) / 3, whatever the input
-#: does.
-_RESOURCE_ONLY_HERALD = 2.0 / 9.0
+
+def _layout(photons: int) -> tuple:
+    """(herald patterns, mixer modes, mode count) of an N-photon resource: a
+    pattern fires N of the N + 1 mixer detectors, the idle one moving from last
+    to first; the mixer takes the signal, the resource arm and N - 1 vacuum ports."""
+    idle = reversed(range(photons + 1))
+    patterns = tuple((1,) * m + (0,) + (1,) * (photons - m) for m in idle)
+    mixer = (_SIGNAL_MODE, _RESOURCE_MODE, *range(_OUT_MODE + 1, photons + 2))
+    return patterns, mixer, photons + 2
+
+
+#: The amplifier's success patterns, mixer modes and mode count.
+SUCCESS_PATTERNS, _QFT_MODES, _MODES = _layout(_RESOURCE_PHOTONS)
+_KEPT = ", ".join(f"c{k}" for k in range(_RESOURCE_PHOTONS + 1))  # in messages
+
+#: Herald probability of the resource alone (at g = 0, whatever the input).
+_RESOURCE_ONLY_HERALD = (
+    math.factorial(_RESOURCE_PHOTONS) / (_RESOURCE_PHOTONS + 1) ** _RESOURCE_PHOTONS
+)
 
 #: Largest input-state cutoff the full simulation accepts.
 MAX_INPUT_CUTOFF = 4
@@ -114,20 +124,18 @@ def _check_mixture_heralds(taus, gains) -> None:
 
 def _check_pattern(pattern: Sequence[int]) -> tuple:
     """The success pattern as a tuple of ints; raises for any other pattern.
-
-    Membership compares numerically, so 1.0 and numpy integers pass while
-    1.5, NaN and inf fail.
-    """
+    Membership compares numerically: 1.0 and numpy integers pass, 1.5, NaN
+    and inf fail."""
     p = tuple(pattern)
     if p not in SUCCESS_PATTERNS:
         raise ValueError(f"{p} is not a success pattern {SUCCESS_PATTERNS}")
     return tuple(map(int, p))
 
 
-def _resource_splitter() -> ModeUnitary:
-    """The g = 1 gain splitter on (resource, output) of the amplifier's modes."""
+def _resource_splitter(modes: int) -> ModeUnitary:
+    """The g = 1 gain splitter on (resource, output) of ``modes`` modes."""
     splitter = beam_splitter_unitary(0.5)
-    return embed_unitary(splitter, (_RESOURCE_MODE, _OUT_MODE), _MODES)
+    return embed_unitary(splitter, (_RESOURCE_MODE, _OUT_MODE), modes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,33 +158,38 @@ def _gain_factor(g: float, transmitted, reflected):
     return scale**transmitted * (g * scale) ** reflected
 
 
-@functools.lru_cache(maxsize=None)  # keyed on the three success patterns
-def _herald_amplitudes(pattern: tuple) -> np.ndarray:
-    """``<pattern, k| U |k, 2, 0, 0>`` at g = 1 for k = 0, 1, 2 (read-only).
+def _herald_amplitudes(photons: int, mixer: Sequence[ModeUnitary]) -> Mapping:
+    """{pattern: ``<pattern, k| U |k, N, 0, ...>`` at g = 1, k = 0..N} (read-only)
+    for N = ``photons``: ``U`` is the g = 1 gain splitter, then each part of
+    ``mixer`` (on all N + 2 modes) in turn; the output holds the k photons."""
+    patterns, mixer_modes, modes = _layout(photons)
+    u = functools.reduce(operator.matmul, reversed(mixer)) @ _resource_splitter(modes)
+    blocks = sector_transfer_blocks(u, 2 * photons)
+    sectors = fock_sectors(modes, 2 * photons)
+    table = {}
+    for pattern in patterns:
+        amplitudes = table[pattern] = np.empty(photons + 1, dtype=complex)
+        for k in range(photons + 1):
+            start, heralded = np.zeros((2, modes), dtype=int)
+            start[[_SIGNAL_MODE, _RESOURCE_MODE]] = k, photons
+            heralded[list(mixer_modes)], heralded[_OUT_MODE] = pattern, k
+            index = sectors[k + photons].index
+            row, col = index[tuple(heralded.tolist())], index[tuple(start.tolist())]
+            amplitudes[k] = blocks[k + photons][row, col]
+        amplitudes.setflags(write=False)
+    return MappingProxyType(table)
 
-    ``U`` is the mixer after the g = 1 gain splitter; ``pattern`` is read on
-    the mixer modes while the output holds the k photons.
-    """
-    first, second = _mixer_halves()
-    u = second @ first @ _resource_splitter()
-    blocks = sector_transfer_blocks(u, 2 * _RESOURCE_PHOTONS)
-    sectors = fock_sectors(_MODES, 2 * _RESOURCE_PHOTONS)
-    amplitudes = np.empty(_RESOURCE_PHOTONS + 1, dtype=complex)
-    for k in range(_RESOURCE_PHOTONS + 1):
-        start, heralded = np.zeros((2, _MODES), dtype=int)
-        start[[_SIGNAL_MODE, _RESOURCE_MODE]] = k, _RESOURCE_PHOTONS
-        heralded[list(_QFT_MODES)], heralded[_OUT_MODE] = pattern, k
-        index = sectors[k + _RESOURCE_PHOTONS].index
-        row, col = index[tuple(heralded.tolist())], index[tuple(start.tolist())]
-        amplitudes[k] = blocks[k + _RESOURCE_PHOTONS][row, col]
-    amplitudes.setflags(write=False)
-    return amplitudes
+
+@functools.lru_cache(maxsize=None)
+def _herald_table() -> Mapping:
+    """The amplifier's ``_herald_amplitudes``: N = 2 through the tritter halves."""
+    return _herald_amplitudes(_RESOURCE_PHOTONS, _mixer_halves())
 
 
 def _herald_gains(pattern: tuple, g: float) -> np.ndarray:
-    """The herald amplitudes ``<pattern, k| U |k, 2, 0, 0>`` at gain g, k = 0, 1, 2."""
+    """The herald amplitudes ``<pattern, k| U |k, N, 0, ...>`` at gain g, k = 0..N."""
     k = np.arange(_RESOURCE_PHOTONS + 1)
-    return _herald_amplitudes(pattern) * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
+    return _herald_table()[pattern] * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
 
 
 def heralded_amplify(
@@ -186,8 +199,8 @@ def heralded_amplify(
 
     Returns the *unnormalized* conditional state (the signal mode replaced in
     place by the amplifier output mode) and the herald probability.  Input
-    components with more than two photons in the signal mode can never
-    produce a two-photon herald, so they only dilute the success
+    components with more than N photons in the signal mode can never
+    produce an N-photon herald, so they only dilute the success
     probability.
     """
     pattern = _check_pattern(pattern)
@@ -204,10 +217,10 @@ def heralded_amplify(
 
 
 def _amplify(amplitudes, g: float, pattern: tuple) -> tuple[list[complex], float]:
-    """(normalized output amplitudes on k = 0, 1, 2, herald probability) of the
+    """(normalized output amplitudes on k = 0..N, herald probability) of the
     signal photon-number amplitudes ``amplitudes`` (c_0, c_1, ...).
 
-    Each c_k with k <= 2 is scaled by its herald amplitude, with the scalar
+    Each c_k with k <= N is scaled by its herald amplitude, with the scalar
     arithmetic, norm and division of ``heralded_amplify`` and a normalization,
     so the results are their bits.  ``pattern`` must be checked already and
     the amplitudes must herald at g (``_check_herald_weight``).
@@ -234,8 +247,8 @@ def _check_amplitudes(amplitudes) -> list[complex]:
     size = max(map(abs, values))
     if size == 0.0:
         raise ValueError("cannot normalize the zero state")
-    if not any(values[:3]):
-        raise ValueError("c0, c1, c2 are all zero: nothing can be heralded")
+    if not any(values[: _RESOURCE_PHOTONS + 1]):
+        raise ValueError(f"{_KEPT} are all zero: nothing can be heralded")
     if not _MIN_COEFF <= size <= 1 / _MIN_COEFF:
         raise ValueError(f"max |c| = {size} outside [{_MIN_COEFF}, {1 / _MIN_COEFF}]")
     return values
@@ -246,16 +259,17 @@ def _check_herald_weight(amplitudes, g: float) -> None:
     if g == 0.0 and amplitudes[0] == 0:
         raise ValueError("g = 0 keeps only c0, which input_coeffs sets to zero")
     size = max(map(abs, amplitudes))
-    weight = max(abs(c) / size * g**k for k, c in enumerate(amplitudes[:3]))
+    kept = amplitudes[: _RESOURCE_PHOTONS + 1]
+    weight = max(abs(c) / size * g**k for k, c in enumerate(kept))
     if weight * 2.0 / (1.0 + g * g) < _MIN_COEFF:
-        raise ValueError(f"c0, c1, c2 too small to herald at g = {g}")
+        raise ValueError(f"{_KEPT} too small to herald at g = {g}")
 
 
 @dataclass
 class ScissorOutcome:
     """Post-herald output of the amplifier, conditioned on one pattern."""
 
-    output: np.ndarray  # normalized amplitudes on |0>, |1>, |2>
+    output: np.ndarray  # normalized amplitudes on |0>, ..., |N>
     success_probability: float
     pattern: tuple
     truncation_weight: float
@@ -267,7 +281,7 @@ def run_two_scissor(amplitudes, g: float, pattern: Sequence[int]) -> ScissorOutc
     ``amplitudes`` holds the input's photon-number amplitudes c_0, c_1, ...,
     at most ``MAX_INPUT_CUTOFF + 1`` of them; they are normalized first.
     ``success_probability`` is the raw herald-pattern probability;
-    ``truncation_weight`` reports how much input probability sat above two
+    ``truncation_weight`` reports how much input probability sat above N
     photons and therefore could not be heralded.
     """
     amplitudes = _check_amplitudes(amplitudes)
@@ -281,7 +295,7 @@ def run_two_scissor(amplitudes, g: float, pattern: Sequence[int]) -> ScissorOutc
         output=np.array(output),
         success_probability=success_probability,
         pattern=pattern,
-        truncation_weight=sum((abs(c) ** 2 for c in state[3:]), 0.0),
+        truncation_weight=sum((abs(c) ** 2 for c in state[_RESOURCE_PHOTONS + 1 :]), 0.0),
     )
 
 
@@ -359,8 +373,8 @@ class GainMeasurement:
 
 
 def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, float]:
-    """(herald probability, output two-photon weight) of the amplifier on the
-    mixture of |0>, |1>, |2> with ``weights``: each component through
+    """(herald probability, output N-photon weight) of the amplifier on the
+    mixture of |0>, ..., |N> with ``weights``: each component through
     ``heralded_amplify``, in order, with the dict-state mixture's norms and
     sums (``dict_run_two_scissor`` in the test oracles).  The mixture must
     herald at g (``_check_mixture_heralds``)."""
@@ -378,7 +392,7 @@ def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, flo
         if p > 0.0:
             heralded.append((n, weight * p, abs(a / norm) ** 2))
     total = sum(w for _, w, _ in heralded)
-    return herald, sum(w / total * q for n, w, q in heralded if n == 2)
+    return herald, sum(w / total * q for n, w, q in heralded if n == _RESOURCE_PHOTONS)
 
 
 def simulate_gain_measurement(
@@ -389,12 +403,10 @@ def simulate_gain_measurement(
     The input, |2> after loss tau, has photon-number weights ((1-tau)^2,
     2 tau (1-tau), tau^2).  With the amplifier on, it is amplified and the
     output mode is counted; four-fold rates normalized by the herald rate
-    estimate the output two-photon population.  With the amplifier off the
-    input goes straight to the counting stage while the resource alone
-    (full transmittance, no interference) still fires the heralds, so the
-    same conditioning applies but the heralds carry no information about
-    the input and cancel from the normalized estimate; their probability is
-    the closed form 2/9.
+    estimate the output two-photon population.  With it off, the input goes
+    straight to the counting stage while the resource alone still fires the
+    heralds, with the closed-form probability N!/(N+1)^N; they carry no
+    information about the input and cancel from the normalized estimate.
     """
     _check_transmission(tau)
     pattern = _check_pattern(pattern)
@@ -404,7 +416,7 @@ def simulate_gain_measurement(
         herald, two_photon = _amplified_two_photon(weights, g, pattern)
     else:
         # the input is diverted to the counting stage and never interferes
-        herald, two_photon = _RESOURCE_ONLY_HERALD, weights[2]
+        herald, two_photon = _RESOURCE_ONLY_HERALD, weights[_RESOURCE_PHOTONS]
     fourfold = herald * (_pair_separation() * two_photon)
     return GainMeasurement(
         herald_probability=herald,

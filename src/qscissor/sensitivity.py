@@ -27,9 +27,7 @@ each row by its lost photons.  The output row a row ends on fixes the
 resource photons the gain splitter reflected, so all its terms share one
 (transmitted, reflected) splitter class and a gain scales its weight by
 one factor: the walk runs at g = 1, and a gain is a sum over the six
-classes.  The amplifier-off configuration needs no circuit: its heralds
-are independent of the input and cancel, leaving the closed form
-tau_off^2 / 2.
+classes.  The amplifier-off configuration needs no circuit.
 
 One evaluation runs in two g-free stages: the Kraus-branch walk through
 the gain splitter, the resource-arm loss and the in-mixer losses, and the
@@ -50,13 +48,10 @@ into every one of them, and never forms the hybrid matrices.  Per point
 the values are those ``lossy_gain_model`` returns on the full design.
 
 Each call of ``_design_values`` or ``lossy_gain_model`` makes one flat
-buffer, and ``_chunks`` views it as each chunk's ``_Work``: the working
-arrays its 7 walks, detector factors and 14 POVM sums write their
-monomials, matmul, squares, gathers and rows into, in place or through
-``out=``.  Arrays of a chunk's width are mapped fresh from the system
-and unmapped when freed, so a walk that allocated its own would spend
-much of its time in page faults.  The buffer is freed when the design is
-done, before the bootstrap pass.
+buffer, freed before the bootstrap pass, and ``_chunks`` views it as each
+chunk's ``_Work`` arrays: an array of a chunk's width is mapped fresh from
+the system, so a walk that allocated its own would spend much of its time
+in page faults.
 
 The bootstrap prices blocks of resamples with one matmul of draw counts
 per model.  The draws depend only on the seed, the number of base samples
@@ -89,6 +84,7 @@ from .scissor import (
     _OUT_MODE,
     _QFT_MODES,
     _RESOURCE_MODE,
+    _RESOURCE_PHOTONS,
     _check_gain,
     _check_mixture_heralds,
     _check_pattern,
@@ -153,22 +149,16 @@ _SCALAR_ROLES = ("input_size_path", "output_post_amp")
 
 
 # ---------------------------------------------------------------------------
-# batched circuit engine
-#
-# Modes are the amplifier's layout from scissor.py: 0 = signal, 1 = resource,
-# 2 = output, 3 = vacuum port.  The mixer acts on (0, 1, 3) and comes as
-# the amplifier's two tritter halves, so losses can sit between them.
-# The per-pattern tables are built sector by sector (fixed total photon
-# number, rows of circuit.fock_sectors); per-sample arrays are sample-last,
-# [rows, samples].
+# batched circuit engine, on the amplifier's modes (scissor's layout at N = 2:
+# the mixer on 0, 1 and 3, as two tritter halves); tables are built sector by
+# sector (rows of circuit.fock_sectors)
 # ---------------------------------------------------------------------------
 
-_BEAM_PHOTONS = 2  # the input and the resource each start as |2>
-_PHOTONS = 2 * _BEAM_PHOTONS
+_PHOTONS = 2 * _RESOURCE_PHOTONS  # the input and the resource each start as |N>
 #: samples per pass; a chunk's working arrays (``_Work``), the largest the
 #: walk's real [110, _CHUNK] matmul, take about 4 MB together
 _CHUNK = 1024
-_STARTS = (_BEAM_PHOTONS + 1) ** 2  # incoherent |a, b> starts, a * 3 + b
+_STARTS = (_RESOURCE_PHOTONS + 1) ** 2  # incoherent |a, b> starts, a * (N + 1) + b
 
 #: Modes of the walked losses, one slot each in the order of ``_WALKED_ROLES``:
 #: the resource arm entering the mixer, then the mixer modes between its halves.
@@ -189,7 +179,7 @@ class _Branch:
     by the photons each slot lost, prod_s (1 - t_s)^k_s.
     """
 
-    start: int  # a * 3 + b
+    start: int  # a * (N + 1) + b
     lost: tuple  # k_s of the slots walked so far
     photons: int  # its sector
     rows: np.ndarray  # [terms]
@@ -253,13 +243,13 @@ class _WalkMatrix:
     kept: np.ndarray  # [columns, 4]: powers of sqrt(t_s) per walked slot
     lost: np.ndarray  # [kinds, 4]: powers of 1 - t_s per walked slot
     lost_kind: np.ndarray  # [rows]: each row's row of ``lost``
-    start: np.ndarray  # [rows]: the row's |a, b> start, a * 3 + b
+    start: np.ndarray  # [rows]: the row's |a, b> start, a * (N + 1) + b
     povm_row: np.ndarray  # [rows]: its row in the POVM rows of every sector
     detected: np.ndarray  # [povm rows, 6]: powers of t_m, then 1 - t_m per detector
     classes: np.ndarray  # [classes, 2]: (transmitted, reflected) splitter photons
     row_class: np.ndarray  # [rows]: each row's row of ``classes``
     select: np.ndarray  # [2 classes, rows]: C(n, p) on the row's class, for p2,
-    # then for rho22 on the rows that leave two photons in the output
+    # then for rho22 on the rows that leave N photons in the output
 
 
 @functools.lru_cache(maxsize=None)  # keyed on the three success patterns
@@ -289,16 +279,16 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
 
     branches = [
         _Branch(
-            a * (_BEAM_PHOTONS + 1) + b,
+            a * (_RESOURCE_PHOTONS + 1) + b,
             (),
             a + b,
             np.array([sectors[a + b].index[(a, b, 0, 0)]]),
             np.zeros(1, dtype=int),
             np.ones(1, dtype=complex),
         )
-        for a, b in itertools.product(range(_BEAM_PHOTONS + 1), repeat=2)
+        for a, b in itertools.product(range(_RESOURCE_PHOTONS + 1), repeat=2)
     ]
-    splitter = sector_transfer_blocks(_resource_splitter(), _PHOTONS)
+    splitter = sector_transfer_blocks(_resource_splitter(_MODES), _PHOTONS)
     branches = [_evolve(branch, splitter) for branch in branches]
     branches = [_evolve(branch, first) for branch in lose(branches, 0)]
     for slot in range(1, len(_WALKED_MODES)):
@@ -326,7 +316,8 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     comb = _COMB[detected, pattern].prod(axis=1)[povm_row]
     # the output mode holds the photons the gain splitter reflected
     reflected = occupations[povm_row, _OUT_MODE]
-    split = np.column_stack([start % (_BEAM_PHOTONS + 1) - reflected, reflected])
+    full = reflected == _RESOURCE_PHOTONS  # the rows of rho22
+    split = np.column_stack([start % (_RESOURCE_PHOTONS + 1) - reflected, reflected])
     classes, row_class = np.unique(split, axis=0, return_inverse=True)
     in_class = row_class.ravel() == np.arange(len(classes))[:, None]
     walk = _WalkMatrix(
@@ -341,7 +332,7 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
         ),
         classes=classes,
         row_class=row_class.ravel(),
-        select=np.vstack([in_class * comb, in_class * (comb * (reflected == 2))]),
+        select=np.vstack([in_class * comb, in_class * (comb * full)]),
     )
     for value in vars(walk).values():
         value.flags.writeable = False
@@ -441,7 +432,7 @@ def _detector_factors(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.
     prod_m t_m^p_m (1 - t_m)^e_m, p_m photons heralded and e_m lost at
     detector m (its count C(n, p) is in the walk's ``select``)."""
     walk = _walk_matrix(pattern)
-    t_detect = [roles[f"detector_{m}"] for m in range(3)]
+    t_detect = [roles[f"detector_{m}"] for m in range(len(_QFT_MODES))]
     tables = [_power_table(t) for t in t_detect]
     tables += [_power_table(1.0 - t) for t in t_detect]
     monomials = _monomials(tables, walk.detected, work)
@@ -472,10 +463,7 @@ def _pair_weights(transmission: np.ndarray) -> np.ndarray:
 
 def _role_transmission(tr: np.ndarray, role: str) -> np.ndarray:
     """[samples]: the product of the transmissions of ``role``'s columns."""
-    out = np.ones(tr.shape[1])
-    for c in _ROLE_COLUMNS[role]:
-        out = out * tr[c]
-    return out
+    return tr[_ROLE_COLUMNS[role]].prod(axis=0)
 
 
 def _transmissions(losses: np.ndarray) -> np.ndarray:
@@ -503,7 +491,7 @@ def _measured_gains(tau, roles: dict, sums: np.ndarray, factors) -> list:
 
 def _walk(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.ndarray:
     """``_branch_walk`` on the walked roles' transmissions."""
-    t_internal = [roles[f"qft_internal_{m}"] for m in range(3)]
+    t_internal = [roles[f"qft_internal_{m}"] for m in range(len(_QFT_MODES))]
     return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal, work, out)
 
 

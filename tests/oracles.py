@@ -10,7 +10,8 @@ overlaps, the mixture trace and density matrix and the fringe
 fit are the definitions the package's results are checked against.  The
 three-mode Fourier interferometer is the textbook form of the amplifier's
 mixer (the package builds the tritter, which equals it up to diagonal
-phases), the dict loss channel is the Kraus-operator definition the Sobol
+phases), and on N + 1 modes it is the mixer of the N-photon amplifier the
+tests build at other N; the dict loss channel is the Kraus-operator definition the Sobol
 engine's batched loss walk reproduces, and the per-branch walk is that loss
 walk one Kraus branch at a time on the dense Fock basis, which the engine
 composes into a single matrix product.  They build on the circuit and state
@@ -57,6 +58,7 @@ from qscissor.fock import (
 )
 from qscissor.scissor import (
     _RESOURCE_ONLY_HERALD,
+    _RESOURCE_PHOTONS,
     MAX_INPUT_CUTOFF,
     SUCCESS_PATTERNS,
     GainMeasurement,
@@ -243,18 +245,20 @@ def gain_to_transmittance(g: float) -> float:
 
 def herald_phase(pattern) -> float:
     """Phase acquired per photon-number step for a given success pattern."""
-    return 2.0 * math.pi * SUCCESS_PATTERNS.index(_check_pattern(pattern)) / 3.0
+    index = SUCCESS_PATTERNS.index(_check_pattern(pattern))
+    return 2.0 * math.pi * index / len(SUCCESS_PATTERNS)
 
 
 def ideal_scissor_transform(coefficients, g: float) -> np.ndarray:
-    """Closed-form amplifier action: keep c_0, c_1, c_2 and scale c_k by g^k.
+    """Closed-form amplifier action: keep c_0, ..., c_N and scale c_k by g^k.
 
-    Returns the renormalized length-3 vector; raises if nothing survives.
+    Returns the renormalized length-(N + 1) vector; raises if nothing survives.
     """
     _check_gain(g)
-    kept = np.zeros(3, dtype=complex)
-    kept[: len(coefficients[:3])] = coefficients[:3]
-    kept *= np.array([g**k for k in range(3)])  # 0^0 = 1: g = 0 keeps c_0
+    size = _RESOURCE_PHOTONS + 1
+    kept = np.zeros(size, dtype=complex)
+    kept[: len(coefficients[:size])] = coefficients[:size]
+    kept *= np.array([g**k for k in range(size)])  # 0^0 = 1: g = 0 keeps c_0
     norm = np.linalg.norm(kept)
     if norm == 0.0:
         raise ValueError("input has no support on the retained photon numbers")
@@ -298,6 +302,14 @@ def qft_unitary(m: int) -> ModeUnitary:
     j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     omega = np.exp(2j * np.pi / m)
     return ModeUnitary(omega ** (j * k) / np.sqrt(m))
+
+
+def fourier_mixer(photons: int) -> ModeUnitary:
+    """The (N + 1)-mode Fourier interferometer on the mixer modes of an
+    N-photon amplifier, N = ``photons``: signal 0, resource arm 1 and the
+    vacuum ports 3, ..., N + 1 of its N + 2 modes (the output is mode 2)."""
+    mixer_modes = (0, 1, *range(3, photons + 2))
+    return embed_unitary(qft_unitary(photons + 1), mixer_modes, photons + 2)
 
 
 @dataclass(frozen=True)

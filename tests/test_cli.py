@@ -463,6 +463,25 @@ def test_scissor_and_fringes_bytes_are_pinned(tmp_path, experiment, text):
     assert digests == _DICT_STATE_SHA256[experiment, text]
 
 
+#: sha256 of the default hom CSV and meta, the same under the default,
+#: Haswell, Sandybridge and Prescott BLAS kernels; the default negativity run
+#: is not pinned, since its bytes move with the kernel
+_HOM_SHA256 = (
+    "cd96a37440e2309b5c747296e5803920fb814b2878135e8bf39dc6c5a17d5641",
+    "9c6fb5b8b0a846ac30b06277587abe80e536b85c735294ca0bce4b2abeaad455",
+)
+
+
+def test_hom_bytes_are_pinned(tmp_path):
+    path = write_config(tmp_path, "")
+    assert main(["hom", "--config", path, "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"hom{suffix}").read_bytes()).hexdigest()
+        for suffix in (".csv", ".meta.json")
+    )
+    assert digests == _HOM_SHA256
+
+
 def test_fringes_offsets_step_by_two_thirds(tmp_path):
     path = write_config(
         tmp_path,

@@ -28,11 +28,12 @@ from oracles import (
     dict_gain_measurement,
     dict_run_two_scissor,
     expand_columns,
+    fourier_mixer,
     mixture_trace,
     normalized,
     write_rows,
 )
-from qscissor import cli
+from qscissor import cli, scissor
 from qscissor.cli import (
     EXPERIMENTS,
     SCHEMAS,
@@ -66,9 +67,26 @@ _COEFFICIENTS = st.lists(
 ).filter(lambda cs: any(abs(c) > 1e-6 for c in cs))
 
 
+@functools.cache
+def _table_at(photons: int):
+    """The amplifier's g = 1 herald amplitudes at resource photon number N:
+    the shipped tritter at N = 2, the (N + 1)-mode Fourier mixer otherwise."""
+    if photons == 2:
+        return scissor._herald_table()
+    return scissor._herald_amplitudes(photons, (fourier_mixer(photons),))
+
+
 @PROPERTY
-@given(coeffs=_COEFFICIENTS, g=_GAIN, pattern=st.sampled_from(SUCCESS_PATTERNS))
-def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
+@given(
+    coeffs=_COEFFICIENTS,
+    g=_GAIN,
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+    photons=st.sampled_from([1, 2, 3, 4]),
+)
+@example(coeffs=[1.0, 1j], g=0.0, pattern=(1, 1, 0), photons=1)
+@example(coeffs=[1.0], g=1e-6, pattern=(1, 0, 1), photons=3)
+@example(coeffs=[0.6, 0.8], g=1e6, pattern=(0, 1, 1), photons=4)
+def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern, photons):
     amplitudes = {(k,): c for k, c in enumerate(coeffs)}
     state = normalized(PureState(1, amplitudes, cutoff=max(2, len(coeffs) - 1)))
     c = [amplitude(state, (k,)) for k in range(3)]
@@ -76,6 +94,23 @@ def test_herald_probability_is_closed_form_prefactor(coeffs, g, pattern):
     expected = (2.0 / 9.0) / (1.0 + g * g) ** 2
     expected *= sum(abs(g**k * c[k]) ** 2 for k in range(3))
     assert probability == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    # at every N: |A_k(g)|^2 = (N! / (N+1)^N) g^2k / (1+g^2)^N, and each
+    # pattern adds one phase per photon, the patterns' steps 2 pi / (N+1) apart
+    table = _table_at(photons)
+    assert len(table) == photons + 1
+    k = np.arange(photons + 1)
+    prefactor = math.factorial(photons) / (photons + 1) ** photons
+    closed_form = prefactor * g ** (2 * k) / (1.0 + g * g) ** photons
+    steps = []
+    for amplitudes in table.values():
+        heralded = amplitudes * scissor._gain_factor(g, photons - k, k)
+        assert np.abs(heralded) ** 2 == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+        step = amplitudes[1:] / amplitudes[:-1]
+        assert np.angle(step / step[0]) == pytest.approx(0.0, abs=1e-12)
+        steps.append(np.angle(step[0]))
+    spacing = np.sort((np.array(steps) - steps[0]) % (2.0 * np.pi))
+    assert spacing == pytest.approx(2.0 * np.pi * k / (photons + 1), abs=1e-12)
 
 
 @PROPERTY
@@ -443,6 +478,22 @@ _GRIDS = st.builds(
 )
 
 
+#: valid sobol configs whose gain, transmission and loss range sit at their
+#: limits together: each key's values, a loss range as one (min, max) pair
+_SOBOL_JOINT = {
+    "g": ["1e-25", "1e6"],
+    "tau": ["1e-100", "1"],
+    ("loss_min", "loss_max"): [
+        ("0", "1e-16"), ("0", "0.9999999999999999"), ("0.99", "0.9999"),
+        ("0.9999999999999998", "0.9999999999999999"),
+    ],
+    "n_base": ["2", "17"],
+    "bootstrap": ["2", "20"],
+    "seed": ["0", str(2**64 - 1)],
+    "pattern": ["110", "101", "011"],
+}
+
+
 #: characters that ``str.splitlines`` ends a line at, but a config line holds
 _SEPARATORS = st.sampled_from(
     ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -454,8 +505,17 @@ def _config_texts(draw):
     """(experiment, config text, extra argv) over every key of the schema,
     with values at and beyond the limits, and line separators other than a
     line feed in values and comments; the work stays small (n_base <= 64,
-    bootstrap <= 20, grids of at most 49 points)."""
-    experiment = draw(st.sampled_from(EXPERIMENTS))
+    bootstrap <= 20, grids of at most 49 points).  One draw in seven is a
+    joint extreme instead: a valid sobol text from ``_SOBOL_JOINT``."""
+    experiment = draw(st.sampled_from([*EXPERIMENTS, "joint"]))
+    if experiment == "joint":
+        lines = []
+        for keys, values in _SOBOL_JOINT.items():
+            value = draw(st.sampled_from(values))
+            pairs = zip(keys, value) if isinstance(keys, tuple) else [(keys, value)]
+            lines += [f"{key} = {v}" for key, v in pairs]
+        lines = draw(st.permutations(lines))
+        return "sobol", "".join(f"{line}\n" for line in lines), []
     schema = SCHEMAS[experiment]
     argv = draw(st.sampled_from([[], ["--seed", "3"], ["--seed", "-1"]]))
     rarely = st.sampled_from([False, False, False, True])

@@ -11,6 +11,7 @@ from oracles import (
     dict_run_two_scissor,
     fit_visibility,
     fock_state,
+    fourier_mixer,
     full_circuit_amplify,
     gain_to_transmittance,
     herald_phase,
@@ -280,7 +281,7 @@ def test_mixer_halves_are_compiled_once(monkeypatch):
         return compile_circuit(*args)
 
     monkeypatch.setattr(scissor, "compile_circuit", counted)
-    for table in (scissor._mixer_halves, scissor._herald_amplitudes):
+    for table in (scissor._mixer_halves, scissor._herald_table):
         table.cache_clear()
     sensitivity._walk_matrix.cache_clear()
     for pattern in SUCCESS_PATTERNS:
@@ -290,6 +291,90 @@ def test_mixer_halves_are_compiled_once(monkeypatch):
     for half in scissor._mixer_halves():
         with pytest.raises(ValueError):
             half.matrix[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the amplifier derived from its resource photon number N
+# ---------------------------------------------------------------------------
+
+
+def test_layout_follows_the_resource_photon_number():
+    assert SUCCESS_PATTERNS == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    assert (scissor._QFT_MODES, scissor._MODES) == ((0, 1, 3), 4)
+    assert scissor._layout(2) == (SUCCESS_PATTERNS, scissor._QFT_MODES, scissor._MODES)
+    assert scissor._RESOURCE_ONLY_HERALD == 2.0 / 9.0
+    for photons in range(1, 6):
+        patterns, mixer_modes, modes = scissor._layout(photons)
+        assert len(set(patterns)) == photons + 1
+        assert all(sorted(p) == [0] + [1] * photons for p in patterns)
+        assert list(patterns) == sorted(patterns, reverse=True)
+        assert mixer_modes == (0, 1, *range(3, photons + 2)) and modes == photons + 2
+
+
+def _amplitude(u, photons, pattern, k) -> complex:
+    """<pattern, k| u |k, N, 0, ...> from u's sector blocks: the pattern on
+    the mixer modes 0, 1, 3, ..., N + 1 and k photons in the output mode 2."""
+    sector = circuit.fock_sectors(photons + 2, 2 * photons)[k + photons]
+    start = (k, photons) + (0,) * photons
+    heralded = (*pattern[:2], k, *pattern[2:])
+    block = circuit.sector_transfer_blocks(u, 2 * photons)[k + photons]
+    return block[sector.index[heralded], sector.index[start]]
+
+
+def test_shipped_table_is_the_tritter_halves_after_the_splitter():
+    # the product the bits come from: the halves first, then the splitter
+    first, second = scissor._mixer_halves()
+    u = second @ first @ scissor._resource_splitter(scissor._MODES)
+    table = scissor._herald_table()
+    assert list(table) == list(SUCCESS_PATTERNS)
+    with pytest.raises(TypeError):
+        table[SUCCESS_PATTERNS[0]] = table[SUCCESS_PATTERNS[1]]
+    for pattern, amplitudes in table.items():
+        expected = [_amplitude(u, 2, pattern, k) for k in range(3)]
+        assert np.array_equal(amplitudes, expected)
+        built = scissor._herald_amplitudes(2, (first, second))
+        assert np.array_equal(built[pattern], expected)
+
+
+@pytest.mark.parametrize("photons", [1, 3, 4])
+def test_herald_builder_is_the_permanent_at_other_n(photons):
+    mixer = fourier_mixer(photons)
+    splitter = circuit.embed_unitary(
+        circuit.beam_splitter_unitary(0.5), (1, 2), photons + 2
+    )
+    u = mixer @ splitter
+    table = scissor._herald_amplitudes(photons, (mixer,))
+    assert list(table) == list(scissor._layout(photons)[0])
+    for pattern, amplitudes in table.items():
+        with pytest.raises(ValueError):
+            amplitudes[0] = 0.0
+        for k, amplitude in enumerate(amplitudes):
+            start = (k, photons) + (0,) * photons
+            heralded = (*pattern[:2], k, *pattern[2:])
+            dense = circuit.fock_amplitude(u, start, heralded)
+            assert amplitude == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 4.0])
+def test_single_photon_scissor_is_pegg_phillips_barnett(g):
+    # N = 1: each of the two patterns heralds c0|0> + c1|1> with probability
+    # (|c0|^2 + g^2 |c1|^2) / (2 (1 + g^2)) and leaves c0|0> + g c1|1> up to
+    # its phase per photon, 0 for one pattern and pi for the other
+    table = scissor._herald_amplitudes(1, (fourier_mixer(1),))
+    assert list(table) == [(1, 0), (0, 1)]
+    c, k = np.array([0.6, 0.8j]), np.arange(2)
+    steps = []
+    for amplitudes in table.values():
+        heralded = c * amplitudes * scissor._gain_factor(g, 1 - k, k)
+        probability = np.sum(np.abs(heralded) ** 2)
+        expected = (abs(c[0]) ** 2 + g * g * abs(c[1]) ** 2) / (2.0 * (1.0 + g * g))
+        assert probability == pytest.approx(expected, rel=1e-12, abs=0.0)
+        step = amplitudes[1] / amplitudes[0]
+        steps.append(np.angle(step))
+        ideal = c * g**k * (step / abs(step)) ** k
+        ideal /= np.linalg.norm(ideal)
+        assert fidelity(ideal, heralded / math.sqrt(probability)) == pytest.approx(1.0)
+    assert abs(steps[1] - steps[0]) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_success_probability_symmetric_across_patterns():
@@ -587,11 +672,10 @@ def _int_tuple_sites(path: pathlib.Path) -> set:
 
 
 def test_int_tuples_are_built_only_by_the_two_checks():
-    # a stray tuple(int(n) for n in ...) truncates 1.5 to 1 without a word;
-    # cli._parse_pattern converts digits it has already checked are 0 or 1
+    # a stray tuple(int(n) for n in ...) truncates 1.5 to 1 without a word
     package = pathlib.Path(scissor.__file__).parent
     sites = set().union(*map(_int_tuple_sites, package.glob("*.py")))
-    assert sites == {"fock._occupation", "scissor._check_pattern", "cli._parse_pattern"}
+    assert sites == {"fock._occupation", "scissor._check_pattern"}
 
 
 @pytest.mark.parametrize(

@@ -542,10 +542,10 @@ def test_distinct_gains_build_no_tables():
             lossy_gain_model(g, 0.05, np.full(14, 0.1), pattern=pattern)
     after = circuit._transfer.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
-    assert scissor._herald_amplitudes.cache_info().currsize <= 3
+    assert scissor._herald_table.cache_info().currsize == 1
     assert sensitivity._walk_matrix.cache_info().currsize <= 3
     walk = sensitivity._walk_matrix((1, 1, 0))
-    tables = [scissor._herald_amplitudes((1, 1, 0)), scissor._coincidence_row()]
+    tables = [scissor._herald_table()[(1, 1, 0)], scissor._coincidence_row()]
     tables += [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
     assert len(tables) == 12
     for table in tables:
