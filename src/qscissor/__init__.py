@@ -20,10 +20,8 @@ from .circuit import (
     tritter_elements,
 )
 from .fock import (
-    DEFAULT_CUTOFF,
     MixedState,
     PureState,
-    basis_dimension,
     basis_enumerate,
     tensor,
 )
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamSplitter",
-    "DEFAULT_CUTOFF",
     "FringeScan",
     "LOSS_POINTS",
     "LossPoint",
@@ -64,7 +61,6 @@ __all__ = [
     "SUCCESS_PATTERNS",
     "amplified_mixture_closed_form",
     "apply_mode_unitary",
-    "basis_dimension",
     "basis_enumerate",
     "beam_splitter_unitary",
     "compile_circuit",

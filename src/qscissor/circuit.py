@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import PureState, _basis_layout, _occupation, basis_dimension, basis_enumerate
+from .fock import PureState, _basis_layout, _occupation, basis_enumerate
 
 UNITARITY_TOL = 1e-10
 
@@ -310,7 +310,12 @@ def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, 
     ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with ``i`` the
     first occupied mode of ``n``, so no permanent is evaluated.  Cached on
     (matrix bytes, max_total) for the last ``_TRANSFER_CACHE_SIZE``
-    unitaries, because sweeps reuse the same interferometer many times.
+    unitaries.  No experiment hits that cache (at the default configs each
+    builds 1 to 3 unitaries once, ``hom`` one per angle); each keeps what it
+    reuses in its own table (``scissor._herald_table``, ``_coincidence_row``
+    and ``_pair_separation``, ``sensitivity._walk_matrix``).  Its hits come
+    from the tests' dict-state path, which evolves every component of a
+    mixture through the same few unitaries.
     """
     return _transfer(u.matrix.tobytes(), u.dim, max_total)
 
@@ -322,7 +327,7 @@ def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:
     positions in a fresh array; entries equal :func:`fock_amplitude` up to
     rounding.
     """
-    dim = basis_dimension(u.dim, max_total)
+    dim = math.comb(max_total + u.dim, u.dim)  # occupations with total <= max_total
     dense = np.zeros((dim, dim), dtype=complex)
     blocks = sector_transfer_blocks(u, max_total)
     for sector, block in zip(fock_sectors(u.dim, max_total), blocks):
@@ -336,8 +341,11 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
         raise ValueError(
             f"unitary acts on {u.dim} modes but the state has {state.modes}"
         )
-    basis, _ = _basis_layout(state.modes, state.cutoff)
-    out_vec = fock_transfer_matrix(u, state.cutoff) @ state.to_vector()
+    basis, index = _basis_layout(state.modes, state.cutoff)
+    vec = np.zeros(len(basis), dtype=complex)
+    for occ, amp in state.amplitudes.items():
+        vec[index[occ]] = amp
+    out_vec = fock_transfer_matrix(u, state.cutoff) @ vec
     amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
     return PureState(state.modes, amps, cutoff=state.cutoff)
 

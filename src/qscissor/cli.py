@@ -627,6 +627,8 @@ def _load_entries(path: str) -> tuple[dict, str]:
     except UnicodeDecodeError as exc:
         line = len(exc.object[: exc.start + 1].splitlines())  # read_text's lines
         raise ConfigError(f"line {line}: config {path} is not UTF-8 text: {exc.reason}")
+    # drop a BOM here: "utf-8-sig" would read a file of b"\xef\xbb" as empty
+    text = text.removeprefix("\ufeff")
     return parse_config_text(text), text
 
 

@@ -17,26 +17,17 @@ between threads stays consistent only while no caller edits it.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
-import numpy as np
-
-#: Default cap on the total photon number of a state (two photon pairs).
-DEFAULT_CUTOFF = 4
-
 #: Tolerance used for normalization checks.
 NORM_TOL = 1e-12
 
 OccupationVector = tuple  # photon counts per mode, e.g. (1, 1, 0)
-
-
-def basis_dimension(modes: int, max_total: int) -> int:
-    """Number of occupation vectors on `modes` modes with total <= max_total."""
-    return math.comb(max_total + modes, modes)
 
 
 def basis_enumerate(modes: int, max_total: int) -> list[OccupationVector]:
@@ -106,19 +97,14 @@ class PureState:
         Number of optical modes; every key must have this length.
     amplitudes:
         Mapping occupation vector -> complex amplitude, not necessarily
-        normalized.
+        normalized.  NaN and infinite amplitudes are rejected.
     cutoff:
         Maximum total photon number.  Keys exceeding it are rejected rather
         than silently renormalized.  Exact zeros are dropped; every other
         amplitude is kept, however small.
     """
 
-    def __init__(
-        self,
-        modes: int,
-        amplitudes: Mapping[tuple, complex],
-        cutoff: int = DEFAULT_CUTOFF,
-    ):
+    def __init__(self, modes: int, amplitudes: Mapping[tuple, complex], cutoff: int):
         if modes < 0:
             raise ValueError("modes must be non-negative")
         if cutoff < 0:
@@ -133,6 +119,8 @@ class PureState:
                     f"occupation {occ} exceeds the total-photon cutoff {cutoff}"
                 )
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude {amp} of {occ} is not finite")
             if abs(amp) > 0.0:
                 amps[occ] = amps.get(occ, 0.0) + amp
         self.amplitudes = amps
@@ -145,19 +133,6 @@ class PureState:
                 f"occupation {occ} has {len(occ)} modes, expected {self.modes}"
             )
         return occ
-
-    def norm(self) -> float:
-        """sqrt(sum |a|^2), by :func:`_norm`."""
-        return _norm(self.amplitudes.values())
-
-    def to_vector(self) -> np.ndarray:
-        """Dense amplitude vector over ``basis_enumerate(modes, cutoff)``, in
-        that canonical (lexicographic) order."""
-        basis, index = _basis_layout(self.modes, self.cutoff)
-        vec = np.zeros(len(basis), dtype=complex)
-        for occ, amp in self.amplitudes.items():
-            vec[index[occ]] = amp
-        return vec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amplitudes.items()))
@@ -230,10 +205,6 @@ class MixedState:
         self.components = comps
         self.modes = modes
         self.cutoff = cutoff
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "MixedState":
-        return cls([(1.0, state)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MixedState({len(self.components)} components, modes={self.modes})"

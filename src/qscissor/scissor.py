@@ -213,7 +213,7 @@ def heralded_amplify(
         if occ[signal_mode] <= _RESOURCE_PHOTONS
     }
     conditional = PureState(state.modes, amps, cutoff=state.cutoff)
-    return conditional, conditional.norm() ** 2
+    return conditional, _norm(conditional.amplitudes.values()) ** 2
 
 
 def _amplify(amplitudes, g: float, pattern: tuple) -> tuple[list[complex], float]:
@@ -356,7 +356,7 @@ def pnr_coincidence_probability(state: MixedState | PureState) -> float:
     is that splitter amplitude squared (one half) times the two-photon weight.
     """
     if isinstance(state, PureState):
-        state = MixedState.from_pure(state)
+        state = MixedState([(1.0, state)])
     if state.modes != 1:
         raise ValueError("the counting stage takes a single-mode state")
     weights = (w * abs(s.amplitudes.get((2,), 0.0)) ** 2 for w, s in state.components)

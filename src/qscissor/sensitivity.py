@@ -151,10 +151,13 @@ _SCALAR_ROLES = ("input_size_path", "output_post_amp")
 # ---------------------------------------------------------------------------
 # batched circuit engine, on the amplifier's modes (scissor's layout at N = 2:
 # the mixer on 0, 1 and 3, as two tritter halves); tables are built sector by
-# sector (rows of circuit.fock_sectors)
+# sector (rows of circuit.fock_sectors).  The loss model holds only at N = 2:
+# its input and resource beams are |2> (``_pair_weights`` gives their three
+# photon-number rows, which ``_start_weights`` reshapes to ``_STARTS`` rows
+# only at N = 2), and its 14 loss points are the N = 2 layout.
 # ---------------------------------------------------------------------------
 
-_PHOTONS = 2 * _RESOURCE_PHOTONS  # the input and the resource each start as |N>
+_PHOTONS = 2 * _RESOURCE_PHOTONS  # the input and the resource each start as |2>
 #: samples per pass; a chunk's working arrays (``_Work``), the largest the
 #: walk's real [110, _CHUNK] matmul, take about 4 MB together
 _CHUNK = 1024

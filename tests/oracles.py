@@ -2,8 +2,9 @@
 
 None of these run in the package.  The closed forms are the amplifier's
 ideal transform c_k -> g^k c_k, its herald phases, its gain setting and
-the amplified path state; the Fock states, their normalization and
-amplitudes, the dict-state scissor run, the lossy two-photon input and the
+the amplified path state; the Fock states, the basis size, a state's
+norm, normalization, amplitudes, dense vector and one-component mixture,
+the dict-state scissor run, the lossy two-photon input and the
 gain measurement on them are the dict-state path that the amplitude-array
 runners and the weights-only measurement reproduce bit for bit; the state
 overlaps, the mixture trace and density matrix and the fringe
@@ -46,12 +47,12 @@ from qscissor.circuit import (
     fock_transfer_matrix,
 )
 from qscissor.fock import (
-    DEFAULT_CUTOFF,
     MixedState,
     PureState,
+    _basis_layout,
     _check_mode,
+    _norm,
     _occupation,
-    basis_dimension,
     basis_enumerate,
     project_pattern,
     tensor,
@@ -86,21 +87,46 @@ _OCCUPATIONS = np.array(_BASIS)
 _INDEX = {occ: i for i, occ in enumerate(_BASIS)}
 
 
+def basis_dimension(modes: int, max_total: int) -> int:
+    """Number of occupation vectors on `modes` modes with total <= max_total."""
+    return math.comb(max_total + modes, modes)
+
+
 def fock_state(occ, cutoff: int | None = None) -> PureState:
-    """Basis state |occ> with amplitude 1."""
+    """Basis state |occ> with amplitude 1; the cutoff is at least four photons."""
     occ = _occupation(occ)
     if cutoff is None:
-        cutoff = max(DEFAULT_CUTOFF, sum(occ))
+        cutoff = max(_PHOTONS, sum(occ))
     return PureState(len(occ), {occ: 1.0}, cutoff=cutoff)
 
 
-def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> PureState:
+def vacuum(modes: int, cutoff: int = _PHOTONS) -> PureState:
     return PureState(modes, {(0,) * modes: 1.0}, cutoff=cutoff)
+
+
+def from_pure(state: PureState) -> MixedState:
+    """The one-component mixture of ``state``."""
+    return MixedState([(1.0, state)])
+
+
+def norm(state: PureState) -> float:
+    """sqrt(sum |a|^2) of ``state``'s amplitudes, by ``fock._norm``."""
+    return _norm(state.amplitudes.values())
+
+
+def to_vector(state: PureState) -> np.ndarray:
+    """Dense amplitude vector over ``basis_enumerate(modes, cutoff)``, in
+    that canonical (lexicographic) order."""
+    basis, index = _basis_layout(state.modes, state.cutoff)
+    vec = np.zeros(len(basis), dtype=complex)
+    for occ, amp in state.amplitudes.items():
+        vec[index[occ]] = amp
+    return vec
 
 
 def normalized(state: PureState) -> PureState:
     """The unit-norm version of ``state``."""
-    n = state.norm()
+    n = norm(state)
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
     return PureState(
@@ -129,7 +155,7 @@ def dict_run_two_scissor(
     normalized heralded mixture; for a pure input whose amplitudes are
     ``run_two_scissor``'s normalized input, every result is its bits."""
     if isinstance(input_state, PureState):
-        input_state = MixedState.from_pure(input_state)
+        input_state = from_pure(input_state)
     if input_state.modes != 1:
         raise ValueError("the amplifier acts on a single-mode input")
     if input_state.cutoff > MAX_INPUT_CUTOFF:
@@ -175,7 +201,7 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 def mixture_trace(mix: MixedState) -> float:
-    return sum(w * s.norm() ** 2 for w, s in mix.components)
+    return sum(w * norm(s) ** 2 for w, s in mix.components)
 
 
 def density_matrix(mix: MixedState) -> np.ndarray:
@@ -183,7 +209,7 @@ def density_matrix(mix: MixedState) -> np.ndarray:
     dim = basis_dimension(mix.modes, mix.cutoff)
     rho = np.zeros((dim, dim), dtype=complex)
     for w, s in mix.components:
-        vec = s.to_vector()
+        vec = to_vector(s)
         rho += w * np.outer(vec, vec.conj())
     return rho
 
@@ -259,10 +285,10 @@ def ideal_scissor_transform(coefficients, g: float) -> np.ndarray:
     kept = np.zeros(size, dtype=complex)
     kept[: len(coefficients[:size])] = coefficients[:size]
     kept *= np.array([g**k for k in range(size)])  # 0^0 = 1: g = 0 keeps c_0
-    norm = np.linalg.norm(kept)
-    if norm == 0.0:
+    length = np.linalg.norm(kept)
+    if length == 0.0:
         raise ValueError("input has no support on the retained photon numbers")
-    return kept / norm
+    return kept / length
 
 
 @dataclass
@@ -345,7 +371,7 @@ def _apply_loss_pure(state: PureState, mode: int, transmission: float):
                 lowered = occ[:mode] + (n - k,) + occ[mode + 1 :]
                 amps[lowered] = amps.get(lowered, 0.0) + amp * factor
         branch = PureState(state.modes, amps, cutoff=state.cutoff)
-        weight = branch.norm() ** 2
+        weight = norm(branch) ** 2
         if weight > 0.0:
             yield weight, normalized(branch)
 
@@ -362,7 +388,7 @@ def apply_loss(
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission {transmission} outside [0, 1]")
     if isinstance(state, PureState):
-        state = MixedState.from_pure(state)
+        state = from_pure(state)
     if not 0 <= mode < state.modes:
         raise ValueError(f"mode {mode} out of range for {state.modes} modes")
     components: list[tuple[float, PureState]] = []

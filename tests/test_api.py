@@ -14,7 +14,7 @@ import qscissor
 
 #: Every parameter with a default of a public callable, as "callable.parameter".
 #: A new option changes this set, so it is added here on purpose or not at all.
-OPTIONS = {"PureState.cutoff"}
+OPTIONS = set()
 
 
 def test_public_options_are_pinned():
@@ -31,8 +31,9 @@ def test_public_options_are_pinned():
 
 
 #: Names taken out of the package, as "<module>.<name>": moved to the test
-#: oracles, folded into ``project_pattern``, replaced by ``LOSS_POINTS``, or
-#: deleted with a default or an option that no caller set.
+#: oracles, folded into ``project_pattern``, replaced by ``LOSS_POINTS``,
+#: inlined into their one caller, or deleted with a default or an option that
+#: no caller set.
 #: ``run_two_scissor`` stays, on amplitude arrays; its dict-state form is the
 #: oracle ``dict_run_two_scissor``.
 REMOVED = (
@@ -48,7 +49,8 @@ REMOVED = (
     "analysis.amplified_path_state", "fock.PureState.normalized",
     "fock.PureState.amplitude", "fock.PureState.total_photon_weight",
     "circuit.BeamSplitter.phase", "sensitivity.DEFAULT_LOSS_RANGE",
-    "cli.STOCHASTIC_EXPERIMENTS",
+    "cli.STOCHASTIC_EXPERIMENTS", "fock.DEFAULT_CUTOFF", "fock.basis_dimension",
+    "fock.PureState.to_vector", "fock.PureState.norm", "fock.MixedState.from_pure",
 )
 
 
@@ -76,10 +78,12 @@ NEVER_RUN = {
     "circuit.permanent": "the documented single-amplitude API",
     "circuit.fock_amplitude": "the documented single-amplitude API",
     "sensitivity.lossy_gain_model": "the public single-model entry",
-    "fock.PureState.to_vector": "only apply_mode_unitary calls it",
-    "fock.PureState.norm": "only heralded_amplify calls it",
-    "fock.MixedState.from_pure": "only pnr_coincidence_probability calls it",
-    "fock.basis_dimension": "only fock_transfer_matrix calls it",
+}
+#: The only reasons a public name may stay in the package unrun.
+_REASONS = {
+    "traced by the benchmark",
+    "the documented single-amplitude API",
+    "the public single-model entry",
 }
 
 #: Runs all six experiments in one child, profiled from before the package
@@ -143,17 +147,13 @@ def _traced_layers() -> set:
 
 
 def test_never_run_reasons_hold():
-    # a name the tracer stops wrapping can then leave the package, and so can
-    # whatever only that name calls
+    # a name the tracer stops wrapping can then leave the package; a helper
+    # that only such a name calls is inlined into it, not kept beside it
     layers = _traced_layers()
     for name, reason in NEVER_RUN.items():
+        assert reason in _REASONS, name
         if reason == "traced by the benchmark":
             assert name in layers, name
-        caller = re.fullmatch(r"only (\w+) calls it", reason)
-        if caller:
-            assert any(
-                other.endswith("." + caller[1]) for other in NEVER_RUN if other != name
-            ), name
 
 
 def test_readme_entry_point_table_matches_the_signatures():

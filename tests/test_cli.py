@@ -311,6 +311,10 @@ def test_config_that_is_not_utf8_exits_2_on_its_line(tmp_path, capsys):
     path.write_bytes(b"g = 1\r\x0c\rinput_coeffs = 1, \xff\n")
     assert main(["scissor", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error: line 3: " in capsys.readouterr().err
+    # a byte-order mark cut off after two bytes is no mark, and not empty text
+    path.write_bytes(b"\xef\xbb")
+    assert main(["scissor", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: line 1: " in capsys.readouterr().err
 
 
 def test_a_line_separator_in_a_comment_stays_in_the_comment(tmp_path):
@@ -326,6 +330,20 @@ def test_crlf_config_hashes_as_its_lf_text(tmp_path):
     assert main(["hom", "--config", str(path), "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "hom.meta.json").read_text())
     assert meta["config_sha256"] == hashlib.sha256(b"theta = 0:1.6:0.4\n").hexdigest()
+
+
+def test_byte_order_mark_is_not_part_of_the_config(tmp_path, capsys):
+    text = b"experiment = hom\ntheta = 0:1.6:0.4\n"
+    outputs = {}
+    for name, data in [("plain", text), ("bom", b"\xef\xbb\xbf" + text)]:
+        (tmp_path / f"{name}.conf").write_bytes(data)
+        config = ["--config", str(tmp_path / f"{name}.conf")]
+        assert main(["validate", *config]) == 0
+        assert "experiment = hom\n" in capsys.readouterr().out
+        assert main(["hom", *config, "--out", str(tmp_path / name)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert sorted(outputs["bom"]) == ["hom.csv", "hom.meta.json"]
+    assert outputs["bom"] == outputs["plain"]
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +438,9 @@ def test_experiment_builds_no_state(tmp_path, monkeypatch, experiment):
     assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 0)
     assert len(runs) == (rows - 1 if experiment == "scissor" else 0)
     # the counters do see the dict states and the dict-state amplifier
-    state = fock.PureState(1, {(1,): 1.0})
+    state = fock.PureState(1, {(1,): 1.0}, cutoff=1)
     scissor.heralded_amplify(state, 0, 1.0, (1, 1, 0))
-    fock.MixedState.from_pure(state)
+    fock.MixedState([(1.0, state)])
     assert all(counts.values())
 
 

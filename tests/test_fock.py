@@ -5,9 +5,12 @@ import pytest
 
 from oracles import (
     amplitude,
+    basis_dimension,
     density_matrix,
     fock_state,
+    from_pure,
     inner_product,
+    norm,
     normalized,
     photon_number_weights,
     vacuum,
@@ -16,7 +19,6 @@ from qscissor.circuit import beam_splitter_unitary, fock_amplitude
 from qscissor.fock import (
     MixedState,
     PureState,
-    basis_dimension,
     basis_enumerate,
     project_pattern,
     tensor,
@@ -68,7 +70,7 @@ def test_pure_state_rejects_cutoff_overflow():
 
 def test_pure_state_rejects_wrong_mode_count():
     with pytest.raises(ValueError):
-        PureState(2, {(1,): 1.0})
+        PureState(2, {(1,): 1.0}, cutoff=1)
 
 
 @pytest.mark.parametrize("occ,length", [((1,), 1), ((1, 0, 0), 3)])
@@ -84,7 +86,7 @@ def test_amplitude_rejects_wrong_mode_count(occ, length):
 )
 def test_pure_state_rejects_non_integral_occupations(occ):
     with pytest.raises(ValueError, match="must contain non-negative integers"):
-        PureState(2, {occ: 1.0})
+        PureState(2, {occ: 1.0}, cutoff=2)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +108,7 @@ def test_occupation_arguments_reject_non_integral_entries(call):
     "occ", [(1, 0), (np.int64(1), np.int32(0)), (1.0, 0.0), (np.float64(1.0), -0.0)]
 )
 def test_pure_state_accepts_integral_occupations(occ):
-    state = PureState(2, {occ: 1.0})
+    state = PureState(2, {occ: 1.0}, cutoff=1)
     assert list(state.amplitudes) == [(1, 0)]
     assert all(type(n) is int for n in next(iter(state.amplitudes)))
 
@@ -117,9 +119,16 @@ def test_tiny_amplitudes_are_kept_and_exact_zeros_dropped():
     assert amplitude(normalized(state), (1,)) == 1e-300
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    # a NaN would fail the exact-zero test and be dropped as if it were zero
+    with pytest.raises(ValueError, match=r"amplitude .* of \(0,\) is not finite"):
+        PureState(1, {(0,): bad, (1,): 1.0}, cutoff=2)
+
+
 def test_norm_of_amplitudes_whose_squares_underflow():
     state = PureState(1, {(0,): 1e-200, (1,): 1e-200}, cutoff=2)
-    assert state.norm() == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert norm(state) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
     unit = normalized(state)
     assert amplitude(unit, (0,)) == amplitude(unit, (1,)) == pytest.approx(2**-0.5)
 
@@ -128,7 +137,7 @@ def test_normalize_is_idempotent():
     rng = np.random.default_rng(7)
     state = random_pure_state(rng, 3, 3)
     again = normalized(state)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(norm(state) - 1.0) < 1e-12
     for occ, amp in state.amplitudes.items():
         assert abs(again.amplitudes[occ] - amp) < 1e-14
 
@@ -160,7 +169,7 @@ def test_project_single_photon_trivial():
 
 
 def test_project_symmetric_superposition():
-    state = PureState(2, {(1, 0): 1 / np.sqrt(2), (0, 1): 1 / np.sqrt(2)})
+    state = PureState(2, {(1, 0): 1 / np.sqrt(2), (0, 1): 1 / np.sqrt(2)}, cutoff=1)
     residual, p = project_pattern(state, [0], [1])
     assert p == pytest.approx(0.5)
     assert residual.amplitudes[(0,)] == pytest.approx(1 / np.sqrt(2))
@@ -218,7 +227,7 @@ def test_projection_rejects_mismatched_or_out_of_range_modes(modes, counts, mess
 
 
 def test_tensor_product_amplitudes():
-    a = PureState(1, {(0,): 0.6, (1,): 0.8})
+    a = PureState(1, {(0,): 0.6, (1,): 0.8}, cutoff=1)
     b = fock_state((2,))
     prod = tensor(a, b)
     assert prod.modes == 2
@@ -233,7 +242,7 @@ def test_mixed_state_rejects_mode_mismatch():
 
 def test_density_matrix_of_pure_superposition():
     state = PureState(1, {(0,): 1 / np.sqrt(2), (1,): 1 / np.sqrt(2)}, cutoff=1)
-    rho = density_matrix(MixedState.from_pure(state))
+    rho = density_matrix(from_pure(state))
     assert rho.shape == (2, 2)
     assert np.allclose(rho, 0.5 * np.ones((2, 2)))
 
@@ -249,6 +258,6 @@ def test_photon_number_weights():
 
 @pytest.mark.parametrize("mode", [-1, 1])
 def test_photon_number_weights_rejects_out_of_range_mode(mode):
-    mix = MixedState.from_pure(fock_state((2,), cutoff=2))
+    mix = from_pure(fock_state((2,), cutoff=2))
     with pytest.raises(ValueError, match=f"mode {mode} out of range for a 1-mode"):
         photon_number_weights(mix, mode)

@@ -5,6 +5,7 @@ stays reproducible and fast.
 """
 
 import cmath
+import codecs
 import contextlib
 import dataclasses
 import functools
@@ -500,13 +501,19 @@ _SEPARATORS = st.sampled_from(
 )
 
 
+#: byte sequences that are not UTF-8: a lone continuation byte, a byte no
+#: sequence starts with, and a three-byte sequence cut off after two bytes
+_NOT_UTF8 = st.sampled_from([b"\x80", b"\xff", b"\xe2\x82"])
+
+
 @st.composite
-def _config_texts(draw):
-    """(experiment, config text, extra argv) over every key of the schema,
+def _config_lines(draw):
+    """(experiment, config lines, extra argv) over every key of the schema,
     with values at and beyond the limits, and line separators other than a
     line feed in values and comments; the work stays small (n_base <= 64,
     bootstrap <= 20, grids of at most 49 points).  One draw in seven is a
-    joint extreme instead: a valid sobol text from ``_SOBOL_JOINT``."""
+    joint extreme instead: the lines of a valid sobol config from
+    ``_SOBOL_JOINT``."""
     experiment = draw(st.sampled_from([*EXPERIMENTS, "joint"]))
     if experiment == "joint":
         lines = []
@@ -514,8 +521,7 @@ def _config_texts(draw):
             value = draw(st.sampled_from(values))
             pairs = zip(keys, value) if isinstance(keys, tuple) else [(keys, value)]
             lines += [f"{key} = {v}" for key, v in pairs]
-        lines = draw(st.permutations(lines))
-        return "sobol", "".join(f"{line}\n" for line in lines), []
+        return "sobol", draw(st.permutations(lines)), []
     schema = SCHEMAS[experiment]
     argv = draw(st.sampled_from([[], ["--seed", "3"], ["--seed", "-1"]]))
     rarely = st.sampled_from([False, False, False, True])
@@ -542,15 +548,32 @@ def _config_texts(draw):
     if draw(rarely):
         declared = draw(st.sampled_from([experiment, *EXPERIMENTS]))
         lines.append(f"experiment = {declared}")
-    lines = draw(st.permutations(lines))
-    return experiment, "".join(f"{line}\n" for line in lines), argv
+    return experiment, draw(st.permutations(lines)), argv
 
 
-def _main(experiment, text, argv, out: Path) -> tuple[int, str]:
-    """``cli.main`` on ``text``, in-process: (exit code, stderr)."""
+@st.composite
+def _config_texts(draw):
+    """(experiment, config file contents, extra argv): ``_config_lines``, each
+    ended by a line feed.  One file in eight starts with a byte-order mark,
+    and one in eight holds a sequence of ``_NOT_UTF8`` on one drawn line, at
+    any byte of it; that file's contents are bytes, not text."""
+    experiment, lines, argv = draw(_config_lines())
+    seldom = st.sampled_from([False] * 7 + [True])
+    text = "\ufeff" * draw(seldom) + "".join(f"{line}\n" for line in lines)
+    if not draw(seldom):
+        return experiment, text, argv
+    rows = [row.encode() for row in text.split("\n")]
+    n = draw(st.integers(0, len(rows) - 1))
+    cut = draw(st.integers(0, len(rows[n])))
+    rows[n] = rows[n][:cut] + draw(_NOT_UTF8) + rows[n][cut:]
+    return experiment, b"\n".join(rows), argv
+
+
+def _main(experiment, data: bytes, argv, out: Path) -> tuple[int, str]:
+    """``cli.main`` on a config file of ``data``, in-process: (exit code, stderr)."""
     out.mkdir()
     config = out / "config.txt"
-    config.write_text(text, encoding="utf-8")
+    config.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([experiment, "--config", str(config), "--out", str(out), *argv])
@@ -576,21 +599,33 @@ def _outputs(out: Path) -> dict:
 ), []))
 def test_cli_keeps_its_contract(case):
     experiment, text, argv = case
+    data = text if isinstance(text, bytes) else text.encode()
+    # the lines (split at line feeds, which hold no drawn \r) that are not UTF-8
+    garbled = [
+        n for n, row in enumerate(data.split(b"\n"), 1)
+        if row.decode(errors="ignore").encode() != row
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _main(experiment, text, argv, Path(tmp) / "first")
+        code, err = _main(experiment, data, argv, Path(tmp) / "first")
         assert code in (0, 2, 3), err
         where = r"error: (line \d+: |--seed: |default for )"
         for line in err.splitlines():
             assert line.startswith("note: ") or re.match(where, line), line
-        lines = text.count("\n") + (not text.endswith("\n"))
+        lines = data.count(b"\n") + (not data.endswith(b"\n"))
         assert all(int(n) <= lines for n in re.findall(r"\bline (\d+)", err)), err
         outputs = _outputs(Path(tmp) / "first")
         if code != 0:
             assert not outputs
+        if garbled:
+            assert code == 2
+            assert re.fullmatch(rf"error: line {garbled[0]}: .* is not UTF-8 text: .*\n", err)
             return
-        again = _main(experiment, text, argv, Path(tmp) / "again")
-        assert again == (code, err)
-        assert _outputs(Path(tmp) / "again") == outputs
+        # the same file without a byte-order mark, the run again otherwise
+        bare = data.removeprefix(codecs.BOM_UTF8)
+        if code == 0 or bare != data:
+            again = _main(experiment, bare, argv, Path(tmp) / "again")
+            assert again == (code, err)
+            assert _outputs(Path(tmp) / "again") == outputs
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import (
     fit_visibility,
     fock_state,
     fourier_mixer,
+    from_pure,
     full_circuit_amplify,
     gain_to_transmittance,
     herald_phase,
@@ -636,7 +637,7 @@ _MODE_ENTRY_POINTS = {
     "heralded_amplify": lambda state, mode: heralded_amplify(state, mode, 1.0, (1, 1, 0)),
     "project_pattern": lambda state, mode: fock.project_pattern(state, [mode], [1]),
     "photon_number_weights": lambda state, mode: photon_number_weights(
-        MixedState.from_pure(state), mode
+        from_pure(state), mode
     ),
 }
 

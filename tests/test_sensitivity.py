@@ -15,9 +15,11 @@ from oracles import (
     apply_loss,
     branch_walk,
     fock_state,
+    from_pure,
     gain_splitter,
     lossy_two_photon_input,
     mixer_halves,
+    norm,
     serial_bootstrap_ci,
 )
 from qscissor import circuit, scissor, sensitivity
@@ -408,7 +410,7 @@ def dict_engine_gain(g, tau, losses, pattern):
         Loss(1, t[12]),
         Loss(3, t[13]),
     ]
-    state = MixedState.from_pure(fock_state((2, 2, 0, 0), cutoff=4))
+    state = from_pure(fock_state((2, 2, 0, 0), cutoff=4))
     for step in steps:
         if isinstance(step, Loss):
             state = apply_loss(state, step.mode, step.transmission)
@@ -419,7 +421,7 @@ def dict_engine_gain(g, tau, losses, pattern):
     heralded = [
         (w, project_pattern(s, (0, 1, 3), pattern)[0]) for w, s in state.components
     ]
-    herald = sum(w * s.norm() ** 2 for w, s in heralded)
+    herald = sum(w * norm(s) ** 2 for w, s in heralded)
     output = apply_loss(MixedState(heralded), 0, t[5])  # L6
     rho22_on = 2.0 * pnr_coincidence_probability(output) / herald
     off_input = lossy_two_photon_input(tau * t[0] * t[1])  # channel, L1, L2
