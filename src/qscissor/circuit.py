@@ -26,11 +26,11 @@ occupations, their local index and their place in the
 map one sector at a time: each sector follows from the one below by
 applying the transformed creation operator once, so no permanent is
 evaluated; every runtime path in the package evolves through these blocks.
-The blocks come from one LRU cache of fixed size keyed on the unitary's
-bytes, so memory stays bounded however many distinct unitaries a process
-sees; they are shared between callers and therefore read-only.
-:func:`fock_transfer_matrix` places them into a fresh dense matrix on each
-call, which :func:`apply_mode_unitary` applies to a whole sparse state.
+They are built on each call and kept by no cache: each caller keeps what it
+reuses in a table of its own, so a map lives no longer than its build.  The
+blocks are read-only, so a table that keeps a view of one is read-only too.
+:func:`fock_transfer_matrix` places them into a fresh dense matrix, which
+:func:`apply_mode_unitary` applies to a whole sparse state.
 :func:`permanent` (Ryser's formula with Gray-code subset ordering,
 O(2^n n)) and :func:`fock_amplitude` stay as the single-amplitude API and
 as the test oracle for the transfer matrix.
@@ -219,10 +219,6 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
 #: (modes, max_total) basis layouts kept; basis-only, so few are ever needed
 _LAYOUT_CACHE_SIZE = 32
 
-#: unitaries whose Fock map is kept; a 4-mode, 4-photon entry (its sector
-#: blocks) holds about 28 KB
-_TRANSFER_CACHE_SIZE = 64
-
 
 class FockSector(NamedTuple):
     """One fixed-total-photon sector of the truncated basis.
@@ -288,36 +284,26 @@ def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-@functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
-def _transfer(matrix_bytes: bytes, modes: int, max_total: int) -> tuple[np.ndarray, ...]:
-    """Read-only sector blocks of one mode unitary's Fock map."""
-    u = np.frombuffer(matrix_bytes, dtype=complex).reshape(modes, modes)
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for gather, sqrt_occ, first, inv_sqrt_first in _sector_steps(modes, max_total):
-        coeff = u[:, first] * inv_sqrt_first
-        blocks.append(np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, blocks[-1][gather]))
-    for block in blocks:
-        block.setflags(write=False)
-    return tuple(blocks)
-
-
 def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, ...]:
-    """Fock map of ``u`` per total photon number 0..max_total.
+    """Fock map of ``u`` per total photon number 0..max_total (read-only).
 
     Block N acts on the rows of ``fock_sectors(u.dim, max_total)[N]``.
     Sector 0 is ``[[1]]``; each higher sector is built from the one below by
     the creation-operator recursion
     ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with ``i`` the
-    first occupied mode of ``n``, so no permanent is evaluated.  Cached on
-    (matrix bytes, max_total) for the last ``_TRANSFER_CACHE_SIZE``
-    unitaries.  No experiment hits that cache (at the default configs each
-    builds 1 to 3 unitaries once, ``hom`` one per angle); each keeps what it
-    reuses in its own table (``scissor._herald_table``, ``_coincidence_row``
-    and ``_pair_separation``, ``sensitivity._walk_matrix``).  Its hits come
-    from the tests' dict-state path, which evolves every component of a
-    mixture through the same few unitaries.
+    first occupied mode of ``n``, so no permanent is evaluated.  Nothing is
+    cached: no experiment builds the same unitary twice (each builds 1 to 3
+    once, ``hom`` one per angle), and each keeps what it reuses in its own
+    table (``scissor._herald_table``, ``_coincidence_row`` and
+    ``_pair_separation``, ``sensitivity._walk_matrix``).
     """
-    return _transfer(u.matrix.tobytes(), u.dim, max_total)
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for gather, sqrt_occ, first, inv_sqrt_first in _sector_steps(u.dim, max_total):
+        coeff = u.matrix[:, first] * inv_sqrt_first
+        blocks.append(np.einsum("oj,jc,ojc->oc", sqrt_occ, coeff, blocks[-1][gather]))
+    for block in blocks:
+        block.setflags(write=False)
+    return tuple(blocks)
 
 
 def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:

@@ -138,17 +138,13 @@ def _resource_splitter(modes: int) -> ModeUnitary:
     return embed_unitary(splitter, (_RESOURCE_MODE, _OUT_MODE), modes)
 
 
-@functools.lru_cache(maxsize=None)
 def _mixer_halves() -> tuple[ModeUnitary, ModeUnitary]:
-    """The tritter's two element halves on the mixer modes, shared (read-only)."""
+    """The tritter's two element halves on the mixer modes."""
     elements = tritter_elements()
-    halves = tuple(
+    return tuple(
         embed_unitary(compile_circuit(half, len(_QFT_MODES)), _QFT_MODES, _MODES)
         for half in (elements[:2], elements[2:])
     )
-    for half in halves:
-        half.matrix.setflags(write=False)
-    return halves
 
 
 def _gain_factor(g: float, transmitted, reflected):

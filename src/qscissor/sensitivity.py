@@ -71,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -621,6 +622,10 @@ def _base_samples(
     lo, hi = bounds
     if not hi > lo:
         raise ValueError(f"empty sampling range {bounds}")
+    try:
+        seed = operator.index(seed)  # numpy raises ValueError if it is negative
+    except TypeError:
+        raise ValueError(f"seed {seed!r} is not an integer") from None
     rng = np.random.default_rng(seed)
     a = rng.uniform(lo, hi, size=(n_base, dims))
     b = rng.uniform(lo, hi, size=(n_base, dims))

@@ -51,6 +51,7 @@ REMOVED = (
     "circuit.BeamSplitter.phase", "sensitivity.DEFAULT_LOSS_RANGE",
     "cli.STOCHASTIC_EXPERIMENTS", "fock.DEFAULT_CUTOFF", "fock.basis_dimension",
     "fock.PureState.to_vector", "fock.PureState.norm", "fock.MixedState.from_pure",
+    "circuit._transfer", "circuit._TRANSFER_CACHE_SIZE",
 )
 
 
@@ -86,10 +87,24 @@ _REASONS = {
     "the public single-model entry",
 }
 
+#: Each cache in the package (an attribute with ``cache_info``), with the
+#: experiment whose reuse it serves: a cache that no experiment hits keeps
+#: memory for nothing, so it goes.  The one exception names its reason.
+CACHES = {
+    "circuit.fock_sectors": "hom",
+    "circuit._sector_steps": "hom",
+    "scissor._herald_table": "negativity",
+    "scissor._coincidence_row": "fringes",
+    "scissor._pair_separation": "gain-sweep",
+    "sensitivity._walk_matrix": "sobol",
+    "fock._basis_layout": "the dict layer's layout (`apply_mode_unitary`), ROADMAP item 2",
+}
+
 #: Runs all six experiments in one child, profiled from before the package
-#: is imported, and prints the public functions and methods that never ran.
-_PROFILED_RUN = r"""
-import importlib, importlib.util, inspect, json, os, sys, tempfile
+#: is imported and each from cleared caches.  Prints the public functions and
+#: methods that never ran, and each cache's hits in each experiment.
+_EXPERIMENT_RUN = r"""
+import importlib, importlib.util, inspect, json, os, pkgutil, sys, tempfile
 sys.path.insert(0, sys.argv[1])  # the package the test imported
 root = os.path.dirname(importlib.util.find_spec("qscissor").origin) + os.sep
 ran = set()
@@ -101,19 +116,30 @@ def record(frame, event, arg):
 sys.setprofile(record)
 from qscissor import cli
 
+names = [m.name for m in pkgutil.iter_modules([root]) if m.name[0] != "_"]
+modules = {name: importlib.import_module("qscissor." + name) for name in names}
+caches = {
+    f"{name}.{attr}": obj
+    for name, module in modules.items()
+    for attr, obj in vars(module).items()
+    if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+}
 configs = {"scissor": "", "gain-sweep": "", "negativity": "", "hom": "",
            "fringes": "sigma = 0.2\ng = 2\n", "sobol": "n_base = 64\nbootstrap = 20\nseed = 5\n"}
+hits = {}
 with tempfile.TemporaryDirectory() as tmp:
     for experiment, text in configs.items():
+        for cache in caches.values():
+            cache.cache_clear()
         config = os.path.join(tmp, experiment + ".conf")
         with open(config, "w") as fh:
             fh.write(text)
         assert cli.main([experiment, "--config", config, "--out", tmp]) == 0
+        hits[experiment] = {name: c.cache_info().hits for name, c in caches.items()}
 sys.setprofile(None)
 
 never = []
-for name in ("fock", "circuit", "scissor", "analysis", "sensitivity", "cli"):
-    module = importlib.import_module("qscissor." + name)
+for name, module in modules.items():
     for attr, obj in vars(module).items():
         if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
@@ -124,17 +150,33 @@ for name in ("fock", "circuit", "scissor", "analysis", "sensitivity", "cli"):
             func = inspect.unwrap(getattr(member, "__func__", member))
             if inspect.isfunction(func) and func.__code__ not in ran:
                 never.append(f"{name}.{label}")
-print(json.dumps(never))  # the last line, after the experiments' own
+print(json.dumps({"never": never, "hits": hits}))  # the last line
 """
 
 
-def test_only_the_allowed_public_functions_never_run():
+@pytest.fixture(scope="module")
+def experiment_run() -> dict:
     source = str(Path(qscissor.__file__).parents[1])
     child = subprocess.run(
-        [sys.executable, "-c", _PROFILED_RUN, source],
+        [sys.executable, "-c", _EXPERIMENT_RUN, source],
         capture_output=True, text=True, check=True,
     )
-    assert set(json.loads(child.stdout.splitlines()[-1])) == set(NEVER_RUN)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_only_the_allowed_public_functions_never_run(experiment_run):
+    assert set(experiment_run["never"]) == set(NEVER_RUN)
+
+
+def test_every_cache_is_hit_in_its_experiment(experiment_run):
+    hits = experiment_run["hits"]
+    assert set(hits["scissor"]) == set(CACHES)
+    assert [name for name, use in CACHES.items() if use not in hits] == [
+        "fock._basis_layout"
+    ]
+    for name, experiment in CACHES.items():
+        if experiment in hits:
+            assert hits[experiment][name] >= 1, name
 
 
 def _traced_layers() -> set:

@@ -338,22 +338,15 @@ def test_transfer_matrix_evaluates_no_permanent(monkeypatch):
 
     monkeypatch.setattr(circuit, "permanent", forbidden)
     monkeypatch.setattr(circuit, "fock_amplitude", forbidden)
-    u = haar_unitary(np.random.default_rng(2024), 4)  # fresh: not in the cache
+    u = haar_unitary(np.random.default_rng(2024), 4)
     t = fock_transfer_matrix(u, 4)
     assert np.max(np.abs(t @ t.conj().T - np.eye(t.shape[0]))) < 1e-10
 
 
 def test_transfer_cache_is_bounded_and_read_only():
-    import qscissor.circuit as circuit
-
-    maxsize = circuit._transfer.cache_info().maxsize
-    assert maxsize is not None
-    rng = np.random.default_rng(77)
-    for _ in range(maxsize + 5):  # distinct unitaries
-        u = haar_unitary(rng, 3)
-        t = fock_transfer_matrix(u, 3)
-    assert circuit._transfer.cache_info().currsize <= maxsize
-    # the dense matrix is a fresh array: writing to it leaves the cache alone
+    u = haar_unitary(np.random.default_rng(77), 3)
+    t = fock_transfer_matrix(u, 3)
+    # the dense matrix is a fresh array: writing to it changes no later build
     expected = t.copy()
     t[:] = 0.0
     t = fock_transfer_matrix(u, 3)

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,7 +275,8 @@ def test_amplifier_runs_without_full_fock_evolution(monkeypatch):
 
 
 def test_mixer_halves_are_compiled_once(monkeypatch):
-    # every herald table and walk matrix shares one build of the two halves
+    # each herald table and walk matrix compiles the two halves once, when
+    # it is built, and never again while it is cached
     calls = []
 
     def counted(*args):
@@ -282,16 +284,12 @@ def test_mixer_halves_are_compiled_once(monkeypatch):
         return compile_circuit(*args)
 
     monkeypatch.setattr(scissor, "compile_circuit", counted)
-    for table in (scissor._mixer_halves, scissor._herald_table):
-        table.cache_clear()
+    scissor._herald_table.cache_clear()
     sensitivity._walk_matrix.cache_clear()
     for pattern in SUCCESS_PATTERNS:
         analysis.fringe_scan(0.2, 2.0, pattern, np.linspace(0.0, np.pi, 5))
     sensitivity._walk_matrix((1, 1, 0))
-    assert len(calls) == 2
-    for half in scissor._mixer_halves():
-        with pytest.raises(ValueError):
-            half.matrix[0, 0] = 0.0
+    assert len(calls) == 2 * 2  # two table builds, two halves each
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +352,20 @@ def test_herald_builder_is_the_permanent_at_other_n(photons):
             heralded = (*pattern[:2], k, *pattern[2:])
             dense = circuit.fock_amplitude(u, start, heralded)
             assert amplitude == pytest.approx(dense, abs=1e-12)
+
+
+def test_no_fock_map_outlives_its_build():
+    # the N = 4 map's sector blocks take about 40 MiB; once the table built
+    # from them is released, only the basis layouts may stay
+    mixer = fourier_mixer(4)
+    tracemalloc.start()
+    try:
+        table = scissor._herald_amplitudes(4, [mixer])
+        del table
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * 2**20
 
 
 @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 4.0])

@@ -22,9 +22,9 @@ from oracles import (
     norm,
     serial_bootstrap_ci,
 )
-from qscissor import circuit, scissor, sensitivity
-from qscissor.circuit import apply_mode_unitary
-from qscissor.fock import MixedState, project_pattern
+from qscissor import analysis, circuit, scissor, sensitivity
+from qscissor.circuit import fock_transfer_matrix
+from qscissor.fock import MixedState, PureState, basis_enumerate, project_pattern
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     pnr_coincidence_probability,
@@ -109,6 +109,19 @@ def test_saltelli_rejects_bad_arguments():
         saltelli_sample(8, 0, seed=0, bounds=LOSS_RANGE)
     with pytest.raises(ValueError):
         saltelli_sample(8, 3, seed=0, bounds=(1.0, 0.0))
+    for seed in (1.5, np.float64(2.0), -1):  # each seeded entry point
+        with pytest.raises(ValueError, match="seed|non-negative"):
+            saltelli_sample(8, 3, seed=seed, bounds=LOSS_RANGE)
+        with pytest.raises(ValueError, match="seed|non-negative"):
+            first_order_indices(
+                additive_model([1.0, 2.0]), 8, seed=seed, dims=2, bounds=LOSS_RANGE,
+                bootstrap_resamples=RESAMPLES,
+            )
+        with pytest.raises(ValueError, match="seed|non-negative"):
+            sensitivity_sweep(
+                [1.0], TAU, n_base=8, seed=seed, bounds=LOSS_RANGE, pattern=PATTERN,
+                bootstrap_resamples=RESAMPLES,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +424,21 @@ def dict_engine_gain(g, tau, losses, pattern):
         Loss(3, t[13]),
     ]
     state = from_pure(fock_state((2, 2, 0, 0), cutoff=4))
+    basis = basis_enumerate(4, 4)
+    index = {occ: i for i, occ in enumerate(basis)}
     for step in steps:
         if isinstance(step, Loss):
             state = apply_loss(state, step.mode, step.transmission)
-        else:
-            state = MixedState(
-                [(w, apply_mode_unitary(s, step)) for w, s in state.components]
-            )
+            continue
+        # apply_mode_unitary on each component, with one matrix for them all
+        transfer, components = fock_transfer_matrix(step, 4), []
+        for w, s in state.components:
+            vec = np.zeros(len(basis), dtype=complex)
+            for occ, amp in s.amplitudes.items():
+                vec[index[occ]] = amp
+            amps = {occ: a for occ, a in zip(basis, transfer @ vec) if abs(a) > 0.0}
+            components.append((w, PureState(4, amps, cutoff=4)))
+        state = MixedState(components)
     heralded = [
         (w, project_pattern(s, (0, 1, 3), pattern)[0]) for w, s in state.components
     ]
@@ -533,17 +554,23 @@ def test_oracles_import_nothing_from_the_engine():
     assert [n for n in names if n == engine or n.startswith(engine + ".")] == []
 
 
-def test_distinct_gains_build_no_tables():
+def test_distinct_gains_build_no_tables(monkeypatch):
     for pattern in SUCCESS_PATTERNS:  # warm every per-pattern table
         scissor.measured_two_photon_gain(0.05, 1.0, pattern)
         lossy_gain_model(1.0, 0.05, np.zeros(14), pattern=pattern)
-    before = circuit._transfer.cache_info()
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return circuit.sector_transfer_blocks(*args)
+
+    for module in (scissor, analysis, sensitivity):
+        monkeypatch.setattr(module, "sector_transfer_blocks", counted)
     for g in np.geomspace(1e-6, 1e6, 50):  # distinct gains
         for pattern in SUCCESS_PATTERNS:
             scissor.measured_two_photon_gain(0.05, g, pattern)
             lossy_gain_model(g, 0.05, np.full(14, 0.1), pattern=pattern)
-    after = circuit._transfer.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert builds == []
     assert scissor._herald_table.cache_info().currsize == 1
     assert sensitivity._walk_matrix.cache_info().currsize <= 3
     walk = sensitivity._walk_matrix((1, 1, 0))
