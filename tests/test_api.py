@@ -126,7 +126,7 @@ caches = {
 }
 configs = {"scissor": "", "gain-sweep": "", "negativity": "", "hom": "",
            "fringes": "sigma = 0.2\ng = 2\n", "sobol": "n_base = 64\nbootstrap = 20\nseed = 5\n"}
-hits = {}
+hits = {name: {} for name in caches}  # cache -> {experiment: hits}
 with tempfile.TemporaryDirectory() as tmp:
     for experiment, text in configs.items():
         for cache in caches.values():
@@ -135,7 +135,8 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(config, "w") as fh:
             fh.write(text)
         assert cli.main([experiment, "--config", config, "--out", tmp]) == 0
-        hits[experiment] = {name: c.cache_info().hits for name, c in caches.items()}
+        for name, cache in caches.items():
+            hits[name][experiment] = cache.cache_info().hits
 sys.setprofile(None)
 
 never = []
@@ -170,13 +171,12 @@ def test_only_the_allowed_public_functions_never_run(experiment_run):
 
 def test_every_cache_is_hit_in_its_experiment(experiment_run):
     hits = experiment_run["hits"]
-    assert set(hits["scissor"]) == set(CACHES)
-    assert [name for name, use in CACHES.items() if use not in hits] == [
-        "fock._basis_layout"
-    ]
+    assert set(hits) == set(CACHES)
+    unhit = [name for name, use in CACHES.items() if use not in hits[name]]
+    assert unhit == ["fock._basis_layout"]
     for name, experiment in CACHES.items():
-        if experiment in hits:
-            assert hits[experiment][name] >= 1, name
+        if experiment in hits[name]:
+            assert hits[name][experiment] >= 1, name
 
 
 def _traced_layers() -> set:
