@@ -438,12 +438,10 @@ def _run_scissor(cfg: dict) -> tuple[list[str], list]:
 def _run_gain_sweep(cfg: dict) -> tuple[list[str], list]:
     header = ["tau", "g", "G2_closed_form", "G2_simulated"]
     taus, gains, pattern = cfg["tau"], cfg["g"], cfg["pattern"][0]
-    rows = [
-        (two_photon_gain(tau, g), measured_two_photon_gain(tau, g, pattern))
-        for tau in taus.tolist() for g in gains.tolist()
-    ]
+    closed = two_photon_gain(taus[:, None], gains)  # rows: each g at each tau
+    simulated = measured_two_photon_gain(taus[:, None], gains, pattern)
     grid = [np.repeat(taus, len(gains)), np.tile(gains, len(taus))]
-    return header, [*grid, *np.array(rows, dtype=float).T]
+    return header, [*grid, closed.ravel(), simulated.ravel()]
 
 
 def _run_fringes(cfg: dict) -> tuple[list[str], list]:

@@ -147,10 +147,24 @@ def _mixer_halves() -> tuple[ModeUnitary, ModeUnitary]:
     )
 
 
-def _gain_factor(g: float, transmitted, reflected):
+def _each(f, values: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` floats ``f(x)`` returns for each value x, taken as a
+    Python float or complex, as ``width`` stacked arrays of the values' shape:
+    Python's powers and roots, which numpy's vectorized ones can differ from
+    in the last bit, once per value of an axis of a grid."""
+    items = map(f, values.ravel().tolist())
+    table = np.fromiter(items, dtype=np.dtype((float, width)), count=values.size)
+    return table.T.reshape(width, *values.shape)
+
+
+def _gain_factor(g, transmitted, reflected):
     """(sqrt(2) t)^transmitted (sqrt(2) r)^reflected: a splitter term's amplitude
-    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact)."""
-    scale = math.sqrt(2.0) / math.hypot(1.0, g)  # finite for every finite g
+    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact).  ``g``
+    is a float or an array of them that broadcasts against the class arrays;
+    each g's scale sqrt(2) / hypot(1, g), finite for every finite g, is taken
+    in Python floats."""
+    g = np.asarray(g, dtype=float)
+    (scale,) = _each(lambda x: (math.sqrt(2.0) / math.hypot(1.0, x),), g, 1)
     return scale**transmitted * (g * scale) ** reflected
 
 
@@ -298,31 +312,71 @@ def run_two_scissor(amplitudes, g: float, pattern: Sequence[int]) -> ScissorOutc
 # ---------------------------------------------------------------------------
 # closed forms for the lossy two-photon input
 # ---------------------------------------------------------------------------
+#
+# These and the gain measurement take tau and g as scalars or as arrays that
+# broadcast together.  Each power, root and norm runs on Python floats, once
+# per tau value or g value (``_each``), and only the per-point + - * / are
+# array operations, in the scalar arithmetic's order: every point of a grid
+# has the bits of the call on its two scalars.
 
 
-def amplified_mixture_closed_form(tau: float, g: float) -> tuple[np.ndarray, float]:
+def _checked_grid(tau, g, gain_read: bool, check) -> tuple[np.ndarray, np.ndarray]:
+    """``tau`` and ``g`` as float arrays, checked at every point of their
+    broadcast grid.  Where a point is outside the domain of
+    ``_check_transmission`` (and, if ``gain_read``, of ``_check_gain`` and
+    ``_check_mixture_heralds``), ``check(tau, g)``, the scalar call's checks,
+    runs at the first such point in C order and raises its ``ValueError``."""
+    tau, g = np.asarray(tau, dtype=float), np.asarray(g, dtype=float)
+    inside = (_MIN_TAU <= tau) & (tau <= 1.0)  # NaN fails every comparison
+    if gain_read:
+        inside = inside & ((g == 0.0) | ((_MIN_GAIN <= g) & (g <= _MAX_GAIN)))
+        inside = inside & ((g != 0.0) | (tau != 1.0))
+    shape = np.broadcast(tau, g).shape
+    if not inside.all():
+        first = int(np.argmin(np.broadcast_to(inside, shape)))
+        check(*(np.broadcast_to(a, shape).flat[first].item() for a in (tau, g)))
+    return tau, g
+
+
+def _scalar_or_array(x):
+    """A 0-d result as the Python float that a call on scalars returns."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _check_closed_form(tau: float, g: float) -> None:
+    _check_transmission(tau)
+    _check_gain(g)
+    _check_mixture_heralds((tau,), (g,))
+
+
+def amplified_mixture_closed_form(tau, g) -> tuple[np.ndarray, float | np.ndarray]:
     """Heralded output of the amplifier on the lossy two-photon mixture.
 
     Returns the normalized weights on (|0>, |1>, |2>) and the normalization
     constant N = 1 / [(1-tau)^2 + 2 g^2 tau (1-tau) + g^4 tau^2]; the
-    two-photon intensity gain is N g^4.
+    two-photon intensity gain is N g^4.  ``tau`` and ``g`` are scalars or
+    arrays that broadcast together: the weights then take a last axis of
+    three, and N the broadcast shape.
     """
-    _check_transmission(tau)
-    _check_gain(g)
-    _check_mixture_heralds((tau,), (g,))
-    raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2])
-    normalization = 1.0 / raw.sum()
-    return raw * normalization, normalization
+    tau, g = _checked_grid(tau, g, True, _check_closed_form)
+    loss, lost2, kept2 = _each(lambda t: (1 - t, (1 - t) ** 2, t**2), tau, 3)
+    twice_g2, g4 = _each(lambda x: (2 * x**2, x**4), g, 2)
+    raw = lost2, twice_g2 * tau * loss, g4 * kept2
+    normalization = 1.0 / ((raw[0] + raw[1]) + raw[2])  # ndarray.sum's order
+    weights = np.stack([r * normalization for r in raw], axis=-1)
+    return weights, _scalar_or_array(normalization)
 
 
-def two_photon_gain(tau: float, g: float) -> float:
-    """Two-photon intensity gain N g^4 of the heralded amplifier.
+def two_photon_gain(tau, g) -> float | np.ndarray:
+    """Two-photon intensity gain N g^4 of the heralded amplifier, at scalar
+    or broadcast ``tau`` and ``g``.
 
     Monotone non-decreasing in g and saturating at 1 / tau^2 because of the
     output normalization.
     """
     _, normalization = amplified_mixture_closed_form(tau, g)
-    return normalization * g**4
+    (g4,) = _each(lambda x: (x**4,), np.asarray(g, dtype=float), 1)
+    return _scalar_or_array(normalization * g4)
 
 
 # ---------------------------------------------------------------------------
@@ -363,36 +417,13 @@ def pnr_coincidence_probability(state: MixedState | PureState) -> float:
 class GainMeasurement:
     """Expected counting rates for one amplifier configuration."""
 
-    herald_probability: float
-    fourfold_probability: float
-    rho22_estimate: float
-
-
-def _amplified_two_photon(weights, g: float, pattern: tuple) -> tuple[float, float]:
-    """(herald probability, output N-photon weight) of the amplifier on the
-    mixture of |0>, ..., |N> with ``weights``: each component through
-    ``heralded_amplify``, in order, with the dict-state mixture's norms and
-    sums (``dict_run_two_scissor`` in the test oracles).  The mixture must
-    herald at g (``_check_mixture_heralds``)."""
-    _check_gain(g)
-    gains = _herald_gains(pattern, g)
-    # (n, weight * p, |a / norm|^2) of each component that heralds
-    herald, heralded = 0.0, []
-    for n, weight in enumerate(weights):
-        if not weight > 0.0:  # a mixture drops its empty components
-            continue
-        a = complex(gains[n])
-        norm = _norm((a,))
-        p = norm**2
-        herald += weight * p
-        if p > 0.0:
-            heralded.append((n, weight * p, abs(a / norm) ** 2))
-    total = sum(w for _, w, _ in heralded)
-    return herald, sum(w / total * q for n, w, q in heralded if n == _RESOURCE_PHOTONS)
+    herald_probability: float | np.ndarray
+    fourfold_probability: float | np.ndarray
+    rho22_estimate: float | np.ndarray
 
 
 def simulate_gain_measurement(
-    tau: float, g: float, with_amplifier: bool, pattern: Sequence[int]
+    tau, g, with_amplifier: bool, pattern: Sequence[int]
 ) -> GainMeasurement:
     """Expected coincidence rates of the intensity-gain measurement.
 
@@ -403,26 +434,50 @@ def simulate_gain_measurement(
     straight to the counting stage while the resource alone still fires the
     heralds, with the closed-form probability N!/(N+1)^N; they carry no
     information about the input and cancel from the normalized estimate.
+    ``tau`` and ``g`` are scalars or arrays that broadcast together, and each
+    rate takes their broadcast shape.
     """
-    _check_transmission(tau)
+
+    def check(t: float, x: float) -> None:  # the scalar call's checks, in order
+        _check_transmission(t)
+        _check_pattern(pattern)
+        if with_amplifier:
+            _check_mixture_heralds((t,), (x,))
+            _check_gain(x)
+
+    tau, g = _checked_grid(tau, g, with_amplifier, check)
     pattern = _check_pattern(pattern)
-    weights = ((1 - tau) ** 2, 2 * tau * (1 - tau), tau**2)
+    weights = _each(lambda t: ((1 - t) ** 2, 2 * t * (1 - t), t**2), tau, 3)
     if with_amplifier:
-        _check_mixture_heralds((tau,), (g,))
-        herald, two_photon = _amplified_two_photon(weights, g, pattern)
+
+        def heralded(a: complex) -> tuple:
+            """(|a|^2, |a / |a||^2): the herald probability of a component that
+            ``heralded_amplify`` scales by a, and the weight its normalized
+            output keeps (0 if it never heralds), with the dict-state
+            mixture's norm (``dict_run_two_scissor`` in the test oracles)."""
+            norm = _norm((a,))
+            return norm**2, abs(a / norm) ** 2 if norm**2 > 0.0 else 0.0
+
+        amplitudes = np.moveaxis(_herald_gains(pattern, g[..., None]), -1, 0)
+        probabilities, kept = zip(*(_each(heralded, a, 2) for a in amplitudes))
+        # the mixture's sums, in its order: a component of weight 0, which the
+        # mixture drops, adds +0.0 here, so its total weight is this sum too
+        herald = sum(w * p for w, p in zip(weights, probabilities))
+        w, p = weights[_RESOURCE_PHOTONS], probabilities[_RESOURCE_PHOTONS]
+        two_photon = w * p / herald * kept[_RESOURCE_PHOTONS]
     else:
         # the input is diverted to the counting stage and never interferes
-        herald, two_photon = _RESOURCE_ONLY_HERALD, weights[_RESOURCE_PHOTONS]
+        shape = np.broadcast(tau, g).shape
+        herald = np.full(shape, _RESOURCE_ONLY_HERALD)
+        two_photon = np.broadcast_to(weights[_RESOURCE_PHOTONS], shape)
     fourfold = herald * (_pair_separation() * two_photon)
-    return GainMeasurement(
-        herald_probability=herald,
-        fourfold_probability=fourfold,
-        rho22_estimate=2.0 * fourfold / herald,
-    )
+    rates = herald, fourfold, 2.0 * fourfold / herald
+    return GainMeasurement(*map(_scalar_or_array, rates))
 
 
-def measured_two_photon_gain(tau: float, g: float, pattern: Sequence[int]) -> float:
-    """Gain estimate from the counting model: on/off ratio of rho_22."""
+def measured_two_photon_gain(tau, g, pattern: Sequence[int]) -> float | np.ndarray:
+    """Gain estimate from the counting model: on/off ratio of rho_22, at
+    scalar or broadcast ``tau`` and ``g``."""
     on = simulate_gain_measurement(tau, g, with_amplifier=True, pattern=pattern)
     off = simulate_gain_measurement(tau, g, with_amplifier=False, pattern=pattern)
     return on.rho22_estimate / off.rho22_estimate

@@ -6,7 +6,9 @@ the amplified path state; the Fock states, the basis size, a state's
 norm, normalization, amplitudes, dense vector and one-component mixture,
 the dict-state scissor run, the lossy two-photon input and the
 gain measurement on them are the dict-state path that the amplitude-array
-runners and the weights-only measurement reproduce bit for bit; the state
+runners and the weights-only measurement reproduce bit for bit; the lossy
+two-photon closed form on Python floats is the reference the array closed
+forms reproduce bit for bit; the state
 overlaps, the mixture trace and density matrix and the fringe
 fit are the definitions the package's results are checked against.  The
 three-mode Fourier interferometer is the textbook form of the amplifier's
@@ -261,6 +263,16 @@ def dict_gain_measurement(
         coincidence = pnr_coincidence_probability(input_mixture)
     fourfold = herald * coincidence
     return GainMeasurement(herald, fourfold, 2.0 * fourfold / herald)
+
+
+def closed_form_mixture(tau: float, g: float) -> tuple[np.ndarray, float, float]:
+    """The lossy two-photon closed form at one (tau, g), on Python floats: the
+    normalized weights on (|0>, |1>, |2>), N and the gain N g^4.  The three
+    raw weights are Python floats, summed by ``ndarray.sum``; the package's
+    closed forms price a grid of points to these bits."""
+    raw = np.array([(1 - tau) ** 2, 2 * g**2 * tau * (1 - tau), g**4 * tau**2])
+    normalization = 1.0 / raw.sum()
+    return raw * normalization, normalization, normalization * g**4
 
 
 def gain_to_transmittance(g: float) -> float:

@@ -5,6 +5,7 @@ import json
 import lzma
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -803,6 +804,36 @@ def test_indexed_values_are_formatted_a_block_at_a_time():
         tracemalloc.stop()
     assert cells.tolist() == list(map(repr, values.tolist()))
     assert peak - kept < 2**20, (peak, kept)  # all values at once: 6.1 MiB
+
+
+def test_gain_sweep_memory_is_the_readme_model():
+    """``_run_gain_sweep`` at 10^4 and 10^5 grid points, 500 gains at 20 and at
+    200 taus, peaks at the README's a + b * rows traced above its grids, with
+    slack 3 B per row on b and 16 KB on a (pricing row by row held 176 B a
+    row; a list per gain or a copy of the grid per step would show), and
+    keeps only its four float64 columns."""
+    readme = (Path(qscissor.__file__).parents[2] / "README.md").read_text("utf-8")
+    words = " ".join(readme.split())
+    model = re.search(r"`gain-sweep` peaks at about ([\d.]+) KB \+ ([\d.]+) B per row", words)
+    intercept, slope = float(model[1]) * 1e3, float(model[2])
+    scissor._herald_table(), scissor._pair_separation()  # built once per process
+    points, peaks = [], []
+    for taus in (20, 200):
+        cfg = resolve_config("gain-sweep", {}, None)
+        cfg["tau"], cfg["g"] = np.linspace(0.05, 0.95, taus), np.linspace(0.0, 6.0, 500)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, columns = cli._run_gain_sweep(cfg)
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        points.append(taus * 500)
+        peaks.append(peak)
+        assert kept == pytest.approx(sum(column.nbytes for column in columns), abs=16e3)
+    measured = (peaks[1] - peaks[0]) / (points[1] - points[0])
+    assert measured == pytest.approx(slope, abs=3.0), peaks
+    assert peaks[0] - measured * points[0] == pytest.approx(intercept, abs=16e3), peaks
 
 
 _DOC_BOUNDS = {

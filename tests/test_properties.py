@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import re
 import string
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from oracles import (
     amplitude,
     apply_loss,
+    closed_form_mixture,
     density_matrix,
     dict_gain_measurement,
     dict_run_two_scissor,
@@ -49,6 +51,7 @@ from qscissor.scissor import (
     _MIN_GAIN,
     _MIN_TAU,
     SUCCESS_PATTERNS,
+    GainMeasurement,
     amplified_mixture_closed_form,
     heralded_amplify,
     measured_two_photon_gain,
@@ -162,15 +165,63 @@ def test_gain_measurement_is_the_dict_path_to_the_bit(tau, g, pattern, on):
     )
 
 
+#: a log grid over the CLI's ranges, ends included
+_LOG_TAUS = np.logspace(-100, 0, 21)
+_LOG_GAINS = np.array([0.0, *np.logspace(-25, 6, 31)])
+#: the log grid's points that herald (all but g = 0 with tau = 1), flattened
+#: into paired arrays that one broadcast call prices together
+_HERALDING = (_LOG_TAUS[:, None] < 1.0) | (_LOG_GAINS > 0.0)
+_LOG_TAU, _LOG_GAIN = (
+    a[_HERALDING] for a in np.broadcast_arrays(_LOG_TAUS[:, None], _LOG_GAINS)
+)
+
+
 def test_gain_measurement_is_the_dict_path_on_a_log_grid():
     # a reordered product or sum moves the last bit of about 2% of these, which
-    # the property's few examples can miss
-    for tau in np.logspace(-100, 0, 21).tolist():
-        for g in [0.0, *np.logspace(-25, 6, 31).tolist()]:
-            for pattern in SUCCESS_PATTERNS:
-                assert _result(
-                    lambda: simulate_gain_measurement(tau, g, True, pattern)
-                ) == _result(lambda: dict_gain_measurement(tau, g, True, pattern))
+    # the property's few examples can miss; one broadcast call over the points
+    # that herald gives each point the same bits
+    for pattern in SUCCESS_PATTERNS:
+        on = simulate_gain_measurement(_LOG_TAU, _LOG_GAIN, True, pattern)
+        measured = measured_two_photon_gain(_LOG_TAU, _LOG_GAIN, pattern)
+        fields = [on.herald_probability, on.fourfold_probability, on.rho22_estimate]
+        broadcast = zip(*fields, measured)
+        for tau, g in itertools.product(_LOG_TAUS.tolist(), _LOG_GAINS.tolist()):
+            expected = _result(lambda: dict_gain_measurement(tau, g, True, pattern))
+            assert _result(
+                lambda: simulate_gain_measurement(tau, g, True, pattern)
+            ) == expected
+            if tau < 1.0 or g > 0.0:
+                *rates, gain = next(broadcast)
+                off = dict_gain_measurement(tau, g, False, pattern)
+                assert GainMeasurement(*rates) == expected
+                assert gain == expected.rho22_estimate / off.rho22_estimate
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_closed_forms_are_the_oracle_on_a_log_grid():
+    # the oracle's powers run on Python floats and its three weights are
+    # summed as (r0 + r1) + r2; numpy's vectorized g**4, or r0 + (r1 + r2),
+    # moves the last bit of a sixth of a 10^4-point g grid
+    blocks = [  # [T, 1] x [G]: tau below 1 at every g, then tau = 1 at g > 0
+        (_LOG_TAUS[:-1, None], _LOG_GAINS), (_LOG_TAUS[-1:, None], _LOG_GAINS[1:])
+    ]
+    for taus, gains in blocks:
+        weights, normalization = amplified_mixture_closed_form(taus, gains)
+        gain = two_photon_gain(taus, gains)
+        assert weights.shape == (*gain.shape, 3) and normalization.shape == gain.shape
+        for i, tau in enumerate(taus.ravel().tolist()):
+            for j, g in enumerate(gains.tolist()):
+                expected = closed_form_mixture(tau, g)
+                assert _bits(weights[i, j]) == _bits(expected[0])
+                assert _bits([normalization[i, j], gain[i, j]]) == _bits(expected[1:])
+                for shape in [(), (1,)]:  # 0-d and one-element arrays
+                    t, x = np.full(shape, tau), np.full(shape, g)
+                    w, n = amplified_mixture_closed_form(t, x)
+                    assert _bits(w) == _bits(expected[0])
+                    assert _bits([n, two_photon_gain(t, x)]) == _bits(expected[1:])
 
 
 def _scissor_bits(call):
@@ -691,6 +742,78 @@ def test_public_calls_return_finite_numbers_or_raise_value_error(
     except ValueError:
         return
     assert all(cmath.isfinite(v) for v in _numbers_in(result)), result
+
+
+#: the entry points that take tau and g as scalars or as broadcast arrays
+_GRID_CALLS = {
+    "two_photon_gain": lambda t, g, p: two_photon_gain(t, g),
+    "amplified_mixture_closed_form": lambda t, g, p: amplified_mixture_closed_form(t, g),
+    "simulate_gain_measurement-on": lambda t, g, p: simulate_gain_measurement(
+        t, g, True, p
+    ),
+    "simulate_gain_measurement-off": lambda t, g, p: simulate_gain_measurement(
+        t, g, False, p
+    ),
+    "measured_two_photon_gain": lambda t, g, p: measured_two_photon_gain(t, g, p),
+}
+
+
+def _at(result, i: int, j: int) -> list:
+    """The numbers of a grid call's result at its point (i, j), in the order
+    ``_numbers_in`` lists a scalar call's."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _at(item, i, j)]
+    return np.asarray(result)[i, j].ravel().tolist()
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    entry=st.sampled_from(sorted(_GRID_CALLS)),
+    taus=st.lists(_NUMBERS, min_size=1, max_size=3),
+    gains=st.lists(_NUMBERS, min_size=1, max_size=3),
+    pattern=st.sampled_from(SUCCESS_PATTERNS),
+)
+@example(entry="measured_two_photon_gain", taus=[0.5, math.nan], gains=[1.0],
+         pattern=(1, 1, 0))  # NaN
+@example(entry="two_photon_gain", taus=[0.5], gains=[2.0, math.inf],
+         pattern=(1, 1, 0))  # inf
+@example(entry="simulate_gain_measurement-on", taus=[0.05, 1.0], gains=[2.0, 0.0],
+         pattern=(1, 0, 1))  # g = 0 with tau = 1, the grid's last point
+@example(entry="amplified_mixture_closed_form", taus=[1.0, 0.5], gains=[0.0, -1.0],
+         pattern=(1, 1, 0))  # two bad points: the first one's error
+@example(entry="simulate_gain_measurement-off", taus=[0.05, 1.0], gains=[math.nan],
+         pattern=(0, 1, 1))  # the amplifier off reads no g
+@example(entry="measured_two_photon_gain", taus=[0.05, 1.0], gains=[0.5, 3.0],
+         pattern=(0, 1, 1))
+def test_grid_calls_raise_the_first_scalar_error_or_give_its_bits(
+    entry, taus, gains, pattern
+):
+    # a [T, 1] x [G] grid holding a point outside the domain raises the
+    # ValueError of the scalar call at its first such point (C order); else
+    # each point has the bits of the scalar call, which returns Python floats
+    call = _GRID_CALLS[entry]
+    scalar = []
+    for tau, g in itertools.product(taus, gains):
+        try:
+            scalar.append(call(tau, g, pattern))
+        except ValueError as exc:
+            scalar.append(str(exc))
+    first_error = next((x for x in scalar if isinstance(x, str)), None)
+    try:
+        grid = call(np.array(taus)[:, None], np.array(gains), pattern)
+    except ValueError as exc:
+        assert str(exc) == first_error
+        return
+    assert first_error is None
+    points = itertools.product(range(len(taus)), range(len(gains)))
+    for (i, j), result in zip(points, scalar):
+        if dataclasses.is_dataclass(result):
+            result = dataclasses.astuple(result)
+        returned = result if isinstance(result, tuple) else (result,)
+        assert all(type(x) in (float, np.ndarray) for x in returned)  # weights: array
+        assert _bits(_numbers_in(result)) == _bits(_at(grid, i, j))
 
 
 @settings(PROPERTY, max_examples=40)
