@@ -101,24 +101,48 @@ _MIN_GAIN = 1e-25
 _MIN_COEFF = 1e-150
 
 
+# The domain, as predicates on a float or on arrays that broadcast together
+# (NaN fails every ordered comparison, so no gain or transmission range holds
+# it); the scalar checks and the gain functions' grid check (``_checked_grid``)
+# both read them.
+
+
+def _gain_inside(g):
+    """g = 0, or g in [_MIN_GAIN, _MAX_GAIN]."""
+    return (g == 0.0) | ((_MIN_GAIN <= g) & (g <= _MAX_GAIN))
+
+
+def _transmission_inside(tau):
+    """tau in [_MIN_TAU, 1]."""
+    return (_MIN_TAU <= tau) & (tau <= 1.0)
+
+
+def _herald_terms(tau, g) -> tuple:
+    """(g != 0, tau != 1): the lossy two-photon input heralds at (tau, g) where
+    either holds, since g = 0 keeps only the vacuum, which tau = 1 never holds.
+    A grid of every tau with every g heralds where one holds on its whole axis."""
+    return g != 0.0, tau != 1.0
+
+
 def _check_gain(g: float) -> None:
-    if not 0.0 <= g <= _MAX_GAIN:
+    if not _gain_inside(g):
+        if 0.0 < g < _MIN_GAIN:
+            raise ValueError(f"{g} is below the smallest nonzero gain {_MIN_GAIN}")
         raise ValueError(f"{g} outside [0.0, {_MAX_GAIN}]")
-    if 0.0 < g < _MIN_GAIN:
-        raise ValueError(f"{g} is below the smallest nonzero gain {_MIN_GAIN}")
 
 
 def _check_transmission(tau: float) -> None:
-    if not 0.0 < tau <= 1.0:
+    if not _transmission_inside(tau):
+        if 0.0 < tau <= 1.0:
+            raise ValueError(f"{tau} outside [{_MIN_TAU}, 1.0]")
         raise ValueError(f"{tau} outside (0.0, 1.0]")
-    if tau < _MIN_TAU:
-        raise ValueError(f"{tau} outside [{_MIN_TAU}, 1.0]")
 
 
 def _check_mixture_heralds(taus, gains) -> None:
     """The lossy two-photon input heralds at every tau of ``taus`` and g of
     ``gains``, two collections (a whole grid, or one value in a tuple)."""
-    if 0.0 in gains and 1.0 in taus:
+    terms = _herald_terms(np.asarray(taus, dtype=float), np.asarray(gains, dtype=float))
+    if not any(term.all() for term in terms):
         raise ValueError("g = 0 keeps only the vacuum, which tau = 1 never holds")
 
 
@@ -153,18 +177,22 @@ def _each(f, values: np.ndarray, width: int) -> np.ndarray:
     Python's powers and roots, which numpy's vectorized ones can differ from
     in the last bit, once per value of an axis of a grid."""
     items = map(f, values.ravel().tolist())
-    table = np.fromiter(items, dtype=np.dtype((float, width)), count=values.size)
+    table = np.fromiter(items, dtype=np.dtype((float, (width,))), count=values.size)
     return table.T.reshape(width, *values.shape)
 
 
-def _gain_factor(g, transmitted, reflected):
+def _splitter_scale(g: float) -> float:
+    """sqrt(2) t = sqrt(2) / hypot(1, g): the gain splitter's transmission at
+    gain g over its value at g = 1, finite for every finite g."""
+    return math.sqrt(2.0) / math.hypot(1.0, g)
+
+
+def _gain_factor(g, transmitted, reflected, scale=None):
     """(sqrt(2) t)^transmitted (sqrt(2) r)^reflected: a splitter term's amplitude
-    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact).  ``g``
-    is a float or an array of them that broadcasts against the class arrays;
-    each g's scale sqrt(2) / hypot(1, g), finite for every finite g, is taken
-    in Python floats."""
-    g = np.asarray(g, dtype=float)
-    (scale,) = _each(lambda x: (math.sqrt(2.0) / math.hypot(1.0, x),), g, 1)
+    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact).  A
+    float g takes its ``_splitter_scale`` here; an array of gains, which
+    broadcasts against the class arrays, comes with its ``scale`` array."""
+    scale = _splitter_scale(g) if scale is None else scale
     return scale**transmitted * (g * scale) ** reflected
 
 
@@ -196,10 +224,11 @@ def _herald_table() -> Mapping:
     return _herald_amplitudes(_RESOURCE_PHOTONS, _mixer_halves())
 
 
-def _herald_gains(pattern: tuple, g: float) -> np.ndarray:
-    """The herald amplitudes ``<pattern, k| U |k, N, 0, ...>`` at gain g, k = 0..N."""
+def _herald_gains(pattern: tuple, g: float, scale=None) -> np.ndarray:
+    """The herald amplitudes ``<pattern, k| U |k, N, 0, ...>`` at gain g, k = 0..N
+    (on a last axis, for a column of gains and scales: ``_gain_factor``)."""
     k = np.arange(_RESOURCE_PHOTONS + 1)
-    return _herald_table()[pattern] * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
+    return _herald_table()[pattern] * _gain_factor(g, _RESOURCE_PHOTONS - k, k, scale)
 
 
 def heralded_amplify(
@@ -327,12 +356,11 @@ def _checked_grid(tau, g, gain_read: bool, check) -> tuple[np.ndarray, np.ndarra
     ``_check_mixture_heralds``), ``check(tau, g)``, the scalar call's checks,
     runs at the first such point in C order and raises its ``ValueError``."""
     tau, g = np.asarray(tau, dtype=float), np.asarray(g, dtype=float)
-    inside = (_MIN_TAU <= tau) & (tau <= 1.0)  # NaN fails every comparison
+    inside = _transmission_inside(tau)
     if gain_read:
-        inside = inside & ((g == 0.0) | ((_MIN_GAIN <= g) & (g <= _MAX_GAIN)))
-        inside = inside & ((g != 0.0) | (tau != 1.0))
-    shape = np.broadcast(tau, g).shape
+        inside = inside & _gain_inside(g) & np.logical_or(*_herald_terms(tau, g))
     if not inside.all():
+        shape = np.broadcast(tau, g).shape
         first = int(np.argmin(np.broadcast_to(inside, shape)))
         check(*(np.broadcast_to(a, shape).flat[first].item() for a in (tau, g)))
     return tau, g
@@ -458,7 +486,8 @@ def simulate_gain_measurement(
             norm = _norm((a,))
             return norm**2, abs(a / norm) ** 2 if norm**2 > 0.0 else 0.0
 
-        amplitudes = np.moveaxis(_herald_gains(pattern, g[..., None]), -1, 0)
+        (scale,) = _each(lambda x: (_splitter_scale(x),), g[..., None], 1)
+        amplitudes = np.moveaxis(_herald_gains(pattern, g[..., None], scale), -1, 0)
         probabilities, kept = zip(*(_each(heralded, a, 2) for a in amplitudes))
         # the mixture's sums, in its order: a component of weight 0, which the
         # mixture drops, adds +0.0 here, so its total weight is this sum too

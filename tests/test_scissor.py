@@ -701,6 +701,9 @@ def test_int_tuples_are_built_only_by_the_two_checks():
         (np.array([0.5, 1.0]), np.array([0.0, 2.0]), True),
         (np.array([0.5, 0.9]), np.array([0.0, 2.0]), False),
         (np.array([1.0]), np.array([1e-25, 2.0]), False),
+        (np.array([0.9, 1.0]), np.array([2.0, 0.0]), True),
+        (np.array([0.5, 0.9]), np.array([0.0, 0.0]), False),
+        ((math.nan,), (0.0,), False),
     ],
 )
 def test_mixture_herald_check_takes_one_value_or_a_grid(taus, gains, rejected):
@@ -711,6 +714,17 @@ def test_mixture_herald_check_takes_one_value_or_a_grid(taus, gains, rejected):
             scissor._check_mixture_heralds(taus, gains)
     else:
         scissor._check_mixture_heralds(taus, gains)
+
+
+def test_each_keeps_its_width_axis():
+    """``_each`` stacks ``width`` tables of the values' shape, one too: the
+    subarray dtype is spelled ``(float, (width,))``, which numpy 1.24 on reads
+    as a subarray (``(float, 1)`` is plain float64 there, with a warning)."""
+    values = np.array([[0.5], [2.0]])
+    (halves,) = scissor._each(lambda x: (x / 2,), values, 1)
+    assert halves.shape == values.shape and halves.tolist() == [[0.25], [1.0]]
+    table = scissor._each(lambda x: (x, -x, x * x), values.ravel(), 3)
+    assert table.tolist() == [[0.5, 2.0], [-0.5, -2.0], [0.25, 4.0]]
 
 
 def test_public_calls_reject_zero_gain_at_full_transmission():
