@@ -22,7 +22,6 @@ from .circuit import (
 from .fock import (
     MixedState,
     PureState,
-    basis_enumerate,
     tensor,
 )
 from .scissor import (
@@ -61,7 +60,6 @@ __all__ = [
     "SUCCESS_PATTERNS",
     "amplified_mixture_closed_form",
     "apply_mode_unitary",
-    "basis_enumerate",
     "beam_splitter_unitary",
     "compile_circuit",
     "first_order_indices",

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import beam_splitter_unitary, fock_sectors, sector_transfer_blocks
+from .circuit import beam_splitter_unitary, fock_sectors, sector_rank, sector_transfer_blocks
 from .scissor import SUCCESS_PATTERNS, _amplify, _check_pattern, _coincidence_row
 
 
@@ -111,7 +111,7 @@ def hom_coincidence(theta: float) -> float:
     """
     _check_angle(theta)
     splitter = beam_splitter_unitary(math.cos(2.0 * theta) ** 2)
-    one_each = fock_sectors(2, 2)[2].index[(1, 1)]
+    one_each = sector_rank((1, 1))
     return abs(complex(sector_transfer_blocks(splitter, 2)[2][one_each, one_each])) ** 2
 
 
@@ -160,7 +160,7 @@ def fringe_scan(
 
     # the scanned phase is diagonal in Fock space, e^{i n_1 phase}, so every
     # phase shares the fixed recombiner's coincidence row on the pair sector
-    pair = fock_sectors(2, 2)[2].occupations  # (reference, transmitted)
+    pair = fock_sectors(2, 2)[2]  # (reference, transmitted)
     vector = np.array(amplified)[pair[:, 1]]
     shifted = np.exp(1j * np.outer(phases, pair[:, 1])) * vector
     coincidence = shifted @ _coincidence_row()

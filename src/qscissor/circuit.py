@@ -19,10 +19,12 @@ Conventions used throughout the package:
 
 Evolution uses the multiphoton map of ``U``, its symmetric tensor power
 (Scheel 2004, "Permanents in linear optical networks").  The map is block
-diagonal in total photon number, and this module owns the one sector
-layout of the truncated basis: :func:`fock_sectors` gives each sector's
-occupations, their local index and their place in the
-:func:`basis_enumerate` order.  :func:`sector_transfer_blocks` builds the
+diagonal in total photon number, and this module owns the one layout of
+the truncated basis: :func:`fock_sectors` gives each sector's occupations in
+lexicographic order, and :func:`sector_rank` the row of any occupation as a
+sum of binomials.  The whole basis of totals <= T, in the same order, is
+sector T of one more mode that holds the photons left over, so no index
+map is kept.  :func:`sector_transfer_blocks` builds the
 map one sector at a time: each sector follows from the one below by
 applying the transformed creation operator once, so no permanent is
 evaluated; every runtime path in the package evolves through these blocks.
@@ -39,14 +41,14 @@ as the test oracle for the transfer matrix.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import PureState, _basis_layout, _occupation, basis_enumerate
+from .fock import PureState, _occupation
 
 UNITARITY_TOL = 1e-10
 
@@ -216,38 +218,63 @@ def fock_amplitude(u: ModeUnitary, n_in: Sequence[int], n_out: Sequence[int]) ->
     return permanent(sub) / math.sqrt(norm)
 
 
-#: (modes, max_total) basis layouts kept; basis-only, so few are ever needed
+#: (modes, max_total) layouts kept; basis-only, so few are ever needed
 _LAYOUT_CACHE_SIZE = 32
 
 
-class FockSector(NamedTuple):
-    """One fixed-total-photon sector of the truncated basis.
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def fock_sectors(modes: int, max_total: int) -> tuple[np.ndarray, ...]:
+    """Sectors 0..max_total of the ``modes``-mode basis capped at ``max_total``.
 
-    Rows follow the :func:`basis_enumerate` order; every array is read-only.
+    Sector N is a read-only [rows, modes] array of the occupations with N
+    photons, in lexicographic order.  A row is N stars split into modes by
+    modes - 1 bars, and the rows follow ``itertools.combinations`` over the
+    bars' positions; :func:`sector_rank` gives each occupation's row.
     """
-
-    occupations: np.ndarray  # [d, modes] photon counts per row
-    index: Mapping[tuple, int]  # occupation -> row
-    positions: np.ndarray  # each row's index in the full basis
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
+    slots = [total + modes - 1 for total in range(max_total + 1)]
+    edges = np.array(
+        [(-1, *bars, n) for n in slots for bars in itertools.combinations(range(n), modes - 1)]
+    )
+    basis = edges[:, 1:] - edges[:, :-1] - 1  # the stars between bars
+    basis.setflags(write=False)
+    ends = itertools.accumulate(math.comb(n, modes - 1) for n in slots[:-1])
+    return tuple(np.split(basis, list(ends)))
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def fock_sectors(modes: int, max_total: int) -> tuple[FockSector, ...]:
-    """Sectors 0..max_total of the ``modes``-mode basis capped at ``max_total``."""
-    basis = basis_enumerate(modes, max_total)
-    by_total: list[list[int]] = [[] for _ in range(max_total + 1)]
-    for position, occ in enumerate(basis):
-        by_total[sum(occ)].append(position)
-    sectors = []
-    for members in by_total:
-        occs = [basis[p] for p in members]
-        occupations = np.array(occs, dtype=int).reshape(len(occs), modes)
-        positions = np.array(members, dtype=np.intp)
-        occupations.setflags(write=False)
-        positions.setflags(write=False)
-        index = MappingProxyType({occ: i for i, occ in enumerate(occs)})
-        sectors.append(FockSector(occupations, index, positions))
-    return tuple(sectors)
+def _binomials(modes: int, top: int) -> np.ndarray:
+    """Read-only [modes, top + 1] table of C(r + k, k) at [k, r]."""
+    table = np.array([[math.comb(r + k, k) for r in range(top + 1)] for k in range(modes)])
+    table.setflags(write=False)
+    return table
+
+
+def sector_rank(occupations) -> np.ndarray:
+    """Row of each occupation (on the last axis) in its sector of :func:`fock_sectors`.
+
+    The occupations may have any batch shape and mixed totals.  An
+    occupation with R_i photons in modes i.. follows, at mode i, the
+    C(R_i + k, k) - C(R_i - n_i + k, k) occupations that hold fewer than
+    its n_i photons there and agree before it, k = modes - 1 - i.  Its
+    position in the whole basis of totals <= T is its rank in sector T of
+    one more mode, which holds the T - N photons left over.
+    """
+    occupations = np.asarray(occupations)
+    modes = occupations.shape[-1]
+    left = np.cumsum(occupations[..., ::-1], axis=-1)[..., ::-1]  # R_i
+    table = _binomials(modes, int(left[..., 0].max(initial=0)))
+    k = np.arange(modes - 1, -1, -1)
+    return (table[k, left] - table[k, left - occupations]).sum(axis=-1)
+
+
+def _basis_positions(occupations: np.ndarray, max_total: int) -> np.ndarray:
+    """Index of each occupation in the whole basis of totals <= ``max_total``."""
+    left_over = max_total - occupations.sum(axis=-1, keepdims=True)
+    return sector_rank(np.concatenate([occupations, left_over], axis=-1))
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -265,15 +292,14 @@ def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
       where ``o_j = 0``, which ``sqrt_occ`` masks) and column ``c - e_i``.
     """
     sectors = fock_sectors(modes, max_total)
+    occupations = np.concatenate(sectors)
+    # o - e_j at [o, j]; where o_j = 0 that is o itself, masked to row 0
+    lowered = np.maximum(occupations[:, None] - np.eye(modes, dtype=int), 0)
+    lowers = np.where(occupations > 0, sector_rank(lowered), 0)
+    ends = itertools.accumulate(map(len, sectors[:-1]))
     steps = []
-    for below, sector in zip(sectors, sectors[1:]):
-        lower = np.zeros(sector.occupations.shape, dtype=np.intp)
-        sqrt_occ = np.zeros(sector.occupations.shape)
-        for o, occ in enumerate(map(tuple, sector.occupations.tolist())):
-            for j, n in enumerate(occ):
-                if n:
-                    lower[o, j] = below.index[occ[:j] + (n - 1,) + occ[j + 1 :]]
-                    sqrt_occ[o, j] = math.sqrt(n)
+    for sector, lower in zip(sectors[1:], np.split(lowers, list(ends))[1:]):
+        sqrt_occ = np.sqrt(sector)
         first = np.argmax(sqrt_occ > 0, axis=1)
         cols = np.arange(len(lower))
         pred, inv_sqrt_first = lower[cols, first], 1.0 / sqrt_occ[cols, first]
@@ -317,7 +343,8 @@ def fock_transfer_matrix(u: ModeUnitary, max_total: int) -> np.ndarray:
     dense = np.zeros((dim, dim), dtype=complex)
     blocks = sector_transfer_blocks(u, max_total)
     for sector, block in zip(fock_sectors(u.dim, max_total), blocks):
-        dense[np.ix_(sector.positions, sector.positions)] = block
+        positions = _basis_positions(sector, max_total)
+        dense[np.ix_(positions, positions)] = block
     return dense
 
 
@@ -327,11 +354,14 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
         raise ValueError(
             f"unitary acts on {u.dim} modes but the state has {state.modes}"
         )
-    basis, index = _basis_layout(state.modes, state.cutoff)
+    # the basis in order: sector ``cutoff`` of one more mode, which holds the
+    # photons left over
+    basis = fock_sectors(state.modes + 1, state.cutoff)[-1][:, :-1]
+    occupations = np.array(list(state.amplitudes), dtype=int).reshape(-1, state.modes)
     vec = np.zeros(len(basis), dtype=complex)
-    for occ, amp in state.amplitudes.items():
-        vec[index[occ]] = amp
+    vec[_basis_positions(occupations, state.cutoff)] = list(state.amplitudes.values())
     out_vec = fock_transfer_matrix(u, state.cutoff) @ vec
-    amps = {occ: amp for occ, amp in zip(basis, out_vec) if abs(amp) > 0.0}
+    kept = np.flatnonzero(np.abs(out_vec) > 0.0)
+    amps = dict(zip(map(tuple, basis[kept].tolist()), out_vec[kept].tolist()))
     return PureState(state.modes, amps, cutoff=state.cutoff)
 

@@ -9,57 +9,24 @@ cutoff.  Amplitude maps are kept sparse.  No experiment builds these states
 ``scissor.heralded_amplify``, the dict-state path the tests check against.
 
 States drop exact zeros only, however small an amplitude is.  Operations
-return new states and never mutate their inputs; the only state kept between
-calls is an LRU cache of read-only basis layouts.  The containers are not
-frozen, though: a state's ``amplitudes`` is a plain dict, so a state shared
-between threads stays consistent only while no caller edits it.
+return new states and never mutate their inputs, and the module keeps no
+state between calls (the basis layout is ``circuit.fock_sectors``).  The
+containers are not frozen, though: a state's ``amplitudes`` is a plain
+dict, so a state shared between threads stays consistent only while no
+caller edits it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
-from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Mapping
 
 #: Tolerance used for normalization checks.
 NORM_TOL = 1e-12
 
 OccupationVector = tuple  # photon counts per mode, e.g. (1, 1, 0)
-
-
-def basis_enumerate(modes: int, max_total: int) -> list[OccupationVector]:
-    """Enumerate all occupation vectors with total photons <= max_total.
-
-    The order is lexicographic and therefore deterministic; it defines the
-    index convention used by every dense-matrix export in the package.
-    """
-    return list(_basis_layout(modes, max_total)[0])
-
-
-@functools.lru_cache(maxsize=32)
-def _basis_layout(
-    modes: int, max_total: int
-) -> tuple[tuple[OccupationVector, ...], Mapping[OccupationVector, int]]:
-    """The :func:`basis_enumerate` basis and its occupation -> index map."""
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    if max_total < 0:
-        raise ValueError(f"max_total must be >= 0, got {max_total}")
-
-    def _build(remaining_modes: int, budget: int) -> Iterator[tuple]:
-        if remaining_modes == 1:
-            for n in range(budget + 1):
-                yield (n,)
-            return
-        for n in range(budget + 1):
-            for tail in _build(remaining_modes - 1, budget - n):
-                yield (n,) + tail
-
-    basis = tuple(_build(modes, max_total))
-    return basis, MappingProxyType({occ: i for i, occ in enumerate(basis)})
 
 
 def _occupation(values: Iterable[int]) -> OccupationVector:

@@ -50,7 +50,7 @@ from .circuit import (
     beam_splitter_unitary,
     compile_circuit,
     embed_unitary,
-    fock_sectors,
+    sector_rank,
     sector_transfer_blocks,
     tritter_elements,
 )
@@ -202,18 +202,19 @@ def _herald_amplitudes(photons: int, mixer: Sequence[ModeUnitary]) -> Mapping:
     ``mixer`` (on all N + 2 modes) in turn; the output holds the k photons."""
     patterns, mixer_modes, modes = _layout(photons)
     u = functools.reduce(operator.matmul, reversed(mixer)) @ _resource_splitter(modes)
-    blocks = sector_transfer_blocks(u, 2 * photons)
-    sectors = fock_sectors(modes, 2 * photons)
+    blocks = sector_transfer_blocks(u, 2 * photons)[photons:]  # k + N photons
+    # [0, k] is the start |k, N, 0, ...>, [1 + p, k] what pattern p heralds
+    occupations = np.zeros((len(patterns) + 1, photons + 1, modes), dtype=int)
+    k = np.arange(photons + 1)
+    occupations[0, :, _SIGNAL_MODE], occupations[0, :, _RESOURCE_MODE] = k, photons
+    occupations[1:, :, list(mixer_modes)] = np.array(patterns)[:, None]
+    occupations[1:, :, _OUT_MODE] = k
+    start, *heralded = sector_rank(occupations)
     table = {}
-    for pattern in patterns:
-        amplitudes = table[pattern] = np.empty(photons + 1, dtype=complex)
-        for k in range(photons + 1):
-            start, heralded = np.zeros((2, modes), dtype=int)
-            start[[_SIGNAL_MODE, _RESOURCE_MODE]] = k, photons
-            heralded[list(mixer_modes)], heralded[_OUT_MODE] = pattern, k
-            index = sectors[k + photons].index
-            row, col = index[tuple(heralded.tolist())], index[tuple(start.tolist())]
-            amplitudes[k] = blocks[k + photons][row, col]
+    for pattern, rows in zip(patterns, heralded):
+        amplitudes = table[pattern] = np.array(
+            [block[row, col] for block, row, col in zip(blocks, rows, start)]
+        )
         amplitudes.setflags(write=False)
     return MappingProxyType(table)
 
@@ -417,13 +418,13 @@ def _coincidence_row() -> np.ndarray:
     """``<1, 1|`` of the balanced splitter on the rows of ``fock_sectors(2, 2)[2]``
     (read-only): the counting stage's and the fringe recombiner's pair row."""
     pair = sector_transfer_blocks(beam_splitter_unitary(0.5), 2)[2]
-    return pair[fock_sectors(2, 2)[2].index[(1, 1)]]
+    return pair[sector_rank((1, 1))]
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_separation() -> float:
     """|<1, 1| B |2, 0>|^2 of the counting stage's balanced splitter B."""
-    return abs(_coincidence_row()[fock_sectors(2, 2)[2].index[(2, 0)]]) ** 2
+    return abs(_coincidence_row()[sector_rank((2, 0))]) ** 2
 
 
 def pnr_coincidence_probability(state: MixedState | PureState) -> float:

@@ -78,7 +78,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import fock_sectors, sector_transfer_blocks
+from .circuit import fock_sectors, sector_rank, sector_transfer_blocks
 from .scissor import (
     _MAX_GAIN,
     _MODES,
@@ -200,18 +200,16 @@ def _lose(branch: _Branch, slot: int, k: int) -> _Branch:
     terms stay distinct and need no summing.
     """
     mode = _WALKED_MODES[slot]
-    sectors = fock_sectors(_MODES, _PHOTONS)
-    occupations = sectors[branch.photons].occupations[branch.rows]
+    occupations = fock_sectors(_MODES, _PHOTONS)[branch.photons][branch.rows]
     n = occupations[:, mode]
     keep = n >= k
     lowered, n = occupations[keep], n[keep]
     lowered[:, mode] -= k
-    index = sectors[branch.photons - k].index
     return _Branch(
         branch.start,
         branch.lost + (k,),
         branch.photons - k,
-        np.array([index[tuple(occ)] for occ in lowered.tolist()], dtype=int),
+        sector_rank(lowered),
         branch.keys[keep] + (n - k) * _BASE**slot,
         branch.coefs[keep] * np.sqrt(_COMB[n, k]),
     )
@@ -268,7 +266,7 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     """
     sectors = fock_sectors(_MODES, _PHOTONS)
     povm = [
-        np.flatnonzero(np.all(sector.occupations[:, _QFT_MODES] >= pattern, axis=1))
+        np.flatnonzero(np.all(sector[:, _QFT_MODES] >= pattern, axis=1))
         for sector in sectors
     ]
     first, second = (sector_transfer_blocks(half, _PHOTONS) for half in _mixer_halves())
@@ -281,16 +279,13 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
         )
         return [branch for branch in lost if branch.rows.size]
 
+    pairs = list(itertools.product(range(_RESOURCE_PHOTONS + 1), repeat=2))
+    starts = np.zeros((_STARTS, _MODES), dtype=int)
+    starts[:, :2] = pairs  # |a, b, 0, 0>, start a * (N + 1) + b
+    rows = sector_rank(starts)[:, None]
     branches = [
-        _Branch(
-            a * (_RESOURCE_PHOTONS + 1) + b,
-            (),
-            a + b,
-            np.array([sectors[a + b].index[(a, b, 0, 0)]]),
-            np.zeros(1, dtype=int),
-            np.ones(1, dtype=complex),
-        )
-        for a, b in itertools.product(range(_RESOURCE_PHOTONS + 1), repeat=2)
+        _Branch(s, (), a + b, rows[s], np.zeros(1, dtype=int), np.ones(1, dtype=complex))
+        for s, (a, b) in enumerate(pairs)
     ]
     splitter = sector_transfer_blocks(_resource_splitter(_MODES), _PHOTONS)
     branches = [_evolve(branch, splitter) for branch in branches]
@@ -315,7 +310,7 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
     lost, lost_kind = np.unique(
         np.array([b.lost for b in branches])[row_branch], axis=0, return_inverse=True
     )
-    occupations = np.concatenate([s.occupations[r] for s, r in zip(sectors, povm)])
+    occupations = np.concatenate([s[r] for s, r in zip(sectors, povm)])
     detected = occupations[:, _QFT_MODES]
     comb = _COMB[detected, pattern].prod(axis=1)[povm_row]
     # the output mode holds the photons the gain splitter reflected

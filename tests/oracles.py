@@ -1,6 +1,8 @@
 """Reference implementations the tests check the package against.
 
-None of these run in the package.  The closed forms are the amplifier's
+None of these run in the package.  The recursive basis enumeration is the
+reference order that ``circuit.fock_sectors`` and ``circuit.sector_rank``
+compute arithmetically.  The closed forms are the amplifier's
 ideal transform c_k -> g^k c_k, its herald phases, its gain setting and
 the amplified path state; the Fock states, the basis size, a state's
 norm, normalization, amplitudes, dense vector and one-component mixture,
@@ -31,9 +33,12 @@ pairs are written out in full.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -51,11 +56,9 @@ from qscissor.circuit import (
 from qscissor.fock import (
     MixedState,
     PureState,
-    _basis_layout,
     _check_mode,
     _norm,
     _occupation,
-    basis_enumerate,
     project_pattern,
     tensor,
 )
@@ -80,6 +83,38 @@ _UNHERALDED = (
     "herald probability underflows to 0.0 for this input; the conditional "
     "output state is nonzero but cannot be weighted",
 )
+
+def basis_enumerate(modes: int, max_total: int) -> list[tuple]:
+    """Enumerate all occupation vectors with total photons <= max_total.
+
+    The order is lexicographic and therefore deterministic; it is the index
+    convention of every dense-matrix export in the package.
+    """
+    return list(_basis_layout(modes, max_total)[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_layout(
+    modes: int, max_total: int
+) -> tuple[tuple[tuple, ...], Mapping[tuple, int]]:
+    """The :func:`basis_enumerate` basis and its occupation -> index map."""
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
+
+    def _build(remaining_modes: int, budget: int) -> Iterator[tuple]:
+        if remaining_modes == 1:
+            for n in range(budget + 1):
+                yield (n,)
+            return
+        for n in range(budget + 1):
+            for tail in _build(remaining_modes - 1, budget - n):
+                yield (n,) + tail
+
+    basis = tuple(_build(modes, max_total))
+    return basis, MappingProxyType({occ: i for i, occ in enumerate(basis)})
+
 
 #: The amplifier's four modes hold at most four photons: the input's and
 #: the resource's two each.

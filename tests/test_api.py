@@ -31,9 +31,10 @@ def test_public_options_are_pinned():
 
 
 #: Names taken out of the package, as "<module>.<name>": moved to the test
-#: oracles, folded into ``project_pattern``, replaced by ``LOSS_POINTS``,
-#: inlined into their one caller, or deleted with a default or an option that
-#: no caller set.
+#: oracles, folded into ``project_pattern``, replaced by ``LOSS_POINTS`` or
+#: by the arithmetic layout (``fock_sectors`` and ``sector_rank``), inlined
+#: into their one caller, or deleted with a default or an option that no
+#: caller set.
 #: ``run_two_scissor`` stays, on amplitude arrays; its dict-state form is the
 #: oracle ``dict_run_two_scissor``.
 REMOVED = (
@@ -51,7 +52,8 @@ REMOVED = (
     "circuit.BeamSplitter.phase", "sensitivity.DEFAULT_LOSS_RANGE",
     "cli.STOCHASTIC_EXPERIMENTS", "fock.DEFAULT_CUTOFF", "fock.basis_dimension",
     "fock.PureState.to_vector", "fock.PureState.norm", "fock.MixedState.from_pure",
-    "circuit._transfer", "circuit._TRANSFER_CACHE_SIZE",
+    "circuit._transfer", "circuit._TRANSFER_CACHE_SIZE", "fock.basis_enumerate",
+    "fock._basis_layout", "circuit.FockSector",
 )
 
 
@@ -89,15 +91,15 @@ _REASONS = {
 
 #: Each cache in the package (an attribute with ``cache_info``), with the
 #: experiment whose reuse it serves: a cache that no experiment hits keeps
-#: memory for nothing, so it goes.  The one exception names its reason.
+#: memory for nothing, so it goes.
 CACHES = {
-    "circuit.fock_sectors": "hom",
+    "circuit.fock_sectors": "sobol",
+    "circuit._binomials": "hom",
     "circuit._sector_steps": "hom",
     "scissor._herald_table": "negativity",
     "scissor._coincidence_row": "fringes",
     "scissor._pair_separation": "gain-sweep",
     "sensitivity._walk_matrix": "sobol",
-    "fock._basis_layout": "the dict layer's layout (`apply_mode_unitary`), ROADMAP item 2",
 }
 
 #: Runs all six experiments in one child, profiled from before the package
@@ -173,10 +175,9 @@ def test_every_cache_is_hit_in_its_experiment(experiment_run):
     hits = experiment_run["hits"]
     assert set(hits) == set(CACHES)
     unhit = [name for name, use in CACHES.items() if use not in hits[name]]
-    assert unhit == ["fock._basis_layout"]
+    assert unhit == []
     for name, experiment in CACHES.items():
-        if experiment in hits[name]:
-            assert hits[name][experiment] >= 1, name
+        assert hits[name][experiment] >= 1, name
 
 
 def _traced_layers() -> set:

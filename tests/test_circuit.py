@@ -8,6 +8,7 @@ from oracles import (
     Loss,
     amplitude,
     apply_loss,
+    basis_enumerate,
     density_matrix,
     fock_state,
     from_pure,
@@ -29,10 +30,11 @@ from qscissor.circuit import (
     fock_sectors,
     fock_transfer_matrix,
     permanent,
+    sector_rank,
     sector_transfer_blocks,
     tritter_elements,
 )
-from qscissor.fock import PureState, basis_enumerate
+from qscissor.fock import PureState
 
 
 def haar_unitary(rng, m):
@@ -343,7 +345,40 @@ def test_transfer_matrix_evaluates_no_permanent(monkeypatch):
     assert np.max(np.abs(t @ t.conj().T - np.eye(t.shape[0]))) < 1e-10
 
 
-def test_transfer_cache_is_bounded_and_read_only():
+@pytest.mark.parametrize("modes", range(1, 9))
+def test_layout_is_the_reference_enumeration(modes):
+    max_total = 4
+    basis = basis_enumerate(modes, max_total)
+    sectors = fock_sectors(modes, max_total)
+    assert len(sectors) == max_total + 1
+    for total, sector in enumerate(sectors):
+        assert not sector.flags.writeable
+        assert sector.tolist() == [list(occ) for occ in basis if sum(occ) == total]
+        assert np.array_equal(sector_rank(sector), np.arange(len(sector)))
+    # padded with the photons left over, a row ranks at its basis position
+    occupations = np.array(basis)
+    padded = np.column_stack([occupations, max_total - occupations.sum(axis=1)])
+    assert np.array_equal(sector_rank(padded), np.arange(len(basis)))
+    # a batch of mixed totals ranks each occupation in its own sector
+    seen = [0] * (max_total + 1)
+    local = []
+    for occ in basis:
+        local.append(seen[sum(occ)])
+        seen[sum(occ)] += 1
+    batch = np.stack([occupations, occupations[::-1]])
+    assert np.array_equal(sector_rank(batch), [local, local[::-1]])
+
+
+@pytest.mark.parametrize("modes,max_total", [(0, 3), (-1, 0), (2, -1)])
+def test_fock_sectors_keeps_the_enumeration_checks(modes, max_total):
+    with pytest.raises(ValueError) as expected:
+        basis_enumerate(modes, max_total)
+    with pytest.raises(ValueError) as raised:
+        fock_sectors(modes, max_total)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_transfer_matrix_is_fresh_with_read_only_blocks_in_place():
     u = haar_unitary(np.random.default_rng(77), 3)
     t = fock_transfer_matrix(u, 3)
     # the dense matrix is a fresh array: writing to it changes no later build
@@ -352,9 +387,11 @@ def test_transfer_cache_is_bounded_and_read_only():
     t = fock_transfer_matrix(u, 3)
     assert np.array_equal(t, expected)
     blocks = sector_transfer_blocks(u, 3)
+    basis = basis_enumerate(3, 3)
     for sector, block in zip(fock_sectors(3, 3), blocks, strict=True):
         assert not block.flags.writeable
-        assert np.array_equal(block, t[np.ix_(sector.positions, sector.positions)])
+        positions = [basis.index(occ) for occ in map(tuple, sector.tolist())]
+        assert np.array_equal(block, t[np.ix_(positions, positions)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     amplitude,
     basis_dimension,
+    basis_enumerate,
     density_matrix,
     fock_state,
     from_pure,
@@ -19,7 +20,6 @@ from qscissor.circuit import beam_splitter_unitary, fock_amplitude
 from qscissor.fock import (
     MixedState,
     PureState,
-    basis_enumerate,
     project_pattern,
     tensor,
 )

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from oracles import (
     amplitude,
     apply_loss,
+    basis_enumerate,
     closed_form_mixture,
     density_matrix,
     dict_gain_measurement,
@@ -44,7 +45,7 @@ from qscissor.cli import (
     parse_config_text,
     resolve_config,
 )
-from qscissor.fock import MixedState, PureState, basis_enumerate
+from qscissor.fock import MixedState, PureState
 from qscissor.analysis import fringe_scan, negativity_curve
 from qscissor.scissor import (
     _MAX_GAIN,

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     Loss,
     apply_loss,
+    basis_enumerate,
     branch_walk,
     fock_state,
     from_pure,
@@ -24,7 +25,7 @@ from oracles import (
 )
 from qscissor import analysis, circuit, scissor, sensitivity
 from qscissor.circuit import fock_transfer_matrix
-from qscissor.fock import MixedState, PureState, basis_enumerate, project_pattern
+from qscissor.fock import MixedState, PureState, project_pattern
 from qscissor.scissor import (
     SUCCESS_PATTERNS,
     pnr_coincidence_probability,
@@ -525,7 +526,7 @@ def test_loss_step_is_trace_preserving(slot):
     rng = np.random.default_rng(slot)
     sectors = circuit.fock_sectors(sensitivity._MODES, sensitivity._PHOTONS)
     for photons, sector in enumerate(sectors):
-        rows = np.arange(len(sector.occupations))
+        rows = np.arange(len(sector))
         coefs = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
         keys = np.zeros(rows.size, dtype=int)
         state = sensitivity._Branch(0, (0,) * slot, photons, rows, keys, coefs)
@@ -534,7 +535,7 @@ def test_loss_step_is_trace_preserving(slot):
             for k in range(photons + 1):
                 branch = sensitivity._lose(state, slot, k)
                 kept = branch.keys // sensitivity._BASE**slot  # sqrt(t)'s power
-                amplitude = np.zeros(len(sectors[photons - k].occupations), complex)
+                amplitude = np.zeros(len(sectors[photons - k]), complex)
                 np.add.at(amplitude, branch.rows, branch.coefs * np.sqrt(t) ** kept)
                 norm += (1.0 - t) ** k * np.sum(np.abs(amplitude) ** 2)
             assert norm == pytest.approx(np.sum(np.abs(coefs) ** 2), rel=1e-13)
