@@ -313,15 +313,17 @@ def _sector_steps(modes: int, max_total: int) -> tuple[tuple, ...]:
 def sector_transfer_blocks(u: ModeUnitary, max_total: int) -> tuple[np.ndarray, ...]:
     """Fock map of ``u`` per total photon number 0..max_total (read-only).
 
-    Block N acts on the rows of ``fock_sectors(u.dim, max_total)[N]``.
+    Block N acts on the rows of ``fock_sectors(u.dim, max_total)[N]``, so
+    ``block[sector_rank(out), sector_rank(in)]`` is ``<out| U |in>``.
     Sector 0 is ``[[1]]``; each higher sector is built from the one below by
     the creation-operator recursion
     ``U|n> = n_i^{-1/2} sum_j U[j, i] a_j^dag U|n - e_i>`` with ``i`` the
-    first occupied mode of ``n``, so no permanent is evaluated.  Nothing is
-    cached: no experiment builds the same unitary twice (each builds 1 to 3
-    once, ``hom`` one per angle), and each keeps what it reuses in its own
-    table (``scissor._herald_table``, ``_coincidence_row`` and
-    ``_pair_separation``, ``sensitivity._walk_matrix``).
+    first occupied mode of ``n``, so no permanent is evaluated; the rows of
+    every ``n - e_j`` are ranked once per layout (``_sector_steps``).
+    Nothing is cached: no experiment builds the same unitary twice (each
+    builds 1 to 3 once, ``hom`` one per angle), and each keeps what it
+    reuses in its own table (``scissor._herald_table``, ``_coincidence_row``
+    and ``_pair_separation``, ``sensitivity._walk_matrix``).
     """
     blocks = [np.ones((1, 1), dtype=complex)]
     for gather, sqrt_occ, first, inv_sqrt_first in _sector_steps(u.dim, max_total):
@@ -354,9 +356,7 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary) -> PureState:
         raise ValueError(
             f"unitary acts on {u.dim} modes but the state has {state.modes}"
         )
-    # the basis in order: sector ``cutoff`` of one more mode, which holds the
-    # photons left over
-    basis = fock_sectors(state.modes + 1, state.cutoff)[-1][:, :-1]
+    basis = fock_sectors(state.modes + 1, state.cutoff)[-1][:, :-1]  # in order
     occupations = np.array(list(state.amplitudes), dtype=int).reshape(-1, state.modes)
     vec = np.zeros(len(basis), dtype=complex)
     vec[_basis_positions(occupations, state.cutoff)] = list(state.amplitudes.values())
