@@ -1,4 +1,13 @@
-"""Truncated-Fock-space simulator of a two-photon quantum-scissor heralded amplifier."""
+"""Truncated-Fock-space simulator of a two-photon quantum-scissor heralded amplifier.
+
+``sensitivity`` (the Sobol loss analysis) is registered lazily: it is in
+``sys.modules`` from this import on, but its code first runs when one of its
+attributes is read, which only the ``sobol`` experiment does.  Its public
+names are served from here on first use (PEP 562).
+"""
+
+import importlib.util
+import sys
 
 from .analysis import (
     FringeScan,
@@ -34,14 +43,27 @@ from .scissor import (
     simulate_gain_measurement,
     two_photon_gain,
 )
-from .sensitivity import (
-    LOSS_POINTS,
-    LossPoint,
-    SobolResult,
-    first_order_indices,
-    lossy_gain_model,
-    saltelli_sample,
-    sensitivity_sweep,
+
+
+def _lazy_submodule(name: str):
+    """Register ``qscissor.<name>`` in ``sys.modules`` without running it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sensitivity = _lazy_submodule("sensitivity")
+_SENSITIVITY_NAMES = (
+    "LOSS_POINTS",
+    "LossPoint",
+    "SobolResult",
+    "first_order_indices",
+    "lossy_gain_model",
+    "saltelli_sample",
+    "sensitivity_sweep",
 )
 
 __version__ = "0.1.0"
@@ -81,3 +103,13 @@ __all__ = [
     "tritter_elements",
     "two_photon_gain",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SENSITIVITY_NAMES:
+        return getattr(sensitivity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SENSITIVITY_NAMES})

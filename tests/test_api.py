@@ -210,3 +210,118 @@ def test_readme_entry_point_table_matches_the_signatures():
     for name, arguments in itertools.chain.from_iterable(cells):
         listed = [argument.strip() for argument in arguments.split(",")]
         assert listed == list(inspect.signature(getattr(qscissor, name)).parameters), name
+
+
+#: The package's public names, as released: ``sensitivity``'s seven are
+#: served lazily, so a name lost from the eager imports would not show at
+#: import time.
+PUBLIC = {
+    "BeamSplitter", "FringeScan", "LOSS_POINTS", "LossPoint", "MixedState",
+    "ModeUnitary", "PhaseShift", "PureState", "ScissorOutcome", "SobolResult",
+    "SUCCESS_PATTERNS", "amplified_mixture_closed_form", "apply_mode_unitary",
+    "beam_splitter_unitary", "compile_circuit", "first_order_indices",
+    "fock_amplitude", "fringe_scan", "heralded_amplify", "hom_coincidence",
+    "log_negativity", "lossy_gain_model", "measured_two_photon_gain",
+    "negativity_curve", "path_entangled_state", "permanent", "run_two_scissor",
+    "saltelli_sample", "sensitivity_sweep", "simulate_gain_measurement", "tensor",
+    "tritter_elements", "two_photon_gain",
+}
+SENSITIVITY_NAMES = (
+    "LOSS_POINTS", "LossPoint", "SobolResult", "first_order_indices",
+    "lossy_gain_model", "saltelli_sample", "sensitivity_sweep",
+)
+
+
+def _child(script: str, *args: str) -> str:
+    """The last line a fresh interpreter prints running ``script`` with the
+    tested package first on its path (``sys.argv[1]``)."""
+    source = str(Path(qscissor.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", script, source, *args],
+        capture_output=True, text=True, check=True,
+    )
+    return child.stdout.splitlines()[-1]
+
+
+def test_public_namespace_is_unchanged():
+    from qscissor import sensitivity
+
+    assert len(qscissor.__all__) == len(PUBLIC) and set(qscissor.__all__) == PUBLIC
+    for name in SENSITIVITY_NAMES:
+        assert getattr(qscissor, name) is getattr(sensitivity, name), name
+    assert PUBLIC <= set(dir(qscissor))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qscissor.no_such_name
+    star = _child(
+        "import sys; sys.path.insert(0, sys.argv[1]); from qscissor import *; "
+        "print(sorted(k for k in globals() if not k.startswith('_') and k != 'sys'))"
+    )
+    assert ast.literal_eval(star) == sorted(PUBLIC)
+
+
+#: Runs every experiment but ``sobol`` (each then validated) from a fresh
+#: import, then validates and runs ``sobol``, profiled throughout.  Prints,
+#: per step, whether any code of ``sensitivity.py`` ran in it.
+_SENSITIVITY_RUNS = r"""
+import importlib.util, json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+root = os.path.dirname(importlib.util.find_spec("qscissor").origin)
+target = os.path.join(root, "sensitivity.py")
+ran = []
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename == target:
+        ran[-1][1] = True
+
+configs = {"scissor": "g = 1\n", "gain-sweep": "g = 0:2:0.5\n", "negativity": "g = 1, 2\n",
+           "hom": "theta = 0, 0.5\n", "fringes": "sigma = 0.2\ng = 2\nphi = 0:3:0.5\n",
+           "sobol": "n_base = 16\nbootstrap = 4\nseed = 5\ng = 1\n"}
+with tempfile.TemporaryDirectory() as tmp:
+    def step(label, argv):
+        ran.append([label, False])
+        assert cli.main(argv) == 0, label
+
+    sys.setprofile(record)
+    ran.append(["import", False])
+    from qscissor import cli
+    for experiment, text in configs.items():
+        config = os.path.join(tmp, experiment + ".conf")
+        with open(config, "w") as fh:
+            fh.write(f"experiment = {experiment}\n{text}")
+        step("validate " + experiment, ["validate", "--config", config])
+        step(experiment, [experiment, "--config", config, "--out", tmp])
+    sys.setprofile(None)
+print(json.dumps(dict(ran)))
+"""
+
+
+def test_sensitivity_code_runs_only_for_sobol():
+    ran = json.loads(_child(_SENSITIVITY_RUNS))
+    assert {label for label, used in ran.items() if used} == {"validate sobol", "sobol"}
+    assert len(ran) == 13
+
+
+_TRACED_GAIN_SWEEP = r"""
+import importlib.util, json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from qscissor import cli
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[2])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Tracer().install()
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "gain-sweep.conf")
+    with open(config, "w") as fh:
+        fh.write("g = 0:2:0.5\n")
+    code = cli.main(["gain-sweep", "--config", config, "--out", tmp])
+from qscissor import sensitivity
+print(json.dumps([code, hasattr(sensitivity.lossy_gain_model, "__wrapped__")]))
+"""
+
+
+def test_benchmark_tracer_installs_over_the_lazy_module():
+    # the tracer looks each traced module up in sys.modules, so sensitivity
+    # must be registered there by the package import, not only on first use
+    tracer = Path(qscissor.__file__).parents[2] / "perfbench" / "tracer.py"
+    assert json.loads(_child(_TRACED_GAIN_SWEEP, str(tracer))) == [0, True]
