@@ -8,6 +8,8 @@ names are served from here on first use (PEP 562).
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .analysis import (
     FringeScan,
@@ -45,13 +47,41 @@ from .scissor import (
 )
 
 
-def _lazy_submodule(name: str):
+#: held while a lazily registered submodule runs its code
+_LOADING = threading.RLock()
+
+
+class _Unrun(types.ModuleType):
+    """A registered submodule whose code has not run yet: the first attribute
+    read runs it, and a read from another thread meanwhile waits for the
+    whole run.  (``importlib.util.LazyLoader`` makes the module a plain one
+    before running it, so on Python 3.11 such a read sees the half-run module
+    and raises ``AttributeError``.)"""
+
+    def __getattribute__(self, name):
+        with _LOADING:
+            if type(self) is _Unrun:
+                self.__class__ = _Running
+                self.__spec__.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, name)
+
+
+class _Running(types.ModuleType):
+    """A submodule while its code runs: its own thread reads it freely (the
+    lock is reentrant), other threads wait until the run is over."""
+
+    def __getattribute__(self, name):
+        with _LOADING:
+            return types.ModuleType.__getattribute__(self, name)
+
+
+def _lazy_submodule(name: str) -> types.ModuleType:
     """Register ``qscissor.<name>`` in ``sys.modules`` without running it."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _Unrun
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

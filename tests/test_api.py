@@ -325,3 +325,33 @@ def test_benchmark_tracer_installs_over_the_lazy_module():
     # must be registered there by the package import, not only on first use
     tracer = Path(qscissor.__file__).parents[2] / "perfbench" / "tracer.py"
     assert json.loads(_child(_TRACED_GAIN_SWEEP, str(tracer))) == [0, True]
+
+
+_FIRST_READS = r"""
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+sys.setswitchinterval(1e-6)
+from qscissor import sensitivity
+barrier, seen = threading.Barrier(8, timeout=10), []
+
+def read():
+    barrier.wait()
+    try:
+        seen.append(sensitivity.sensitivity_sweep.__name__)
+    except AttributeError as exc:
+        seen.append(repr(exc))
+
+threads = [threading.Thread(target=read) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(10)
+print(json.dumps([any(thread.is_alive() for thread in threads), seen]))
+"""
+
+
+def test_first_reads_from_many_threads_wait_for_the_whole_module():
+    # eight threads on two cores read sensitivity before its code has run;
+    # each must get the attribute, none a module that is still running
+    alive, seen = json.loads(_child(_FIRST_READS))
+    assert not alive and seen == ["sensitivity_sweep"] * 8
