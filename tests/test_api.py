@@ -259,9 +259,9 @@ def test_public_namespace_is_unchanged():
     assert ast.literal_eval(star) == sorted(PUBLIC)
 
 
-#: Runs every experiment but ``sobol`` (each then validated) from a fresh
-#: import, then validates and runs ``sobol``, profiled throughout.  Prints,
-#: per step, whether any code of ``sensitivity.py`` ran in it.
+#: Validates and runs each experiment in one child, ``sobol`` last, after a
+#: fresh import, profiled throughout.  Prints, per step (the import, then
+#: each ``validate`` and run), whether any code of ``sensitivity.py`` ran in it.
 _SENSITIVITY_RUNS = r"""
 import importlib.util, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
@@ -351,7 +351,7 @@ print(json.dumps([any(thread.is_alive() for thread in threads), seen]))
 
 
 def test_first_reads_from_many_threads_wait_for_the_whole_module():
-    # eight threads on two cores read sensitivity before its code has run;
-    # each must get the attribute, none a module that is still running
+    # eight threads read sensitivity at once before its code has run; each
+    # must get the attribute, none a module that is still running
     alive, seen = json.loads(_child(_FIRST_READS))
     assert not alive and seen == ["sensitivity_sweep"] * 8
