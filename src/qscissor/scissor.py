@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -196,12 +195,12 @@ def _gain_factor(g, transmitted, reflected, scale=None):
     return scale**transmitted * (g * scale) ** reflected
 
 
-def _herald_amplitudes(photons: int, mixer: Sequence[ModeUnitary]) -> Mapping:
+def _herald_amplitudes(photons: int, mixer: ModeUnitary) -> Mapping:
     """{pattern: ``<pattern, k| U |k, N, 0, ...>`` at g = 1, k = 0..N} (read-only)
-    for N = ``photons``: ``U`` is the g = 1 gain splitter, then each part of
-    ``mixer`` (on all N + 2 modes) in turn; the output holds the k photons."""
+    for N = ``photons``: ``U`` is the g = 1 gain splitter, then ``mixer`` (on
+    all N + 2 modes); the output holds the k photons."""
     patterns, mixer_modes, modes = _layout(photons)
-    u = functools.reduce(operator.matmul, reversed(mixer)) @ _resource_splitter(modes)
+    u = mixer @ _resource_splitter(modes)
     blocks = sector_transfer_blocks(u, 2 * photons)[photons:]  # k + N photons
     # [0, k] is the start |k, N, 0, ...>, [1 + p, k] what pattern p heralds
     occupations = np.zeros((len(patterns) + 1, photons + 1, modes), dtype=int)
@@ -222,7 +221,8 @@ def _herald_amplitudes(photons: int, mixer: Sequence[ModeUnitary]) -> Mapping:
 @functools.lru_cache(maxsize=None)
 def _herald_table() -> Mapping:
     """The amplifier's ``_herald_amplitudes``: N = 2 through the tritter halves."""
-    return _herald_amplitudes(_RESOURCE_PHOTONS, _mixer_halves())
+    first, second = _mixer_halves()
+    return _herald_amplitudes(_RESOURCE_PHOTONS, second @ first)
 
 
 def _herald_gains(pattern: tuple, g: float, scale=None) -> np.ndarray:

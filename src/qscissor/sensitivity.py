@@ -57,7 +57,9 @@ The bootstrap prices blocks of resamples with one matmul of draw counts
 per model.  The draws depend only on the seed, the number of base samples
 and the number of resamples, so the sweep makes them once per group of
 gains: consecutive gains whose bootstrap inputs fit one fixed budget share
-a pass, which bounds its memory by the group, not by the grid.  One helper
+a pass, which bounds its memory by the group, not by the grid.  The
+estimator empties the group's list of design values as it reduces it, so
+each gain's values are freed once its per-row statistics exist.  One helper
 thread makes every draw of a pass, in order, a block ahead of the matmuls,
 into one compact block of counts (uint16 up to 65,535 base samples: at
 most 1 MiB, a quarter of the float64 block the matmuls copy it into); no
@@ -74,7 +76,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,7 +251,6 @@ class _WalkMatrix:
     povm_row: np.ndarray  # [rows]: its row in the POVM rows of every sector
     detected: np.ndarray  # [povm rows, 6]: powers of t_m, then 1 - t_m per detector
     classes: np.ndarray  # [classes, 2]: (transmitted, reflected) splitter photons
-    row_class: np.ndarray  # [rows]: each row's row of ``classes``
     select: np.ndarray  # [2 classes, rows]: C(n, p) on the row's class, for p2,
     # then for rho22 on the rows that leave N photons in the output
 
@@ -330,7 +331,6 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
             [np.tile(pattern, (len(occupations), 1)), detected - pattern]
         ),
         classes=classes,
-        row_class=row_class.ravel(),
         select=np.vstack([in_class * comb, in_class * (comb * full)]),
     )
     for value in vars(walk).values():
@@ -397,14 +397,13 @@ def _monomials(tables: list, powers: np.ndarray, work: _Work) -> np.ndarray:
     return out
 
 
-def _branch_walk(pattern, t_anc, t_internal, work: _Work, out: np.ndarray) -> np.ndarray:
+def _branch_walk(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.ndarray:
     """The Kraus-branch walk at g = 1: ``out`` [rows, samples] set to the
     |amplitude|^2 of every walk row times its lost photons' weight, for the
-    resource-arm loss ``t_anc`` and the in-mixer losses ``t_internal``
-    (per-sample transmissions), as one product of the pattern's
-    ``_WalkMatrix`` with the samples' loss monomials."""
+    per-sample transmissions of the walked ``roles``, as one product of the
+    pattern's ``_WalkMatrix`` with the samples' loss monomials."""
     walk = _walk_matrix(pattern)
-    t = [t_anc, *t_internal]
+    t = [roles[role] for role in _WALKED_ROLES]
     monomials = _monomials([_power_table(np.sqrt(x)) for x in t], walk.kept, work)
     rows = walk.parts.shape[1]
     amplitude = np.matmul(walk.parts.reshape(2 * rows, -1), monomials, out=work.amplitude)
@@ -431,7 +430,7 @@ def _detector_factors(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.
     prod_m t_m^p_m (1 - t_m)^e_m, p_m photons heralded and e_m lost at
     detector m (its count C(n, p) is in the walk's ``select``)."""
     walk = _walk_matrix(pattern)
-    t_detect = [roles[f"detector_{m}"] for m in range(len(_QFT_MODES))]
+    t_detect = [roles[role] for role in _DETECTOR_ROLES]
     tables = [_power_table(t) for t in t_detect]
     tables += [_power_table(1.0 - t) for t in t_detect]
     monomials = _monomials(tables, walk.detected, work)
@@ -460,11 +459,6 @@ def _pair_weights(transmission: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t * t])
 
 
-def _role_transmission(tr: np.ndarray, role: str) -> np.ndarray:
-    """[samples]: the product of the transmissions of ``role``'s columns."""
-    return tr[_ROLE_COLUMNS[role]].prod(axis=0)
-
-
 def _transmissions(losses: np.ndarray) -> np.ndarray:
     """[dims, samples] transmissions of a [samples, dims] batch of losses."""
     return np.ascontiguousarray((1.0 - losses).T)
@@ -488,18 +482,13 @@ def _measured_gains(tau, roles: dict, sums: np.ndarray, factors) -> list:
     return [scale * (f @ rho22) / (f @ p2) / ratio_off for f in factors]
 
 
-def _walk(pattern, roles: dict, work: _Work, out: np.ndarray) -> np.ndarray:
-    """``_branch_walk`` on the walked roles' transmissions."""
-    t_internal = [roles[f"qft_internal_{m}"] for m in range(len(_QFT_MODES))]
-    return _branch_walk(pattern, roles["ancilla_pre_qft"], t_internal, work, out)
-
-
 def _stages(tau, tr: np.ndarray, pattern: tuple, work: _Work, weight, detector) -> tuple:
     """(roles, start weights, POVM sums) of a [dims, samples] block of
     transmissions; its walk weights go to ``weight`` and its detector
-    factors to ``detector``."""
-    roles = {role: _role_transmission(tr, role) for role in _ROLE_COLUMNS}
-    _walk(pattern, roles, work, weight)
+    factors to ``detector``; a role's transmission is the product of its
+    columns'."""
+    roles = {role: tr[columns].prod(axis=0) for role, columns in _ROLE_COLUMNS.items()}
+    _branch_walk(pattern, roles, work, weight)
     start = _start_weights(tau, roles)
     _detector_factors(pattern, roles, work, detector)
     return roles, start, _povm_sums(pattern, weight, start, detector, work)
@@ -557,7 +546,7 @@ def lossy_gain_model(
 _BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
 #: size limits, so memory is bounded by the work asked for
-_MAX_N_BASE = 10**5  # a Sobol sweep holds about 0.72 KB per base sample
+_MAX_N_BASE = 10**5  # where a sweep peaks at 72 MB traced, 0.72 KB per base sample
 #: resamples; a bootstrap pass holds 8 B per index per resample for each gain
 #: it shares, and takes one gain at a time once that passes 4 MiB
 _MAX_BOOTSTRAP = 10**5
@@ -676,10 +665,10 @@ def first_order_indices(
     """
     _check_resamples(bootstrap_resamples)
     a, b, hybrids = saltelli_sample(n_base, dims, seed, bounds)
-    values = np.empty((dims + 2, n_base))
+    designs = [np.empty((dims + 2, n_base))]  # the list is the design's one holder
     for row, points in enumerate([a, b, *hybrids]):
-        values[row] = model(points)
-    (result,) = _indices_from_values([values], seed, bootstrap_resamples)
+        designs[0][row] = model(points)
+    (result,) = _indices_from_values(designs, seed, bootstrap_resamples)
     return result
 
 
@@ -745,19 +734,18 @@ def _resample_indices(counts, stats, total: int, out: np.ndarray) -> None:
 
 
 def _indices_from_values(
-    values: Iterable[np.ndarray], seed: int, bootstrap_resamples: int
+    designs: list[np.ndarray], seed: int, bootstrap_resamples: int
 ) -> list[SobolResult]:
     """The Saltelli et al. (2010) estimator on the design values of one or
     more models sampled on the same design.
 
-    Each item of ``values`` is one model's [f(A); f(B); f(A_B^1); ...;
+    Each item of ``designs`` is one model's [f(A); f(B); f(A_B^1); ...;
     f(A_B^dims)], shape (dims + 2, n_base).  One bootstrap pass resamples
-    all of them with the same draws, which depend only on the seed.
+    all of them with the same draws, which depend only on the seed.  The
+    list is emptied as it is reduced: a design the caller holds nowhere
+    else is freed once its (larger) per-row statistics are built, as
+    ``_gains_per_group`` counts.
     """
-    # every item is taken before any is reduced, so only design values are
-    # held while a lazily evaluated item is made; each is then released as
-    # its (larger) per-row statistics are built
-    designs = list(values)
     estimates = []
     while designs:
         estimates.append(_point_estimate(designs.pop(0)))
@@ -851,12 +839,12 @@ def _design_block(factors, tau, a, b, pattern: tuple, work: _Work, out: list) ->
     record(0, _measured_gains(tau, roles_a, sums_a, factors))
     record(1, _evaluate_batch(factors, tau, b, pattern, work))
     for i, point in enumerate(LOSS_POINTS):
-        tr = tr_a.copy()
-        tr[i] = tr_b[i]
-        roles = {**roles_a, point.role: _role_transmission(tr, point.role)}
+        # the role's columns as ``_stages`` multiplies them, column i from B
+        columns = [(tr_b if c == i else tr_a)[c] for c in _ROLE_COLUMNS[point.role]]
+        roles = {**roles_a, point.role: np.prod(columns, axis=0)}
         weight, start, detector = work.weight_a, start_a, work.detector_a
         if point.role in _WALKED_ROLES:
-            weight = _walk(pattern, roles, work, work.weight)
+            weight = _branch_walk(pattern, roles, work, work.weight)
         elif point.role in _START_WEIGHT_ROLES:
             start = _start_weights(tau, roles)
         elif point.role in _DETECTOR_ROLES:

@@ -78,7 +78,7 @@ def _table_at(photons: int):
     the shipped tritter at N = 2, the (N + 1)-mode Fourier mixer otherwise."""
     if photons == 2:
         return scissor._herald_table()
-    return scissor._herald_amplitudes(photons, (fourier_mixer(photons),))
+    return scissor._herald_amplitudes(photons, fourier_mixer(photons))
 
 
 @PROPERTY

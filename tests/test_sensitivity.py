@@ -3,9 +3,11 @@ import functools
 import itertools
 import math
 import pathlib
+import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -482,9 +484,10 @@ def test_walk_matches_per_branch_reference(pattern, g):
     tr = 1.0 - losses.T
     t_anc, t_internal = tr[4] * tr[7], [tr[8], tr[9], tr[10]]
     walk = sensitivity._walk_matrix(pattern)
-    split = walk.classes[walk.row_class]
+    split = walk.classes[row_classes(walk)]
     ((_, work),) = sensitivity._chunks(pattern, 64)
-    rows = sensitivity._branch_walk(pattern, t_anc, t_internal, work, work.weight)
+    roles = dict(zip(sensitivity._WALKED_ROLES, [t_anc, *t_internal]))
+    rows = sensitivity._branch_walk(pattern, roles, work, work.weight)
     rows = rows * (scissor._gain_factor(g, split[:, 0], split[:, 1]) ** 2)[:, None]
     # every row added to its start's share of its POVM row, as the oracle lays
     # them out: per sector, [starts, heraldable rows, samples]
@@ -495,6 +498,14 @@ def test_walk_matches_per_branch_reference(pattern, g):
     # per sample, within 1e-13 of its largest row (exact where all rows are 0)
     assert np.all(np.abs(got - want) <= 1e-13 * want.max(axis=0))
     assert np.any(want.max(axis=0) == 0.0) and np.any(want.max(axis=0) > 0.0)
+
+
+def row_classes(walk):
+    """Each walk row's row of ``walk.classes``: the one class whose p2 half of
+    ``select`` holds the row's nonzero count C(n, p)."""
+    selected = walk.select[: len(walk.classes)] != 0.0
+    assert np.all(selected.sum(axis=0) == 1)
+    return selected.argmax(axis=0)
 
 
 @pytest.mark.parametrize(
@@ -512,7 +523,7 @@ def test_walk_rows_each_hold_one_splitter_class(pattern, columns):
     k = walk.lost[walk.lost_kind, 0][:, None]
     transmitted = k + walk.kept[:, 0][None, :]
     reflected = (walk.start % 3)[:, None] - transmitted
-    own = walk.classes[walk.row_class]
+    own = walk.classes[row_classes(walk)]
     nonzero = (walk.parts[0] != 0.0) | (walk.parts[1] != 0.0)
     assert np.all(nonzero.any(axis=1))
     assert np.all((transmitted == own[:, :1]) | ~nonzero)
@@ -577,7 +588,7 @@ def test_distinct_gains_build_no_tables(monkeypatch):
     walk = sensitivity._walk_matrix((1, 1, 0))
     tables = [scissor._herald_table()[(1, 1, 0)], scissor._coincidence_row()]
     tables += [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
-    assert len(tables) == 12
+    assert len(tables) == 11
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -669,7 +680,6 @@ def record_design_values(monkeypatch):
     estimator = sensitivity._indices_from_values
 
     def recording(values, *args):
-        values = list(values)
         seen.extend((v[0].copy(), v[1].copy(), v[2:].copy()) for v in values)
         return estimator(values, *args)
 
@@ -718,11 +728,12 @@ def test_sweep_walks_only_columns_inside_the_walk(monkeypatch, dims, walked):
     rows = 0
     walk = sensitivity._branch_walk
 
-    def counted_walk(pattern, t_anc, t_internal, *work_and_out):
+    def counted_walk(pattern, roles, *work_and_out):
         nonlocal rows
+        t_anc, *t_internal = (roles[role] for role in sensitivity._WALKED_ROLES)
         rows += t_anc.shape[0]
         assert all(t.shape == t_anc.shape for t in t_internal)
-        return walk(pattern, t_anc, t_internal, *work_and_out)
+        return walk(pattern, roles, *work_and_out)
 
     monkeypatch.setattr(sensitivity, "_branch_walk", counted_walk)
     n_base, resamples = 1100, 20
@@ -822,7 +833,6 @@ def record_group_sizes(monkeypatch):
     estimator = sensitivity._indices_from_values
 
     def recording(values, *args):
-        values = list(values)
         sizes.append(len(values))
         return estimator(values, *args)
 
@@ -880,6 +890,93 @@ def test_sweep_memory_is_bounded_by_one_group():
     assert sensitivity._gains_per_group(64, 14, 1000) < 40
     # kept: the SobolResults still alive when the sweep returns
     assert peak_many - peak_few < sensitivity._BOOTSTRAP_BLOCK_BYTES + kept_many - kept_few
+
+
+def test_estimator_frees_each_design_once_its_statistics_exist(monkeypatch):
+    # a design held past its statistics is memory _gains_per_group does not
+    # count: the estimator empties the list it is handed, so a design that
+    # only the list held is gone once its statistics exist
+    refs, alive = [], []
+    estimate, resample = sensitivity._point_estimate, sensitivity._resample_indices
+
+    def counted_estimate(design):
+        alive.append(sum(ref() is not None for ref in refs))
+        return estimate(design)
+
+    def counted_resample(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return resample(*args)
+
+    monkeypatch.setattr(sensitivity, "_point_estimate", counted_estimate)
+    monkeypatch.setattr(sensitivity, "_resample_indices", counted_resample)
+
+    def designs(count):
+        for seed in range(count):
+            design = np.random.default_rng(seed).uniform(size=(6, 64))
+            refs.append(weakref.ref(design))
+            yield design
+
+    # a temporary list, as sensitivity_sweep hands over a group's designs
+    results = sensitivity._indices_from_values(list(designs(3)), 4, 20)
+    assert len(results) == 3
+    # alive as each estimate starts, then as the bootstrap starts
+    assert alive[:4] == [3, 2, 1, 0]
+
+    # first_order_indices hands over its one design the same way
+    refs.clear()
+    alive.clear()
+
+    def tracked_estimate(design):
+        refs.append(weakref.ref(design))
+        return estimate(design)
+
+    monkeypatch.setattr(sensitivity, "_point_estimate", tracked_estimate)
+    first_order_indices(
+        additive_model([1.0, 2.0]), 64, seed=4, dims=2, bounds=LOSS_RANGE,
+        bootstrap_resamples=20,
+    )
+    assert alive[0] == 0
+
+
+def test_sobol_memory_is_the_readme_model():
+    """A sweep of three gains sharing one bootstrap pass, at 300 resamples
+    and n_base 2,048 and 4,096, peaks at the README's a + b * n_base traced,
+    with slack 60 B per base sample on b and 0.3 MB on a.  At these sizes
+    the pass's block of draw counts is its full 4 MiB, so the peak is in the
+    pass at both.  The pass's per-block temporaries shrink as n_base grows,
+    which reads about 25 B per base sample under the model, and the draw
+    thread's temporaries meet the peak or not, which moves b by up to about
+    20 B.  A design held through the pass would add 0.13 KB per base sample
+    per gain."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    words = " ".join(readme.split())
+    model = re.search(
+        r"`sobol` peaks at about ([\d.]+) MB \+ ([\d.]+) KB per base sample \+ g "
+        r"times ([\d.]+) KB per base sample and ([\d.]+) KB per resample",
+        words,
+    )
+    base, shared, per_sample, per_resample = map(float, model.groups())
+    gains, resamples, sizes = [0.5, 1.0, 2.0], 300, (2048, 4096)
+    slope = (shared + len(gains) * per_sample) * 1e3  # B per base sample
+    intercept = base * 1e6 + len(gains) * per_resample * 1e3 * resamples
+    sensitivity_sweep([1.0], TAU, n_base=64, seed=0, bounds=LOSS_RANGE,
+                      pattern=PATTERN, bootstrap_resamples=10)  # warm tables
+    peaks = []
+    for n_base in sizes:
+        assert sensitivity._gains_per_group(n_base, len(LOSS_POINTS), resamples) >= 3
+        assert sensitivity._BOOTSTRAP_BLOCK_BYTES // (8 * n_base) < resamples
+        tracemalloc.start()
+        try:
+            sensitivity_sweep(
+                gains, TAU, n_base=n_base, seed=3, bounds=LOSS_RANGE, pattern=PATTERN,
+                bootstrap_resamples=resamples,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    measured = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert measured == pytest.approx(slope, abs=60.0), peaks
+    assert peaks[0] - measured * sizes[0] == pytest.approx(intercept, abs=0.3e6), peaks
 
 
 def test_sweep_qualitative_structure():
