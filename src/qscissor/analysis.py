@@ -11,8 +11,7 @@ amplified arm, and amplified by the scissor's amplitude-array helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,21 +114,23 @@ def hom_coincidence(theta: float) -> float:
     return abs(complex(sector_transfer_blocks(splitter, 2)[2][one_each, one_each])) ** 2
 
 
-@dataclass
-class FringeScan:
+class FringeScan(
+    NamedTuple(
+        "FringeScan", [("phases", np.ndarray), ("values", np.ndarray), ("pattern", tuple)]
+    )
+):
     """Expected coincidence rate versus the scanned recombination phase."""
 
-    phases: np.ndarray
-    values: np.ndarray
-    pattern: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.phases = _check_phases(self.phases)
-        if self.phases.shape != self.values.shape:
+    def __new__(cls, phases: np.ndarray, values: np.ndarray, pattern: tuple):
+        values = np.asarray(values, dtype=float)
+        phases = _check_phases(phases)
+        if phases.shape != values.shape:
             raise ValueError("phase grid and values must be equal length")
-        if np.any(self.values < -1e-12):
+        if np.any(values < -1e-12):
             raise ValueError("coincidence rates must be non-negative")
+        return super().__new__(cls, phases, values, pattern)
 
 
 def fringe_scan(

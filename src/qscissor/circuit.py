@@ -43,8 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,28 +101,28 @@ class ModeUnitary:
         return ModeUnitary(self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(
+    NamedTuple(
+        "BeamSplitter", [("mode_a", int), ("mode_b", int), ("transmittance", float)]
+    )
+):
     """Two-mode splitter; ``transmittance`` is the intensity fraction kept."""
 
-    mode_a: int
-    mode_b: int
-    transmittance: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(f"transmittance {self.transmittance} outside [0, 1]")
-        if self.mode_a == self.mode_b:
+    def __new__(cls, mode_a: int, mode_b: int, transmittance: float):
+        if not 0.0 <= transmittance <= 1.0:
+            raise ValueError(f"transmittance {transmittance} outside [0, 1]")
+        if mode_a == mode_b:
             raise ValueError("beam splitter needs two distinct modes")
+        return super().__new__(cls, mode_a, mode_b, transmittance)
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    mode: int
-    angle: float
+class PhaseShift(NamedTuple("PhaseShift", [("mode", int), ("angle", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", self.angle % TWO_PI)
+    def __new__(cls, mode: int, angle: float):
+        return super().__new__(cls, mode, angle % TWO_PI)
 
 
 CircuitElement = BeamSplitter | PhaseShift

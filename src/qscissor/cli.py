@@ -19,9 +19,9 @@ line number), 3 output I/O failure.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -29,8 +29,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,8 +173,7 @@ def _parse_one_pattern(raw: str, experiment: str):
     return patterns
 
 
-@dataclass
-class Field:
+class Field(NamedTuple):
     parse: object
     default: str | None  # raw default value, None = required
     doc: str
@@ -603,22 +602,68 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qscissor",
-        description="Run heralded-amplifier experiments from a config file.",
-    )
-    parser.add_argument(
-        "command",
-        metavar="experiment",
-        help=f"one of {', '.join(EXPERIMENTS)}, or 'validate'",
-    )
-    parser.add_argument("--config", required=True, help="path to the config file")
-    parser.add_argument(
-        "--out", default=".", help="output directory (default: current directory)"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    return parser
+_HELP = f"""\
+usage: qscissor <experiment|validate> --config PATH [--out DIR] [--seed N]
+
+Run heralded-amplifier experiments from a config file.
+
+  experiment     one of {', '.join(EXPERIMENTS)}, or 'validate'
+  --config PATH  path to the config file
+  --out DIR      output directory (default: current directory)
+  --seed N       RNG seed override, written as the config's seed key
+  -h, --help     show this help and exit
+"""
+
+
+class _Args(NamedTuple):
+    command: str
+    config: str
+    out: str
+    seed: int | None
+
+
+def _read_argv(argv: list[str]) -> _Args | None:
+    """The command and options of ``argv``, or None if it asks for help.
+
+    The options may come in any order, before or after the command, each as
+    ``--name value`` or ``--name=value``; a value given apart may not start
+    with ``--``, and an option given twice keeps its last value.  Only the
+    full option names are read.  The first problem raises a ``ConfigError``
+    whose one message names the argument at fault.
+    """
+    command, options = None, {"--config": None, "--out": ".", "--seed": None}
+    rest = iter(argv)
+    for arg in rest:
+        if not arg.startswith("-"):
+            if command is not None:
+                raise ConfigError(f"{arg}: unexpected argument after {command!r}")
+            command = arg
+            continue
+        name, has_value, value = arg.partition("=")
+        if name in ("-h", "--help"):
+            return None
+        if name not in options:
+            valid = ", ".join(options)
+            raise ConfigError(f"{name}: unknown option (valid: {valid}, -h, --help)")
+        if not has_value:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{name}: expected a value")
+        options[name] = value
+    if command is None:
+        raise ConfigError(
+            f"experiment: missing (one of {', '.join(EXPERIMENTS)}, or 'validate')"
+        )
+    if not options["--config"]:
+        why = "missing" if options["--config"] is None else "empty"
+        raise ConfigError(f"--config: {why} (the path to the config file)")
+    seed = options["--seed"]
+    if seed is not None:
+        try:
+            seed = _parse_int(seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
+    return _Args(command, options["--config"], options["--out"], seed)
 
 
 def _load_entries(path: str) -> tuple[dict, str]:
@@ -634,7 +679,7 @@ def _load_entries(path: str) -> tuple[dict, str]:
     return parse_config_text(text), text
 
 
-def _experiment_from(args, entries) -> str:
+def _experiment_from(args: _Args, entries) -> str:
     if args.command != "validate":
         return args.command
     declared = entries.get("experiment")
@@ -647,7 +692,32 @@ def _experiment_from(args, entries) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return its
+    exit code.
+
+    The cyclic garbage collector is paused for the run and left as it was
+    found: a run leaves almost no cyclic garbage, but a collection that the
+    counts left by the import happen to trigger inside it can cost a large
+    share of a short run.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str]) -> int:
+    try:
+        args = _read_argv(argv)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_HELP, end="")
+        return 0
     if args.command != "validate" and args.command not in EXPERIMENTS:
         print(
             f"error: unknown experiment {args.command!r}; "

@@ -38,9 +38,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,8 +304,7 @@ def _check_herald_weight(amplitudes, g: float) -> None:
         raise ValueError(f"{_KEPT} too small to herald at g = {g}")
 
 
-@dataclass
-class ScissorOutcome:
+class ScissorOutcome(NamedTuple):
     """Post-herald output of the amplifier, conditioned on one pattern."""
 
     output: np.ndarray  # normalized amplitudes on |0>, ..., |N>
@@ -442,8 +440,7 @@ def pnr_coincidence_probability(state: MixedState | PureState) -> float:
     return _pair_separation() * sum(weights)
 
 
-@dataclass
-class GainMeasurement:
+class GainMeasurement(NamedTuple):
     """Expected counting rates for one amplifier configuration."""
 
     herald_probability: float | np.ndarray

@@ -75,7 +75,6 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -175,8 +174,7 @@ _BASE = _PHOTONS + 1
 _COMB = np.array([[math.comb(n, k) for k in range(_BASE)] for n in range(_BASE)], float)
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     """One Kraus branch of the walk from one |a, b, 0, 0> start.
 
     Its amplitude is a sum of terms, each a coefficient times one row of its
@@ -227,11 +225,10 @@ def _evolve(branch: _Branch, blocks) -> _Branch:
     state[branch.rows, column] = branch.coefs
     out = block @ state
     rows, columns = np.nonzero(out)
-    return replace(branch, rows=rows, keys=keys[columns], coefs=out[rows, columns])
+    return branch._replace(rows=rows, keys=keys[columns], coefs=out[rows, columns])
 
 
-@dataclass
-class _WalkMatrix:
+class _WalkMatrix(NamedTuple):
     """The heralded amplitudes of one pattern as one matrix over loss monomials.
 
     Before |.|^2 every heralded amplitude is linear in the per-sample
@@ -333,7 +330,7 @@ def _walk_matrix(pattern: tuple) -> _WalkMatrix:
         classes=classes,
         select=np.vstack([in_class * comb, in_class * (comb * full)]),
     )
-    for value in vars(walk).values():
+    for value in walk:
         value.flags.writeable = False
     return walk
 
@@ -546,7 +543,7 @@ def lossy_gain_model(
 _BOOTSTRAP_BLOCK_BYTES = 4 << 20
 
 #: size limits, so memory is bounded by the work asked for
-_MAX_N_BASE = 10**5  # where a sweep peaks at 72 MB traced, 0.72 KB per base sample
+_MAX_N_BASE = 10**5  # where a sweep peaks at 60 MB traced, 0.60 KB per base sample
 #: resamples; a bootstrap pass holds 8 B per index per resample for each gain
 #: it shares, and takes one gain at a time once that passes 4 MiB
 _MAX_BOOTSTRAP = 10**5
@@ -637,8 +634,7 @@ def saltelli_sample(
     return a, b, hybrids
 
 
-@dataclass
-class SobolResult:
+class SobolResult(NamedTuple):
     """First-order indices with bootstrap confidence half-widths."""
 
     indices: np.ndarray
@@ -686,27 +682,39 @@ def _point_estimate(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first-order indices, [n_base, 2 dims + 2] per-row statistics) of one
     model's design values [f(A); f(B); f(A_B^1); ...; f(A_B^dims)]."""
     f_a, f_b, f_hyb = design[0], design[1], design[2:]
-    mean_all = float(design.mean())
-    variance = float(np.var(design, ddof=1))
+    dims = f_hyb.shape[0]
+    # the statistics are built row by row into one [2 dims + 2, n] array,
+    # whose transpose the bootstrap's matmul takes as it took the stacked rows.
+    # No temporary as large as the design is made: rows [:dims + 2] hold
+    # np.var's deviations and their squares, then the squares of the row
+    # sums, and rows [:dims] the centered cross products, each before the
+    # statistics overwrite them.  Each step is the one numpy's mean, var and
+    # ** take, on a C-contiguous array of the same shape, so every bit is theirs
+    stats = np.empty((2 * dims + 2, design.shape[1]))
+    scratch = stats[: dims + 2]
+    mean = design.sum(keepdims=True)
+    mean /= design.size
+    mean_all = float(mean[0, 0])  # design.mean()
+    np.subtract(design, mean, out=scratch)
+    scratch *= scratch
+    variance = float(scratch.sum() / (design.size - 1))  # np.var(design, ddof=1)
     if not np.isfinite(variance) or variance <= 0.0:
         raise ValueError(
             "model output has zero variance over the sampled inputs; "
             "first-order indices are undefined"
         )
 
+    np.multiply(design, design, out=scratch)  # design**2
+    scratch.sum(axis=0, out=stats[2 * dims + 1])
+    design.sum(axis=0, out=stats[2 * dims])
+    diff = np.subtract(f_hyb, f_a[None, :], out=stats[dims : 2 * dims])
     # evaluations are centered on the overall mean first: the estimator is
     # shift invariant in expectation, and centering removes most of the
     # mean-level sampling noise from the cross products
-    # the statistics are built row by row into one [2 dims + 2, n] array,
-    # whose transpose the bootstrap's matmul takes as it took the stacked rows
-    dims = f_hyb.shape[0]
-    stats = np.empty((2 * dims + 2, design.shape[1]))
-    diff = np.subtract(f_hyb, f_a[None, :], out=stats[dims : 2 * dims])
+    cross = np.multiply((f_b - mean_all)[None, :], diff, out=stats[:dims])
+    indices = cross.mean(axis=1) / variance  # independent of the centering
     np.multiply(f_b[None, :], diff, out=stats[:dims])
-    design.sum(axis=0, out=stats[2 * dims])
-    (design**2).sum(axis=0, out=stats[2 * dims + 1])
-    cross = (f_b - mean_all)[None, :] * diff  # independent of the centering
-    return cross.mean(axis=1) / variance, stats.T
+    return indices, stats.T
 
 
 def _draw_counts(rng: np.random.Generator, counts: np.ndarray) -> None:
@@ -812,8 +820,7 @@ def _indices_from_values(
     ]
 
 
-@dataclass
-class SweepEntry:
+class SweepEntry(NamedTuple):
     g: float
     result: SobolResult
 

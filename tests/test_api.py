@@ -355,3 +355,46 @@ def test_first_reads_from_many_threads_wait_for_the_whole_module():
     # must get the attribute, none a module that is still running
     alive, seen = json.loads(_child(_FIRST_READS))
     assert not alive and seen == ["sensitivity_sweep"] * 8
+
+
+#: The modules ``import qscissor.cli`` may add to a process that has already
+#: imported numpy: the package and the standard library that its reader,
+#: runners and writer use.  Start-up is most of a CLI process at the shipped
+#: sizes, so a module joins this set on purpose or not at all.
+STARTUP_MODULES = {
+    "__future__", "_blake2", "_csv", "_hashlib", "_json", "cmath", "csv", "gc",
+    "hashlib", "json", "json.decoder", "json.encoder", "json.scanner",
+    "qscissor", "qscissor.analysis", "qscissor.circuit", "qscissor.cli",
+    "qscissor.fock", "qscissor.scissor", "qscissor.sensitivity",
+}
+#: an argument parser and generated classes: ``argparse`` brings ``gettext``,
+#: and ``dataclasses`` brings ``copy``
+NEVER_IMPORTED = ("argparse", "gettext", "dataclasses", "copy")
+
+#: Prints the modules that ``from qscissor import cli`` adds after numpy, then
+#: those that a small ``sobol`` run adds after that.
+_STARTUP_IMPORTS = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+loaded = set(sys.modules)
+from qscissor import cli
+imported = sorted(set(sys.modules) - loaded)
+import json, os, tempfile
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "sobol.conf")
+    with open(config, "w") as fh:
+        fh.write("n_base = 16\nbootstrap = 4\nseed = 5\ng = 1\n")
+    loaded = set(sys.modules)
+    assert cli.main(["sobol", "--config", config, "--out", tmp]) == 0
+    ran = sorted(set(sys.modules) - loaded)
+print(json.dumps([imported, ran]))
+"""
+
+
+def test_cli_import_adds_only_the_allowed_modules():
+    imported, ran = json.loads(_child(_STARTUP_IMPORTS))
+    assert "qscissor.cli" in imported
+    assert set(imported) <= STARTUP_MODULES, sorted(set(imported) - STARTUP_MODULES)
+    assert not set(NEVER_IMPORTED) & STARTUP_MODULES
+    assert not set(NEVER_IMPORTED) & set(ran), ran

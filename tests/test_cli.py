@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import hashlib
 import json
 import lzma
@@ -676,6 +677,163 @@ def test_console_module_entry_point(tmp_path):
     result = run_module(tmp_path, "hom", "--config", path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "hom.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "error: experiment: missing (one of scissor, gain-sweep,"),
+        (["--config", "{path}"], "error: experiment: missing"),
+        (["hom"], "error: --config: missing"),
+        (["hom", "--config", ""], "error: --config: empty"),
+        (["hom", "--config="], "error: --config: empty"),
+        (["hom", "--config", "{path}", "--bogus", "1"], "error: --bogus: unknown option"),
+        (["hom", "--conf", "{path}"], "error: --conf: unknown option"),
+        (["hom", "-c", "{path}"], "error: -c: unknown option"),
+        (["hom", "--config"], "error: --config: expected a value"),
+        (["hom", "--config", "{path}", "--out"], "error: --out: expected a value"),
+        (["hom", "--config", "--out", "x"], "error: --config: expected a value"),
+        (["hom", "--config", "{path}", "--seed"], "error: --seed: expected a value"),
+        (["hom", "again", "--config", "{path}"], "error: again: unexpected argument"),
+        (["hom", "--config", "{path}", "--seed", "x"], "error: --seed: 'x' is not an"),
+        (["sobol", "--config", "{path}", "--seed", "1.5"], "error: --seed: '1.5' is"),
+        (["hom", "--config", "{path}", "--seed", "010"], "error: --seed: '010' is"),
+    ],
+)
+def test_each_argv_error_exits_2_on_one_line(tmp_path, capsys, argv, message):
+    path = write_config(tmp_path, "theta = 0:1.6:0.4\nseed = 3\n")
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in argv]
+    assert main([*argv, "--out", str(out)] if argv else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [Path(path)]
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_non_integer_seed_exits_2_for_every_experiment(tmp_path, capsys, experiment):
+    path = write_config(tmp_path, "")
+    argv = [experiment, "--config", path, "--out", str(tmp_path), "--seed", "3.0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --seed: '3.0' is not an integer\n"
+
+
+def test_seed_option_reads_like_the_seed_key(tmp_path, capsys):
+    text = "g = 1\nn_base = 16\nbootstrap = 4\n"
+    by_key, by_option = tmp_path / "key", tmp_path / "option"
+    path = write_config(tmp_path, text + "seed = 0x10\n", "key.txt")
+    assert main(["sobol", "--config", path, "--out", str(by_key)]) == 0
+    path = write_config(tmp_path, text)
+    assert main(["sobol", "--config", path, "--out", str(by_option), "--seed", "0x10"]) == 0
+    csv_bytes = [(out / "sobol.csv").read_bytes() for out in (by_key, by_option)]
+    assert csv_bytes[0] == csv_bytes[1]
+    capsys.readouterr()
+    # a leading zero is no integer literal, in the file or on the command line
+    zero = write_config(tmp_path, text + "seed = 010\n", "zero.txt")
+    assert main(["sobol", "--config", zero, "--out", str(by_key)]) == 2
+    assert capsys.readouterr().err == "error: line 4: seed: '010' is not an integer\n"
+    # the u64 range is checked where the seed is resolved, naming its source
+    for seed in ("-0x1", str(2**64)):
+        assert main(["sobol", "--config", path, "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: ")
+    path = write_config(tmp_path, "theta = 0:1.6:0.4\n", "hom.txt")
+    assert main(["hom", "--config", path, "--out", str(tmp_path), "--seed", "0x10"]) == 0
+    assert "deterministic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_and_lists_the_experiments(tmp_path, capsys, flag):
+    for argv in ([flag], ["hom", flag], ["hom", "--config", "nope.txt", flag]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qscissor <experiment|validate> --config")
+        assert all(experiment in captured.out for experiment in cli.EXPERIMENTS)
+        assert captured.err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_options_come_in_any_order_and_either_form(tmp_path, capsys):
+    path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
+    runs = {
+        "plain": ["hom", "--config", path, "--out", "{out}"],
+        "equals": ["hom", f"--config={path}", "--out={out}"],
+        "first": ["--out", "{out}", f"--config={path}", "hom"],
+        "repeated": ["--config", "nope.txt", "hom", "--out", "{out}", "--config", path],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([arg.format(out=out) for arg in argv]) == 0, name
+    assert capsys.readouterr().err == ""
+    csv_bytes = {(tmp_path / name / "hom.csv").read_bytes() for name in runs}
+    assert len(csv_bytes) == 1
+
+
+def _raise_runtime_error(cfg):
+    raise RuntimeError("runner failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-2", "exit-3", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled, outcome):
+    path = write_config(tmp_path, "theta = 0:1.6:0.4\n")
+    out = tmp_path / "out"
+    argv = ["hom", "--config", path, "--out", str(out)]
+    if outcome == "exit-2":
+        argv[2] = str(tmp_path / "nope.txt")
+    if outcome == "exit-3":
+        out.write_text("not a directory")
+    if outcome == "raises":
+        monkeypatch.setitem(cli._RUNNERS, "hom", _raise_runtime_error)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="runner failed"):
+                main(argv)
+        else:
+            assert main(argv) == int(outcome[-1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_collection_fires_inside_a_gain_sweep_run(tmp_path):
+    # prime the counters so that the first gen-0 pass of the run would be
+    # followed within one gen-0 threshold of allocations by a gen-1 pass
+    path = write_config(tmp_path, "")
+    argv = ["gain-sweep", "--config", path, "--out", str(tmp_path)]
+    threshold_0, threshold_1, _ = gc.get_threshold()
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        for _ in range(threshold_1):
+            gc.collect(0)
+        held = [[] for _ in range(threshold_0 - 10 - gc.get_count()[0])]
+        count = gc.get_count()
+        gc.callbacks.append(record)
+        try:
+            assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(record)
+        assert threshold_0 - 20 < count[0] < threshold_0 and count[1] == threshold_1
+        assert collections == []
+        assert gc.isenabled()
+        del held
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

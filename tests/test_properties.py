@@ -7,7 +7,6 @@ stays reproducible and fast.
 import cmath
 import codecs
 import contextlib
-import dataclasses
 import functools
 import io
 import itertools
@@ -697,9 +696,6 @@ _LOSS = st.sampled_from([0.0, 0.5, 0.99, 1.0 - 2**-53, 1.0, -0.0, -5e-324, math.
 
 def _numbers_in(result) -> list:
     """Every number in a result: its fields, items and array entries."""
-    if dataclasses.is_dataclass(result):
-        fields = dataclasses.fields(result)
-        return _numbers_in([getattr(result, field.name) for field in fields])
     if isinstance(result, (list, tuple)):
         return [x for item in result for x in _numbers_in(item)]
     return np.asarray(result).ravel().tolist()
@@ -762,8 +758,6 @@ _GRID_CALLS = {
 def _at(result, i: int, j: int) -> list:
     """The numbers of a grid call's result at its point (i, j), in the order
     ``_numbers_in`` lists a scalar call's."""
-    if dataclasses.is_dataclass(result):
-        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
     if isinstance(result, (list, tuple)):
         return [x for item in result for x in _at(item, i, j)]
     return np.asarray(result)[i, j].ravel().tolist()
@@ -810,8 +804,6 @@ def test_grid_calls_raise_the_first_scalar_error_or_give_its_bits(
     assert first_error is None
     points = itertools.product(range(len(taus)), range(len(gains)))
     for (i, j), result in zip(points, scalar):
-        if dataclasses.is_dataclass(result):
-            result = dataclasses.astuple(result)
         returned = result if isinstance(result, tuple) else (result,)
         assert all(type(x) in (float, np.ndarray) for x in returned)  # weights: array
         assert _bits(_numbers_in(result)) == _bits(_at(grid, i, j))

@@ -587,7 +587,7 @@ def test_distinct_gains_build_no_tables(monkeypatch):
     assert sensitivity._walk_matrix.cache_info().currsize <= 3
     walk = sensitivity._walk_matrix((1, 1, 0))
     tables = [scissor._herald_table()[(1, 1, 0)], scissor._coincidence_row()]
-    tables += [v for v in vars(walk).values() if isinstance(v, np.ndarray)]
+    tables += [v for v in walk._asdict().values() if isinstance(v, np.ndarray)]
     assert len(tables) == 11
     for table in tables:
         with pytest.raises(ValueError):
@@ -936,6 +936,58 @@ def test_estimator_frees_each_design_once_its_statistics_exist(monkeypatch):
         bootstrap_resamples=20,
     )
     assert alive[0] == 0
+
+
+def _numpy_point_estimate(design):
+    """``_point_estimate`` written with numpy's own mean, var and ``**``."""
+    f_a, f_b, f_hyb = design[0], design[1], design[2:]
+    mean_all = float(design.mean())
+    variance = float(np.var(design, ddof=1))
+    if not np.isfinite(variance) or variance <= 0.0:
+        raise ValueError("zero variance")
+    diff = f_hyb - f_a[None, :]
+    stats = np.vstack(
+        [f_b[None, :] * diff, diff, design.sum(axis=0), (design**2).sum(axis=0)]
+    )
+    return ((f_b - mean_all)[None, :] * diff).mean(axis=1) / variance, stats.T
+
+
+@pytest.mark.parametrize("n_base", [2, 3, 1025, 10**5])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e300])
+def test_point_estimate_has_the_bits_of_numpys_mean_and_var(n_base, scale):
+    # at 1e-300 the squares underflow to 0 and at 1e300 they overflow to
+    # inf, so both raise there
+    rng = np.random.default_rng(n_base)
+    for dims in (1, len(LOSS_POINTS)):
+        design = rng.uniform(size=(dims + 2, n_base)) * scale
+        results = []
+        for estimate in (sensitivity._point_estimate, _numpy_point_estimate):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    indices, stats = estimate(design)
+                except ValueError:
+                    results.append(None)
+                    continue
+            results.append((indices.tobytes(), stats.tobytes(), stats.shape))
+        assert results[0] == results[1], (dims, n_base, scale)
+        assert (results[0] is None) == (scale in (1e-300, 1e300))
+
+
+def test_point_estimate_builds_no_temporary_as_large_as_the_design():
+    # the statistics it returns are [2 dims + 2, n_base]; its temporaries
+    # must stay at about one row, where np.var and ** each built a whole design
+    n_base = 10_000
+    design = np.random.default_rng(7).uniform(size=(len(LOSS_POINTS) + 2, n_base))
+    sensitivity._point_estimate(design)  # warm
+    tracemalloc.start()
+    try:
+        _, stats = sensitivity._point_estimate(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * n_base
+    assert stats.base.nbytes == (2 * len(LOSS_POINTS) + 2) * row
+    assert peak - stats.base.nbytes < 2 * row, peak
 
 
 def test_sobol_memory_is_the_readme_model():
