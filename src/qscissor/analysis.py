@@ -132,6 +132,10 @@ class FringeScan(
             raise ValueError("coincidence rates must be non-negative")
         return super().__new__(cls, phases, values, pattern)
 
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
+
 
 def fringe_scan(
     sigma: float,

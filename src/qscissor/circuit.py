@@ -117,12 +117,20 @@ class BeamSplitter(
             raise ValueError("beam splitter needs two distinct modes")
         return super().__new__(cls, mode_a, mode_b, transmittance)
 
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
+
 
 class PhaseShift(NamedTuple("PhaseShift", [("mode", int), ("angle", float)])):
     __slots__ = ()
 
     def __new__(cls, mode: int, angle: float):
         return super().__new__(cls, mode, angle % TWO_PI)
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` reduces too
+        return cls(*iterable)
 
 
 CircuitElement = BeamSplitter | PhaseShift
@@ -145,9 +153,7 @@ def embed_unitary(u: ModeUnitary, target_modes: Sequence[int], modes: int) -> Mo
     if any(not 0 <= m < modes for m in target_modes):
         raise ValueError("target mode index out of range")
     big = np.eye(modes, dtype=complex)
-    for a, ta in enumerate(target_modes):
-        for b, tb in enumerate(target_modes):
-            big[ta, tb] = u.matrix[a, b]
+    big[np.ix_(target_modes, target_modes)] = u.matrix
     return ModeUnitary(big)
 
 

@@ -629,7 +629,8 @@ def _read_argv(argv: list[str]) -> _Args | None:
     ``--name value`` or ``--name=value``; a value given apart may not start
     with ``--``, and an option given twice keeps its last value.  Only the
     full option names are read.  The first problem raises a ``ConfigError``
-    whose one message names the argument at fault.
+    whose one message names the argument at fault; an unknown command is
+    the last one checked.
     """
     command, options = None, {"--config": None, "--out": ".", "--seed": None}
     rest = iter(argv)
@@ -663,6 +664,11 @@ def _read_argv(argv: list[str]) -> _Args | None:
             seed = _parse_int(seed)
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
+    if command != "validate" and command not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {command!r}; "
+            f"valid names: {', '.join(EXPERIMENTS)}, validate"
+        )
     return _Args(command, options["--config"], options["--out"], seed)
 
 
@@ -718,13 +724,6 @@ def _main(argv: list[str]) -> int:
     if args is None:
         print(_HELP, end="")
         return 0
-    if args.command != "validate" and args.command not in EXPERIMENTS:
-        print(
-            f"error: unknown experiment {args.command!r}; "
-            f"valid names: {', '.join(EXPERIMENTS)}, validate",
-            file=sys.stderr,
-        )
-        return 2
 
     try:
         entries, config_text = _load_entries(args.config)

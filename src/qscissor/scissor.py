@@ -144,6 +144,13 @@ def _check_mixture_heralds(taus, gains) -> None:
         raise ValueError("g = 0 keeps only the vacuum, which tau = 1 never holds")
 
 
+def _check_point(tau: float, g: float) -> None:
+    """The checks of one (tau, g) point of the lossy two-photon input, in order."""
+    _check_transmission(tau)
+    _check_gain(g)
+    _check_mixture_heralds((tau,), (g,))
+
+
 def _check_pattern(pattern: Sequence[int]) -> tuple:
     """The success pattern as a tuple of ints; raises for any other pattern.
     Membership compares numerically: 1.0 and numpy integers pass, 1.5, NaN
@@ -185,12 +192,15 @@ def _splitter_scale(g: float) -> float:
     return math.sqrt(2.0) / math.hypot(1.0, g)
 
 
-def _gain_factor(g, transmitted, reflected, scale=None):
+def _gain_factor(g, transmitted, reflected):
     """(sqrt(2) t)^transmitted (sqrt(2) r)^reflected: a splitter term's amplitude
-    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact).  A
-    float g takes its ``_splitter_scale`` here; an array of gains, which
-    broadcasts against the class arrays, comes with its ``scale`` array."""
-    scale = _splitter_scale(g) if scale is None else scale
+    at gain g over its amplitude at g = 1 (0**0 = 1 keeps g = 0 exact).  ``g``
+    is a float or an array of gains that broadcasts against the class arrays;
+    each gain's ``_splitter_scale`` is Python's, once per gain (``_each``)."""
+    if np.ndim(g) == 0:
+        scale = _splitter_scale(g)
+    else:
+        (scale,) = _each(lambda x: (_splitter_scale(x),), g, 1)
     return scale**transmitted * (g * scale) ** reflected
 
 
@@ -224,11 +234,11 @@ def _herald_table() -> Mapping:
     return _herald_amplitudes(_RESOURCE_PHOTONS, second @ first)
 
 
-def _herald_gains(pattern: tuple, g: float, scale=None) -> np.ndarray:
+def _herald_gains(pattern: tuple, g: float) -> np.ndarray:
     """The herald amplitudes ``<pattern, k| U |k, N, 0, ...>`` at gain g, k = 0..N
-    (on a last axis, for a column of gains and scales: ``_gain_factor``)."""
+    (on a last axis, for a column of gains: ``_gain_factor``)."""
     k = np.arange(_RESOURCE_PHOTONS + 1)
-    return _herald_table()[pattern] * _gain_factor(g, _RESOURCE_PHOTONS - k, k, scale)
+    return _herald_table()[pattern] * _gain_factor(g, _RESOURCE_PHOTONS - k, k)
 
 
 def heralded_amplify(
@@ -348,12 +358,12 @@ def run_two_scissor(amplitudes, g: float, pattern: Sequence[int]) -> ScissorOutc
 # has the bits of the call on its two scalars.
 
 
-def _checked_grid(tau, g, gain_read: bool, check) -> tuple[np.ndarray, np.ndarray]:
+def _checked_grid(tau, g, gain_read: bool) -> tuple[np.ndarray, np.ndarray]:
     """``tau`` and ``g`` as float arrays, checked at every point of their
     broadcast grid.  Where a point is outside the domain of
     ``_check_transmission`` (and, if ``gain_read``, of ``_check_gain`` and
-    ``_check_mixture_heralds``), ``check(tau, g)``, the scalar call's checks,
-    runs at the first such point in C order and raises its ``ValueError``."""
+    ``_check_mixture_heralds``), ``_check_point`` runs at the first such point
+    in C order and raises its ``ValueError``."""
     tau, g = np.asarray(tau, dtype=float), np.asarray(g, dtype=float)
     inside = _transmission_inside(tau)
     if gain_read:
@@ -361,19 +371,13 @@ def _checked_grid(tau, g, gain_read: bool, check) -> tuple[np.ndarray, np.ndarra
     if not inside.all():
         shape = np.broadcast(tau, g).shape
         first = int(np.argmin(np.broadcast_to(inside, shape)))
-        check(*(np.broadcast_to(a, shape).flat[first].item() for a in (tau, g)))
+        _check_point(*(np.broadcast_to(a, shape).flat[first].item() for a in (tau, g)))
     return tau, g
 
 
 def _scalar_or_array(x):
     """A 0-d result as the Python float that a call on scalars returns."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _check_closed_form(tau: float, g: float) -> None:
-    _check_transmission(tau)
-    _check_gain(g)
-    _check_mixture_heralds((tau,), (g,))
 
 
 def amplified_mixture_closed_form(tau, g) -> tuple[np.ndarray, float | np.ndarray]:
@@ -385,7 +389,7 @@ def amplified_mixture_closed_form(tau, g) -> tuple[np.ndarray, float | np.ndarra
     arrays that broadcast together: the weights then take a last axis of
     three, and N the broadcast shape.
     """
-    tau, g = _checked_grid(tau, g, True, _check_closed_form)
+    tau, g = _checked_grid(tau, g, True)
     loss, lost2, kept2 = _each(lambda t: (1 - t, (1 - t) ** 2, t**2), tau, 3)
     twice_g2, g4 = _each(lambda x: (2 * x**2, x**4), g, 2)
     raw = lost2, twice_g2 * tau * loss, g4 * kept2
@@ -461,18 +465,10 @@ def simulate_gain_measurement(
     heralds, with the closed-form probability N!/(N+1)^N; they carry no
     information about the input and cancel from the normalized estimate.
     ``tau`` and ``g`` are scalars or arrays that broadcast together, and each
-    rate takes their broadcast shape.
+    rate takes their broadcast shape.  ``pattern`` is checked before the grid.
     """
-
-    def check(t: float, x: float) -> None:  # the scalar call's checks, in order
-        _check_transmission(t)
-        _check_pattern(pattern)
-        if with_amplifier:
-            _check_mixture_heralds((t,), (x,))
-            _check_gain(x)
-
-    tau, g = _checked_grid(tau, g, with_amplifier, check)
     pattern = _check_pattern(pattern)
+    tau, g = _checked_grid(tau, g, with_amplifier)
     weights = _each(lambda t: ((1 - t) ** 2, 2 * t * (1 - t), t**2), tau, 3)
     if with_amplifier:
 
@@ -484,8 +480,7 @@ def simulate_gain_measurement(
             norm = _norm((a,))
             return norm**2, abs(a / norm) ** 2 if norm**2 > 0.0 else 0.0
 
-        (scale,) = _each(lambda x: (_splitter_scale(x),), g[..., None], 1)
-        amplitudes = np.moveaxis(_herald_gains(pattern, g[..., None], scale), -1, 0)
+        amplitudes = np.moveaxis(_herald_gains(pattern, g[..., None]), -1, 0)
         probabilities, kept = zip(*(_each(heralded, a, 2) for a in amplitudes))
         # the mixture's sums, in its order: a component of weight 0, which the
         # mixture drops, adds +0.0 here, so its total weight is this sum too

@@ -88,8 +88,8 @@ from .scissor import (
     _RESOURCE_MODE,
     _RESOURCE_PHOTONS,
     _check_gain,
-    _check_mixture_heralds,
     _check_pattern,
+    _check_point,
     _check_transmission,
     _gain_factor,
     _mixer_halves,
@@ -491,13 +491,6 @@ def _stages(tau, tr: np.ndarray, pattern: tuple, work: _Work, weight, detector) 
     return roles, start, _povm_sums(pattern, weight, start, detector, work)
 
 
-def _evaluate_batch(factors, tau, losses, pattern: tuple, work: _Work) -> list:
-    """The measured gain at each of ``factors`` on a [samples, dims] batch."""
-    tr = _transmissions(losses)
-    roles, _, sums = _stages(tau, tr, pattern, work, work.weight, work.detector)
-    return _measured_gains(tau, roles, sums, factors)
-
-
 def _check_losses(arr: np.ndarray) -> None:
     # a loss of 1 at an input or a detector point zeroes a rate the gain divides by
     if np.any(~((arr >= 0.0) & (arr < 1.0))):  # NaN fails both
@@ -517,9 +510,7 @@ def lossy_gain_model(
     all losses zero this reduces exactly to the closed-form gain.
     """
     pattern = _check_pattern(pattern)
-    _check_transmission(tau)
-    _check_gain(g)
-    _check_mixture_heralds((tau,), (g,))
+    _check_point(tau, g)
     scalar = np.ndim(losses) == 1
     arr = np.atleast_2d(np.asarray(losses, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != len(LOSS_POINTS):
@@ -530,7 +521,9 @@ def lossy_gain_model(
     factors = _class_factors(pattern, [g])
     out = np.empty(arr.shape[0])
     for rows, work in _chunks(pattern, arr.shape[0]):
-        (out[rows],) = _evaluate_batch(factors, tau, arr[rows], pattern, work)
+        tr = _transmissions(arr[rows])
+        roles, _, sums = _stages(tau, tr, pattern, work, work.weight, work.detector)
+        (out[rows],) = _measured_gains(tau, roles, sums, factors)
     return float(out[0]) if scalar else out
 
 
@@ -844,7 +837,8 @@ def _design_block(factors, tau, a, b, pattern: tuple, work: _Work, out: list) ->
         tau, tr_a, pattern, work, work.weight_a, work.detector_a
     )
     record(0, _measured_gains(tau, roles_a, sums_a, factors))
-    record(1, _evaluate_batch(factors, tau, b, pattern, work))
+    roles_b, _, sums_b = _stages(tau, tr_b, pattern, work, work.weight, work.detector)
+    record(1, _measured_gains(tau, roles_b, sums_b, factors))
     for i, point in enumerate(LOSS_POINTS):
         # the role's columns as ``_stages`` multiplies them, column i from B
         columns = [(tr_b if c == i else tr_a)[c] for c in _ROLE_COLUMNS[point.role]]

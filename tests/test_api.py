@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qscissor
+from qscissor import BeamSplitter, FringeScan, PhaseShift
 
 #: Every parameter with a default of a public callable, as "callable.parameter".
 #: A new option changes this set, so it is added here on purpose or not at all.
@@ -28,6 +30,73 @@ def test_public_options_are_pinned():
                 if parameter.default is not inspect.Parameter.empty
             }
     assert found == OPTIONS
+
+
+#: Every defaulted parameter of a function, method or lambda in ``src/``, as
+#: "module.function.parameter": the console entry point's ``argv`` alone.  A
+#: private knob that no caller sets is an option too.
+DEFAULTED = {"cli.main.argv"}
+
+
+def test_no_function_in_src_has_a_defaulted_parameter():
+    # read from the source, so no module is imported and no code runs
+    found = set()
+    for path in sorted(Path(qscissor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+            ]
+            name = getattr(node, "name", "<lambda>")
+            found |= {f"{path.stem}.{name}.{arg.arg}" for arg in defaulted}
+    assert found == DEFAULTED
+
+
+_SCAN = ([0.0, 1.0], [1.0, 0.0], (1, 1, 0))
+
+
+def _fields(record) -> list:
+    return [np.asarray(x).tolist() if isinstance(x, np.ndarray) else x for x in record]
+
+
+@pytest.mark.parametrize(
+    "cls, valid, fields",
+    [
+        (BeamSplitter, (0, 1, 0.5), (0, 1, 2.0)),
+        (BeamSplitter, (0, 1, 0.5), (0, 0, 0.5)),
+        (PhaseShift, (0, 1.0), (0, 7.0)),
+        (PhaseShift, (0, 1.0), (1, -1.0)),
+        (FringeScan, _SCAN, ([1.0, 0.0], [-1.0, 0.0], (1, 1, 0))),
+        (FringeScan, _SCAN, ([0.0, 1.0], [-1.0, 0.0], (1, 1, 0))),
+        (FringeScan, _SCAN, ([0.0, 2.0], [0.5, 1], (0, 1, 1))),
+    ],
+    ids=[
+        "splitter-transmittance", "splitter-modes", "phase-reduced", "phase-negative",
+        "scan-phases", "scan-values", "scan-converted",
+    ],
+)
+def test_records_are_built_only_through_their_checks(cls, valid, fields):
+    # ``_make`` and ``_replace`` raise or normalize as the constructor does
+    builds = {
+        "_make": lambda: cls._make(fields),
+        "_replace": lambda: cls(*valid)._replace(**dict(zip(cls._fields, fields))),
+    }
+    try:
+        expected = cls(*fields)
+    except ValueError as exc:
+        for build in builds.values():
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build()
+        return
+    for way, build in builds.items():
+        record = build()
+        assert type(record) is cls, way
+        assert [type(x) for x in record] == [type(x) for x in expected], way
+        assert _fields(record) == _fields(expected), way
 
 
 #: Names taken out of the package, as "<module>.<name>": moved to the test

@@ -809,6 +809,32 @@ def test_grid_calls_raise_the_first_scalar_error_or_give_its_bits(
         assert _bits(_numbers_in(result)) == _bits(_at(grid, i, j))
 
 
+#: points outside the (tau, g) domain: each bad tau, each bad g, both, and the
+#: one point where the lossy input never heralds
+_BAD_TAUS, _BAD_GAINS = (0.0, 2.0, math.nan), (-1.0, 1e-30, 2e6, math.nan)
+_BAD_POINTS = (
+    [(tau, 1.0) for tau in _BAD_TAUS]
+    + [(0.5, g) for g in _BAD_GAINS]
+    + list(itertools.product(_BAD_TAUS, _BAD_GAINS))
+    + [(1.0, 0.0)]
+)
+
+
+@pytest.mark.parametrize("tau, g", _BAD_POINTS)
+def test_every_gain_entry_point_checks_a_point_as_check_point_does(tau, g):
+    # the scalar calls that read g raise ``scissor._check_point``'s message
+    with pytest.raises(ValueError) as expected:
+        scissor._check_point(tau, g)
+    calls = {
+        name: call for name, call in _GRID_CALLS.items() if not name.endswith("-off")
+    }
+    calls["lossy_gain_model"] = lambda t, x, p: lossy_gain_model(x, t, [0.0] * 14, p)
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as raised:
+            call(tau, g, (1, 1, 0))
+        assert str(raised.value) == str(expected.value), name
+
+
 @settings(PROPERTY, max_examples=40)
 @given(
     g=_NUMBERS,

@@ -601,6 +601,12 @@ def test_gain_measurement_off_normalization_cancels_heralds():
     assert off.herald_probability == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
+def test_gain_measurement_checks_its_pattern_before_its_grid():
+    # tau = 2.0 is outside the domain too, but the pattern is checked first
+    with pytest.raises(ValueError, match="is not a success pattern"):
+        simulate_gain_measurement(2.0, 1.0, True, (9, 9, 9))
+
+
 # ---------------------------------------------------------------------------
 # the one herald-pattern check
 # ---------------------------------------------------------------------------
